@@ -71,26 +71,18 @@ type Engine struct {
 	// processors (trace.NewSink). Tracing is observation-only: Stats,
 	// logs and observer streams are byte-identical with it on or off.
 	Trace *trace.Sink
-	// MS, when non-nil, supplies the timing hierarchy instead of
-	// building a fresh one; Run resets it, so its geometry must match
-	// Cfg. Segmented replay pools hierarchies across its per-interval
-	// engines — cache-set construction otherwise dominates interval
-	// replay. Reuse is observation-equivalent: Reset reproduces the
-	// post-construction state exactly.
-	MS *sim.MemSys
 	// Cancel, when non-nil, requests cooperative cancellation: once the
 	// channel closes, the run stops at the next scheduler step (within a
 	// bounded number of events — far less than one chunk's worth of
 	// execution) and Stats.Cancelled reports it. Cancellation leaves the
 	// engine in the same reusable state as any other early exit: a later
 	// Run (with fresh Mem/Policy/Replay, and Cancel cleared or re-armed)
-	// behaves exactly like a run on a fresh engine, and a pooled MS is
-	// reset as usual. The serving layer arms this with a request
-	// context's Done channel.
+	// behaves exactly like a run on a fresh engine. The serving layer
+	// arms this with a request context's Done channel.
 	Cancel <-chan struct{}
 
 	arb    *arbiter.Arbiter
-	ms     *sim.MemSys
+	ms     *sim.MemSys // from sim's pool; held only while Run executes
 	cores  []*core
 	events eventHeap
 	stats  Stats
@@ -453,12 +445,7 @@ func (e *Engine) Run() Stats {
 	e.arb = arbiter.New(e.Cfg.ArbLat, e.Cfg.CommitDur, e.Cfg.MaxConcurCommits, e.policy)
 	e.arb.Exact = e.ExactConflicts
 	e.arb.Trace = e.gtr
-	if e.MS != nil {
-		e.MS.Reset(&e.Cfg)
-		e.ms = e.MS
-	} else {
-		e.ms = sim.NewMemSys(&e.Cfg)
-	}
+	e.ms = sim.AcquireMemSys(&e.Cfg)
 	e.stats.TruncBy = make(map[chunk.TruncReason]uint64)
 
 	if e.Resume != nil {
@@ -527,6 +514,8 @@ func (e *Engine) Run() Stats {
 	}
 
 	e.finishStats(budget)
+	sim.ReleaseMemSys(e.ms)
+	e.ms = nil
 	return e.stats.clone()
 }
 
@@ -1621,9 +1610,6 @@ func (e *Engine) DebugState() string {
 	}
 	return s
 }
-
-// MemSys exposes hierarchy counters to tests and experiments.
-func (e *Engine) MemSys() *sim.MemSys { return e.ms }
 
 // Arbiter exposes the commit arbiter for Table 6 statistics.
 func (e *Engine) Arbiter() *arbiter.Arbiter { return e.arb }

@@ -7,6 +7,7 @@ import (
 	"delorean/internal/chunk"
 	"delorean/internal/isa"
 	"delorean/internal/mem"
+	"delorean/internal/sim"
 	"delorean/internal/trace"
 )
 
@@ -153,4 +154,83 @@ func TestEngineTraceWrongSizePanics(t *testing.T) {
 	}()
 	e := &Engine{Cfg: testConfig(4), Progs: reuseProgs(), Mem: mem.New(), Trace: trace.NewSink(2)}
 	e.Run()
+}
+
+// poolConfig is testConfig(4) with an L2 geometry no other test in this
+// package uses, so the first run under it builds a fresh cache
+// hierarchy and later runs draw hierarchies other runs released. Small
+// chunks give the commit log some length.
+func poolConfig() sim.Config {
+	c := testConfig(4)
+	c.L2Bytes = 2 << 20
+	c.ChunkSize = 200
+	return c
+}
+
+// poolRun is everything a run produces: stats, the commit log and the
+// final memory image's hash.
+type poolRun struct {
+	stats   Stats
+	commits []CommitEvent
+	memHash uint64
+}
+
+// commitLog records commits (without the callback-scoped signatures)
+// and closes cancel, if set, at the given commit.
+type commitLog struct {
+	NopObserver
+	commits  []CommitEvent
+	cancelAt int
+	cancel   chan struct{}
+}
+
+func (l *commitLog) OnCommit(ev CommitEvent) {
+	ev.RSig, ev.WSig = nil, nil
+	l.commits = append(l.commits, ev)
+	if l.cancel != nil && len(l.commits) == l.cancelAt {
+		close(l.cancel)
+	}
+}
+
+// runPooled runs reuseProgs on a new engine. cancelAt > 0 cancels the
+// run at that commit, leaving a warm hierarchy mid-run.
+func runPooled(cfg sim.Config, cancelAt int) poolRun {
+	obs := &commitLog{cancelAt: cancelAt}
+	e := &Engine{Cfg: cfg, Progs: reuseProgs(), Mem: mem.New(), Obs: obs}
+	if cancelAt > 0 {
+		obs.cancel = make(chan struct{})
+		e.Cancel = obs.cancel
+	}
+	st := e.Run()
+	return poolRun{stats: st, commits: obs.commits, memHash: e.Mem.Hash()}
+}
+
+// A run on a hierarchy released by another run — one with the same
+// geometry but different latencies, or one cancelled mid-run — must be
+// bit-identical to a run on a fresh hierarchy: stats, commit log and
+// memory.
+func TestEnginePooledHierarchyMatchesFresh(t *testing.T) {
+	cfg := poolConfig()
+	want := runPooled(cfg, 0) // the pool holds nothing of this geometry yet
+	if !want.stats.Converged || len(want.commits) < 40 {
+		t.Fatalf("reference run too small to test reuse: %+v", want.stats)
+	}
+	slow := cfg
+	slow.L1Lat, slow.L2Lat, slow.MemLat = 3, 29, 450
+	for i := 0; i < 3; i++ {
+		if st := runPooled(slow, 0).stats; st.Cycles == want.stats.Cycles {
+			t.Fatalf("latencies had no effect on the run (cycles %d)", st.Cycles)
+		}
+		if got := runPooled(cfg, 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: run after a different-latency run differs from fresh:\n got %+v\nwant %+v",
+				i, got.stats, want.stats)
+		}
+		if st := runPooled(cfg, 20).stats; !st.Cancelled {
+			t.Fatalf("round %d: run not cancelled at commit 20: %+v", i, st)
+		}
+		if got := runPooled(cfg, 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: run after a cancelled run differs from fresh:\n got %+v\nwant %+v",
+				i, got.stats, want.stats)
+		}
+	}
 }

@@ -19,9 +19,9 @@ import (
 // simulator is single-goroutine by design (deterministic event order).
 //
 // The tag store is two flat, pointer-free arrays rather than a slice per
-// set: segmented replay constructs a full cache hierarchy per checkpoint
-// interval, and with tens of thousands of L2 sets the per-set slice
-// headers dominated both allocation and GC scan time.
+// set: with tens of thousands of L2 sets, per-set slice headers
+// dominated both allocation and GC scan time, and Flush only has to
+// zero the per-set sizes.
 type Cache struct {
 	ways    int
 	numSets int

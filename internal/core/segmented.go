@@ -64,14 +64,12 @@ func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts 
 	view := newLogView(rec)
 	budget := cfg.MaxInstsOrDefault()
 
-	// Workers pool the expensive per-engine state (the cache hierarchy
-	// and the functional memory's backing map) across intervals and
-	// across replays: engine construction, not interval execution,
-	// otherwise dominates replay of finely checkpointed recordings.
-	// Reuse is observation-equivalent to fresh state (MemSys.Reset,
-	// Memory.Restore).
-	cfgRef := cfg
-	geom := segGeom{cfg.NProcs, cfg.L1Bytes, cfg.L1Ways, cfg.L2Bytes, cfg.L2Ways}
+	// Workers pool the functional memory's backing map across intervals
+	// and across replays (each interval's engine draws its cache
+	// hierarchy from sim's shared pool): engine construction, not
+	// interval execution, otherwise dominates replay of finely
+	// checkpointed recordings. Reuse is observation-equivalent to fresh
+	// state (Memory.Restore).
 	outs, _ := runner.Map(opts.ReplayParallel, k+1, func(i int) (segOut, error) {
 		// Queued intervals behind a cancellation return fast without
 		// touching an engine; running ones stop via Engine.Cancel inside
@@ -82,8 +80,8 @@ func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts 
 			return segOut{err: cancelledErr("segmented replay", opts.Ctx)}, nil
 		}
 		s, _ := segPool.Get().(*segScratch)
-		if s == nil || s.geom != geom {
-			s = &segScratch{geom: geom, ms: sim.NewMemSys(&cfgRef), mem: mem.New()}
+		if s == nil {
+			s = &segScratch{mem: mem.New()}
 		}
 		out := replayInterval(rec, cfg, progs, opts, view, budget, i, s)
 		segPool.Put(s)
@@ -154,12 +152,8 @@ func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts 
 	return ReplayResult{Stats: agg, Fingerprint: rec.Fingerprint, MemHash: rec.FinalMemHash}, nil
 }
 
-// segScratch is one worker's reusable engine state: the timing
-// hierarchy and the functional memory, both reset-on-reuse. Scratch
-// outlives a single replay via segPool, so each entry records the
-// machine geometry it was built for; a pooled hierarchy is reused only
-// under an identical geometry (latency parameters may differ — the
-// engine re-binds them on reuse).
+// segScratch is one worker's reusable engine state: the functional
+// memory, which outlives a single replay via segPool.
 //
 // memRec/memAt track what the scratch memory currently holds: image
 // memAt of recording memRec (-1 is the initial memory, segMemUnknown
@@ -170,9 +164,7 @@ func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts 
 // memory forward by applying the intervening checkpoint deltas in
 // place instead of restoring a materialized image from scratch.
 type segScratch struct {
-	geom segGeom
-	ms   *sim.MemSys
-	mem  *mem.Memory
+	mem *mem.Memory
 
 	memRec *Recording
 	memAt  int
@@ -180,12 +172,6 @@ type segScratch struct {
 
 // segMemUnknown marks scratch memory with no provable image identity.
 const segMemUnknown = -2
-
-// segGeom is the part of a machine configuration a pooled cache
-// hierarchy depends on structurally.
-type segGeom struct {
-	nprocs, l1b, l1w, l2b, l2w int
-}
 
 // segPool holds segScratch entries across segmented replays.
 var segPool sync.Pool
@@ -291,7 +277,6 @@ func replayInterval(rec *Recording, cfg sim.Config, progs []*isa.Program, opts R
 		Parallel:       opts.Parallel,
 		Resume:         resume,
 		StopAtCommit:   stopSlot,
-		MS:             s.ms,
 	}
 	if opts.Ctx != nil {
 		eng.Cancel = opts.Ctx.Done()
@@ -299,7 +284,7 @@ func replayInterval(rec *Recording, cfg sim.Config, progs []*isa.Program, opts R
 	st := eng.Run()
 	if st.Cancelled {
 		// Scratch state stays pool-safe: memRec/memAt were already marked
-		// unknown above, and MemSys/Memory reset on the next reuse.
+		// unknown above, and Memory is restored on the next reuse.
 		out.err = cancelledErr("segmented replay", opts.Ctx)
 		return out
 	}

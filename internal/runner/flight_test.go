@@ -13,7 +13,7 @@ import (
 func TestFlightSingleLeader(t *testing.T) {
 	var f Flight[string, int]
 	const n = 16
-	var leaders, computes atomic.Int64
+	var leaders, computes, joined atomic.Int64
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	results := make([]int, n)
@@ -23,6 +23,7 @@ func TestFlightSingleLeader(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			c, leader := f.Join("k")
+			joined.Add(1)
 			if leader {
 				leaders.Add(1)
 				<-release // hold the flight open until all joined
@@ -32,8 +33,9 @@ func TestFlightSingleLeader(t *testing.T) {
 			results[i], errs[i] = c.Result()
 		}(i)
 	}
-	// Let the joins pile up, then release the leader.
-	for f.InFlight() == 0 {
+	// Release the leader only once every goroutine has joined: a Join
+	// after Finish rightly starts a fresh flight with its own leader.
+	for joined.Load() < n {
 		runtime.Gosched()
 	}
 	close(release)

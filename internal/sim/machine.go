@@ -45,7 +45,11 @@ type Stats struct {
 	Interrupts uint64
 	DMAs       uint64
 	Converged  bool // false if MaxInsts was hit before all threads halted
-	PerProc    []ProcStats
+	// Coherence traffic: dirty lines forwarded cache-to-cache, and
+	// shared-to-exclusive upgrades through the directory.
+	C2CTransfers uint64
+	Upgrades     uint64
+	PerProc      []ProcStats
 }
 
 // ProcStats is the per-core slice of Stats.
@@ -78,7 +82,7 @@ type Machine struct {
 	Obs   Observer
 
 	cores []*classicCore
-	ms    *MemSys
+	ms    *MemSys // pooled; held only while Run executes
 	stats Stats
 }
 
@@ -100,7 +104,7 @@ func NewMachine(cfg Config, model Model, progs []*isa.Program, memory *mem.Memor
 	if devs == nil {
 		devs = device.New(0)
 	}
-	m := &Machine{Cfg: cfg, Model: model, Progs: progs, Mem: memory, Devs: devs, ms: NewMemSys(&cfg)}
+	m := &Machine{Cfg: cfg, Model: model, Progs: progs, Mem: memory, Devs: devs}
 	for p := 0; p < cfg.NProcs; p++ {
 		cc := &classicCore{tm: NewCoreTiming(&m.Cfg), prog: progs[p]}
 		cc.ts.Reg[15] = int64(p)
@@ -109,9 +113,6 @@ func NewMachine(cfg Config, model Model, progs []*isa.Program, memory *mem.Memor
 	}
 	return m
 }
-
-// MemSys exposes the hierarchy counters for tests.
-func (m *Machine) MemSys() *MemSys { return m.ms }
 
 // nextCore selects the non-halted core with the minimum clock, ties
 // broken by lowest processor index — the deterministic global time order.
@@ -135,6 +136,7 @@ func (m *Machine) nextCore() int {
 // Run executes until every thread halts (or the instruction budget is
 // exhausted) and returns the run statistics.
 func (m *Machine) Run() Stats {
+	m.ms = AcquireMemSys(&m.Cfg)
 	dmaIdx := 0
 	budget := m.Cfg.maxInsts()
 	var total uint64
@@ -187,6 +189,9 @@ func (m *Machine) Run() Stats {
 		})
 		_ = p
 	}
+	st.C2CTransfers, st.Upgrades = m.ms.TotalC2CTransfers(), m.ms.TotalUpgrades()
+	ReleaseMemSys(m.ms)
+	m.ms = nil
 	return *st
 }
 

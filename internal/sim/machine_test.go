@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"delorean/internal/device"
@@ -365,7 +367,7 @@ func TestSharingCausesCoherenceTraffic(t *testing.T) {
 	if !st.Converged {
 		t.Fatal("not converged")
 	}
-	if m.MemSys().C2CTransfers == 0 && m.MemSys().Upgrades == 0 {
+	if st.C2CTransfers == 0 && st.Upgrades == 0 {
 		t.Fatal("no coherence traffic on a shared hot line")
 	}
 }
@@ -388,4 +390,91 @@ func TestStatsPerProcSums(t *testing.T) {
 	if insts != st.Insts || memops != st.MemOps {
 		t.Fatalf("per-proc sums (%d,%d) != totals (%d,%d)", insts, memops, st.Insts, st.MemOps)
 	}
+}
+
+// poolRun is everything a classic run produces: stats, the global access
+// stream and the final memory image's hash.
+type poolRun struct {
+	stats   Stats
+	events  []AccessEvent
+	memHash uint64
+}
+
+// poolProgs is a small contended workload (locks, atomics, a private
+// stream) that leaves caches and directory well populated.
+func poolProgs() []*isa.Program {
+	return []*isa.Program{
+		lockIncProgram(0x1000, 0x2000, 100),
+		lockIncProgram(0x1000, 0x2000, 100),
+		atomicIncProgram(0x3000, 300),
+		storeStream(0x8000, 600),
+	}
+}
+
+func runPooled(cfg Config, model Model) poolRun {
+	obs := &collectObs{}
+	memory := mem.New()
+	m := NewMachine(cfg, model, poolProgs(), memory, nil)
+	m.Obs = obs
+	st := m.Run()
+	return poolRun{stats: st, events: obs.events, memHash: memory.Hash()}
+}
+
+// poolConfig has an L2 geometry no other test in this package uses, so
+// the first run under it builds a fresh hierarchy.
+func poolConfig() Config {
+	c := testConfig(4)
+	c.L2Bytes = 2 << 20
+	return c
+}
+
+// A run on a hierarchy released by a run with the same geometry but
+// different latencies is bit-identical to a run on a fresh one, under
+// every model.
+func TestMachinePooledHierarchyMatchesFresh(t *testing.T) {
+	cfg := poolConfig()
+	slow := cfg
+	slow.L1Lat, slow.L2Lat, slow.MemLat = 3, 29, 450
+	for _, model := range []Model{SC, RC, TSO} {
+		want := runPooled(cfg, model)
+		if !want.stats.Converged || want.stats.C2CTransfers+want.stats.Upgrades == 0 {
+			t.Fatalf("%v: reference run leaves no coherence state: %+v", model, want.stats)
+		}
+		for i := 0; i < 3; i++ {
+			if st := runPooled(slow, model).stats; st.Cycles == want.stats.Cycles {
+				t.Fatalf("%v: latencies had no effect on the run (cycles %d)", model, st.Cycles)
+			}
+			if got := runPooled(cfg, model); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v round %d: run after a different-latency run differs from fresh:\n got %+v\nwant %+v",
+					model, i, got.stats, want.stats)
+			}
+		}
+	}
+}
+
+// Concurrent simulations of one geometry acquire and release pooled
+// hierarchies at once (as runner.Map and segmented replay workers do);
+// every run must still match its serial reference.
+func TestMemSysPoolConcurrent(t *testing.T) {
+	fast := poolConfig()
+	slow := fast
+	slow.L2Lat, slow.MemLat = 29, 450
+	cfgs := []Config{fast, slow}
+	want := []poolRun{runPooled(fast, RC), runPooled(slow, RC)}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				k := (g + i) % 2
+				if got := runPooled(cfgs[k], RC); !reflect.DeepEqual(got, want[k]) {
+					t.Errorf("goroutine %d run %d: differs from its serial reference:\n got %+v\nwant %+v",
+						g, i, got.stats, want[k].stats)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

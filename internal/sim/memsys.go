@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"sync"
+
 	"delorean/internal/cache"
-	"delorean/internal/isa"
 )
 
 // MemSys is the timing side of the memory hierarchy: per-processor L1
@@ -28,9 +29,10 @@ import (
 //     learn of it at commit) and what lets the engine execute chunks on
 //     concurrent goroutines between commits.
 type MemSys struct {
-	cfg *Config
-	l1  []*cache.Cache
-	l2  *cache.Cache
+	cfg  *Config
+	geom geometry
+	l1   []*cache.Cache
+	l2   *cache.Cache
 
 	// Directory state per line. sharers is a bitmask of processors whose
 	// L1 may hold the line; owner is the processor holding it exclusively
@@ -72,10 +74,12 @@ const (
 	FillUpgrade
 )
 
-// NewMemSys builds the hierarchy for cfg.
-func NewMemSys(cfg *Config) *MemSys {
+// newMemSys builds a cold hierarchy for cfg. Simulations get theirs
+// through AcquireMemSys.
+func newMemSys(cfg *Config) *MemSys {
 	ms := &MemSys{
 		cfg:     cfg,
+		geom:    geometryOf(cfg),
 		l2:      cache.New(cfg.L2Bytes, cfg.L2Ways),
 		sharers: make(map[uint32]uint32),
 		owner:   make(map[uint32]int8),
@@ -87,19 +91,50 @@ func NewMemSys(cfg *Config) *MemSys {
 	return ms
 }
 
-// Reset returns the hierarchy to its post-construction state for reuse
-// under cfg: cold caches, empty directory, zeroed counters, latencies
-// re-bound to cfg. Segmented replay reuses one hierarchy across its
-// per-interval engines — reconstructing tens of thousands of L2 sets
-// per interval dominated replay time — so Reset must be equivalent to
-// NewMemSys(cfg). cfg must describe the geometry the hierarchy was
-// built with; a mismatch panics, as cache.New would for a bad geometry.
-func (ms *MemSys) Reset(cfg *Config) {
-	if cfg.NProcs != len(ms.l1) ||
-		ms.l2.NumSets()*ms.l2.Ways() != cfg.L2Bytes/isa.LineBytes || ms.l2.Ways() != cfg.L2Ways ||
-		ms.l1[0].NumSets()*ms.l1[0].Ways() != cfg.L1Bytes/isa.LineBytes || ms.l1[0].Ways() != cfg.L1Ways {
-		panic("sim: MemSys.Reset with a different geometry")
+// geometry is the part of a Config a hierarchy's structure depends on.
+// Latencies are not part of it: reuse re-binds them.
+type geometry struct {
+	nprocs, l1Bytes, l1Ways, l2Bytes, l2Ways int
+}
+
+func geometryOf(cfg *Config) geometry {
+	return geometry{cfg.NProcs, cfg.L1Bytes, cfg.L1Ways, cfg.L2Bytes, cfg.L2Ways}
+}
+
+// hierarchyPools holds released hierarchies: a *sync.Pool per geometry.
+var hierarchyPools sync.Map
+
+// AcquireMemSys returns a cold hierarchy for cfg, reusing a released one
+// of the same geometry when the pool has one. Building a hierarchy
+// allocates and zeroes the full L2 tag array (~600 KB at the default
+// 8 MB, 8-way geometry), which dominated short simulations; reuse is
+// observation-equivalent to newMemSys (see reset). Every simulation
+// (Machine.Run, bulksc.Engine.Run) acquires one per run and hands it
+// back with ReleaseMemSys when the run ends, so no hierarchy outlives
+// its run. Safe for concurrent use.
+func AcquireMemSys(cfg *Config) *MemSys {
+	if p, ok := hierarchyPools.Load(geometryOf(cfg)); ok {
+		if ms, _ := p.(*sync.Pool).Get().(*MemSys); ms != nil {
+			ms.reset(cfg)
+			return ms
+		}
 	}
+	return newMemSys(cfg)
+}
+
+// ReleaseMemSys returns ms to the pool. The caller must not use ms
+// afterwards. Safe for concurrent use.
+func ReleaseMemSys(ms *MemSys) {
+	ms.cfg = nil // a pooled hierarchy must not pin its last run's Config
+	p, _ := hierarchyPools.LoadOrStore(ms.geom, new(sync.Pool))
+	p.(*sync.Pool).Put(ms)
+}
+
+// reset returns the hierarchy to its post-construction state for reuse
+// under cfg: cold caches, empty directory, zeroed counters, latencies
+// re-bound to cfg. It must be equivalent to newMemSys(cfg); cfg has the
+// geometry the hierarchy was built with (the pool is keyed by it).
+func (ms *MemSys) reset(cfg *Config) {
 	ms.cfg = cfg
 	ms.l2.Flush()
 	for _, c := range ms.l1 {
@@ -272,10 +307,14 @@ func (ms *MemSys) ApplyFill(p int, line uint32, k FillKind) {
 }
 
 // TotalL1Hits returns L1 hits across the classic and speculative paths.
-func (ms *MemSys) TotalL1Hits() uint64 { return ms.total(ms.L1Hits, func(c *procCounters) uint64 { return c.L1Hits }) }
+func (ms *MemSys) TotalL1Hits() uint64 {
+	return ms.total(ms.L1Hits, func(c *procCounters) uint64 { return c.L1Hits })
+}
 
 // TotalL2Hits returns L2 hits across the classic and speculative paths.
-func (ms *MemSys) TotalL2Hits() uint64 { return ms.total(ms.L2Hits, func(c *procCounters) uint64 { return c.L2Hits }) }
+func (ms *MemSys) TotalL2Hits() uint64 {
+	return ms.total(ms.L2Hits, func(c *procCounters) uint64 { return c.L2Hits })
+}
 
 // TotalMemAccesses returns memory accesses across both path families.
 func (ms *MemSys) TotalMemAccesses() uint64 {

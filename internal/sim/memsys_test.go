@@ -10,7 +10,7 @@ func msCfg(n int) Config {
 
 func TestLoadMissHitProgression(t *testing.T) {
 	cfg := msCfg(2)
-	ms := NewMemSys(&cfg)
+	ms := newMemSys(&cfg)
 	if lat := ms.Load(0, 100); lat != cfg.MemLat {
 		t.Fatalf("cold load lat = %d, want %d", lat, cfg.MemLat)
 	}
@@ -25,7 +25,7 @@ func TestLoadMissHitProgression(t *testing.T) {
 
 func TestStoreInvalidatesSharers(t *testing.T) {
 	cfg := msCfg(2)
-	ms := NewMemSys(&cfg)
+	ms := newMemSys(&cfg)
 	ms.Load(0, 100)
 	ms.Load(1, 100)
 	ms.Store(0, 100)
@@ -37,7 +37,7 @@ func TestStoreInvalidatesSharers(t *testing.T) {
 
 func TestDirtyForwardingCacheToCache(t *testing.T) {
 	cfg := msCfg(2)
-	ms := NewMemSys(&cfg)
+	ms := newMemSys(&cfg)
 	ms.Store(0, 200)
 	before := ms.C2CTransfers
 	if lat := ms.Load(1, 200); lat != cfg.L2Lat {
@@ -50,7 +50,7 @@ func TestDirtyForwardingCacheToCache(t *testing.T) {
 
 func TestUpgradeOnSharedStore(t *testing.T) {
 	cfg := msCfg(2)
-	ms := NewMemSys(&cfg)
+	ms := newMemSys(&cfg)
 	ms.Load(0, 300)
 	ms.Load(1, 300)
 	before := ms.Upgrades
@@ -64,7 +64,7 @@ func TestUpgradeOnSharedStore(t *testing.T) {
 
 func TestSpecStoreDoesNotInvalidate(t *testing.T) {
 	cfg := msCfg(2)
-	ms := NewMemSys(&cfg)
+	ms := newMemSys(&cfg)
 	ms.Load(1, 400)
 	ms.SpecStore(0, 400)
 	// Speculative data is invisible until commit: proc 1 still hits.
@@ -79,7 +79,7 @@ func TestSpecStoreDoesNotInvalidate(t *testing.T) {
 
 func TestDMAWriteInvalidatesEveryone(t *testing.T) {
 	cfg := msCfg(3)
-	ms := NewMemSys(&cfg)
+	ms := newMemSys(&cfg)
 	for p := 0; p < 3; p++ {
 		ms.Load(p, 500)
 	}
@@ -94,7 +94,7 @@ func TestDMAWriteInvalidatesEveryone(t *testing.T) {
 
 func TestL1EvictionDropsSharerState(t *testing.T) {
 	cfg := msCfg(1)
-	ms := NewMemSys(&cfg)
+	ms := newMemSys(&cfg)
 	// Fill one L1 set past associativity: lines mapping to set 0.
 	numSets := uint32(cfg.L1Bytes / (32 * cfg.L1Ways))
 	for i := uint32(0); i <= uint32(cfg.L1Ways); i++ {
@@ -108,7 +108,7 @@ func TestL1EvictionDropsSharerState(t *testing.T) {
 
 func TestSpecLoadKindsAndDeferredFills(t *testing.T) {
 	cfg := msCfg(3)
-	ms := NewMemSys(&cfg)
+	ms := newMemSys(&cfg)
 
 	// Cold speculative load: memory fill, not yet visible to peers.
 	lat, kind := ms.SpecLoad(0, 700)
@@ -140,7 +140,7 @@ func TestSpecLoadKindsAndDeferredFills(t *testing.T) {
 
 func TestSpecStoreOwnershipKinds(t *testing.T) {
 	cfg := msCfg(2)
-	ms := NewMemSys(&cfg)
+	ms := newMemSys(&cfg)
 
 	// Committed path establishes proc 0 as dirty owner.
 	ms.Load(0, 800)
@@ -171,7 +171,7 @@ func TestSpecStoreOwnershipKinds(t *testing.T) {
 
 func TestSpecCountersPerProcessor(t *testing.T) {
 	cfg := msCfg(3)
-	ms := NewMemSys(&cfg)
+	ms := newMemSys(&cfg)
 	ms.SpecLoad(0, 1000) // mem access
 	ms.SpecLoad(0, 1000) // L1 hit
 	ms.SpecLoad(2, 1001) // mem access

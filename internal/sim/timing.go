@@ -18,9 +18,9 @@ type CoreTiming struct {
 	cfg *Config
 
 	// pend holds incomplete memory ops occupying the ROB, oldest first.
-	pend []pendOp
+	pend fifo[pendOp]
 	// stores holds RC store-buffer completion times, oldest first.
-	stores []uint64
+	stores fifo[uint64]
 	// mshr holds outstanding-miss completion times (unordered).
 	mshr []uint64
 	// scLastDone chains SC memory-op completion in program order. Under
@@ -56,6 +56,41 @@ type pendOp struct {
 	seq  uint64
 	done uint64
 }
+
+// fifo is a ring-buffer queue. Its capacity doubles when full and never
+// shrinks, so once a core has seen its deepest ROB or store-buffer
+// occupancy, push and pop never allocate. (A slice popped by reslicing
+// leaks capacity off the front and reallocates on every wrap.)
+type fifo[T any] struct {
+	buf  []T // len(buf) is zero or a power of two
+	head int
+	n    int
+}
+
+func (q *fifo[T]) len() int { return q.n }
+
+// at returns the i-th oldest entry.
+func (q *fifo[T]) at(i int) T { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+func (q *fifo[T]) front() T { return q.buf[q.head] }
+
+func (q *fifo[T]) pop() {
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+}
+
+func (q *fifo[T]) push(v T) {
+	if q.n == len(q.buf) {
+		nb := make([]T, max(2*len(q.buf), 8))
+		k := copy(nb, q.buf[q.head:])
+		copy(nb[k:], q.buf[:q.head])
+		q.buf, q.head = nb, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
+	q.n++
+}
+
+func (q *fifo[T]) clear() { q.head, q.n = 0, 0 }
 
 // NewCoreTiming returns a core clock at time 0.
 func NewCoreTiming(cfg *Config) *CoreTiming {
@@ -101,8 +136,8 @@ func (c *CoreTiming) ChargeALU(n int) {
 
 // reap drops completed entries from the ROB and MSHR lists.
 func (c *CoreTiming) reap() {
-	for len(c.pend) > 0 && c.pend[0].done <= c.Clock {
-		c.pend = c.pend[1:]
+	for c.pend.len() > 0 && c.pend.front().done <= c.Clock {
+		c.pend.pop()
 	}
 	k := 0
 	for _, d := range c.mshr {
@@ -112,8 +147,8 @@ func (c *CoreTiming) reap() {
 		}
 	}
 	c.mshr = c.mshr[:k]
-	for len(c.stores) > 0 && c.stores[0] <= c.Clock {
-		c.stores = c.stores[1:]
+	for c.stores.len() > 0 && c.stores.front() <= c.Clock {
+		c.stores.pop()
 	}
 }
 
@@ -121,12 +156,12 @@ func (c *CoreTiming) reap() {
 // Seq, then records it with the given completion time.
 func (c *CoreTiming) robAdmit(done uint64) {
 	c.reap()
-	for len(c.pend) > 0 && c.Seq-c.pend[0].seq >= uint64(c.cfg.ROB) {
-		c.advanceAs(c.pend[0].done, &c.RobStallCycles)
-		c.pend = c.pend[1:]
+	for c.pend.len() > 0 && c.Seq-c.pend.front().seq >= uint64(c.cfg.ROB) {
+		c.advanceAs(c.pend.front().done, &c.RobStallCycles)
+		c.pend.pop()
 	}
 	if done > c.Clock {
-		c.pend = append(c.pend, pendOp{seq: c.Seq, done: done})
+		c.pend.push(pendOp{seq: c.Seq, done: done})
 	}
 }
 
@@ -206,9 +241,9 @@ func (c *CoreTiming) LoadOp(lat uint64, isHit, scOrder bool, rd uint8) uint64 {
 func (c *CoreTiming) StoreRC(lat uint64, isHit bool) uint64 {
 	c.Seq++
 	c.reap()
-	for len(c.stores) >= c.cfg.StoreBuf {
-		c.advanceAs(c.stores[0], &c.SBStallCycles)
-		c.stores = c.stores[1:]
+	for c.stores.len() > 0 && c.stores.len() >= c.cfg.StoreBuf {
+		c.advanceAs(c.stores.front(), &c.SBStallCycles)
+		c.stores.pop()
 	}
 	var done uint64
 	if isHit {
@@ -218,7 +253,7 @@ func (c *CoreTiming) StoreRC(lat uint64, isHit bool) uint64 {
 		done = start + lat
 		c.mshrFinish(done)
 	}
-	c.stores = append(c.stores, done)
+	c.stores.push(done)
 	return done
 }
 
@@ -229,9 +264,9 @@ func (c *CoreTiming) StoreRC(lat uint64, isHit bool) uint64 {
 func (c *CoreTiming) StoreTSO(lat uint64, isHit bool) uint64 {
 	c.Seq++
 	c.reap()
-	for len(c.stores) >= c.cfg.StoreBuf {
-		c.advanceAs(c.stores[0], &c.SBStallCycles)
-		c.stores = c.stores[1:]
+	for c.stores.len() > 0 && c.stores.len() >= c.cfg.StoreBuf {
+		c.advanceAs(c.stores.front(), &c.SBStallCycles)
+		c.stores.pop()
 	}
 	var fetched uint64
 	if isHit {
@@ -243,7 +278,7 @@ func (c *CoreTiming) StoreTSO(lat uint64, isHit bool) uint64 {
 	}
 	done := maxu(fetched, c.scLastDone+1)
 	c.scLastDone = done
-	c.stores = append(c.stores, done)
+	c.stores.push(done)
 	return done
 }
 
@@ -252,7 +287,7 @@ func (c *CoreTiming) StoreTSO(lat uint64, isHit bool) uint64 {
 // RTR's violation detector watches).
 func (c *CoreTiming) PendingStores() int {
 	c.reap()
-	return len(c.stores)
+	return c.stores.len()
 }
 
 // StoreSC issues a store under SC: visibility chains in program order
@@ -279,19 +314,9 @@ func (c *CoreTiming) StoreSC(lat uint64, isHit bool) uint64 {
 // store buffer) has completed — a fence, an atomic boundary, or an
 // uncached access.
 func (c *CoreTiming) Drain() {
-	t := c.Clock
-	for _, p := range c.pend {
-		t = maxu(t, p.done)
-	}
-	for _, d := range c.stores {
-		t = maxu(t, d)
-	}
-	for _, d := range c.mshr {
-		t = maxu(t, d)
-	}
-	c.advanceAs(t, &c.DrainStallCycles)
-	c.pend = c.pend[:0]
-	c.stores = c.stores[:0]
+	c.advanceAs(c.CompletionHorizon(), &c.DrainStallCycles)
+	c.pend.clear()
+	c.stores.clear()
 	c.mshr = c.mshr[:0]
 	c.scLastDone = maxu(c.scLastDone, c.Clock)
 }
@@ -299,31 +324,21 @@ func (c *CoreTiming) Drain() {
 // DrainStores stalls until buffered stores have completed (release
 // semantics for RC atomics) without waiting on outstanding loads.
 func (c *CoreTiming) DrainStores() {
-	t := c.Clock
-	for _, d := range c.stores {
-		t = maxu(t, d)
-	}
-	c.advanceAs(t, &c.DrainStallCycles)
-	c.stores = c.stores[:0]
+	c.advanceAs(maxu(c.Clock, c.storeHorizon()), &c.DrainStallCycles)
+	c.stores.clear()
 }
 
 // Outstanding reports whether any memory operation is still in flight.
 func (c *CoreTiming) Outstanding() bool {
 	c.reap()
-	return len(c.pend) > 0 || len(c.stores) > 0 || len(c.mshr) > 0
+	return c.pend.len() > 0 || c.stores.len() > 0 || len(c.mshr) > 0
 }
 
 // CompletionHorizon returns the cycle at which all currently outstanding
 // operations will have completed (the chunk-completion point for the
 // chunked engine).
 func (c *CoreTiming) CompletionHorizon() uint64 {
-	t := c.Clock
-	for _, p := range c.pend {
-		t = maxu(t, p.done)
-	}
-	for _, d := range c.stores {
-		t = maxu(t, d)
-	}
+	t := maxu(c.Clock, maxu(c.pendHorizon(), c.storeHorizon()))
 	for _, d := range c.mshr {
 		t = maxu(t, d)
 	}
@@ -333,8 +348,28 @@ func (c *CoreTiming) CompletionHorizon() uint64 {
 // Reset clears in-flight state without touching the clock (used after a
 // chunk squash: the squashed chunk's memory operations die with it).
 func (c *CoreTiming) Reset() {
-	c.pend = c.pend[:0]
-	c.stores = c.stores[:0]
+	c.pend.clear()
+	c.stores.clear()
 	c.mshr = c.mshr[:0]
 	c.regReady = [16]uint64{}
+}
+
+// pendHorizon returns the latest completion time among ROB entries (0
+// when empty).
+func (c *CoreTiming) pendHorizon() uint64 {
+	var t uint64
+	for i := 0; i < c.pend.len(); i++ {
+		t = maxu(t, c.pend.at(i).done)
+	}
+	return t
+}
+
+// storeHorizon returns the latest completion time among buffered stores
+// (0 when empty).
+func (c *CoreTiming) storeHorizon() uint64 {
+	var t uint64
+	for i := 0; i < c.stores.len(); i++ {
+		t = maxu(t, c.stores.at(i))
+	}
+	return t
 }

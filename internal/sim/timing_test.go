@@ -165,3 +165,108 @@ func TestAdvanceToAccountsStall(t *testing.T) {
 		t.Fatal("AdvanceTo went backwards")
 	}
 }
+
+// A warmed-up core issues every kind of memory operation, drains and
+// resets without allocating: the ROB and store-buffer queues are rings
+// that stop growing once they have held their deepest occupancy.
+func TestCoreTimingSteadyStateAllocFree(t *testing.T) {
+	cfg := tcfg()
+	tm := NewCoreTiming(&cfg)
+	ops := func() {
+		for i := 0; i < 2*cfg.ROB; i++ {
+			tm.LoadOp(cfg.MemLat, i%3 == 0, i%5 == 0, uint8(i%16))
+			tm.StoreRC(cfg.MemLat, i%2 == 0)
+			tm.StoreTSO(cfg.L2Lat, i%3 == 1)
+			tm.StoreSC(cfg.L2Lat, i%4 == 0)
+			tm.ChargeALU(i % 7)
+		}
+		tm.Drain()
+		tm.LoadOp(cfg.MemLat, false, false, 1)
+		tm.StoreRC(cfg.MemLat, false)
+		tm.Reset()
+	}
+	ops() // warm-up: the queues reach their peak size
+	if n := testing.AllocsPerRun(20, ops); n != 0 {
+		t.Fatalf("steady-state memory ops allocate %.1f times per loop, want 0", n)
+	}
+}
+
+// Far more operations than the queues' capacity pass through them, so
+// the rings wrap many times; the timing must follow the FIFO exactly.
+func TestCoreTimingQueuesWrap(t *testing.T) {
+	cfg := tcfg()
+	cfg.MSHRs = 64
+	lat := cfg.MemLat
+
+	// ROB of 4: every fifth back-to-back miss waits for the oldest four
+	// to complete, so each group of five costs one miss latency.
+	cfg.ROB = 4
+	rob := NewCoreTiming(&cfg)
+	for i := 0; i < 100; i++ {
+		rob.LoadOp(lat, false, false, 1)
+	}
+	if want := 20 * lat; rob.Clock != want || rob.RobStallCycles != want || rob.StallCycles != want {
+		t.Fatalf("ROB: clock %d, rob stall %d, stall %d; want all %d",
+			rob.Clock, rob.RobStallCycles, rob.StallCycles, want)
+	}
+	if rob.Outstanding() {
+		t.Fatal("ROB: misses outstanding at the end of a group")
+	}
+	rob.LoadOp(lat, false, false, 1)
+	if h := rob.CompletionHorizon(); h != rob.Clock+lat {
+		t.Fatalf("ROB: horizon %d, want %d", h, rob.Clock+lat)
+	}
+
+	// Store buffer of 2: every odd store after the first waits for the
+	// oldest buffered miss, so each pair costs one miss latency.
+	cfg.StoreBuf = 2
+	sb := NewCoreTiming(&cfg)
+	for i := 0; i < 101; i++ {
+		sb.StoreRC(lat, false)
+	}
+	if want := 50 * lat; sb.Clock != want || sb.SBStallCycles != want || sb.StallCycles != want {
+		t.Fatalf("store buffer: clock %d, sb stall %d, stall %d; want all %d",
+			sb.Clock, sb.SBStallCycles, sb.StallCycles, want)
+	}
+	if n := sb.PendingStores(); n != 1 {
+		t.Fatalf("store buffer: %d pending stores, want 1", n)
+	}
+	sb.Drain()
+	if want := 51 * lat; sb.Clock != want || sb.DrainStallCycles != lat {
+		t.Fatalf("drain: clock %d, drain stall %d; want %d, %d", sb.Clock, sb.DrainStallCycles, want, lat)
+	}
+}
+
+// The ring keeps FIFO order across wrap-around and across growth while
+// wrapped (head not at the start of the buffer).
+func TestFIFOWrapAndGrow(t *testing.T) {
+	var q fifo[int]
+	var ref []int
+	next := 0
+	for round := 0; round < 50; round++ {
+		for i := 0; i < round%13+1; i++ {
+			q.push(next)
+			ref = append(ref, next)
+			next++
+		}
+		for i := 0; i < round%7 && len(ref) > 0; i++ {
+			if q.front() != ref[0] {
+				t.Fatalf("round %d: front %d, want %d", round, q.front(), ref[0])
+			}
+			q.pop()
+			ref = ref[1:]
+		}
+		if q.len() != len(ref) {
+			t.Fatalf("round %d: len %d, want %d", round, q.len(), len(ref))
+		}
+		for i, v := range ref {
+			if q.at(i) != v {
+				t.Fatalf("round %d: at(%d) = %d, want %d", round, i, q.at(i), v)
+			}
+		}
+	}
+	q.clear()
+	if q.len() != 0 {
+		t.Fatalf("len after clear = %d", q.len())
+	}
+}

@@ -203,7 +203,7 @@ func TestWorkloadsShareData(t *testing.T) {
 		if !st.Converged {
 			t.Fatalf("%s: not converged", name)
 		}
-		if m.MemSys().C2CTransfers == 0 && m.MemSys().Upgrades == 0 {
+		if st.C2CTransfers == 0 && st.Upgrades == 0 {
 			t.Errorf("%s: no coherence traffic — no actual sharing?", name)
 		}
 	}
