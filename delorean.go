@@ -473,11 +473,13 @@ func (r *Recording) SaveParallel(w io.Writer, workers int) error {
 	return err
 }
 
-// LoadRecording deserializes a recording saved with Save (any supported
-// format version). The workload must be regenerated identically (same
-// name/parameters or the same custom programs); cfg supplies machine
-// parameters not stored in the recording (the processor count and chunk
-// size come from the file).
+// LoadRecording deserializes a recording saved with Save. It reads the
+// whole container, indexes it (see IndexRecording) and materializes
+// every section. v4 is the only container format; any other version is
+// rejected with an error wrapping ErrCorruptLog. The workload must be
+// regenerated identically (same name/parameters or the same custom
+// programs); cfg supplies machine parameters not stored in the
+// recording (the processor count and chunk size come from the file).
 func LoadRecording(src io.Reader, cfg Config, w *Workload) (*Recording, error) {
 	return LoadRecordingParallel(src, cfg, w, 0)
 }
@@ -489,7 +491,7 @@ func LoadRecording(src io.Reader, cfg Config, w *Workload) (*Recording, error) {
 var ErrWorkloadMismatch = errors.New("workload does not match recording")
 
 // LoadRecordingParallel is LoadRecording with an explicit decode worker
-// count for v4 recordings (0: host default, 1: fully sequential).
+// count (0: host default, 1: fully sequential).
 func LoadRecordingParallel(src io.Reader, cfg Config, w *Workload, workers int) (*Recording, error) {
 	rec, err := core.ReadRecordingParallel(src, workers)
 	if err != nil {
@@ -505,12 +507,13 @@ func LoadRecordingParallel(src io.Reader, cfg Config, w *Workload, workers int) 
 }
 
 // IndexRecording builds a Recording from an in-memory v4 container
-// without decoding it: frame headers are parsed and every payload
-// CRC-checked, but the payloads stay compressed, retained as subslices
-// of data, and sections decode on first use (a replay materializes the
-// logs it needs; Materialize forces everything). The caller must not
-// mutate data while the Recording is alive. v2/v3 containers carry no
-// frame structure and decode eagerly, exactly as LoadRecording would.
+// without decoding it: frame headers are parsed and checked against the
+// container's structure rules and every payload is CRC-checked, but the
+// payloads stay compressed, retained as subslices of data, and sections
+// decode on first use (a replay materializes the logs it needs;
+// Materialize forces everything). The caller must not mutate data while
+// the Recording is alive. It is the first half of every load:
+// LoadRecording is IndexRecording followed by Materialize.
 //
 // This is the serving path's cheap admission: indexing costs one pass
 // over the bytes (CRC speed), not a decompression of every shard, and
@@ -532,8 +535,8 @@ func IndexRecording(data []byte, cfg Config, w *Workload) (*Recording, error) {
 
 // Materialize decodes every lazily retained section of an indexed
 // recording (logs and checkpoints), fanning the decompression across
-// workers (0: host default). It is a validated no-op on an eagerly
-// loaded or already materialized recording, and it is safe to call
+// workers (0: host default). It is a validated no-op on a fresh
+// (Record-made) or already materialized recording, and it is safe to call
 // concurrently with replays — a replay triggers the same
 // materialization paths under the same locks.
 func (r *Recording) Materialize(workers int) error {
@@ -542,17 +545,18 @@ func (r *Recording) Materialize(workers int) error {
 
 // Release evicts an indexed recording's materialized sections back to
 // the retained compressed frames; the next replay (or Materialize)
-// rebuilds them bit-identically. No-op for eagerly loaded recordings.
+// rebuilds them bit-identically. No-op for fresh (Record-made)
+// recordings, which have no container to fall back to.
 // The caller must guarantee no replay of this Recording is in flight.
 func (r *Recording) Release() { r.rec.ReleaseLogs() }
 
 // Materialized reports whether every section is currently decoded
-// (always true for eagerly loaded recordings).
+// (always true for fresh, Record-made recordings).
 func (r *Recording) Materialized() bool { return r.rec.Materialized() }
 
 // MaterializedSizeEstimate returns the summed decompressed section
 // bytes an indexed recording occupies when materialized — the residency
-// manager's accounting unit. Zero for eagerly loaded recordings.
+// manager's accounting unit. Zero for fresh (Record-made) recordings.
 func (r *Recording) MaterializedSizeEstimate() int64 { return r.rec.MaterializedSizeEstimate() }
 
 // EstimateLogGBPerDay extrapolates the recording's compressed

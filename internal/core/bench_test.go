@@ -75,15 +75,6 @@ func BenchmarkSaveLoad(b *testing.B) {
 			}
 		}
 	})
-	b.Run("save/v3legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(wire)))
-		for i := 0; i < b.N; i++ {
-			if _, err := rec.WriteToV3(io.Discard); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("load/seq", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(wire)))

@@ -11,12 +11,17 @@ import (
 	"delorean/internal/dlog"
 	"delorean/internal/lz77"
 	"delorean/internal/runner"
+	"delorean/internal/stratifier"
 )
 
-// v4 "DLRN4" container: the header is identical to v3 through the stats
-// words, then the body is a sequence of independently framed shards —
-// one frame per log stream (per-processor streams get one frame per
-// processor) — terminated by an end frame. Each frame is:
+// The v4 "DLRN" container. Layout (little-endian):
+//
+//	magic "DLRN" | version u16 (= 4) | mode u8 | nprocs u16 | chunkSize u32
+//	fingerprint u64 | finalMemHash u64 | per-proc chain digests (nprocs x u64)
+//	stats: insts u64, chunks u64, cycles u64
+//	frames, in canonical kind order, then an end frame
+//
+// Each frame is
 //
 //	kind u8 | shard u32 | enc u8 | payloadLen u32 | crc32 u32 | payload
 //
@@ -24,14 +29,24 @@ import (
 // and enc 1 is an LZ77 payload (rawLen u32 | bitLen u32 | packed bytes).
 // A frame is compressed exactly when that makes it smaller, so the
 // encoding decision is a pure function of the payload and the emitted
-// bytes are deterministic.
+// bytes are deterministic. Frame kinds, in stream order:
+//
+//	init-mem    (addr u32, value u64) pairs in ascending address order
+//	PI          the chunk commit order (absent in PicoLog)
+//	CS          one frame per processor
+//	sizes       one frame per processor (Order&Size only)
+//	intr, IO    one frame per processor each
+//	DMA, slots  one frame each
+//	checkpoint  one frame per interval checkpoint (writeCheckpointBody)
+//	stratified  optional
 //
 // Framing each shard independently is what makes the save pipeline
 // parallel: workers build and compress frames concurrently while the
 // writer goroutine emits them in canonical shard order, so the output is
 // byte-identical at any worker count and peak memory is bounded by the
-// frames in flight, not the recording. The mirrored reader decodes
-// frames concurrently and applies them in stream order.
+// frames in flight, not the recording. Loading indexes the frames
+// (IndexRecording, which enforces the frame-structure rules) and decodes
+// payloads on a worker pool when a section is first needed.
 const (
 	recVersionV4 = 4
 
@@ -55,6 +70,17 @@ const (
 	// maxFramePayload bounds a frame's declared payload length on load.
 	maxFramePayload = 1 << 31
 )
+
+// singletonFrame reports whether a container carries at most one frame
+// of the kind (every other kind has one frame per processor or per
+// checkpoint).
+func singletonFrame(kind uint8) bool {
+	switch kind {
+	case frameCS, frameSizes, frameIntr, frameIO, frameCheckpoint:
+		return false
+	}
+	return true
+}
 
 // frameSpec names one frame of the canonical sequence: its kind, shard
 // index, and a builder that produces the raw (pre-compression) payload.
@@ -118,7 +144,9 @@ func decodeFramePayload(enc uint8, crc uint32, body []byte) ([]byte, error) {
 		if bits > maxFramePayload || int((bits+7)/8) != len(body)-8 {
 			return nil, corrupt("LZ77 frame bit length %d does not match %d payload bytes", bits, len(body)-8)
 		}
-		raw, err := lz77.Decompress(body[8:], int(bits))
+		// The declared length caps the output, so a crafted token stream
+		// is rejected before it can expand past it.
+		raw, err := lz77.Decompress(body[8:], int(bits), int(rawLen))
 		if err != nil {
 			return nil, corrupt("LZ77 frame: %v", err)
 		}
@@ -223,9 +251,7 @@ func (r *Recording) frameSpecs() []frameSpec {
 		idx := i
 		specs = append(specs, frameSpec{kind: frameCheckpoint, shard: uint32(idx), build: func() []byte {
 			p := newPayload()
-			// Frame-level LZ77 replaces v3's inline delta compression, so
-			// the checkpoint body carries its memory delta raw.
-			r.writeCheckpointBody(&p.countingWriter, &r.Checkpoints[idx], false)
+			r.writeCheckpointBody(&p.countingWriter, &r.Checkpoints[idx])
 			return p.bytes()
 		}})
 	}
@@ -317,71 +343,15 @@ func (r *Recording) WriteToParallel(w io.Writer, workers int) (int64, error) {
 	return c.n, c.err
 }
 
-// rawFrame is one frame as read off the wire, before payload decoding.
-type rawFrame struct {
-	kind  uint8
-	shard uint32
-	enc   uint8
-	crc   uint32
-	body  []byte
-}
-
-// readFrame reads the next frame. The payload is read in bounded chunks
-// so a lying length cannot demand an absurd up-front allocation.
-func readFrame(d *reader) (rawFrame, error) {
-	var f rawFrame
-	f.kind = d.u8()
-	f.shard = d.u32()
-	f.enc = d.u8()
-	n := d.u32()
-	f.crc = d.u32()
-	if d.err != nil {
-		return f, corrupt("truncated frame header: %v", d.err)
-	}
-	if n > maxFramePayload {
-		return f, corrupt("frame claims %d payload bytes", n)
-	}
-	const chunk = 1 << 20
-	remaining := int(n)
-	f.body = make([]byte, 0, min(remaining, chunk))
-	for remaining > 0 {
-		step := min(remaining, chunk)
-		start := len(f.body)
-		f.body = append(f.body, make([]byte, step)...)
-		d.read(f.body[start:])
-		if d.err != nil {
-			return f, corrupt("truncated frame payload: %v", d.err)
-		}
-		remaining -= step
-	}
-	return f, nil
-}
-
-// applyFrame decodes one frame's payload into the recording. Frames must
-// arrive in canonical order: kinds are non-decreasing across the stream
-// and per-kind shard indices are contiguous, which also rejects
-// duplicates. Both halves matter — shard contiguity alone would accept a
-// stream whose whole sections were reordered (finishV4 only checks
-// section completeness).
-func (r *Recording) applyFrame(f rawFrame, seen *frameProgress) error {
-	if f.kind < seen.lastKind {
-		return corrupt("frame kind %d after kind %d: sections out of canonical order", f.kind, seen.lastKind)
-	}
-	seen.lastKind = f.kind
-	raw, err := decodeFramePayload(f.enc, f.crc, f.body)
-	if err != nil {
-		return err
-	}
+// applyFrame decodes one log frame's raw (already decoded) payload into
+// the recording. IndexRecording has already enforced the frame-structure
+// rules — canonical kind order, contiguous shards, singletons at most
+// once, section completeness — so per-processor frames arrive in shard
+// order and simply append.
+func (r *Recording) applyFrame(kind uint8, shard uint32, raw []byte) error {
 	d := &reader{r: bytes.NewReader(raw)}
-	switch f.kind {
+	switch kind {
 	case frameInitMem:
-		if f.shard != 0 {
-			return corrupt("initial-memory frame with shard %d", f.shard)
-		}
-		if seen.initMem {
-			return corrupt("duplicate initial-memory frame")
-		}
-		seen.initMem = true
 		n := d.u32()
 		r.InitialMem = make(map[uint32]uint64, allocHint(n))
 		for i := uint32(0); i < n && d.err == nil; i++ {
@@ -389,12 +359,6 @@ func (r *Recording) applyFrame(f rawFrame, seen *frameProgress) error {
 			r.InitialMem[a] = d.u64()
 		}
 	case framePI:
-		if f.shard != 0 {
-			return corrupt("PI frame with shard %d", f.shard)
-		}
-		if r.PI != nil {
-			return corrupt("duplicate PI frame")
-		}
 		entries := int(d.u32())
 		buf, bits := d.packed()
 		if d.err == nil {
@@ -405,51 +369,36 @@ func (r *Recording) applyFrame(f rawFrame, seen *frameProgress) error {
 			r.PI = pi
 		}
 	case frameCS:
-		if int(f.shard) != len(r.CS) || len(r.CS) >= r.NProcs {
-			return corrupt("CS frame for shard %d arrived with %d decoded", f.shard, len(r.CS))
-		}
 		_ = d.u32() // entry count (implied by the packed stream)
 		buf, bits := d.packed()
 		if d.err == nil {
 			cs, err := dlog.UnpackCSLog(r.ChunkSize, buf, bits)
 			if err != nil {
-				return corrupt("CS log %d: %v", f.shard, err)
+				return corrupt("CS log %d: %v", shard, err)
 			}
 			r.CS = append(r.CS, cs)
 		}
 	case frameSizes:
-		if r.Mode != OrderSize {
-			return corrupt("size-log frame in mode %d", int(r.Mode))
-		}
-		if int(f.shard) != len(r.Sizes) || len(r.Sizes) >= r.NProcs {
-			return corrupt("size frame for shard %d arrived with %d decoded", f.shard, len(r.Sizes))
-		}
 		count := int(d.u32())
 		buf, bits := d.packed()
 		if d.err == nil {
 			sl, err := dlog.UnpackSizeLog(r.ChunkSize, buf, bits, count)
 			if err != nil {
-				return corrupt("size log %d: %v", f.shard, err)
+				return corrupt("size log %d: %v", shard, err)
 			}
 			r.Sizes = append(r.Sizes, sl)
 		}
 	case frameIntr:
-		if int(f.shard) != len(r.Intr) || len(r.Intr) >= r.NProcs {
-			return corrupt("interrupt frame for shard %d arrived with %d decoded", f.shard, len(r.Intr))
-		}
 		count := int(d.u32())
 		buf, bits := d.packed()
 		if d.err == nil {
 			il, err := dlog.UnpackIntrLog(buf, bits, count)
 			if err != nil {
-				return corrupt("interrupt log %d: %v", f.shard, err)
+				return corrupt("interrupt log %d: %v", shard, err)
 			}
 			r.Intr = append(r.Intr, il)
 		}
 	case frameIO:
-		if int(f.shard) != len(r.IO) || len(r.IO) >= r.NProcs {
-			return corrupt("IO frame for shard %d arrived with %d decoded", f.shard, len(r.IO))
-		}
 		count := int(d.u32())
 		il := &dlog.IOLog{}
 		for i := 0; i < count && d.err == nil; i++ {
@@ -459,13 +408,6 @@ func (r *Recording) applyFrame(f rawFrame, seen *frameProgress) error {
 			r.IO = append(r.IO, il)
 		}
 	case frameDMA:
-		if f.shard != 0 {
-			return corrupt("DMA frame with shard %d", f.shard)
-		}
-		if seen.dma {
-			return corrupt("duplicate DMA frame")
-		}
-		seen.dma = true
 		count := int(d.u32())
 		buf, bits := d.packed()
 		if d.err == nil {
@@ -476,13 +418,6 @@ func (r *Recording) applyFrame(f rawFrame, seen *frameProgress) error {
 			r.DMA = dl
 		}
 	case frameSlots:
-		if f.shard != 0 {
-			return corrupt("slot frame with shard %d", f.shard)
-		}
-		if seen.slots {
-			return corrupt("duplicate slot frame")
-		}
-		seen.slots = true
 		count := int(d.u32())
 		var prev uint64
 		for i := 0; i < count && d.err == nil; i++ {
@@ -491,6 +426,8 @@ func (r *Recording) applyFrame(f rawFrame, seen *frameProgress) error {
 			if d.err != nil {
 				break
 			}
+			// SlotLog.Append panics on disorder; reject untrusted input
+			// with an error instead.
 			if i > 0 && slot <= prev {
 				return corrupt("slot entries out of order at %d", i)
 			}
@@ -500,24 +437,7 @@ func (r *Recording) applyFrame(f rawFrame, seen *frameProgress) error {
 			prev = slot
 			r.Slots.Append(dlog.SlotEntry{Slot: slot, Proc: proc})
 		}
-	case frameCheckpoint:
-		if int(f.shard) != len(r.Checkpoints) {
-			return corrupt("checkpoint frame for shard %d arrived with %d decoded", f.shard, len(r.Checkpoints))
-		}
-		cp, err := r.readCheckpointBody(d, int(f.shard), false)
-		if err != nil {
-			return err
-		}
-		if d.err == nil {
-			r.Checkpoints = append(r.Checkpoints, cp)
-		}
 	case frameStratified:
-		if f.shard != 0 {
-			return corrupt("stratified frame with shard %d", f.shard)
-		}
-		if r.Stratified != nil {
-			return corrupt("duplicate stratified frame")
-		}
 		strata := d.u32()
 		maxChunk := int(d.u16())
 		if d.err == nil && maxChunk < 1 {
@@ -534,178 +454,13 @@ func (r *Recording) applyFrame(f rawFrame, seen *frameProgress) error {
 			}
 		}
 		if d.err == nil {
-			r.Stratified = rebuildStratified(r.NProcs, maxChunk, rows)
+			r.Stratified = stratifier.Rebuild(r.NProcs, maxChunk, rows)
 		}
 	default:
-		return corrupt("unknown frame kind %d", f.kind)
+		return corrupt("frame kind %d is not a log frame", kind)
 	}
 	if d.err != nil {
-		return corrupt("frame kind %d shard %d truncated: %v", f.kind, f.shard, d.err)
-	}
-	return nil
-}
-
-// validateEndFrame checks the terminator: shard 0, a CRC-clean empty
-// payload. Validating it keeps every byte of the stream covered by
-// either a checked header field or a checksum.
-func validateEndFrame(f rawFrame) error {
-	if f.shard != 0 {
-		return corrupt("end frame with shard %d", f.shard)
-	}
-	raw, err := decodeFramePayload(f.enc, f.crc, f.body)
-	if err != nil {
-		return err
-	}
-	if len(raw) != 0 {
-		return corrupt("end frame carries %d payload bytes", len(raw))
-	}
-	return nil
-}
-
-// frameProgress tracks which singleton frames have been decoded and the
-// highest frame kind applied so far (kinds must be non-decreasing in
-// stream order).
-type frameProgress struct {
-	initMem  bool
-	dma      bool
-	slots    bool
-	lastKind uint8
-}
-
-// finishV4 validates section completeness once the end frame arrives.
-func (r *Recording) finishV4(seen *frameProgress) error {
-	if !seen.initMem {
-		return corrupt("recording has no initial-memory frame")
-	}
-	if !seen.dma {
-		return corrupt("recording has no DMA frame")
-	}
-	if !seen.slots {
-		return corrupt("recording has no slot frame")
-	}
-	if len(r.CS) != r.NProcs {
-		return corrupt("recording has %d CS logs for %d processors", len(r.CS), r.NProcs)
-	}
-	if r.Mode == OrderSize && len(r.Sizes) != r.NProcs {
-		return corrupt("recording has %d size logs for %d processors", len(r.Sizes), r.NProcs)
-	}
-	if len(r.Intr) != r.NProcs || len(r.IO) != r.NProcs {
-		return corrupt("recording has %d interrupt and %d IO logs for %d processors",
-			len(r.Intr), len(r.IO), r.NProcs)
-	}
-	return nil
-}
-
-// readV4 consumes the v4 frame sequence from d. workers sizes the decode
-// pool (0: host default, 1: fully sequential). Frames are decoded
-// concurrently but applied in stream order, so error reporting and the
-// resulting recording are deterministic.
-func (r *Recording) readV4(d *reader, workers int) error {
-	seen := &frameProgress{}
-	nw := runner.Workers(workers)
-	if workers == 1 || nw == 1 {
-		for {
-			f, err := readFrame(d)
-			if err != nil {
-				return err
-			}
-			if f.kind == frameEnd {
-				if err := validateEndFrame(f); err != nil {
-					return err
-				}
-				break
-			}
-			if err := r.applyFrame(f, seen); err != nil {
-				return err
-			}
-		}
-		if err := expectStreamEnd(d); err != nil {
-			return err
-		}
-		return r.finishV4(seen)
-	}
-
-	// Parallel decode mirrors the parallel encode: a reader goroutine
-	// frames the stream and hands payload decoding to the pool; the
-	// consumer applies decoded frames in order. decodeFramePayload does
-	// the CPU-heavy work (CRC + LZ77); applyFrame's unpacking is cheap
-	// and keeps recording mutation single-threaded.
-	type decoded struct {
-		frame rawFrame
-		raw   []byte
-		err   error
-	}
-	futures := make(chan chan decoded, nw)
-	go func() {
-		sem := make(chan struct{}, nw)
-		for {
-			f, err := readFrame(d)
-			ch := make(chan decoded, 1)
-			futures <- ch
-			if err != nil || f.kind == frameEnd {
-				ch <- decoded{frame: f, err: err}
-				break
-			}
-			sem <- struct{}{}
-			go func(f rawFrame, ch chan<- decoded) {
-				defer func() { <-sem }()
-				raw, err := decodeFramePayload(f.enc, f.crc, f.body)
-				ch <- decoded{frame: f, raw: raw, err: err}
-			}(f, ch)
-		}
-		close(futures)
-	}()
-
-	var firstErr error
-	done := false
-	for ch := range futures {
-		dec := <-ch
-		if firstErr != nil || done {
-			continue // drain so the reader goroutine can exit
-		}
-		if dec.err != nil {
-			firstErr = dec.err
-			continue
-		}
-		if dec.frame.kind == frameEnd {
-			if err := validateEndFrame(dec.frame); err != nil {
-				firstErr = err
-			} else {
-				done = true
-			}
-			continue
-		}
-		// The payload is already decoded; re-wrap it so applyFrame's CRC
-		// check is a no-op recompute on the raw bytes.
-		f := dec.frame
-		f.enc = encRaw
-		f.body = dec.raw
-		f.crc = crc32.ChecksumIEEE(dec.raw)
-		if err := r.applyFrame(f, seen); err != nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if !done {
-		return corrupt("recording has no end frame")
-	}
-	// The reader goroutine has exited (futures is closed), so d is safe
-	// to touch again from this goroutine.
-	if err := expectStreamEnd(d); err != nil {
-		return err
-	}
-	return r.finishV4(seen)
-}
-
-// expectStreamEnd rejects bytes after the end frame. Without it, frames
-// spliced in behind the terminator — say a whole section transposed past
-// it — would be silently ignored rather than rejected as corruption.
-func expectStreamEnd(d *reader) error {
-	var b [1]byte
-	if n, _ := io.ReadFull(d.r, b[:]); n != 0 {
-		return corrupt("trailing data after end frame")
+		return corrupt("frame kind %d shard %d truncated: %v", kind, shard, d.err)
 	}
 	return nil
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"runtime"
 	"testing"
 
 	"delorean/internal/device"
 	"delorean/internal/isa"
+	"delorean/internal/lz77"
 	"delorean/internal/rng"
 	"delorean/internal/sim"
 )
@@ -89,40 +92,6 @@ func TestReadRecordingParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestV3WriteStillRoundTrips: the legacy writer's output must load and
-// describe the same recording as the v4 stream (checked by re-encoding
-// the loaded recording as v4 and comparing against the original's v4
-// bytes).
-func TestV3WriteStillRoundTrips(t *testing.T) {
-	for _, mode := range []Mode{OrderSize, OrderOnly, PicoLog} {
-		t.Run(mode.String(), func(t *testing.T) {
-			rec, _, _ := fullFatV4Recording(t, mode)
-			var v4 bytes.Buffer
-			if _, err := rec.WriteTo(&v4); err != nil {
-				t.Fatal(err)
-			}
-			var v3 bytes.Buffer
-			if _, err := rec.WriteToV3(&v3); err != nil {
-				t.Fatalf("WriteToV3: %v", err)
-			}
-			if bytes.Equal(v3.Bytes(), v4.Bytes()) {
-				t.Fatal("v3 and v4 streams are identical; version switch is not wired")
-			}
-			got, err := ReadRecording(bytes.NewReader(v3.Bytes()))
-			if err != nil {
-				t.Fatalf("loading v3 stream: %v", err)
-			}
-			var re bytes.Buffer
-			if _, err := got.WriteTo(&re); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(re.Bytes(), v4.Bytes()) {
-				t.Fatal("recording loaded from v3 re-encodes to different v4 bytes")
-			}
-		})
-	}
-}
-
 // v4CommonHeaderLen returns the byte offset where the frame sequence
 // starts: magic, version, mode, nprocs, chunk size, fingerprints, chain
 // digests, and stats words.
@@ -160,7 +129,7 @@ func TestV4RejectsCorruptFrames(t *testing.T) {
 }
 
 // TestV4RejectsTruncation: every proper prefix of a v4 stream must be
-// rejected as corrupt, in both the sequential and parallel readers.
+// rejected as corrupt, with sequential and parallel decoding alike.
 func TestV4RejectsTruncation(t *testing.T) {
 	rec, _, _ := fullFatV4Recording(t, PicoLog)
 	var wire bytes.Buffer
@@ -236,9 +205,10 @@ func spliceV4(header []byte, frames []v4Frame) []byte {
 
 // TestV4RejectsDuplicateShard: replaying any frame a second time —
 // singleton kinds and per-processor/per-checkpoint shards alike — must
-// surface as ErrCorruptLog in both readers. Every frame is individually
-// CRC-clean, so only the duplicate checks and shard-contiguity checks
-// stand between a spliced stream and silent acceptance.
+// surface as ErrCorruptLog at every decode worker count. Every frame is
+// individually CRC-clean (the CRC covers the payload, not the header),
+// so only the duplicate checks and shard-contiguity checks stand
+// between a spliced stream and silent acceptance.
 func TestV4RejectsDuplicateShard(t *testing.T) {
 	rec, _, _ := fullFatV4Recording(t, OrderOnly)
 	var wire bytes.Buffer
@@ -267,14 +237,37 @@ func TestV4RejectsDuplicateShard(t *testing.T) {
 			}
 		}
 	}
+	// A singleton frame duplicated and relabelled shard 1 passes shard
+	// contiguity; only the at-most-once rule rejects it.
+	relabelled := 0
+	for i, f := range frames {
+		if f.kind != framePI && f.kind != frameStratified {
+			continue
+		}
+		relabelled++
+		dup := v4Frame{kind: f.kind, shard: 1, raw: append([]byte(nil), f.raw...)}
+		binary.LittleEndian.PutUint32(dup.raw[1:5], 1)
+		mut := append(append(append([]v4Frame(nil), frames[:i+1]...), dup), frames[i+1:]...)
+		for _, workers := range []int{1, 4} {
+			_, err := ReadRecordingParallel(bytes.NewReader(spliceV4(header, mut)), workers)
+			if !errors.Is(err, ErrCorruptLog) {
+				t.Fatalf("kind %d frame relabelled shard 1 (workers=%d): err = %v, want ErrCorruptLog",
+					f.kind, workers, err)
+			}
+		}
+	}
+	if relabelled != 2 {
+		t.Fatalf("found %d PI/stratified frames, want 2", relabelled)
+	}
 }
 
 // TestV4RejectsOutOfOrderKinds: transposing adjacent frames of different
 // kinds breaks the canonical section order and must surface as
 // ErrCorruptLog. This is the gap shard contiguity alone leaves open:
 // whole singleton sections (say DMA and Slots) can trade places with
-// every per-kind check still passing, and finishV4 only verifies section
-// presence — only the non-decreasing-kind check catches it.
+// every per-kind check still passing, and the completeness check only
+// verifies section presence — only the non-decreasing-kind check
+// catches it.
 func TestV4RejectsOutOfOrderKinds(t *testing.T) {
 	rec, _, _ := fullFatV4Recording(t, OrderOnly)
 	var wire bytes.Buffer
@@ -305,6 +298,29 @@ func TestV4RejectsOutOfOrderKinds(t *testing.T) {
 	}
 	if swaps == 0 {
 		t.Fatal("no adjacent different-kind frame pairs to transpose")
+	}
+}
+
+// TestLZ77FrameBombRejected: an LZ77 frame that declares 16 raw bytes
+// but whose token stream expands past 1 MiB is rejected once the decoder
+// crosses the declared length, not after decoding everything.
+func TestLZ77FrameBombRejected(t *testing.T) {
+	packed, bits := lz77.Compress(make([]byte, 2<<20))
+	body := make([]byte, 8, 8+len(packed))
+	binary.LittleEndian.PutUint32(body[0:4], 16)
+	binary.LittleEndian.PutUint32(body[4:8], uint32(bits))
+	body = append(body, packed[:(bits+7)/8]...)
+	crc := crc32.ChecksumIEEE(body)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeFramePayload(encLZ77, crc, body)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptLog) {
+		t.Fatalf("bomb frame: err = %v, want ErrCorruptLog", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+		t.Fatalf("rejecting the bomb allocated %d bytes, want under 64 KiB", alloc)
 	}
 }
 

@@ -14,21 +14,20 @@ import (
 	"delorean/internal/sim"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the committed golden v3 recording")
+var updateGolden = flag.Bool("update", false, "rewrite the committed golden recording")
 
-// TestGoldenV3Recording pins the legacy v3 container bytes: the
-// committed fixture must keep loading and describing exactly the same
-// execution as a fresh recording of the same workload. A diff here
-// means either the v3 writer, the v3 reader, or the simulated execution
-// changed — regenerate with `go test -run GoldenV3 -update` only when
-// that is intended.
-func TestGoldenV3Recording(t *testing.T) {
+// TestGoldenRecording pins the v4 container bytes: the committed fixture
+// must keep loading and describing exactly the same execution as a
+// fresh recording of the same workload. A diff here means either the
+// writer, the reader, or the simulated execution changed — regenerate
+// with `go test -run Golden -update` only when that is intended.
+func TestGoldenRecording(t *testing.T) {
 	rec, progs, cfg := goldenRecording(t)
-	path := filepath.Join("testdata", "golden_v3.dlrn")
+	path := filepath.Join("testdata", "golden.dlrn")
 
 	var live bytes.Buffer
-	if _, err := rec.WriteToV3(&live); err != nil {
-		t.Fatalf("WriteToV3: %v", err)
+	if _, err := rec.WriteTo(&live); err != nil {
+		t.Fatalf("WriteTo: %v", err)
 	}
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -40,23 +39,23 @@ func TestGoldenV3Recording(t *testing.T) {
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden v3 recording (regenerate with -update): %v", err)
+		t.Fatalf("missing golden recording (regenerate with -update): %v", err)
 	}
 
-	// The v3 writer is bit-stable: re-recording the workload serializes
-	// to exactly the committed bytes.
+	// The writer is bit-stable: re-recording the workload serializes to
+	// exactly the committed bytes.
 	if !bytes.Equal(live.Bytes(), data) {
-		t.Fatalf("live v3 serialization (%d bytes) differs from golden (%d bytes); "+
+		t.Fatalf("live serialization (%d bytes) differs from golden (%d bytes); "+
 			"run with -update if the format or simulator changed intentionally",
 			live.Len(), len(data))
 	}
 
-	// The committed v3 stream loads, carries the same stats and
-	// verification hashes, and re-encodes to the same v4 bytes as the
-	// live recording — the decode path is bit-faithful.
+	// The committed stream loads, carries the same stats and
+	// verification hashes, and re-encodes to the same bytes — the decode
+	// path is bit-faithful.
 	got, err := ReadRecording(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("loading golden v3 recording: %v", err)
+		t.Fatalf("loading golden recording: %v", err)
 	}
 	if got.Stats.Insts != rec.Stats.Insts || got.Stats.Chunks != rec.Stats.Chunks ||
 		got.Stats.Cycles != rec.Stats.Cycles {
@@ -67,15 +66,12 @@ func TestGoldenV3Recording(t *testing.T) {
 	if got.Fingerprint != rec.Fingerprint || got.FinalMemHash != rec.FinalMemHash {
 		t.Fatal("golden verification hashes differ from live recording")
 	}
-	var v4Live, v4Golden bytes.Buffer
-	if _, err := rec.WriteTo(&v4Live); err != nil {
+	var reencoded bytes.Buffer
+	if _, err := got.WriteTo(&reencoded); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := got.WriteTo(&v4Golden); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v4Live.Bytes(), v4Golden.Bytes()) {
-		t.Fatal("golden v3 recording re-encodes to different v4 bytes than the live recording")
+	if !bytes.Equal(reencoded.Bytes(), data) {
+		t.Fatal("golden recording re-encodes to different bytes")
 	}
 
 	// And it still replays deterministically.
@@ -86,7 +82,7 @@ func TestGoldenV3Recording(t *testing.T) {
 		t.Fatalf("replay of golden recording: %v", err)
 	}
 	if !res.Matches(got) {
-		t.Fatal("replay of golden v3 recording diverged")
+		t.Fatal("replay of golden recording diverged")
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"delorean/internal/runner"
 )
 
-// On-demand residency: IndexRecording splits v4 loading into a cheap
+// On-demand residency: IndexRecording splits loading into a cheap
 // index pass — parse and CRC-check every frame, retaining the compressed
 // payloads as zero-copy subslices of the container — and deferred
 // materialization (EnsureLogs / EnsureCheckpoints) that decodes a
@@ -35,23 +35,20 @@ type lazyFrame struct {
 }
 
 // IndexRecording parses a v4 container from data without decoding it:
-// the header is read, every frame header is validated (kind order,
-// shard contiguity, encoding, length) and every payload CRC-checked,
-// but payloads stay compressed, retained as subslices of data. The
-// returned recording materializes sections on demand — callers must not
-// mutate data while the recording is alive.
+// the header is read, every frame header is validated and every payload
+// CRC-checked, but payloads stay compressed, retained as subslices of
+// data. The returned recording materializes sections on demand —
+// callers must not mutate data while the recording is alive.
 //
-// v2/v3 containers have no frame structure to index; they decode
-// eagerly, exactly as ReadRecording would.
+// This is the one place the frame-structure rules are enforced: known
+// kinds in canonical order, contiguous shards per kind, singleton kinds
+// at most once, every required section present, an empty end frame,
+// and nothing after it. Materialization only decodes payloads.
 func IndexRecording(data []byte) (*Recording, error) {
 	br := bytes.NewReader(data)
-	d := &reader{r: br}
-	r, version, err := readHeader(d)
+	r, err := readHeader(&reader{r: br})
 	if err != nil {
 		return nil, err
-	}
-	if version != recVersionV4 {
-		return ReadRecordingParallel(bytes.NewReader(data), 0)
 	}
 	off := int(br.Size()) - br.Len()
 
@@ -92,6 +89,9 @@ func IndexRecording(data []byte) (*Recording, error) {
 		if f.shard != counts[f.kind] {
 			return nil, corrupt("frame kind %d shard %d arrived with %d indexed", f.kind, f.shard, counts[f.kind])
 		}
+		if f.shard > 0 && singletonFrame(f.kind) {
+			return nil, corrupt("duplicate frame of singleton kind %d", f.kind)
+		}
 		counts[f.kind]++
 		switch f.enc {
 		case encRaw:
@@ -121,9 +121,8 @@ func IndexRecording(data []byte) (*Recording, error) {
 		}
 	}
 
-	// Section completeness, mirroring finishV4 — an index pass must
-	// reject a container a full load would reject, so lazily served
-	// recordings fail at index time, not mid-replay.
+	// Section completeness: a malformed container fails at index time,
+	// not mid-replay.
 	if counts[frameInitMem] != 1 || counts[frameDMA] != 1 || counts[frameSlots] != 1 {
 		return nil, corrupt("recording missing a singleton frame (init-mem %d, DMA %d, slots %d)",
 			counts[frameInitMem], counts[frameDMA], counts[frameSlots])
@@ -164,7 +163,7 @@ func decodeLazyFrames(frames []lazyFrame, workers int) ([][]byte, error) {
 }
 
 // EnsureLogs materializes the log section (everything but checkpoints)
-// of a lazily indexed recording. It is a no-op on an eagerly loaded
+// of a lazily indexed recording. It is a no-op on a freshly recorded
 // recording or once materialization succeeded; a decode failure is
 // cached and returned to every subsequent caller. Safe for concurrent
 // use.
@@ -183,24 +182,12 @@ func (r *Recording) ensureLogsLocked(workers int) error {
 	}
 	raws, err := decodeLazyFrames(r.logLazy, workers)
 	if err == nil {
-		// Apply in canonical order with a fresh progress tracker; the
-		// re-wrap makes applyFrame's CRC check a no-op recompute on the
-		// raw bytes, same as the parallel v4 reader.
-		seen := &frameProgress{}
-		for i := range r.logLazy {
-			f := rawFrame{
-				kind:  r.logLazy[i].kind,
-				shard: r.logLazy[i].shard,
-				enc:   encRaw,
-				body:  raws[i],
-				crc:   crc32.ChecksumIEEE(raws[i]),
-			}
-			if err = r.applyFrame(f, seen); err != nil {
+		// Apply in canonical order; the index pass already checked the
+		// frame structure.
+		for i, f := range r.logLazy {
+			if err = r.applyFrame(f.kind, f.shard, raws[i]); err != nil {
 				break
 			}
-		}
-		if err == nil {
-			err = r.finishV4(seen)
 		}
 		if err == nil {
 			// The checkpoint gate in Validate skips the still-lazy
@@ -237,7 +224,7 @@ func (r *Recording) EnsureCheckpoints(workers int) error {
 		cps := make([]IntervalCheckpoint, 0, len(r.ckLazy))
 		for i, raw := range raws {
 			d := &reader{r: bytes.NewReader(raw)}
-			cp, cerr := r.readCheckpointBody(d, i, false)
+			cp, cerr := r.readCheckpointBody(d, i)
 			if cerr != nil {
 				err = cerr
 				break
@@ -282,8 +269,8 @@ func (r *Recording) resetDecodedLogsLocked() {
 // ReleaseLogs evicts a lazily indexed recording's materialized state —
 // decoded logs, checkpoints, and the materialized-image LRU — back to
 // the retained compressed frames; the next Ensure call rebuilds an
-// identical recording. No-op for eagerly loaded recordings (there are
-// no frames to fall back to). The caller must guarantee no replay of
+// identical recording. No-op for freshly recorded recordings (there
+// are no frames to fall back to). The caller must guarantee no replay of
 // this recording is in flight (the server's residency manager only
 // releases unpinned entries).
 func (r *Recording) ReleaseLogs() {
@@ -316,7 +303,7 @@ func (r *Recording) CheckpointCount() int {
 }
 
 // Materialized reports whether every section is decoded (always true
-// for eagerly loaded recordings).
+// for freshly recorded recordings).
 func (r *Recording) Materialized() bool {
 	r.lzMu.Lock()
 	logs := r.logLazy == nil || r.logDone
@@ -329,7 +316,7 @@ func (r *Recording) Materialized() bool {
 
 // MaterializedSizeEstimate returns the summed raw (decompressed) frame
 // payload bytes of an indexed recording — the residency manager's cost
-// estimate for keeping it materialized. Zero for eagerly loaded
+// estimate for keeping it materialized. Zero for freshly recorded
 // recordings.
 func (r *Recording) MaterializedSizeEstimate() int64 {
 	return r.sizeEst

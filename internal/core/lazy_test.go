@@ -197,37 +197,6 @@ func TestIndexRecordingCorruption(t *testing.T) {
 	})
 }
 
-// TestIndexRecordingV3Fallback: pre-v4 containers have no frames to
-// index and decode eagerly.
-func TestIndexRecordingV3Fallback(t *testing.T) {
-	rec, cfg, progs := fullFatV4Recording(t, OrderOnly)
-	var v3 bytes.Buffer
-	if _, err := rec.WriteToV3(&v3); err != nil {
-		t.Fatalf("WriteToV3: %v", err)
-	}
-	lazy, err := IndexRecording(v3.Bytes())
-	if err != nil {
-		t.Fatalf("IndexRecording(v3): %v", err)
-	}
-	if !lazy.Materialized() {
-		t.Fatal("v3 fallback should load eagerly")
-	}
-	if lazy.MaterializedSizeEstimate() != 0 {
-		t.Fatal("eager recording should report a zero size estimate")
-	}
-	want, err := Replay(rec, ReplayConfig(cfg), progs, ReplayOptions{})
-	if err != nil {
-		t.Fatalf("eager replay: %v", err)
-	}
-	got, err := Replay(lazy, ReplayConfig(cfg), progs, ReplayOptions{})
-	if err != nil {
-		t.Fatalf("v3-fallback replay: %v", err)
-	}
-	if keyOf(got) != keyOf(want) {
-		t.Fatalf("v3-fallback verdict differs:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 // TestIndexRecordingConcurrentMaterialize: many goroutines racing to
 // materialize and replay one indexed recording (run under -race) agree
 // with the eager verdict.

@@ -134,18 +134,18 @@ type Recording struct {
 	matCache map[int]map[uint32]uint64
 	matOrder []int // access order, least recent first
 
-	// Lazy-residency state (lazy.go). An IndexRecording-built recording
-	// retains its v4 frames compressed and decodes sections on first
-	// use; eagerly loaded recordings leave logLazy/ckLazy nil and every
-	// Ensure call is a no-op. lzMu guards the log section's state, ckMu
+	// Lazy-residency state (lazy.go). A recording loaded from a
+	// container (IndexRecording) retains its v4 frames compressed and
+	// decodes sections on first use; freshly recorded ones leave
+	// logLazy/ckLazy nil and every Ensure call is a no-op. lzMu guards the log section's state, ckMu
 	// the checkpoint section's; acquisition order is lzMu -> ckMu ->
 	// matMu.
 	lzMu    sync.Mutex
-	logLazy []lazyFrame // retained non-checkpoint frames; nil when eager
+	logLazy []lazyFrame // retained non-checkpoint frames; nil when fresh
 	logDone bool
 	logErr  error
 	ckMu    sync.Mutex
-	ckLazy  []lazyFrame // retained checkpoint frames; nil when eager
+	ckLazy  []lazyFrame // retained checkpoint frames; nil when fresh
 	ckDone  bool
 	ckErr   error
 	sizeEst int64 // summed raw frame bytes (residency cost estimate)

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,46 +9,14 @@ import (
 
 	"delorean/internal/bulksc"
 	"delorean/internal/dlog"
-	"delorean/internal/lz77"
-	"delorean/internal/stratifier"
 )
 
-func rebuildStratified(nprocs, maxChunk int, rows [][]int) *stratifier.StratifiedLog {
-	return stratifier.Rebuild(nprocs, maxChunk, rows)
-}
-
 // Recording serialization: a recording written during one session can be
-// replayed in another (or on another machine). The container stores the
-// logs in their bit-packed wire formats plus the system checkpoint.
-//
-// Layout (little-endian):
-//
-//	magic "DLRN" | version u16 | mode u8 | nprocs u16 | chunkSize u32
-//	fingerprint u64 | finalMemHash u64 | per-proc chain digests (nprocs x u64)
-//	stats: insts u64, chunks u64, cycles u64
-//	initial memory: count u32, then (addr u32, value u64) pairs in
-//	  ascending address order
-//	PI log: present u8 [, entries u32, bit-length u32, packed bytes]
-//	per proc: CS log (entry count u32, bit-length u32, packed)
-//	per proc (Order&Size): size log (count u32, bit-length u32, packed)
-//	per proc: interrupt log, I/O log
-//	DMA log, slot log
-//	checkpoints (v3): count u32, then per checkpoint the cut metadata,
-//	  fingerprints, per-processor resume states, and the memory delta as
-//	  an LZ77-compressed (addr u32, value u64) pair stream in ascending
-//	  address order
-//	stratified log (optional)
-//
-// Version history: v1 had no per-processor chain digests; v2 added them
-// for replay divergence localization; v3 appended the delta-encoded
-// checkpoint section so serialized recordings replay segmented. v4
-// (framev4.go) keeps the v3 header through the stats words but frames
-// every log shard independently (CRC-checked, individually compressed
-// frames) so save and load pipeline across workers. WriteTo emits v4;
-// WriteToV3 keeps the legacy layout, and v2/v3/v4 files all load.
+// replayed in another (or on another machine). WriteTo emits the framed
+// v4 container described in framev4.go; ReadRecording and IndexRecording
+// (lazy.go) load it. Earlier container versions are rejected as corrupt.
 const (
-	recMagic   = "DLRN"
-	recVersion = 3
+	recMagic = "DLRN"
 
 	// maxChunkSize bounds the header's chunk size on load: large enough
 	// for any plausible configuration (the paper uses 2000), small
@@ -100,118 +68,6 @@ func (r *Recording) WriteTo(w io.Writer) (int64, error) {
 	return r.WriteToParallel(w, 0)
 }
 
-// WriteToV3 serializes the recording in the legacy v3 layout, kept so
-// compatibility tests can regenerate v3 fixtures and older readers stay
-// servable.
-func (r *Recording) WriteToV3(w io.Writer) (int64, error) {
-	// A lazily loaded recording decodes its checkpoint section before
-	// serialization walks it.
-	if err := r.EnsureCheckpoints(0); err != nil {
-		return 0, err
-	}
-	bw := bufio.NewWriter(w)
-	c := &countingWriter{w: bw}
-
-	c.write([]byte(recMagic))
-	c.u16(recVersion)
-	c.u8(uint8(r.Mode))
-	c.u16(uint16(r.NProcs))
-	c.u32(uint32(r.ChunkSize))
-	c.u64(r.Fingerprint)
-	c.u64(r.FinalMemHash)
-	for p := 0; p < r.NProcs; p++ {
-		var ch uint64
-		if p < len(r.ProcChains) {
-			ch = r.ProcChains[p]
-		}
-		c.u64(ch)
-	}
-	c.u64(r.Stats.Insts)
-	c.u64(r.Stats.Chunks)
-	c.u64(r.Stats.Cycles)
-
-	// Initial memory, canonical order.
-	addrs := make([]uint32, 0, len(r.InitialMem))
-	for a := range r.InitialMem {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	c.u32(uint32(len(addrs)))
-	for _, a := range addrs {
-		c.u32(a)
-		c.u64(r.InitialMem[a])
-	}
-
-	// PI log.
-	if r.PI != nil {
-		c.u8(1)
-		c.u32(uint32(r.PI.Len()))
-		buf, bits := r.PI.Pack()
-		c.packed(buf, bits)
-	} else {
-		c.u8(0)
-	}
-
-	for p := 0; p < r.NProcs; p++ {
-		c.u32(uint32(r.CS[p].Len()))
-		buf, bits := r.CS[p].Pack()
-		c.packed(buf, bits)
-	}
-	if r.Mode == OrderSize {
-		for p := 0; p < r.NProcs; p++ {
-			c.u32(uint32(r.Sizes[p].Len()))
-			buf, bits := r.Sizes[p].Pack()
-			c.packed(buf, bits)
-		}
-	}
-	for p := 0; p < r.NProcs; p++ {
-		c.u32(uint32(r.Intr[p].Len()))
-		buf, bits := r.Intr[p].Pack()
-		c.packed(buf, bits)
-	}
-	for p := 0; p < r.NProcs; p++ {
-		vals := r.IO[p].Values()
-		c.u32(uint32(len(vals)))
-		for _, v := range vals {
-			c.u64(v)
-		}
-	}
-	c.u32(uint32(r.DMA.Len()))
-	buf, bits := r.DMA.Pack()
-	c.packed(buf, bits)
-
-	// Slot log (PicoLog urgent commits): stored as explicit pairs.
-	slots := r.Slots.Entries()
-	c.u32(uint32(len(slots)))
-	for _, e := range slots {
-		c.u64(e.Slot)
-		c.u16(uint16(e.Proc))
-	}
-
-	r.writeCheckpoints(c)
-
-	// Stratified log: stored as explicit counters (it is small).
-	if r.Stratified != nil {
-		c.u8(1)
-		c.u32(uint32(r.Stratified.Len()))
-		// max chunks/stratum recoverable from counter bits is ambiguous;
-		// store it.
-		c.u16(uint16(1)<<uint(r.Stratified.CounterBits()) - 1)
-		for _, row := range r.Stratified.Strata() {
-			for _, v := range row {
-				c.u16(uint16(v))
-			}
-		}
-	} else {
-		c.u8(0)
-	}
-
-	if c.err == nil {
-		c.err = bw.Flush()
-	}
-	return c.n, c.err
-}
-
 // Checkpoint flag bits (one byte per processor state).
 const (
 	cpHalted      = 1 << 0
@@ -222,22 +78,11 @@ const (
 	cpPendUrgent  = 1 << 5
 )
 
-// writeCheckpoints appends the v3 checkpoint section: everything
-// segmented replay needs to partition the recording. Memory images are
-// stored as the engine's deltas — only the words that changed during
-// the interval — which LZ77 then squeezes further; a full image per
-// checkpoint would duplicate the entire footprint at every cut.
-func (r *Recording) writeCheckpoints(c *countingWriter) {
-	c.u32(uint32(len(r.Checkpoints)))
-	for i := range r.Checkpoints {
-		r.writeCheckpointBody(c, &r.Checkpoints[i], true)
-	}
-}
-
-// writeCheckpointBody serializes one checkpoint. compressDelta selects
-// v3's inline LZ77 for the memory-delta pair stream; the v4 frame writer
-// passes false because the whole frame is compressed as one unit.
-func (r *Recording) writeCheckpointBody(c *countingWriter, cp *IntervalCheckpoint, compressDelta bool) {
+// writeCheckpointBody serializes one checkpoint: everything segmented
+// replay needs to resume an interval. The memory image is stored as the
+// engine's delta — only the words that changed during the interval — so
+// a checkpoint does not duplicate the whole footprint.
+func (r *Recording) writeCheckpointBody(c *countingWriter, cp *IntervalCheckpoint) {
 	c.u64(cp.Slot)
 	c.u16(uint16(cp.TokenAt + 1)) // -1 (unordered) encodes as 0
 	c.u64(cp.Fingerprint)
@@ -294,9 +139,9 @@ func (r *Recording) writeCheckpointBody(c *countingWriter, cp *IntervalCheckpoin
 		}
 	}
 
-	// Memory delta: canonical address order. Interval write
-	// footprints revisit the same working set, so the pair stream
-	// compresses well under LZ77 (inline for v3, frame-level for v4).
+	// Memory delta: canonical address order, carried raw. Interval
+	// write footprints revisit the same working set, so the pair stream
+	// compresses well under the frame-level LZ77.
 	addrs := make([]uint32, 0, len(cp.MemDelta))
 	for a := range cp.MemDelta {
 		addrs = append(addrs, a)
@@ -310,36 +155,12 @@ func (r *Recording) writeCheckpointBody(c *countingWriter, cp *IntervalCheckpoin
 		raw = append(raw, pair[:]...)
 	}
 	c.u32(uint32(len(addrs)))
-	if compressDelta {
-		packed, bits := lz77.Compress(raw)
-		c.packed(packed, bits)
-	} else {
-		c.u32(uint32(len(raw)))
-		c.write(raw)
-	}
-}
-
-// readCheckpoints parses the v3 checkpoint section.
-func (r *Recording) readCheckpoints(d *reader) error {
-	count := d.u32()
-	r.Checkpoints = make([]IntervalCheckpoint, 0, allocHint(count))
-	for i := uint32(0); i < count && d.err == nil; i++ {
-		cp, err := r.readCheckpointBody(d, int(i), true)
-		if err != nil {
-			return err
-		}
-		if d.err == nil {
-			r.Checkpoints = append(r.Checkpoints, cp)
-		}
-	}
-	return nil
+	c.u32(uint32(len(raw)))
+	c.write(raw)
 }
 
 // readCheckpointBody parses one checkpoint, mirroring writeCheckpointBody.
-// compressDelta selects v3's inline LZ77 memory-delta encoding; v4 frames
-// pass false and carry the delta as raw bytes (the frame codec compresses
-// the whole payload).
-func (r *Recording) readCheckpointBody(d *reader, i int, compressDelta bool) (IntervalCheckpoint, error) {
+func (r *Recording) readCheckpointBody(d *reader, i int) (IntervalCheckpoint, error) {
 	var cp IntervalCheckpoint
 	cp.Slot = d.u64()
 	cp.TokenAt = int(d.u16()) - 1
@@ -391,40 +212,9 @@ func (r *Recording) readCheckpointBody(d *reader, i int, compressDelta bool) (In
 	}
 
 	words := d.u32()
-	var raw []byte
-	if compressDelta {
-		packed, bits := d.packed()
-		if d.err != nil {
-			return cp, nil
-		}
-		var err error
-		raw, err = lz77.Decompress(packed, bits)
-		if err != nil {
-			return cp, corrupt("checkpoint %d memory delta: %v", i, err)
-		}
-	} else {
-		rawLen := d.u32()
-		if d.err != nil {
-			return cp, nil
-		}
-		if rawLen > maxFramePayload {
-			return cp, corrupt("checkpoint %d memory delta claims %d bytes", i, rawLen)
-		}
-		// Chunked read: a lying length costs at most one chunk of
-		// allocation before the underlying reader runs dry.
-		raw = make([]byte, 0, 12*allocHint(words))
-		for len(raw) < int(rawLen) && d.err == nil {
-			n := int(rawLen) - len(raw)
-			if n > 1<<20 {
-				n = 1 << 20
-			}
-			chunk := make([]byte, n)
-			d.read(chunk)
-			if d.err != nil {
-				return cp, nil
-			}
-			raw = append(raw, chunk...)
-		}
+	raw := d.bytes(int64(d.u32()))
+	if d.err != nil {
+		return cp, nil
 	}
 	if len(raw) != 12*int(words) {
 		return cp, corrupt("checkpoint %d memory delta holds %d bytes for %d words", i, len(raw), words)
@@ -437,8 +227,11 @@ func (r *Recording) readCheckpointBody(d *reader, i int, compressDelta bool) (In
 	return cp, nil
 }
 
+// reader decodes little-endian fields from an in-memory buffer (a
+// container header or a decoded frame payload). The first short read
+// sticks in err; later reads return zeros.
 type reader struct {
-	r   io.Reader
+	r   *bytes.Reader
 	err error
 }
 
@@ -454,17 +247,24 @@ func (d *reader) u16() uint16 { var b [2]byte; d.read(b[:]); return binary.Littl
 func (d *reader) u32() uint32 { var b [4]byte; d.read(b[:]); return binary.LittleEndian.Uint32(b[:]) }
 func (d *reader) u64() uint64 { var b [8]byte; d.read(b[:]); return binary.LittleEndian.Uint64(b[:]) }
 
-func (d *reader) packed() ([]byte, int) {
-	bits := int(d.u32())
-	if d.err != nil || bits < 0 || bits > 1<<34 {
-		if d.err == nil {
-			d.err = fmt.Errorf("implausible packed length %d bits", bits)
-		}
-		return nil, 0
+// bytes reads n bytes. A length past the end of the buffer fails
+// before allocating, so a lying length field costs nothing.
+func (d *reader) bytes(n int64) []byte {
+	if d.err == nil && n > int64(d.r.Len()) {
+		d.err = io.ErrUnexpectedEOF
 	}
-	buf := make([]byte, (bits+7)/8)
+	if d.err != nil {
+		return nil
+	}
+	buf := make([]byte, n)
 	d.read(buf)
-	return buf, bits
+	return buf
+}
+
+func (d *reader) packed() ([]byte, int) {
+	bits := d.u32()
+	buf := d.bytes((int64(bits) + 7) / 8)
+	return buf, int(bits)
 }
 
 // allocHint clamps an untrusted element count to a sane pre-allocation
@@ -478,30 +278,28 @@ func allocHint(n uint32) int {
 	return int(n)
 }
 
-// ReadRecording deserializes a recording written by WriteTo (any
-// supported version: v2, v3, or v4). Malformed input — bad magic,
-// truncated stream, implausible lengths, or log contents that fail
-// Validate — returns an error wrapping ErrCorruptLog.
+// ReadRecording deserializes a v4 recording written by WriteTo.
+// Malformed input — bad magic, an unsupported version, truncated
+// stream, implausible lengths, or log contents that fail Validate —
+// returns an error wrapping ErrCorruptLog.
 func ReadRecording(src io.Reader) (*Recording, error) {
 	return ReadRecordingParallel(src, 0)
 }
 
-// readHeader parses the common container header — magic through the
-// stats words, identical across v2/v3/v4 — returning a recording with
-// only the header fields populated plus the container version. Shared
-// by the full readers and the v4 index pass (IndexRecording).
-func readHeader(d *reader) (*Recording, uint16, error) {
+// readHeader parses the container header — magic through the stats
+// words — returning a recording with only the header fields populated.
+// Every version but 4 is rejected.
+func readHeader(d *reader) (*Recording, error) {
 	var magic [4]byte
 	d.read(magic[:])
 	if d.err != nil {
-		return nil, 0, corrupt("short header: %v", d.err)
+		return nil, corrupt("short header: %v", d.err)
 	}
 	if string(magic[:]) != recMagic {
-		return nil, 0, corrupt("not a DeLorean recording (magic %q)", magic)
+		return nil, corrupt("not a DeLorean recording (magic %q)", magic)
 	}
-	version := d.u16()
-	if version != 2 && version != recVersion && version != recVersionV4 {
-		return nil, 0, corrupt("unsupported recording version %d", version)
+	if version := d.u16(); version != recVersionV4 {
+		return nil, corrupt("unsupported recording version %d", version)
 	}
 
 	r := &Recording{
@@ -512,10 +310,10 @@ func readHeader(d *reader) (*Recording, uint16, error) {
 	r.NProcs = int(d.u16())
 	r.ChunkSize = int(d.u32())
 	if d.err == nil && (r.NProcs <= 0 || r.NProcs > 1024 || r.ChunkSize <= 0 || r.ChunkSize > maxChunkSize) {
-		return nil, 0, corrupt("implausible header (%d procs, chunk %d)", r.NProcs, r.ChunkSize)
+		return nil, corrupt("implausible header (%d procs, chunk %d)", r.NProcs, r.ChunkSize)
 	}
 	if d.err == nil && (r.Mode < OrderSize || r.Mode > PicoLog) {
-		return nil, 0, corrupt("unknown mode %d", int(r.Mode))
+		return nil, corrupt("unknown mode %d", int(r.Mode))
 	}
 	r.Fingerprint = d.u64()
 	r.FinalMemHash = d.u64()
@@ -530,163 +328,32 @@ func readHeader(d *reader) (*Recording, uint16, error) {
 	r.Stats.Cycles = d.u64()
 	r.Stats.Converged = true
 	if d.err != nil {
-		return nil, 0, corrupt("truncated recording: %v", d.err)
+		return nil, corrupt("truncated recording: %v", d.err)
 	}
-	return r, version, nil
+	return r, nil
 }
 
 // ReadRecordingParallel is ReadRecording with an explicit decode worker
-// count for v4 recordings (0: host default, 1: fully sequential; v2/v3
-// always decode sequentially). The resulting recording is identical at
-// any worker count.
+// count (0: host default, 1: fully sequential). It indexes the container
+// (IndexRecording) and materializes every section, so the result is
+// identical at any worker count.
 func ReadRecordingParallel(src io.Reader, workers int) (*Recording, error) {
-	d := &reader{r: bufio.NewReader(src)}
-	r, version, err := readHeader(d)
+	// A source that knows its remaining length (bytes.Reader,
+	// strings.Reader, bytes.Buffer) is copied once into a presized
+	// buffer; the MinRead slack lets the final EOF read land without
+	// growing it.
+	var buf bytes.Buffer
+	if l, ok := src.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(src); err != nil {
+		return nil, fmt.Errorf("core: reading recording: %w", err)
+	}
+	r, err := IndexRecording(buf.Bytes())
 	if err != nil {
 		return nil, err
 	}
-
-	// The common header ends at the stats words; v4 switches to the
-	// framed shard layout from here.
-	if version == recVersionV4 {
-		if err := r.readV4(d, workers); err != nil {
-			return nil, err
-		}
-		if err := r.Validate(); err != nil {
-			return nil, err
-		}
-		return r, nil
-	}
-
-	n := d.u32()
-	r.InitialMem = make(map[uint32]uint64, allocHint(n))
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		a := d.u32()
-		r.InitialMem[a] = d.u64()
-	}
-
-	if d.u8() == 1 {
-		entries := int(d.u32())
-		buf, bits := d.packed()
-		if d.err == nil {
-			pi, err := dlog.UnpackPILog(r.NProcs, buf, bits, entries)
-			if err != nil {
-				return nil, corrupt("PI log: %v", err)
-			}
-			r.PI = pi
-		}
-	}
-
-	for p := 0; p < r.NProcs && d.err == nil; p++ {
-		_ = d.u32() // entry count (implied by the packed stream)
-		buf, bits := d.packed()
-		if d.err != nil {
-			break
-		}
-		cs, err := dlog.UnpackCSLog(r.ChunkSize, buf, bits)
-		if err != nil {
-			return nil, corrupt("CS log %d: %v", p, err)
-		}
-		r.CS = append(r.CS, cs)
-	}
-	if r.Mode == OrderSize {
-		for p := 0; p < r.NProcs && d.err == nil; p++ {
-			count := int(d.u32())
-			buf, bits := d.packed()
-			if d.err != nil {
-				break
-			}
-			sl, err := dlog.UnpackSizeLog(r.ChunkSize, buf, bits, count)
-			if err != nil {
-				return nil, corrupt("size log %d: %v", p, err)
-			}
-			r.Sizes = append(r.Sizes, sl)
-		}
-	}
-	for p := 0; p < r.NProcs && d.err == nil; p++ {
-		count := int(d.u32())
-		buf, bits := d.packed()
-		if d.err != nil {
-			break
-		}
-		il, err := dlog.UnpackIntrLog(buf, bits, count)
-		if err != nil {
-			return nil, corrupt("interrupt log %d: %v", p, err)
-		}
-		r.Intr = append(r.Intr, il)
-	}
-	for p := 0; p < r.NProcs && d.err == nil; p++ {
-		count := int(d.u32())
-		il := &dlog.IOLog{}
-		for i := 0; i < count && d.err == nil; i++ {
-			il.Append(d.u64())
-		}
-		r.IO = append(r.IO, il)
-	}
-	{
-		count := int(d.u32())
-		buf, bits := d.packed()
-		if d.err == nil {
-			dl, err := dlog.UnpackDMALog(buf, bits, count)
-			if err != nil {
-				return nil, corrupt("DMA log: %v", err)
-			}
-			r.DMA = dl
-		}
-	}
-	{
-		count := int(d.u32())
-		var prev uint64
-		for i := 0; i < count && d.err == nil; i++ {
-			slot := d.u64()
-			proc := int(d.u16())
-			if d.err != nil {
-				break
-			}
-			// SlotLog.Append panics on disorder; reject untrusted input
-			// with an error instead.
-			if i > 0 && slot <= prev {
-				return nil, corrupt("slot entries out of order at %d", i)
-			}
-			if proc < 0 || proc >= r.NProcs {
-				return nil, corrupt("slot entry %d names processor %d of %d", i, proc, r.NProcs)
-			}
-			prev = slot
-			r.Slots.Append(dlog.SlotEntry{Slot: slot, Proc: proc})
-		}
-	}
-	if version >= 3 {
-		if err := r.readCheckpoints(d); err != nil {
-			return nil, err
-		}
-	}
-	if d.u8() == 1 {
-		// Stratified log round-trips through the stratifier's rebuild
-		// helper.
-		strata := d.u32()
-		maxChunk := int(d.u16())
-		if d.err == nil && maxChunk < 1 {
-			return nil, corrupt("stratified log with max %d chunks per stratum", maxChunk)
-		}
-		rows := make([][]int, 0, allocHint(strata))
-		for i := uint32(0); i < strata && d.err == nil; i++ {
-			row := make([]int, r.NProcs+1)
-			for j := range row {
-				row[j] = int(d.u16())
-			}
-			if d.err == nil {
-				rows = append(rows, row)
-			}
-		}
-		if d.err == nil {
-			r.Stratified = rebuildStratified(r.NProcs, maxChunk, rows)
-		}
-	}
-
-	if d.err != nil {
-		return nil, corrupt("truncated recording: %v", d.err)
-	}
-	if err := r.Validate(); err != nil {
+	if err := r.EnsureCheckpoints(workers); err != nil {
 		return nil, err
 	}
 	return r, nil

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
@@ -270,6 +272,20 @@ func TestReadRecordingRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadRecording(strings.NewReader("DLRN")); err == nil {
 		t.Fatal("truncated header accepted")
+	}
+	// An otherwise valid container that declares a pre-v4 version is
+	// rejected as corrupt: v4 is the only format.
+	rec, _ := record(t, testConfig(2, 300), OrderOnly, racyProgs(2, 40), nil, RecordOptions{})
+	var buf bytes.Buffer
+	if _, err := rec.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []uint16{2, 3} {
+		old := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint16(old[4:6], version)
+		if _, err := ReadRecording(bytes.NewReader(old)); !errors.Is(err, ErrCorruptLog) {
+			t.Fatalf("version %d container: err = %v, want ErrCorruptLog", version, err)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"delorean/internal/sim"
 )
 
-// seedRecordingBytes serializes one small real recording per mode; the
+// seedRecordingBytes serializes two small real recordings per mode; the
 // fuzz targets below use them as corpus seeds so mutation starts from
 // well-formed containers rather than random noise.
 func seedRecordingBytes(f *testing.F) [][]byte {
@@ -23,24 +23,22 @@ func seedRecordingBytes(f *testing.F) [][]byte {
 	var out [][]byte
 	for _, mode := range []core.Mode{core.OrderSize, core.OrderOnly, core.PicoLog} {
 		// CheckpointEvery populates the checkpoint section, so mutation
-		// reaches the delta-checkpoint decoder too.
-		rec, err := core.Record(cfg, mode, progs, mem.New(), nil,
-			core.RecordOptions{TruncSeed: 3, CheckpointEvery: 4})
-		if err != nil {
-			f.Fatalf("seed recording (%v): %v", mode, err)
+		// reaches the delta-checkpoint decoder; StratifyMax adds the
+		// stratified frame, so it reaches that decoder too.
+		for _, opts := range []core.RecordOptions{
+			{TruncSeed: 3, CheckpointEvery: 4},
+			{TruncSeed: 3, StratifyMax: 3},
+		} {
+			rec, err := core.Record(cfg, mode, progs, mem.New(), nil, opts)
+			if err != nil {
+				f.Fatalf("seed recording (%v): %v", mode, err)
+			}
+			var buf bytes.Buffer
+			if _, err := rec.WriteTo(&buf); err != nil {
+				f.Fatalf("serialize seed (%v): %v", mode, err)
+			}
+			out = append(out, buf.Bytes())
 		}
-		// Both container generations: the framed v4 stream WriteTo emits
-		// and the legacy v3 layout, so mutation explores both decoders.
-		var buf bytes.Buffer
-		if _, err := rec.WriteTo(&buf); err != nil {
-			f.Fatalf("serialize seed (%v): %v", mode, err)
-		}
-		out = append(out, buf.Bytes())
-		var v3 bytes.Buffer
-		if _, err := rec.WriteToV3(&v3); err != nil {
-			f.Fatalf("serialize v3 seed (%v): %v", mode, err)
-		}
-		out = append(out, v3.Bytes())
 	}
 	return out
 }
@@ -70,7 +68,8 @@ func corruptFrameSeeds(seeds [][]byte) [][]byte {
 // ErrCorruptLog-wrapped error — never panic, never return a partial
 // Recording. A stream that does load must survive a serialize→reload
 // round trip byte-identically (the loader and writer agree on the
-// format).
+// format), and so must a release of its decoded sections followed by a
+// fresh materialization from the retained frames.
 func FuzzRecordingDeserialize(f *testing.F) {
 	seeds := seedRecordingBytes(f)
 	for _, b := range seeds {
@@ -118,6 +117,17 @@ func FuzzRecordingDeserialize(f *testing.F) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatal("serialize→reload→serialize is not a fixed point")
+		}
+		rec.ReleaseLogs()
+		if err := rec.EnsureCheckpoints(2); err != nil {
+			t.Fatalf("rematerialize after release: %v", err)
+		}
+		var third bytes.Buffer
+		if _, err := rec.WriteTo(&third); err != nil {
+			t.Fatalf("serialize after rematerialize: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), third.Bytes()) {
+			t.Fatal("release→rematerialize→serialize differs from the first serialization")
 		}
 	})
 }

@@ -38,12 +38,18 @@ func FuzzLZ77RoundTrip(f *testing.F) {
 	f.Add(append(incompressible(256), []byte("abcdefghabcdefgh")...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		packed, bits := Compress(data)
-		out, err := Decompress(packed, bits)
+		out, err := Decompress(packed, bits, len(data))
 		if err != nil {
 			t.Fatalf("round trip failed to decode: %v", err)
 		}
 		if !bytes.Equal(out, data) {
 			t.Fatalf("round trip mismatch: %d in, %d out", len(data), len(out))
+		}
+		// One byte short of the true length must trip the output cap.
+		if len(data) > 0 {
+			if _, err := Decompress(packed, bits, len(data)-1); err != ErrCorrupt {
+				t.Fatalf("limit %d on a %d-byte stream: err = %v, want ErrCorrupt", len(data)-1, len(data), err)
+			}
 		}
 		if got := CompressedBits(data); got != bits {
 			t.Fatalf("CompressedBits = %d, Compress packed %d bits", got, bits)
@@ -52,6 +58,6 @@ func FuzzLZ77RoundTrip(f *testing.F) {
 		// The input reinterpreted as a token stream must decode or fail
 		// cleanly (ErrCorrupt or a bitio read error) — corrupted hardware
 		// logs reach this path during replay. Only a panic is a bug.
-		_, _ = Decompress(data, 8*len(data))
+		_, _ = Decompress(data, 8*len(data), 1<<20)
 	})
 }

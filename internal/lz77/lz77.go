@@ -327,8 +327,11 @@ func matchLen(a, b []byte) int {
 var ErrCorrupt = errors.New("lz77: corrupt stream")
 
 // Decompress reverses Compress. bits is the bit length returned by
-// Compress.
-func Decompress(packed []byte, bits int) ([]byte, error) {
+// Compress. limit caps the output length: a stream that would decode to
+// more than limit bytes fails with ErrCorrupt as soon as it crosses the
+// cap, so a hostile stream cannot expand unboundedly before a caller's
+// length check runs.
+func Decompress(packed []byte, bits, limit int) ([]byte, error) {
 	r := bitio.NewReader(packed, bits)
 	var out []byte
 	for r.Remaining() >= 9 {
@@ -340,6 +343,9 @@ func Decompress(packed []byte, bits int) ([]byte, error) {
 			b, err := r.ReadBits(8)
 			if err != nil {
 				return nil, err
+			}
+			if len(out) >= limit {
+				return nil, ErrCorrupt
 			}
 			out = append(out, byte(b))
 			continue
@@ -353,7 +359,7 @@ func Decompress(packed []byte, bits int) ([]byte, error) {
 			return nil, err
 		}
 		dist, length := int(d)+1, int(l)+minLen
-		if dist > len(out) {
+		if dist > len(out) || length > limit-len(out) {
 			return nil, ErrCorrupt
 		}
 		// Byte-at-a-time copy: matches may overlap their own output.

@@ -11,7 +11,7 @@ import (
 func roundTrip(t *testing.T, src []byte) {
 	t.Helper()
 	packed, bits := Compress(src)
-	got, err := Decompress(packed, bits)
+	got, err := Decompress(packed, bits, len(src))
 	if err != nil {
 		t.Fatalf("Decompress: %v", err)
 	}
@@ -92,8 +92,24 @@ func TestDecompressRejectsBadDistance(t *testing.T) {
 	// Build via Compress of nothing then manual bits: easier to use bitio
 	// through the public API: a single match token is 1+15+8 = 24 bits.
 	packed = []byte{0xc9, 0x00, 0x00} // bit0=1 (match), dist-1=100 -> bits 1..15
-	if _, err := Decompress(packed, 24); err != ErrCorrupt {
+	if _, err := Decompress(packed, 24, 1<<10); err != ErrCorrupt {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecompressStopsAtLimit: a stream that expands past the caller's
+// limit fails with ErrCorrupt, whether a literal or a match crosses it.
+func TestDecompressStopsAtLimit(t *testing.T) {
+	src := bytes.Repeat([]byte{'a'}, 1000) // one literal, then matches
+	packed, bits := Compress(src)
+	for _, limit := range []int{0, 1, 2, 999} {
+		if _, err := Decompress(packed, bits, limit); err != ErrCorrupt {
+			t.Fatalf("limit %d: err = %v, want ErrCorrupt", limit, err)
+		}
+	}
+	got, err := Decompress(packed, bits, len(src))
+	if err != nil || !bytes.Equal(got, src) {
+		t.Fatalf("exact limit: err = %v, %d bytes", err, len(got))
 	}
 }
 
@@ -111,7 +127,7 @@ func TestLongMatchChunking(t *testing.T) {
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(src []byte) bool {
 		packed, bits := Compress(src)
-		got, err := Decompress(packed, bits)
+		got, err := Decompress(packed, bits, len(src))
 		return err == nil && bytes.Equal(got, src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -320,22 +320,6 @@ func (s *Server) reqCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	return context.WithCancel(r.Context())
 }
 
-// ctxReader fails reads once ctx is done, which is how the per-request
-// deadline reaches a container decode: LoadRecordingParallel pulls the
-// stream frame by frame, so cancellation lands within one frame rather
-// than after the whole 64 MiB container has been decoded.
-type ctxReader struct {
-	ctx context.Context
-	r   io.Reader
-}
-
-func (c ctxReader) Read(p []byte) (int, error) {
-	if err := c.ctx.Err(); err != nil {
-		return 0, err
-	}
-	return c.r.Read(p)
-}
-
 // --- wire types ---
 
 type statsJSON struct {
@@ -625,28 +609,30 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	var created bool
 	var persistErr error
 	jobErr := s.submit(func() {
-		rec, lerr := delorean.LoadRecordingParallel(ctxReader{ctx, bytes.NewReader(body)},
-			delorean.Config{}, wl, s.cfg.LoadWorkers)
-		if lerr != nil {
-			// A decode that died because the deadline expired mid-stream is
-			// a deadline, not corruption: the context error wins.
+		// The deadline is checked before decoding and after each stage,
+		// so an expired request stops at the next stage boundary. A
+		// stage that fails after the deadline passed reports the
+		// deadline, not corruption.
+		halt := func(stageErr error) bool {
+			err = stageErr
 			if cerr := ctx.Err(); cerr != nil {
 				err = cerr
-			} else {
-				err = lerr
 			}
+			return err != nil
+		}
+		if halt(nil) {
+			return
+		}
+		rec, lerr := delorean.IndexRecording(body, delorean.Config{}, wl)
+		if halt(lerr) || halt(rec.Materialize(s.cfg.LoadWorkers)) {
 			return
 		}
 		canonical, cerr := canonicalize(rec, s.cfg.LoadWorkers)
-		if cerr != nil {
-			err = cerr
-			return
-		}
-		if err = ctx.Err(); err != nil {
+		if halt(cerr) {
 			return
 		}
 		// Store the recording index-only over its canonical bytes: the
-		// eager decode above already validated it, so the stored form can
+		// decode above already validated it, so the stored form can
 		// start cold and materialize on first replay, under the budget.
 		idx, xerr := delorean.IndexRecording(canonical, delorean.Config{}, wl)
 		if xerr != nil {

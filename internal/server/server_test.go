@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -16,11 +17,11 @@ import (
 	"delorean"
 )
 
-// goldenPath is the committed v3 container fixture; its workload is the
+// goldenPath is the committed v4 container fixture; its workload is the
 // registered "syskernel" generator at these parameters (the programs
 // are pinned — see workload.SysKernelProgram).
 const (
-	goldenPath     = "../core/testdata/golden_v3.dlrn"
+	goldenPath     = "../core/testdata/golden.dlrn"
 	goldenQuery    = "workload=syskernel&procs=4&scale=130"
 	goldenWorkload = "syskernel"
 	goldenProcs    = 4
@@ -577,9 +578,9 @@ func TestPersistFailureKeepsRecordingServable(t *testing.T) {
 }
 
 // TestUploadDeadline: the per-request deadline reaches the upload path.
-// The container decode streams through a context-checking reader, so a
-// deadline that expires mid-decode surfaces as 504 deadline_exceeded —
-// not as a corrupt_log misclassification of the truncated read.
+// The decode checks the deadline before it starts and after each stage,
+// so an expired deadline surfaces as 504 deadline_exceeded — not as a
+// corrupt_log misclassification of an abandoned decode.
 func TestUploadDeadline(t *testing.T) {
 	_, hs := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
 	resp, body := upload(t, hs.URL, goldenQuery, goldenBytes(t))
@@ -588,5 +589,39 @@ func TestUploadDeadline(t *testing.T) {
 	}
 	if code := errCode(t, body); code != "deadline_exceeded" {
 		t.Fatalf("code %q", code)
+	}
+}
+
+// TestBootSkipsPreV4Container: a store directory holding a container of
+// an earlier format version (here the golden fixture relabelled v3,
+// with a matching content hash and spec sidecar) still boots; the file
+// is counted on store.load_errors and skipped, not served.
+func TestBootSkipsPreV4Container(t *testing.T) {
+	dir := t.TempDir()
+	data := goldenBytes(t)
+	binary.LittleEndian.PutUint16(data[4:6], 3)
+	spec := Spec{Workload: goldenWorkload, Procs: goldenProcs, Scale: goldenScale, Seed: 1}
+	id := recordingID(spec, data)
+	sp, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, id+specExt), sp, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, id+dataExt), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, hs := newTestServer(t, Config{Dir: dir})
+	resp, body := doJSON(t, "GET", hs.URL+"/metrics", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics: status %d", resp.StatusCode)
+	}
+	if !strings.Contains(string(body), "store.load_errors 1\n") {
+		t.Fatalf("metrics missing store.load_errors 1:\n%s", body)
+	}
+	if resp, body := doJSON(t, "GET", hs.URL+"/v1/recordings/"+id, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("pre-v4 entry served: status %d: %s", resp.StatusCode, body)
 	}
 }

@@ -64,9 +64,9 @@ type entry struct {
 	rec  *delorean.Recording
 	data []byte
 	// est is the recording's materialized-size estimate (decompressed
-	// frame bytes), the unit the residency budget is accounted in. Zero
-	// for pre-v4 containers, which decode eagerly and sit outside the
-	// budget.
+	// frame bytes), the unit the residency budget is accounted in. It is
+	// always positive: the init-mem frame alone decodes to at least 4
+	// bytes.
 	est int64
 
 	// Residency state, guarded by store.mu.
@@ -205,7 +205,7 @@ func (st *store) acquire(ctx context.Context, e *entry, workers int) error {
 			st.mu.Unlock()
 			return err
 		}
-		if st.budget <= 0 || e.est == 0 || st.resident+e.est <= st.budget {
+		if st.budget <= 0 || st.resident+e.est <= st.budget {
 			break
 		}
 		if st.resident == 0 {
@@ -264,7 +264,7 @@ func (st *store) release(e *entry) {
 func (st *store) evictOneLocked() bool {
 	var victim *entry
 	for _, e := range st.m {
-		if e.resident && e.pins == 0 && e.est > 0 && (victim == nil || e.lastUse < victim.lastUse) {
+		if e.resident && e.pins == 0 && (victim == nil || e.lastUse < victim.lastUse) {
 			victim = e
 		}
 	}
