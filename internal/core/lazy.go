@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 
 	"delorean/internal/dlog"
+	"delorean/internal/lz77"
 	"delorean/internal/runner"
 )
 
@@ -101,6 +102,16 @@ func IndexRecording(data []byte) (*Recording, error) {
 				return nil, corrupt("LZ77 frame too short for its header")
 			}
 			f.rawLen = int(binary.LittleEndian.Uint32(f.body[0:4]))
+			// The declared length feeds the residency estimate before
+			// anything is decoded, so it must be one the payload could
+			// actually produce.
+			bits := int(binary.LittleEndian.Uint32(f.body[4:8]))
+			if bits > 8*(len(f.body)-8) {
+				return nil, corrupt("LZ77 frame claims %d bits in %d payload bytes", bits, len(f.body)-8)
+			}
+			if f.rawLen > lz77.MaxDecodedLen(bits) {
+				return nil, corrupt("LZ77 frame declares %d bytes, more than %d bits can decode to", f.rawLen, bits)
+			}
 		default:
 			return nil, corrupt("unknown frame encoding %d", f.enc)
 		}
@@ -317,7 +328,9 @@ func (r *Recording) Materialized() bool {
 // MaterializedSizeEstimate returns the summed raw (decompressed) frame
 // payload bytes of an indexed recording — the residency manager's cost
 // estimate for keeping it materialized. Zero for freshly recorded
-// recordings.
+// recordings. IndexRecording bounds each LZ77 frame's declared length by
+// what its payload could decode to (lz77.MaxDecodedLen), so the estimate
+// is at most ~86x the container size.
 func (r *Recording) MaterializedSizeEstimate() int64 {
 	return r.sizeEst
 }

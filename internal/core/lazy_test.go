@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"sync"
 	"testing"
+
+	"delorean/internal/lz77"
 )
 
 // verdictKey flattens the comparable core of a ReplayResult (Stats holds
@@ -195,6 +198,59 @@ func TestIndexRecordingCorruption(t *testing.T) {
 			t.Fatalf("second replay (cached error) = %v, want ErrCorruptLog", err)
 		}
 	})
+}
+
+// withLZ77Body returns a copy of the container data whose first LZ77
+// frame carries body instead, with its length and CRC fixed up so only
+// the payload's content is wrong.
+func withLZ77Body(t *testing.T, data []byte, nprocs int, body []byte) []byte {
+	t.Helper()
+	header, frames := parseV4Frames(t, data, nprocs)
+	for i, f := range frames {
+		if f.raw[5] != encLZ77 {
+			continue
+		}
+		raw := append([]byte(nil), f.raw[:frameHeaderLen]...)
+		binary.LittleEndian.PutUint32(raw[6:10], uint32(len(body)))
+		binary.LittleEndian.PutUint32(raw[10:14], crc32.ChecksumIEEE(body))
+		frames[i].raw = append(raw, body...)
+		return spliceV4(header, frames)
+	}
+	t.Fatal("container has no LZ77 frame")
+	return nil
+}
+
+// TestIndexRecordingRejectsDecodedLengthBomb: a frame's declared decoded
+// length is trusted for the residency estimate before anything decodes,
+// so a 16-byte LZ77 body claiming 2 GiB must fail indexing, as must a
+// bit length longer than the payload holding it.
+func TestIndexRecordingRejectsDecodedLengthBomb(t *testing.T) {
+	data, rec, _, _ := indexFixture(t, OrderOnly)
+	lzBody := func(rawLen, bits uint32, packed int) []byte {
+		b := make([]byte, 8+packed)
+		binary.LittleEndian.PutUint32(b[0:4], rawLen)
+		binary.LittleEndian.PutUint32(b[4:8], bits)
+		return b
+	}
+	for name, body := range map[string][]byte{
+		"rawLen 1<<31 in 16 bytes":        lzBody(1<<31, 64, 8),
+		"rawLen one past the bound":       lzBody(uint32(lz77.MaxDecodedLen(64)+1), 64, 8),
+		"bit length past the payload end": lzBody(4, 65, 8),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := IndexRecording(withLZ77Body(t, data, rec.NProcs, body)); !errors.Is(err, ErrCorruptLog) {
+				t.Fatalf("IndexRecording = %v, want ErrCorruptLog", err)
+			}
+		})
+	}
+	// At the bound the frame indexes and only its decode can fail.
+	lazy, err := IndexRecording(withLZ77Body(t, data, rec.NProcs, lzBody(uint32(lz77.MaxDecodedLen(64)), 64, 8)))
+	if err != nil {
+		t.Fatalf("IndexRecording at the bound: %v", err)
+	}
+	if err := lazy.EnsureCheckpoints(1); !errors.Is(err, ErrCorruptLog) {
+		t.Fatalf("materializing a frame that cannot decode to its length = %v, want ErrCorruptLog", err)
+	}
 }
 
 // TestIndexRecordingConcurrentMaterialize: many goroutines racing to

@@ -37,6 +37,7 @@ func RunToMemOpTimed(st *ThreadState, p *Program, limit int, ready *[NumRegs]uin
 		ready = &dummy
 	}
 	insts := p.Insts
+	ff := p.fastForwardTable()
 	for n < limit {
 		if st.PC < 0 || st.PC >= len(insts) {
 			panic(fmt.Sprintf("isa: PC %d out of program bounds [0,%d)", st.PC, len(insts)))
@@ -86,6 +87,12 @@ func RunToMemOpTimed(st *ThreadState, p *Program, limit int, ready *[NumRegs]uin
 			ready[i.Rd] = maxReady(ready[i.Rs], ready[i.Rt])
 			st.PC++
 		case ADDI:
+			if e := ff[st.PC]; e.n != 0 {
+				if m := fastForward(st, insts, ff, e, limit-n); m > 0 {
+					n += m
+					continue
+				}
+			}
 			st.Reg[i.Rd] = st.Reg[i.Rs] + i.Imm
 			ready[i.Rd] = ready[i.Rs]
 			st.PC++
@@ -152,6 +159,110 @@ func RunToMemOpTimed(st *ThreadState, p *Program, limit int, ready *[NumRegs]uin
 		n++
 	}
 	return n, nil
+}
+
+// ffEntry describes the ADDI at one PC to fastForward:
+//
+//   - n > 1: a straight run of n ADDIs that all add an immediate to the
+//     same register (ADDI r,r,imm) starts here; sum is the wrapping sum of
+//     their immediates from here to the run's end.
+//   - n < 0: the ADDI heads the counted loop L: ADDI r,r,k; BLT r,s,L
+//     with k > 0 and s != r.
+//   - n == 0: the instruction steps.
+//
+// The last ADDI of a run keeps its sum (only its n is zero, or negative
+// if it heads a loop): a run cut short after m instructions subtracts
+// ff[pc+m].sum, the part it did not execute.
+type ffEntry struct {
+	n   int
+	sum int64
+}
+
+// loopHead marks a counted-loop head in ffEntry.n.
+const loopHead = -1
+
+// fastForwardTable returns the program's idiom table, building it on
+// first use. Programs are shared by concurrent simulations; racing
+// builders store identical tables, so whichever store lands last is
+// as good as any.
+func (p *Program) fastForwardTable() []ffEntry {
+	if t := p.ff.Load(); t != nil {
+		return *t
+	}
+	t := buildFastForward(p.Insts)
+	p.ff.Store(&t)
+	return t
+}
+
+func buildFastForward(insts []Inst) []ffEntry {
+	ff := make([]ffEntry, len(insts))
+	run := 0 // length of the same-register ADDI run starting at pc+1
+	for pc := len(insts) - 1; pc >= 0; pc-- {
+		i := &insts[pc]
+		if i.Op != ADDI || i.Rd != i.Rs {
+			run = 0
+			continue
+		}
+		if run > 0 && insts[pc+1].Rd == i.Rd {
+			run++
+			ff[pc] = ffEntry{n: run, sum: i.Imm + ff[pc+1].sum}
+			continue
+		}
+		run = 1
+		ff[pc].sum = i.Imm
+		if pc+1 < len(insts) {
+			b := &insts[pc+1]
+			if b.Op == BLT && b.Rs == i.Rd && b.Rt != i.Rd && b.Imm == int64(pc) && i.Imm > 0 {
+				ff[pc].n = loopHead
+			}
+		}
+	}
+	return ff
+}
+
+// fastForward retires the idiom described by e, which starts at st.PC,
+// in closed form: at most budget instructions, with the same final
+// registers and PC as stepping them one by one. It returns the number
+// retired; 0 means the ADDI must step. ready needs no update, since
+// ADDI r,r carries ready[r] over to itself and BLT writes no register.
+func fastForward(st *ThreadState, insts []Inst, ff []ffEntry, e ffEntry, budget int) int {
+	pc := st.PC
+	r := insts[pc].Rd
+	if e.n > 0 {
+		m := min(e.n, budget)
+		d := e.sum
+		if m < e.n {
+			d -= ff[pc+m].sum
+		}
+		st.Reg[r] += d
+		st.PC = pc + m
+		return m
+	}
+	// Counted loop: each iteration adds k > 0 and branches back while
+	// r < s. Entered with r < s, it exits after the first iteration that
+	// reaches s, and no iteration before that one can wrap. Entered with
+	// r >= s, one iteration runs. Either way the final r is computed
+	// modulo 2^64, as the stepped wrapping adds leave it, and the PC
+	// follows from the comparison stepping makes last.
+	if budget < 2 {
+		return 0
+	}
+	k := uint64(insts[pc].Imm)
+	s := st.Reg[insts[pc+1].Rt]
+	v := st.Reg[r]
+	iters := uint64(1)
+	if v < s {
+		iters = (uint64(s)-uint64(v)-1)/k + 1
+	}
+	iters = min(iters, uint64(budget/2))
+	v = int64(uint64(v) + iters*k)
+	st.Reg[r] = v
+	if v < s {
+		st.PC = pc
+	} else {
+		st.PC = pc + 2
+	}
+	return int(2 * iters)
 }
 
 // MemAddr returns the word address accessed by a memory instruction,

@@ -14,7 +14,10 @@
 // a cache line holds LineWords words.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Memory geometry shared by the whole simulator.
 const (
@@ -193,7 +196,10 @@ func (i Inst) String() string {
 	return i.Op.String()
 }
 
-// Program is an assembled instruction sequence for one thread.
+// Program is an assembled instruction sequence for one thread. Insts must
+// not be mutated once the program has first run: the interpreter derives
+// a per-program idiom table from it on first execution (see fastForward)
+// and shares that table between every processor running the program.
 type Program struct {
 	Insts []Inst
 	// TrapVec is the instruction index of the trap handler entered by
@@ -204,6 +210,8 @@ type Program struct {
 	// asynchronous interrupt delivery (full register state shadowed;
 	// handler ends with IRET). -1 if the program takes no interrupts.
 	IntrVec int
+
+	ff atomic.Pointer[[]ffEntry]
 }
 
 // ThreadState is the architectural state of one hardware context. It is a

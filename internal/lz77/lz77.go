@@ -378,6 +378,18 @@ const (
 	matchBits   = 1 + windowBits + lenBits
 )
 
+// MaxDecodedLen bounds the output of Decompress for a stream of the
+// given bit length: at most maxLen bytes per match token, the densest
+// encoding, plus one byte per literal that fits in the leftover bits.
+// Containers use it to reject a frame whose declared decoded length its
+// compressed payload could never produce.
+func MaxDecodedLen(bits int) int {
+	if bits <= 0 {
+		return 0
+	}
+	return bits/matchBits*maxLen + bits%matchBits/literalBits
+}
+
 // CompressedBits returns only the compressed size in bits, without
 // materializing the token stream. The log-size accounting paths (dlog's
 // compressed-bits queries) never use the packed bytes, so this skips the

@@ -363,3 +363,27 @@ func TestCompressedBitsQuickMatchesCompress(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// MaxDecodedLen must bound every real stream, and be reached by the
+// densest one: a literal followed by maximal-length matches.
+func TestMaxDecodedLen(t *testing.T) {
+	s := rng.New(77)
+	random := make([]byte, 5000)
+	for i := range random {
+		random[i] = byte(s.Intn(256))
+	}
+	for _, src := range [][]byte{nil, {1}, []byte("abcabcabcabc"), bytes.Repeat([]byte{0}, 100_000), random} {
+		_, bits := Compress(src)
+		if bound := MaxDecodedLen(bits); len(src) > bound {
+			t.Errorf("%d-byte input compressed to %d bits, but MaxDecodedLen says at most %d bytes", len(src), bits, bound)
+		}
+	}
+	zeros := bytes.Repeat([]byte{0}, 1+100*maxLen)
+	_, bits := Compress(zeros)
+	if bound := MaxDecodedLen(bits); bound > len(zeros)+maxLen {
+		t.Errorf("densest stream: %d bytes in %d bits, bound %d is loose", len(zeros), bits, bound)
+	}
+	if MaxDecodedLen(0) != 0 || MaxDecodedLen(-5) != 0 || MaxDecodedLen(matchBits) != maxLen {
+		t.Error("MaxDecodedLen edge values")
+	}
+}

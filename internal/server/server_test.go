@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -600,18 +601,7 @@ func TestBootSkipsPreV4Container(t *testing.T) {
 	dir := t.TempDir()
 	data := goldenBytes(t)
 	binary.LittleEndian.PutUint16(data[4:6], 3)
-	spec := Spec{Workload: goldenWorkload, Procs: goldenProcs, Scale: goldenScale, Seed: 1}
-	id := recordingID(spec, data)
-	sp, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, id+specExt), sp, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, id+dataExt), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	id := seedStoreEntry(t, dir, data)
 
 	_, hs := newTestServer(t, Config{Dir: dir})
 	resp, body := doJSON(t, "GET", hs.URL+"/metrics", nil)
@@ -624,4 +614,90 @@ func TestBootSkipsPreV4Container(t *testing.T) {
 	if resp, body := doJSON(t, "GET", hs.URL+"/v1/recordings/"+id, nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("pre-v4 entry served: status %d: %s", resp.StatusCode, body)
 	}
+}
+
+// seedStoreEntry writes data and a golden-workload spec sidecar into a
+// store directory under their content-addressed id, as persist would.
+func seedStoreEntry(t *testing.T, dir string, data []byte) string {
+	t.Helper()
+	spec := Spec{Workload: goldenWorkload, Procs: goldenProcs, Scale: goldenScale, Seed: 1}
+	id := recordingID(spec, data)
+	sp, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, id+specExt), sp, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, id+dataExt), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// TestBootRemovesStrayTempFiles: a crash between a persist's write and
+// its rename leaves a temp file behind. Boot deletes it without counting
+// a load error and serves the recordings that were fully persisted.
+func TestBootRemovesStrayTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	id := seedStoreEntry(t, dir, goldenBytes(t))
+	stray := filepath.Join(dir, id+dataExt+".tmp123")
+	if err := os.WriteFile(stray, goldenBytes(t)[:100], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, hs := newTestServer(t, Config{Dir: dir})
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Fatalf("stray temp file survived boot: stat err %v", err)
+	}
+	if body := metricsBody(t, hs.URL); strings.Contains(body, "store.load_errors") {
+		t.Fatalf("stray temp file counted as a load error:\n%s", body)
+	}
+	wantMetric(t, hs.URL, "store.recordings 1")
+	if resp, body := doJSON(t, "GET", hs.URL+"/v1/recordings/"+id, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("persisted entry not served: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestBootRejectsDecodedLengthBomb: a stored container whose LZ77 frame
+// declares far more decoded bytes than its payload can produce fails to
+// index at boot, so its claimed size never reaches residency accounting.
+func TestBootRejectsDecodedLengthBomb(t *testing.T) {
+	dir := t.TempDir()
+	id := seedStoreEntry(t, dir, lz77Bomb(t, goldenBytes(t)))
+
+	s, hs := newTestServer(t, Config{Dir: dir, ResidencyBudget: 1 << 20})
+	wantMetric(t, hs.URL, "store.load_errors 1")
+	if _, ok := s.store.get(id); ok {
+		t.Fatal("bomb container entered the store")
+	}
+	if st := s.store.stats(); st.peak != 0 || st.materializations != 0 {
+		t.Fatalf("residency accounting saw the bomb: %+v", st)
+	}
+}
+
+// lz77Bomb replaces the payload of the first LZ77 frame of a v4
+// container with 16 bytes declaring a 2 GiB decoded length, keeping the
+// frame's CRC valid.
+func lz77Bomb(t *testing.T, data []byte) []byte {
+	t.Helper()
+	body := make([]byte, 16)
+	binary.LittleEndian.PutUint32(body[0:4], 1<<31) // declared decoded length
+	binary.LittleEndian.PutUint32(body[4:8], 64)    // bit length of the 8 packed bytes
+	// Common header: magic, version, mode, procs, chunk size, two hashes,
+	// one chain per processor and three stats words.
+	nprocs := int(binary.LittleEndian.Uint16(data[7:9]))
+	const frameHeader = 14 // kind, shard, encoding, payload length, CRC
+	for off := 53 + 8*nprocs; off+frameHeader <= len(data); {
+		end := off + frameHeader + int(binary.LittleEndian.Uint32(data[off+6:off+10]))
+		if data[off+5] == 1 { // LZ77-encoded payload
+			out := append([]byte(nil), data[:off+frameHeader]...)
+			binary.LittleEndian.PutUint32(out[off+6:off+10], uint32(len(body)))
+			binary.LittleEndian.PutUint32(out[off+10:off+14], crc32.ChecksumIEEE(body))
+			return append(append(out, body...), data[end:]...)
+		}
+		off = end
+	}
+	t.Fatal("container has no LZ77 frame")
+	return nil
 }

@@ -285,8 +285,9 @@ const (
 )
 
 // canonicalize re-encodes a recording to its canonical v4 byte form.
-// Uploads may arrive as any supported container version; addressing the
-// canonical bytes makes the id independent of the uploaded encoding.
+// An upload is a v4 container, but its frame compression and sharding
+// need not match what this build writes; addressing the canonical bytes
+// makes the id independent of the uploaded encoding.
 func canonicalize(rec *delorean.Recording, workers int) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := rec.SaveParallel(&buf, workers); err != nil {
@@ -337,9 +338,13 @@ func (st *store) put(rec *delorean.Recording, spec Spec, canonical []byte) (id s
 	return id, !exists, nil
 }
 
-// persist writes the container and its spec sidecar atomically: each
-// file lands under a unique temp name first and is renamed into place,
-// so a crash can never install a torn file.
+// persist writes the container and its spec sidecar atomically and
+// durably: each file is written and fsynced under a unique temp name,
+// then renamed into place, and the directory is fsynced once after both
+// renames. A crash can never install a torn file, and once persist
+// returns nil both files survive power loss, so "persisted": true holds.
+// A crash before the renames leaves only temp files, which loadDir
+// removes at the next boot.
 func (st *store) persist(id string, spec Spec, canonical []byte) error {
 	sp, err := json.Marshal(spec)
 	if err != nil {
@@ -353,7 +358,7 @@ func (st *store) persist(id string, spec Spec, canonical []byte) error {
 			return err
 		}
 	}
-	return nil
+	return syncDir(st.dir)
 }
 
 func writeFileAtomic(dir, name string, data []byte) error {
@@ -370,10 +375,27 @@ func writeFileAtomic(dir, name string, data []byte) error {
 		tmp.Close()
 		return err
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
 	return os.Rename(tmp.Name(), filepath.Join(dir, name))
+}
+
+// syncDir fsyncs a directory so the renames into it are durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 func (st *store) get(id string) (*entry, bool) {
@@ -398,17 +420,27 @@ func (st *store) ids() []string {
 // loadDir restores every <id>.dlrn/<id>.json pair under dir into the
 // in-memory map. Files that fail to index are skipped with an error in
 // the returned slice — a damaged cache entry must not keep the server
-// from booting.
+// from booting. Temp files a crash left behind mid-persist are removed
+// first; nothing ever reads them.
 func (st *store) loadDir(workers int) []error {
 	if st.dir == "" {
 		return nil
+	}
+	var errs []error
+	stray, err := filepath.Glob(filepath.Join(st.dir, "*.tmp*"))
+	if err != nil {
+		return []error{err}
+	}
+	for _, name := range stray {
+		if err := os.Remove(name); err != nil {
+			errs = append(errs, err)
+		}
 	}
 	names, err := filepath.Glob(filepath.Join(st.dir, "*"+dataExt))
 	if err != nil {
 		return []error{err}
 	}
 	sort.Strings(names)
-	var errs []error
 	for _, name := range names {
 		id := strings.TrimSuffix(filepath.Base(name), dataExt)
 		if err := st.loadOne(id); err != nil {
