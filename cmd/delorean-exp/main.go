@@ -36,7 +36,6 @@ func main() {
 		replays  = flag.Int("replays", 5, "perturbed replays for Fig 11")
 		quick    = flag.Bool("quick", false, "small fast configuration")
 		parallel = flag.Int("parallel", 0, "worker pool size for independent runs (0: GOMAXPROCS, 1: sequential)")
-		simpar   = flag.Int("simparallel", 1, "intra-run simulator workers per engine (1: sequential reference scheduler)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		execTr   = flag.String("exectrace", "", "write a runtime/trace execution trace to this file")
@@ -50,7 +49,6 @@ func main() {
 		cfg = experiments.Quick()
 	}
 	cfg.Parallel = *parallel
-	cfg.SimParallel = *simpar
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -66,9 +64,9 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 	if *execTr != "" {
-		// A runtime/trace of the whole run: worker-pool stalls at the
-		// engine's global-event barriers show up as goroutine wait time,
-		// which the CPU profile cannot attribute.
+		// A runtime/trace of the whole run: stalls in the harness's worker
+		// pool show up as goroutine wait time, which the CPU profile cannot
+		// attribute.
 		f, err := os.Create(*execTr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "exectrace: %v\n", err)

@@ -1,9 +1,8 @@
 // Command delorean-fuzz drives the differential validation harness
 // (internal/diffcheck): each seed generates a random workload, runs it
 // through the full oracle matrix — cross-model agreement on race-free
-// programs, byte-identical recordings across simulator worker counts,
-// perturbed replay determinism, serialization and LZ77 round trips,
-// interval replay, and log fault injection — and reports any oracle
+// programs, perturbed replay determinism, serialization and LZ77 round
+// trips, interval and segmented replay, and log fault injection — and reports any oracle
 // that failed to hold.
 //
 // Usage:

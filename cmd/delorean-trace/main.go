@@ -49,7 +49,6 @@ func run(out, errw io.Writer, args []string) int {
 		wname    = fs.String("workload", "raytrace", "workload to regenerate for -perfetto (must match the recording)")
 		scale    = fs.Int("scale", 100_000, "workload scale for -perfetto (must match the recording)")
 		seed     = fs.Uint64("seed", 1, "workload seed for -perfetto (must match the recording)")
-		simpar   = fs.Int("simparallel", 1, "intra-run simulator workers for the -perfetto replay")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -86,7 +85,7 @@ func run(out, errw io.Writer, args []string) int {
 	}
 
 	if *perfetto != "" {
-		return exportPerfetto(out, errw, data, rec, *perfetto, *wname, *scale, *seed, *simpar)
+		return exportPerfetto(out, errw, data, rec, *perfetto, *wname, *scale, *seed)
 	}
 
 	inspect(out, rec, *piN, *showCS, *showIn)
@@ -95,9 +94,8 @@ func run(out, errw io.Writer, args []string) int {
 
 // exportPerfetto re-executes the recording under the replay machine with
 // timeline capture and writes the trace as chrome trace_event JSON.
-func exportPerfetto(out, errw io.Writer, data []byte, rec *core.Recording, path, wname string, scale int, seed uint64, simpar int) int {
+func exportPerfetto(out, errw io.Writer, data []byte, rec *core.Recording, path, wname string, scale int, seed uint64) int {
 	cfg := delorean.DefaultConfig()
-	cfg.SimParallel = simpar
 	w := delorean.NewWorkload(wname, rec.NProcs, scale, seed)
 	r, err := delorean.LoadRecording(bytes.NewReader(data), cfg, w)
 	if err != nil {

@@ -14,7 +14,6 @@
 //	-replays n       perturbed replay runs to verify (default 5)
 //	-stratify n      also build the stratified PI log (chunks/stratum)
 //	-seed n          workload seed
-//	-simparallel n   intra-run simulator workers (default 1: sequential)
 //	-checkpoint n    take a checkpoint every n chunk commits (0: off)
 //	-replay-parallel n  replay checkpoint intervals on n workers
 //	-save-parallel n    save/load compression workers (bytes identical)
@@ -45,7 +44,6 @@ func main() {
 		replays  = flag.Int("replays", 5, "perturbed replay runs")
 		stratify = flag.Int("stratify", 0, "stratified PI log chunks/stratum (0: off)")
 		seed     = flag.Uint64("seed", 1, "workload seed")
-		simpar   = flag.Int("simparallel", 1, "intra-run simulator workers (1: sequential reference scheduler)")
 		ckEvery  = flag.Uint64("checkpoint", 0, "take a checkpoint every n chunk commits (0: off)")
 		repPar   = flag.Int("replay-parallel", 0, "replay checkpoint-delimited intervals on n workers (0: sequential)")
 		list     = flag.Bool("list", false, "list workloads and exit")
@@ -83,7 +81,6 @@ func main() {
 	cfg := delorean.DefaultConfig()
 	cfg.Processors = *procs
 	cfg.Stratify = *stratify
-	cfg.SimParallel = *simpar
 	cfg.CheckpointEvery = *ckEvery
 	if *chunk > 0 {
 		cfg.ChunkSize = *chunk
@@ -150,10 +147,6 @@ func main() {
 	fmt.Printf("  squashes          %d\n", st.Squashes)
 	if st.Interrupts+st.IOOps+st.DMAs > 0 {
 		fmt.Printf("  interrupts/io/dma %d / %d / %d\n", st.Interrupts, st.IOOps, st.DMAs)
-	}
-	if ss := rec.SchedStats(); ss.Windows > 0 {
-		fmt.Printf("  scheduler         %d windows (mean %.2f cores), %d serial events\n",
-			ss.Windows, float64(ss.EligibleCores)/float64(ss.Windows), ss.SerialEvents)
 	}
 	fmt.Printf("\nmemory-ordering log:\n")
 	fmt.Printf("  raw               %d bits\n", rec.LogBits(false))

@@ -95,11 +95,11 @@ type Config struct {
 	// MaxInstructions bounds a run (0: a large default); runs exceeding
 	// it report an error instead of hanging on a livelocked program.
 	MaxInstructions uint64
-	// SimParallel sets the simulator's intra-run worker count: between
-	// two consecutive global events (arbiter commits, interrupt/DMA
-	// delivery, I/O), all runnable simulated cores advance concurrently.
-	// 0 or 1 selects the sequential reference scheduler; every worker
-	// count produces byte-identical recordings and replays.
+	// SimParallel must be 0 or 1; Record rejects any other value. Each
+	// simulation runs on one goroutine.
+	//
+	// Deprecated: the simulator has a single scheduler, so there is no
+	// intra-run worker count to set.
 	SimParallel int
 }
 
@@ -107,6 +107,15 @@ type Config struct {
 // 2000-instruction chunks, 2 simultaneous chunks per processor.
 func DefaultConfig() Config {
 	return Config{Processors: 8, ChunkSize: 2000, SimulChunks: 2}
+}
+
+// checkSimParallel rejects the deprecated intra-run worker count instead
+// of silently ignoring it.
+func (c Config) checkSimParallel() error {
+	if c.SimParallel != 0 && c.SimParallel != 1 {
+		return fmt.Errorf("delorean: SimParallel must be 0 or 1, got %d", c.SimParallel)
+	}
+	return nil
 }
 
 func (c Config) machine() sim.Config {
@@ -226,13 +235,15 @@ func Record(cfg Config, mode Mode, w *Workload) (*Recording, error) {
 // than one chunk's execution — and RecordContext returns an error
 // wrapping ctx.Err(). The partial recording is discarded.
 func RecordContext(ctx context.Context, cfg Config, mode Mode, w *Workload) (*Recording, error) {
+	if err := cfg.checkSimParallel(); err != nil {
+		return nil, err
+	}
 	m := cfg.machine()
 	memory := w.InitMem()
 	rec, err := core.Record(m, coreMode(mode), w.Progs, memory, w.Devs, core.RecordOptions{
 		StratifyMax:     cfg.Stratify,
 		ExactConflicts:  cfg.ExactConflicts,
 		CheckpointEvery: cfg.CheckpointEvery,
-		Parallel:        cfg.SimParallel,
 		Ctx:             ctx,
 	})
 	if err != nil {
@@ -246,28 +257,6 @@ func (r *Recording) Mode() Mode { return Mode(r.rec.Mode) }
 
 // Stats returns the initial execution's statistics.
 func (r *Recording) Stats() ExecStats { return execStats(r.rec.Stats) }
-
-// SchedStats describes how the intra-run parallel scheduler
-// (Config.SimParallel > 1) spent the recording run: how many parallel
-// windows it opened, the total eligible-core fan-out across them, and
-// how many global events it processed serially between windows. All
-// zero after a sequential run. Host-side diagnostics only — the
-// simulated execution is byte-identical at every worker count.
-type SchedStats struct {
-	Windows       uint64
-	EligibleCores uint64
-	SerialEvents  uint64
-}
-
-// SchedStats returns the recording run's parallel-scheduler barrier
-// statistics.
-func (r *Recording) SchedStats() SchedStats {
-	return SchedStats{
-		Windows:       r.rec.Sched.Windows,
-		EligibleCores: r.rec.Sched.EligibleCores,
-		SerialEvents:  r.rec.Sched.SerialEvents,
-	}
-}
 
 // LogBits returns the memory-ordering log size in bits (PI + CS logs;
 // input logs excluded, following the paper's metric), raw or
@@ -377,7 +366,6 @@ func (r *Recording) Replay(opts ReplayWith) (ReplayResult, error) {
 	ro := core.ReplayOptions{
 		UseStratified:  opts.UseStratified,
 		ExactConflicts: r.cfg.ExactConflicts,
-		Parallel:       r.cfg.SimParallel,
 		ReplayParallel: opts.Parallel,
 		Ctx:            opts.Ctx,
 	}
@@ -438,8 +426,7 @@ func (r *Recording) Checkpoints() int { return r.rec.CheckpointCount() }
 // the delta-checkpoint materialization cache it shares with segmented
 // replay is internally locked.
 func (r *Recording) ReplayFromCheckpoint(idx int, opts ReplayWith) (ReplayResult, error) {
-	ro := core.ReplayOptions{ExactConflicts: r.cfg.ExactConflicts, Parallel: r.cfg.SimParallel,
-		Ctx: opts.Ctx}
+	ro := core.ReplayOptions{ExactConflicts: r.cfg.ExactConflicts, Ctx: opts.Ctx}
 	if opts.PerturbSeed != 0 {
 		ro.Perturb = bulksc.DefaultPerturb(opts.PerturbSeed)
 	}

@@ -48,6 +48,30 @@ func TestRecordReplayBuiltinWorkload(t *testing.T) {
 	}
 }
 
+// SimParallel is deprecated: 0 and 1 record normally, and every other
+// value is an error from each record entry point rather than a silently
+// ignored setting.
+func TestRecordRejectsSimParallel(t *testing.T) {
+	w := NewWorkload("barnes", 4, 2000, 7)
+	for _, par := range []int{2, 4, -1} {
+		cfg := smallConfig()
+		cfg.SimParallel = par
+		if _, err := Record(cfg, OrderOnly, w); err == nil || !strings.Contains(err.Error(), "SimParallel") {
+			t.Errorf("Record SimParallel=%d: err = %v, want a SimParallel error", par, err)
+		}
+		if _, _, err := RecordTraced(cfg, OrderOnly, w); err == nil {
+			t.Errorf("RecordTraced SimParallel=%d: accepted", par)
+		}
+	}
+	for _, par := range []int{0, 1} {
+		cfg := smallConfig()
+		cfg.SimParallel = par
+		if _, err := Record(cfg, OrderOnly, w); err != nil {
+			t.Errorf("Record SimParallel=%d: %v", par, err)
+		}
+	}
+}
+
 func TestAllModes(t *testing.T) {
 	for _, mode := range []Mode{OrderSize, OrderOnly, PicoLog} {
 		w := NewWorkload("water-ns", 4, 8000, 3)

@@ -74,9 +74,8 @@ type Arbiter struct {
 	// Exact selects exact-line conflict checks instead of signatures
 	// (the ablation oracle).
 	Exact bool
-	// Trace, when non-nil, receives occupancy samples and deny events.
-	// The engine only drives the arbiter from serial sections, so this
-	// points at the trace sink's global stream.
+	// Trace, when non-nil, receives occupancy samples and deny events;
+	// the engine points it at the trace sink's global stream.
 	Trace *trace.Stream
 
 	queue    []*Request

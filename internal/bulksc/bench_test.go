@@ -33,11 +33,9 @@ func BenchmarkChunkStartSquash(b *testing.B) {
 
 // BenchmarkEngineRun measures one whole Engine.Run on a 4-processor
 // ~20k-iteration mixed workload (contended lock, atomic counter, private
-// store stream) — the unit the intra-run parallel scheduler is meant to
-// speed up. The seq/par4 pair tracks the scheduler's scaling in
-// `go test -bench` without needing the experiment harness.
+// store stream) in `go test -bench`, without the experiment harness.
 func BenchmarkEngineRun(b *testing.B) {
-	bench := func(parallel int, traced bool) func(*testing.B) {
+	bench := func(traced bool) func(*testing.B) {
 		return func(b *testing.B) {
 			cfg := sim.Default8()
 			cfg.NProcs = 4
@@ -51,8 +49,7 @@ func BenchmarkEngineRun(b *testing.B) {
 						atomicIncProgram(0x3000, 20000),
 						storeStream(0x8000, 20000),
 					},
-					Mem:      mem.New(),
-					Parallel: parallel,
+					Mem: mem.New(),
 				}
 				if traced {
 					e.Trace = trace.NewSink(cfg.NProcs)
@@ -63,10 +60,8 @@ func BenchmarkEngineRun(b *testing.B) {
 			}
 		}
 	}
-	b.Run("seq", bench(1, false))
-	b.Run("par4", bench(4, false))
-	// The traced pair bounds the observability layer's enabled cost; the
-	// untraced pair above is the <2%-overhead-when-disabled reference.
-	b.Run("seq-traced", bench(1, true))
-	b.Run("par4-traced", bench(4, true))
+	b.Run("seq", bench(false))
+	// seq-traced bounds the observability layer's enabled cost; seq is
+	// the <2%-overhead-when-disabled reference.
+	b.Run("seq-traced", bench(true))
 }

@@ -59,13 +59,6 @@ type Engine struct {
 	// drain (they occupy the base's log slot, so their stores belong to
 	// this side of the boundary). Stats.Stopped reports a clean stop.
 	StopAtCommit uint64
-	// Parallel sets the intra-run worker count: between two consecutive
-	// global events (arbiter activity, DMA arrival, uncached I/O), all
-	// runnable cores advance concurrently up to the next global-event
-	// horizon, and their produced events merge back deterministically.
-	// 0 or 1 selects the sequential reference scheduler; every worker
-	// count produces byte-identical Stats, logs and observer streams.
-	Parallel int
 	// Trace, when non-nil, receives the run's execution timeline and
 	// end-of-run counter aggregates. It must be built for NProcs
 	// processors (trace.NewSink). Tracing is observation-only: Stats,
@@ -81,26 +74,18 @@ type Engine struct {
 	// arms this with a request context's Done channel.
 	Cancel <-chan struct{}
 
-	arb    *arbiter.Arbiter
-	ms     *sim.MemSys // from sim's pool; held only while Run executes
-	cores  []*core
+	arb   *arbiter.Arbiter
+	ms    *sim.MemSys // from sim's pool; held only while Run executes
+	cores []*core
+	// events holds the global events only: DMA arrivals, commit-request
+	// submissions and arbiter wake-ups. Core wake-ups live in the cores'
+	// (wake, wakeOK) fields; step merges the two.
 	events eventHeap
 	stats  Stats
 	now    uint64 // current global event time (monotone)
 
-	// parMode marks a Parallel>1 run: core wake-ups live in per-core
-	// (wake, wakeOK) fields instead of the event heap, which then carries
-	// only global events. inWindow is set while cores advance on worker
-	// goroutines; engine-global side effects (heap pushes, squash
-	// notifications) buffer per-core and flush at the window barrier.
-	parMode  bool
-	inWindow bool
-	elig     []*core       // scratch: the current window's eligible cores
-	noteBuf  []pendingNote // scratch: squash notes gathered at the barrier
-	winStats WindowStats   // barrier-frequency diagnostics (parallel runs)
-
 	// gtr caches Trace's global stream (nil when tracing is off) so the
-	// serial-side emission sites pay one nil check when disabled.
+	// engine-wide emission sites pay one nil check when disabled.
 	gtr *trace.Stream
 
 	doneCores      int
@@ -140,7 +125,7 @@ type Engine struct {
 const cancelPollMask = 63
 
 // pollCancel samples the Cancel channel (rationed) and latches the
-// result. Called from the serial scheduler loops only.
+// result.
 func (e *Engine) pollCancel() {
 	if e.Cancel == nil || e.cancelled {
 		return
@@ -205,7 +190,6 @@ type core struct {
 	cur    *chunk.Chunk
 
 	nextSeq    uint64
-	epoch      uint64
 	blocked    blockReason
 	blockStart uint64
 
@@ -229,28 +213,23 @@ type core struct {
 
 	lastReqArrive uint64 // commit requests leave the core in chunk order
 
-	// Per-core resources that would otherwise couple concurrently
-	// advancing cores: the chunk-storage free list, the perturbation and
-	// random-truncation streams (seeded per processor so draw order is
-	// independent of cross-core interleaving), and the executed-
-	// instruction counter.
+	// Per-core state whose behaviour must depend only on this core's own
+	// execution, never on how the scheduler interleaves cores: the
+	// chunk-storage free list and the perturbation and random-truncation
+	// streams (seeded per processor, so a core's draw sequence is a
+	// function of its own steps), and the executed-instruction counter.
 	free []chunk.Storage
 	prng *rng.Source
 	trng *rng.Source
 	exec uint64
 
-	// Parallel-mode scheduling state: the core's next step time (wake,
-	// valid while wakeOK) replaces its event-heap entries, and the
-	// buffers below hold side effects produced inside a window until the
-	// barrier merges them deterministically.
-	wake      uint64
-	wakeOK    bool
-	outEvents []event
-	notes     []pendingNote
+	// wake is the core's next step time, valid while wakeOK. A core has
+	// at most one pending step, so it lives here rather than in the event
+	// heap; rescheduling overwrites it.
+	wake   uint64
+	wakeOK bool
 
-	// tr is this core's trace stream (nil when tracing is off). A core
-	// appends only to its own stream, so emission inside parallel windows
-	// needs no locks and no buffering.
+	// tr is this core's trace stream (nil when tracing is off).
 	tr *trace.Stream
 
 	useful     uint64
@@ -261,30 +240,19 @@ type core struct {
 	slotStall  uint64
 }
 
-// pendingNote is a squash-self notification produced inside a parallel
-// window, flushed at the barrier in (time, proc) order — exactly the
-// order the sequential scheduler would have emitted it in.
-type pendingNote struct {
-	time  uint64
-	proc  int
-	seq   uint64
-	insts int
-}
-
-// Event kinds, in same-time priority order.
+// Global event kinds, in same-time priority order. Every global event
+// at a given time runs before any core step at that time.
 const (
 	evDMA uint8 = iota
 	evSubmit
 	evArb
-	evCore
 )
 
 type event struct {
-	time  uint64
-	kind  uint8
-	id    int
-	epoch uint64
-	req   *arbiter.Request
+	time uint64
+	kind uint8
+	id   int
+	req  *arbiter.Request
 }
 
 // eventHeap is a hand-rolled binary min-heap of events. container/heap
@@ -300,10 +268,7 @@ func (a event) less(b event) bool {
 	if a.kind != b.kind {
 		return a.kind < b.kind
 	}
-	if a.id != b.id {
-		return a.id < b.id
-	}
-	return a.epoch < b.epoch
+	return a.id < b.id
 }
 
 func (h eventHeap) Len() int { return len(h) }
@@ -352,9 +317,9 @@ func (h *eventHeap) pop() event {
 func (e *Engine) push(ev event) { e.events.push(ev) }
 
 // newChunk starts a chunk for co, reusing a retired chunk's interior
-// buffers when available. The free list is per-core so chunk turnover on
-// concurrently advancing cores never contends (and recycling order stays
-// independent of cross-core interleaving).
+// buffers when available. The free list is per-core so recycling order
+// depends only on the core's own chunk turnover, not on how cores
+// interleave.
 func (e *Engine) newChunk(co *core, seqID uint64, ckpt isa.ThreadState, target int) *chunk.Chunk {
 	if n := len(co.free); n > 0 {
 		st := co.free[n-1]
@@ -375,9 +340,8 @@ func (e *Engine) releaseChunk(c *chunk.Chunk) {
 
 // resetRun clears all per-run state so a reused Engine starts every Run
 // from scratch. Without it a second Run on the same Engine doubled
-// e.cores, accumulated e.stats, and reported the previous run's
-// WindowStats — violating the "all zero after a sequential run"
-// contract on WindowStats.
+// e.cores, accumulated e.stats and kept the previous run's pending
+// events.
 //
 // Configuration fields are left alone. Note that a stateful Policy or
 // ReplaySource (LogOrder, replay log cursors) carries its own position
@@ -390,11 +354,6 @@ func (e *Engine) resetRun() {
 	e.events = nil
 	e.stats = Stats{}
 	e.now = 0
-	e.parMode = false
-	e.inWindow = false
-	e.elig = nil
-	e.noteBuf = nil
-	e.winStats = WindowStats{}
 	e.gtr = nil
 	e.doneCores = 0
 	e.lastCkptAt = 0
@@ -433,7 +392,6 @@ func (e *Engine) Run() Stats {
 			e.Trace.NProcs(), e.Cfg.NProcs))
 	}
 	e.gtr = e.Trace.Global()
-	e.parMode = e.Parallel > 1 && e.Cfg.NProcs > 1
 	e.policy = e.Policy
 	if e.StopAtCommit > 0 {
 		e.gate = &stopGate{inner: e.Policy}
@@ -464,8 +422,7 @@ func (e *Engine) Run() Stats {
 		co.ts.Reg[14] = int64(e.Cfg.NProcs)
 		// Per-core random streams: deriving each from (seed, proc) keeps
 		// draw order a function of the core's own execution, not of how
-		// cores interleave — the same sequence whether the scheduler is
-		// sequential or windowed.
+		// cores interleave.
 		if e.Perturb != nil {
 			co.prng = rng.New(procStream(e.Perturb.Seed, p))
 		}
@@ -488,13 +445,7 @@ func (e *Engine) Run() Stats {
 			}
 		}
 		e.cores = append(e.cores, co)
-		if !co.haltDone {
-			if e.parMode {
-				co.wake, co.wakeOK = 0, true
-			} else {
-				e.push(event{time: 0, kind: evCore, id: p})
-			}
-		}
+		co.wakeOK = !co.haltDone
 	}
 	if e.Replay == nil {
 		for i, tr := range e.Devs.DMA {
@@ -507,21 +458,23 @@ func (e *Engine) Run() Stats {
 		budget = 100_000_000
 	}
 
-	if e.parMode {
-		e.runParallel(budget)
-	} else {
-		e.runSequential(budget)
+	for e.doneCores < e.Cfg.NProcs && !e.inputStarved && !e.stopped && e.execCount() < budget && e.chunkCount() < budget {
+		if e.pollCancel(); e.cancelled {
+			break
+		}
+		if !e.step() {
+			break // no pending event and no runnable core
+		}
 	}
 
-	e.finishStats(budget)
+	e.finishStats()
 	sim.ReleaseMemSys(e.ms)
 	e.ms = nil
 	return e.stats.clone()
 }
 
 // execCount sums executed instructions (useful and squashed) across
-// cores. Kept per-core so concurrently advancing cores never share a
-// counter; the sum is cheap next to processing an event.
+// cores; the sum is cheap next to processing an event.
 func (e *Engine) execCount() uint64 {
 	var n uint64
 	for _, co := range e.cores {
@@ -543,45 +496,60 @@ func (e *Engine) chunkCount() uint64 {
 	return n
 }
 
-// runSequential is the reference scheduler: one global event heap, one
-// event at a time, in (time, kind, id, epoch) order.
-func (e *Engine) runSequential(budget uint64) {
-	for e.events.Len() > 0 && e.doneCores < e.Cfg.NProcs && !e.inputStarved && !e.stopped && e.execCount() < budget && e.chunkCount() < budget {
-		if e.pollCancel(); e.cancelled {
-			return
+// step processes the earliest pending event in (time, kind, id) order:
+// the heap's global events first, then core steps by processor. It
+// reports false when nothing is pending.
+func (e *Engine) step() bool {
+	var next *core
+	for _, co := range e.cores {
+		if !co.wakeOK || co.blocked != notBlocked || co.haltDone {
+			continue
 		}
-		ev := e.events.pop()
-		if ev.time < e.now {
-			panic("bulksc: event time regressed")
+		// Past the stop target only cores owing split continuations keep
+		// executing; stepping anyone else would consume replay inputs that
+		// belong beyond the boundary.
+		if e.stopPending && !co.owesContinuation() {
+			continue
 		}
-		e.now = ev.time
-		switch ev.kind {
-		case evDMA:
-			e.recordDMAArrival(ev.id)
-		case evSubmit:
-			// The chunk may have been squashed between completion and
-			// this request's arrival at the arbiter; drop stale requests.
-			if c, isChunk := ev.req.Tag.(*chunk.Chunk); isChunk && !e.chunkAlive(c) {
-				continue
-			}
-			e.arb.Submit(e.now, ev.req)
-			e.drainArbiter()
-		case evArb:
-			e.drainArbiter()
-		case evCore:
-			co := e.cores[ev.id]
-			if ev.epoch != co.epoch || co.blocked != notBlocked || co.haltDone {
-				continue
-			}
-			// Past the stop target only cores owing split continuations
-			// keep executing; stepping anyone else would consume replay
-			// inputs that belong beyond the boundary.
-			if e.stopPending && !co.owesContinuation() {
-				continue
-			}
-			e.stepCore(co)
+		if next == nil || co.wake < next.wake {
+			next = co
 		}
 	}
+	if next != nil && (e.events.Len() == 0 || next.wake < e.events[0].time) {
+		e.advance(next.wake)
+		next.wakeOK = false
+		e.stepCore(next) // re-arms wakeOK via reschedule unless the core blocked
+		return true
+	}
+	if e.events.Len() == 0 {
+		return false
+	}
+	ev := e.events.pop()
+	e.advance(ev.time)
+	switch ev.kind {
+	case evDMA:
+		e.recordDMAArrival(ev.id)
+	case evSubmit:
+		// The chunk may have been squashed between completion and this
+		// request's arrival at the arbiter; drop stale requests.
+		if c, isChunk := ev.req.Tag.(*chunk.Chunk); isChunk && !e.chunkAlive(c) {
+			return true
+		}
+		e.arb.Submit(e.now, ev.req)
+		e.drainArbiter()
+	case evArb:
+		e.drainArbiter()
+	}
+	return true
+}
+
+// advance moves the engine clock to the next event's time; events never
+// run backwards.
+func (e *Engine) advance(t uint64) {
+	if t < e.now {
+		panic("bulksc: event time regressed")
+	}
+	e.now = t
 }
 
 // procStream derives a per-processor seed from a run seed (SplitMix64's
@@ -590,7 +558,7 @@ func procStream(seed uint64, p int) uint64 {
 	return seed + 0x9e3779b97f4a7c15*uint64(p+1)
 }
 
-func (e *Engine) finishStats(budget uint64) {
+func (e *Engine) finishStats() {
 	s := &e.stats
 	s.Converged = e.doneCores == e.Cfg.NProcs
 	s.Stopped = e.stopped
@@ -619,11 +587,10 @@ func (e *Engine) finishStats(budget uint64) {
 	// Interconnect traffic proxy: line transfers for every off-core
 	// access, plus signature+grant exchange per commit, plus squash
 	// control and refetch traffic.
-	lineMsgs := e.ms.TotalL2Hits() + e.ms.TotalMemAccesses() + e.ms.TotalC2CTransfers() + e.ms.TotalUpgrades()
+	lineMsgs := e.ms.L2Hits + e.ms.MemAccesses + e.ms.C2CTransfers + e.ms.Upgrades
 	s.TrafficBytes += lineMsgs * (isa.LineBytes + 8)
 	s.TrafficBytes += s.Chunks * (signature.Bits/8 + 16)
 	s.TrafficBytes += s.Squashes * 64
-	_ = budget
 	if e.Trace != nil {
 		e.fillCounters()
 	}
@@ -631,7 +598,7 @@ func (e *Engine) finishStats(budget uint64) {
 
 // fillCounters publishes end-of-run aggregates into the trace sink's
 // counter registry: the Stats fields, the per-cause stall breakdown the
-// timing model keeps, arbiter contention, and scheduler diagnostics.
+// timing model keeps, and arbiter contention.
 func (e *Engine) fillCounters() {
 	r := e.Trace.Counters
 	if r == nil {
@@ -673,8 +640,6 @@ func (e *Engine) fillCounters() {
 	r.Set("arb.grants", float64(ast.Grants))
 	r.Set("arb.ready-avg", ast.ReadyProcsAvg)
 	r.Set("arb.commit-avg", ast.ActualCommitAvg)
-	r.Set("sched.windows", float64(e.winStats.Windows))
-	r.Set("sched.serial-events", float64(e.winStats.SerialEvents))
 	for _, co := range e.cores {
 		p := fmt.Sprintf("p%d.", co.proc)
 		r.Set(p+"cycles", float64(co.tm.Clock))
@@ -689,20 +654,12 @@ func (e *Engine) reschedule(co *core) {
 	if co.blocked != notBlocked || co.haltDone {
 		return
 	}
-	if e.parMode {
-		// Parallel mode keeps core wake-ups out of the heap: the core's
-		// next step time lives in the core itself, so windows can advance
-		// cores without touching shared structures.
-		co.wake, co.wakeOK = co.tm.Clock, true
-		return
-	}
-	e.push(event{time: co.tm.Clock, kind: evCore, id: co.proc, epoch: co.epoch})
+	co.wake, co.wakeOK = co.tm.Clock, true
 }
 
 func (e *Engine) block(co *core, why blockReason) {
 	co.blocked = why
 	co.blockStart = co.tm.Clock
-	co.epoch++
 }
 
 func (e *Engine) unblock(co *core) {
@@ -715,13 +672,12 @@ func (e *Engine) unblock(co *core) {
 	if was == waitSlot && co.tm.Clock > co.blockStart {
 		co.slotStall += co.tm.Clock - co.blockStart
 	}
-	// unblock only runs from commit application — a serial section — so
-	// the stall event goes to the global stream.
+	// unblock only runs from commit application, so the stall event goes
+	// to the global stream.
 	if e.gtr != nil && co.tm.Clock > co.blockStart {
 		e.gtr.Emit(trace.Event{Time: e.now, Proc: int32(co.proc), Kind: trace.Stall,
 			A: co.tm.Clock - co.blockStart, B: uint64(was)})
 	}
-	co.epoch++
 	e.reschedule(co)
 }
 
@@ -1003,17 +959,7 @@ func (e *Engine) completeChunk(co *core, reason chunk.TruncReason) {
 		Split:  c.SplitPiece,
 		Tag:    c,
 	}
-	ev := event{time: arrive, kind: evSubmit, id: co.proc, req: req}
-	if e.inWindow {
-		// Inside a parallel window the heap is shared: buffer the submit
-		// on the core and merge it at the barrier. Per-core arrival times
-		// are strictly increasing, and the heap orders distinct
-		// (time, id) keys identically however they are pushed, so the
-		// merged schedule matches the sequential one exactly.
-		co.outEvents = append(co.outEvents, ev)
-		return
-	}
-	e.push(ev)
+	e.push(event{time: arrive, kind: evSubmit, id: co.proc, req: req})
 }
 
 // ---- chunk lifecycle ----
@@ -1039,15 +985,8 @@ func (e *Engine) squashSelfForInterrupt(co *core) {
 	}
 	co.wasted += uint64(c.Insts)
 	co.squashes++
-	if e.inWindow {
-		// Engine-global stats and observer calls are serial-side state:
-		// buffer the notification and flush it at the window barrier in
-		// (time, proc) order — the sequential emission order.
-		co.notes = append(co.notes, pendingNote{time: co.tm.Clock, proc: co.proc, seq: c.SeqID, insts: c.Insts})
-	} else {
-		e.stats.Squashes++
-		e.Obs.OnSquash(co.proc, c.SeqID, c.Insts, co.proc)
-	}
+	e.stats.Squashes++
+	e.Obs.OnSquash(co.proc, c.SeqID, c.Insts, co.proc)
 	co.chunks = co.chunks[:len(co.chunks)-1]
 	co.cur = nil
 	co.ts = c.Checkpoint
@@ -1055,7 +994,6 @@ func (e *Engine) squashSelfForInterrupt(co *core) {
 	co.tm.Clock += e.Cfg.SquashPenalty
 	co.nextSeqRollback(c)
 	e.releaseChunk(c)
-	co.epoch++
 }
 
 // startChunk prepares the next chunk (running pending I/O and delivering
@@ -1568,7 +1506,6 @@ func (e *Engine) squashFrom(co *core, idx int, committer int) {
 	co.cur = nc
 
 	co.blocked = notBlocked
-	co.epoch++
 	e.reschedule(co)
 }
 

@@ -43,21 +43,21 @@ func TestEngineReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// A parallel run followed by a sequential rerun on the same engine must
-// not leak window statistics: WindowStats is documented as all zero
-// after a sequential run.
-func TestEngineReuseResetsWindowStats(t *testing.T) {
-	e := &Engine{Cfg: testConfig(4), Progs: reuseProgs(), Parallel: 4}
-	runEngine(t, e)
-	if ws := e.WindowStats(); ws.Windows == 0 {
-		t.Fatalf("parallel run opened no windows: %+v", ws)
-	}
+// A run cut short by the instruction budget stops with core wake-ups and
+// global events still pending. A full rerun on the same engine must
+// match a fresh engine, so none of that scheduler state may leak.
+func TestEngineReuseAfterBudgetStop(t *testing.T) {
+	want := runEngine(t, &Engine{Cfg: testConfig(4), Progs: reuseProgs()})
 
+	e := &Engine{Cfg: testConfig(4), Progs: reuseProgs(), Mem: mem.New()}
+	e.Cfg.MaxInsts = 10_000
+	if st := e.Run(); st.Converged || st.Chunks == 0 {
+		t.Fatalf("budget run should stop mid-flight: %+v", st)
+	}
+	e.Cfg.MaxInsts = testConfig(4).MaxInsts
 	e.Mem = mem.New()
-	e.Parallel = 1
-	runEngine(t, e)
-	if ws := e.WindowStats(); ws != (WindowStats{}) {
-		t.Fatalf("sequential rerun kept stale window stats: %+v", ws)
+	if got := runEngine(t, e); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rerun after a budget stop differs from fresh engine:\n got %+v\nwant %+v", got, want)
 	}
 }
 

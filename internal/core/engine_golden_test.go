@@ -242,9 +242,6 @@ func engineGoldenCases() []engineCase {
 				fmt.Fprintf(&evs, "%+v\n", ev)
 			}
 			for _, c := range sink.Counters.Snapshot() {
-				if strings.HasPrefix(c.Name, "sched.") {
-					continue // scheduler self-description, not part of the execution
-				}
 				fmt.Fprintf(&ctrs, "%+v\n", c)
 			}
 			return append(plain, digest{"events", sha(evs.String())}, digest{"counters", sha(ctrs.String())})

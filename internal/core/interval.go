@@ -58,7 +58,7 @@ func validateCheckpointProcs(rec *Recording, progs []*isa.Program) error {
 // Stratified interval replay is not supported: stratum boundaries do not
 // generally align with checkpoint slots.
 func ReplayFromCheckpoint(rec *Recording, idx int, cfg sim.Config, progs []*isa.Program, opts ReplayOptions) (ReplayResult, error) {
-	if err := rec.EnsureCheckpoints(opts.Parallel); err != nil {
+	if err := rec.EnsureCheckpoints(opts.ReplayParallel); err != nil {
 		return ReplayResult{}, err
 	}
 	if idx < 0 || idx >= len(rec.Checkpoints) {
@@ -132,7 +132,6 @@ func ReplayFromCheckpoint(rec *Recording, idx int, cfg sim.Config, progs []*isa.
 		Perturb:        opts.Perturb,
 		ExactConflicts: opts.ExactConflicts,
 		PicoLog:        rec.Mode == PicoLog,
-		Parallel:       opts.Parallel,
 		Trace:          opts.Trace,
 		Resume:         &bulksc.Resume{Procs: cp.Procs, BaseCommits: cp.Slot},
 	}

@@ -32,10 +32,6 @@ type RecordOptions struct {
 	// many chunk commits; ReplayFromCheckpoint can then replay any
 	// interval (paper Appendix B's I(n, m)).
 	CheckpointEvery uint64
-	// Parallel sets the engine's intra-run worker count (0/1: the
-	// sequential reference scheduler). Every count records the identical
-	// logs, stats and fingerprint.
-	Parallel int
 	// Trace, when non-nil, captures the run's execution timeline into the
 	// sink (which must be built for cfg.NProcs processors) and attaches
 	// it to the returned Recording. Observation-only: the recording is
@@ -214,8 +210,8 @@ func Record(cfg sim.Config, mode Mode, progs []*isa.Program, memory *mem.Memory,
 		r.strat = stratifier.New(cfg.NProcs, opts.StratifyMax)
 	}
 	if opts.Trace != nil {
-		// Observer callbacks run in the engine's serial sections, so the
-		// recorder's samples share the sink's global stream.
+		// The recorder's samples are machine-global, so they share the
+		// sink's global stream.
 		r.tr = opts.Trace.Global()
 		r.csBits = make([]uint64, cfg.NProcs)
 		r.intrBits = make([]uint64, cfg.NProcs)
@@ -238,7 +234,6 @@ func Record(cfg sim.Config, mode Mode, progs []*isa.Program, memory *mem.Memory,
 		Policy:         policy,
 		ExactConflicts: opts.ExactConflicts,
 		PicoLog:        mode == PicoLog,
-		Parallel:       opts.Parallel,
 		Trace:          opts.Trace,
 	}
 	if mode == OrderSize {
@@ -252,7 +247,6 @@ func Record(cfg sim.Config, mode Mode, progs []*isa.Program, memory *mem.Memory,
 		eng.Cancel = opts.Ctx.Done()
 	}
 	rec.Stats = eng.Run()
-	rec.Sched = eng.WindowStats()
 	rec.Trace = opts.Trace
 	if rec.Stats.Cancelled {
 		return nil, cancelledErr("record", opts.Ctx)

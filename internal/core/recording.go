@@ -113,13 +113,6 @@ type Recording struct {
 	// Stats is the initial execution's performance data.
 	Stats bulksc.Stats
 
-	// Sched reports how the intra-run parallel scheduler spent the
-	// recording run (all zero after a sequential run). Host-side
-	// diagnostics only: not serialized by WriteTo and not part of
-	// replay matching — the simulated execution is byte-identical at
-	// every worker count.
-	Sched bulksc.WindowStats
-
 	// Trace is the execution timeline captured when recording with
 	// RecordOptions.Trace (nil otherwise). Host-side observability only:
 	// not serialized by WriteTo and not part of replay matching.

@@ -292,9 +292,6 @@ type ReplayOptions struct {
 	UseStratified bool
 	// ExactConflicts matches the recording's squash oracle.
 	ExactConflicts bool
-	// Parallel sets the engine's intra-run worker count (0/1: the
-	// sequential reference scheduler). Every count replays identically.
-	Parallel int
 	// ReplayParallel, when > 0, partitions a checkpointed recording into
 	// checkpoint-delimited intervals and replays them concurrently on a
 	// bounded pool of that many workers (segmented replay). The verdict
@@ -303,7 +300,8 @@ type ReplayOptions struct {
 	// (DivergenceError.Interval) deterministically. Recordings without
 	// checkpoints fall back to plain sequential replay. Incompatible
 	// with UseStratified (stratum boundaries do not align with
-	// checkpoint cuts).
+	// checkpoint cuts). It also sizes the decode of a lazily indexed
+	// recording's sections (0: host default).
 	ReplayParallel int
 	// Trace, when non-nil, captures the replay's execution timeline into
 	// the sink (built for the recording's processor count), including a
@@ -333,7 +331,7 @@ type ReplayOptions struct {
 // builds all engine state per call, so concurrent replays of the same
 // recording are safe and produce identical verdicts.
 func Replay(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOptions) (ReplayResult, error) {
-	if err := rec.EnsureLogs(opts.Parallel); err != nil {
+	if err := rec.EnsureLogs(opts.ReplayParallel); err != nil {
 		return ReplayResult{}, err
 	}
 	if err := rec.Validate(); err != nil {
@@ -395,7 +393,6 @@ func Replay(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOpt
 		Perturb:        opts.Perturb,
 		ExactConflicts: opts.ExactConflicts,
 		PicoLog:        rec.Mode == PicoLog,
-		Parallel:       opts.Parallel,
 		Trace:          opts.Trace,
 	}
 	if opts.Ctx != nil {

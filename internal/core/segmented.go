@@ -274,7 +274,6 @@ func replayInterval(rec *Recording, cfg sim.Config, progs []*isa.Program, opts R
 		Perturb:        opts.Perturb,
 		ExactConflicts: opts.ExactConflicts,
 		PicoLog:        rec.Mode == PicoLog,
-		Parallel:       opts.Parallel,
 		Resume:         resume,
 		StopAtCommit:   stopSlot,
 	}

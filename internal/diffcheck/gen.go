@@ -4,9 +4,9 @@
 //
 // The harness exists to answer one question mechanically: for any
 // generated workload, do all the executions that must agree actually
-// agree — SC vs RC vs chunked on race-free programs, recordings across
-// simulator worker counts, record vs replay under perturbed timing,
-// recordings across a serialization round trip — and when a log is
+// agree — SC vs RC vs chunked on race-free programs, record vs replay
+// under perturbed timing, recordings across a serialization round trip,
+// segmented vs sequential replay — and when a log is
 // deliberately corrupted, does replay *detect* the divergence (a typed
 // core.DivergenceError or core.ErrCorruptLog) rather than silently
 // producing wrong memory or hanging?

@@ -19,16 +19,17 @@ import (
 type Options struct {
 	NProcs    int
 	ChunkSize int
-	// Parallel lists the simulator worker counts that must all produce
-	// byte-identical recordings (first entry is the baseline).
-	Parallel []int
+	// ReplayWorkers lists the segmented-replay worker counts that must
+	// all reach the sequential replay's verdict with identical results;
+	// the last entry also drives the checkpoint-fault oracle.
+	ReplayWorkers []int
 	// CheckpointEvery is the chunk-commit period for the interval-replay
 	// oracle (0 disables it).
 	CheckpointEvery uint64
 	// MaxInsts bounds every execution — the anti-hang backstop for
 	// fault-injected replays.
 	MaxInsts uint64
-	// Gen generates the racy workload for the record/replay, parallel,
+	// Gen generates the racy workload for the record/replay,
 	// serialization and fault oracles. The cross-model oracle always
 	// uses a race-free derivation of it.
 	Gen GenConfig
@@ -37,13 +38,13 @@ type Options struct {
 }
 
 // DefaultOptions returns the standard matrix: 4 processors, small
-// chunks (more interleaving per instruction), worker counts {1, 2, 8},
-// checkpoints, device traffic, and fault injection.
+// chunks (more interleaving per instruction), segmented-replay worker
+// counts {1, 2, 8}, checkpoints, device traffic, and fault injection.
 func DefaultOptions() Options {
 	return Options{
 		NProcs:          4,
 		ChunkSize:       200,
-		Parallel:        []int{1, 2, 8},
+		ReplayWorkers:   []int{1, 2, 8},
 		CheckpointEvery: 25,
 		MaxInsts:        30_000_000,
 		Gen:             SystemGen(),
@@ -132,16 +133,16 @@ func crossModel(rep *Report, seed uint64, opts Options, cfg sim.Config) {
 	}
 }
 
-// checkMode runs the per-mode oracles: parallel-worker byte identity,
-// perturbed replay determinism, serialization and lz77 round trips,
-// interval replay, and fault injection.
+// checkMode runs the per-mode oracles: perturbed replay determinism,
+// serialization and lz77 round trips, interval and segmented replay, and
+// fault injection.
 func checkMode(rep *Report, seed uint64, opts Options, cfg sim.Config, mode core.Mode, progs []*isa.Program) {
-	record := func(par int, every uint64) (*core.Recording, error) {
+	record := func(every uint64) (*core.Recording, error) {
 		return core.Record(cfg, mode, progs, mem.New(), GenDevices(seed, opts.NProcs, opts.Gen),
-			core.RecordOptions{TruncSeed: seed, Parallel: par, CheckpointEvery: every})
+			core.RecordOptions{TruncSeed: seed, CheckpointEvery: every})
 	}
 
-	rec, err := record(0, 0)
+	rec, err := record(0)
 	if err != nil {
 		rep.failf("%v: record: %v", mode, err)
 		return
@@ -152,25 +153,6 @@ func checkMode(rep *Report, seed uint64, opts Options, cfg sim.Config, mode core
 	}
 	saveLoadOracle(rep, mode, rec, base)
 	lazyResidency(rep, cfg, mode, progs, rec, base)
-
-	// Oracle: every simulator worker count produces the byte-identical
-	// recording and identical stats.
-	for _, par := range opts.Parallel {
-		if par <= 1 {
-			continue
-		}
-		recP, err := record(par, 0)
-		if err != nil {
-			rep.failf("%v: record parallel=%d: %v", mode, par, err)
-			continue
-		}
-		rep.check(reflect.DeepEqual(recP.Stats, rec.Stats),
-			"%v: parallel=%d stats differ from sequential", mode, par)
-		if b := serialize(rep, mode, recP); b != nil {
-			rep.check(bytes.Equal(b, base),
-				"%v: parallel=%d recording bytes differ from sequential", mode, par)
-		}
-	}
 
 	// Oracle: the serialized recording loads back, re-serializes to the
 	// same bytes, and its perturbed replay reproduces the original
@@ -309,13 +291,12 @@ func lzRoundTrip(rep *Report, mode core.Mode, rec *core.Recording) {
 
 // intervalReplay records with periodic checkpoints (which must not
 // change the execution: byte-identical serialization once the
-// checkpoint section is stripped) and replays each interval,
-// sequentially and under the last parallel worker count. It then runs
-// the segmented-replay and checkpoint-fault oracles on the same
-// checkpointed recording.
+// checkpoint section is stripped) and replays the first, middle and
+// last interval. It then runs the segmented-replay and checkpoint-fault
+// oracles on the same checkpointed recording.
 func intervalReplay(rep *Report, seed uint64, opts Options, cfg sim.Config, mode core.Mode,
-	progs []*isa.Program, base []byte, record func(par int, every uint64) (*core.Recording, error)) {
-	recCP, err := record(0, opts.CheckpointEvery)
+	progs []*isa.Program, base []byte, record func(every uint64) (*core.Recording, error)) {
+	recCP, err := record(opts.CheckpointEvery)
 	if err != nil {
 		rep.failf("%v: record with checkpoints: %v", mode, err)
 		return
@@ -331,21 +312,14 @@ func intervalReplay(rep *Report, seed uint64, opts Options, cfg sim.Config, mode
 			mode, opts.CheckpointEvery, recCP.Stats.Chunks)
 		return
 	}
-	pars := []int{0}
-	if n := len(opts.Parallel); n > 0 && opts.Parallel[n-1] > 1 {
-		pars = append(pars, opts.Parallel[n-1])
-	}
 	for _, idx := range []int{0, len(recCP.Checkpoints) / 2, len(recCP.Checkpoints) - 1} {
-		for _, par := range pars {
-			res, err := core.ReplayFromCheckpoint(recCP, idx, core.ReplayConfig(cfg), progs,
-				core.ReplayOptions{Parallel: par})
-			if err != nil {
-				rep.failf("%v: interval replay cp=%d par=%d: %v", mode, idx, par, err)
-				continue
-			}
-			rep.check(res.MatchesInterval(recCP, idx),
-				"%v: interval replay cp=%d par=%d does not match", mode, idx, par)
+		res, err := core.ReplayFromCheckpoint(recCP, idx, core.ReplayConfig(cfg), progs, core.ReplayOptions{})
+		if err != nil {
+			rep.failf("%v: interval replay cp=%d: %v", mode, idx, err)
+			continue
 		}
+		rep.check(res.MatchesInterval(recCP, idx),
+			"%v: interval replay cp=%d does not match", mode, idx)
 	}
 
 	segmentedReplay(rep, opts, cfg, mode, progs, recCP)
@@ -368,7 +342,7 @@ func segmentedReplay(rep *Report, opts Options, cfg sim.Config, mode core.Mode,
 	rep.check(seqRes.Matches(recCP), "%v: sequential replay of checkpointed recording diverged", mode)
 
 	var first *core.ReplayResult
-	for _, par := range opts.Parallel {
+	for _, par := range opts.ReplayWorkers {
 		if par < 1 {
 			continue
 		}
@@ -401,7 +375,7 @@ func injectCheckpointFaults(rep *Report, seed uint64, opts Options, cfg sim.Conf
 	if base == nil {
 		return
 	}
-	par := opts.Parallel[len(opts.Parallel)-1]
+	par := opts.ReplayWorkers[len(opts.ReplayWorkers)-1]
 	for fi, f := range CheckpointFaults() {
 		s := rng.New(seed<<10 ^ uint64(fi)<<6 ^ uint64(mode))
 		rec, err := core.ReadRecording(bytes.NewReader(base))

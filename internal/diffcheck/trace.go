@@ -3,35 +3,32 @@ package diffcheck
 import (
 	"bytes"
 	"reflect"
-	"strings"
 
 	"delorean/internal/bulksc"
 	"delorean/internal/core"
 	"delorean/internal/mem"
-	"delorean/internal/metrics"
 	"delorean/internal/trace"
 )
 
 // CheckTracing runs the observability oracle for one seed: tracing must
 // be observation-only. For every mode it records untraced (the baseline)
-// and traced at each worker count, demanding byte-identical serialized
-// recordings and identical Stats; it then demands the captured timeline
-// itself be identical across worker counts (after dropping the
-// scheduler's self-description, the one legitimately worker-dependent
-// part), and replays the recording traced and untraced, demanding the
-// same verdict and stats. Deterministic in (seed, opts).
+// and traced twice, demanding byte-identical serialized recordings and
+// identical Stats; it then demands the two captured timelines and
+// counter sets be identical, and replays the recording traced and
+// untraced, demanding the same verdict and stats. Deterministic in
+// (seed, opts).
 func CheckTracing(seed uint64, opts Options) Report {
 	rep := Report{Seed: seed}
 	cfg := opts.machine()
 	progs := GenPrograms(seed, opts.NProcs, opts.Gen)
 
 	for _, mode := range modes {
-		record := func(par int, sink *trace.Sink) (*core.Recording, error) {
+		record := func(sink *trace.Sink) (*core.Recording, error) {
 			return core.Record(cfg, mode, progs, mem.New(), GenDevices(seed, opts.NProcs, opts.Gen),
-				core.RecordOptions{TruncSeed: seed, Parallel: par, Trace: sink})
+				core.RecordOptions{TruncSeed: seed, Trace: sink})
 		}
 
-		base, err := record(0, nil)
+		base, err := record(nil)
 		if err != nil {
 			rep.failf("%v: untraced record: %v", mode, err)
 			continue
@@ -41,40 +38,31 @@ func CheckTracing(seed uint64, opts Options) Report {
 			continue
 		}
 
-		// Oracle: a traced recording is byte-identical to an untraced one
-		// at every worker count, and the timelines agree across counts.
-		var refEvents []trace.Event
-		var refCounters []metrics.Counter
-		pars := opts.Parallel
-		if len(pars) == 0 {
-			pars = []int{1}
-		}
-		for _, par := range pars {
+		// Oracle: a traced recording is byte-identical to an untraced one,
+		// and two traced runs capture the same timeline and counters.
+		var sinks []*trace.Sink
+		for run := 0; run < 2; run++ {
 			sink := trace.NewSink(opts.NProcs)
-			recT, err := record(par, sink)
+			recT, err := record(sink)
 			if err != nil {
-				rep.failf("%v: traced record parallel=%d: %v", mode, par, err)
+				rep.failf("%v: traced record run %d: %v", mode, run, err)
 				continue
 			}
 			rep.check(reflect.DeepEqual(recT.Stats, base.Stats),
-				"%v: parallel=%d traced stats differ from untraced", mode, par)
+				"%v: traced run %d stats differ from untraced", mode, run)
 			if b := serialize(&rep, mode, recT); b != nil {
 				rep.check(bytes.Equal(b, baseBytes),
-					"%v: parallel=%d traced recording bytes differ from untraced", mode, par)
+					"%v: traced run %d recording bytes differ from untraced", mode, run)
 			}
-			rep.check(len(sink.Events()) > 0, "%v: parallel=%d captured no events", mode, par)
-
-			evs := schedulerFreeEvents(sink)
-			ctrs := schedulerFreeCounters(sink)
-			if refEvents == nil {
-				refEvents, refCounters = evs, ctrs
-				continue
-			}
-			rep.check(reflect.DeepEqual(evs, refEvents),
-				"%v: parallel=%d trace events differ from parallel=%d (%d vs %d events)",
-				mode, par, pars[0], len(evs), len(refEvents))
-			rep.check(reflect.DeepEqual(ctrs, refCounters),
-				"%v: parallel=%d trace counters differ from parallel=%d", mode, par, pars[0])
+			rep.check(len(sink.Events()) > 0, "%v: traced run %d captured no events", mode, run)
+			sinks = append(sinks, sink)
+		}
+		if len(sinks) == 2 {
+			rep.check(reflect.DeepEqual(sinks[0].Events(), sinks[1].Events()),
+				"%v: traced runs captured different timelines (%d vs %d events)",
+				mode, len(sinks[0].Events()), len(sinks[1].Events()))
+			rep.check(reflect.DeepEqual(sinks[0].Counters.Snapshot(), sinks[1].Counters.Snapshot()),
+				"%v: traced runs captured different counters", mode)
 		}
 
 		// Oracle: tracing a replay changes neither the verdict nor the
@@ -99,31 +87,4 @@ func CheckTracing(seed uint64, opts Options) Report {
 		}
 	}
 	return rep
-}
-
-// schedulerFreeEvents returns the sink's merged timeline minus Window
-// events — the parallel scheduler's self-description is the only trace
-// content allowed to vary with the worker count.
-func schedulerFreeEvents(s *trace.Sink) []trace.Event {
-	out := []trace.Event{}
-	for _, ev := range s.Events() {
-		if ev.Kind == trace.Window {
-			continue
-		}
-		out = append(out, ev)
-	}
-	return out
-}
-
-// schedulerFreeCounters returns the counter snapshot minus the sched.*
-// namespace (see schedulerFreeEvents).
-func schedulerFreeCounters(s *trace.Sink) []metrics.Counter {
-	out := []metrics.Counter{}
-	for _, c := range s.Counters.Snapshot() {
-		if strings.HasPrefix(c.Name, "sched.") {
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
 }

@@ -4,7 +4,7 @@ import "testing"
 
 // TestTracingObservationOnly is the observability oracle: recordings,
 // replays and stats must be byte-identical with tracing on or off, and
-// the captured timeline must not depend on the simulator worker count.
+// two traced runs must capture the same timeline and counters.
 func TestTracingObservationOnly(t *testing.T) {
 	opts := DefaultOptions()
 	seeds := []uint64{1, 42}

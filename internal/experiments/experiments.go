@@ -36,12 +36,11 @@ type Config struct {
 	// seed-deterministic, and results are gathered by index, so the
 	// rendered tables are byte-identical at any worker count.
 	Parallel int
-	// SimParallel sets each bulksc engine's intra-run worker count
-	// (bulksc.Engine.Parallel): cores inside a single simulation advance
-	// concurrently between global events. 0/1 selects the sequential
-	// reference scheduler. Any value produces byte-identical results, so
-	// it is deliberately NOT part of the memo key — runs at different
-	// intra-run worker counts share cache entries.
+	// SimParallel is read by nothing: each simulation runs on one
+	// goroutine.
+	//
+	// Deprecated: the simulator has a single scheduler, so there is no
+	// intra-run worker count to set.
 	SimParallel int
 	// Cache memoizes baseline runs shared between figures. Nil uses the
 	// process-wide cache (figures run in one process share RC references
@@ -188,7 +187,6 @@ func (c Config) recordWorkload(name string, mode core.Mode, chunkSize int, opts 
 		canon := opts
 		canon.TruncSeed = key.truncSeed
 		canon.StratifyMax = key.stratify
-		canon.Parallel = c.SimParallel
 		w := workload.Get(name, c.params())
 		cfg := c.machine()
 		cfg.ChunkSize = chunkSize
@@ -223,7 +221,7 @@ func (c Config) runChunked(name string, chunkSize int, picolog bool, simul int) 
 		cfg := c.machine()
 		cfg.ChunkSize = chunkSize
 		cfg.SimulChunks = simul
-		e := &bulksc.Engine{Cfg: cfg, Progs: w.Progs, Mem: w.InitMem(), Devs: w.Devs, PicoLog: picolog, Parallel: c.SimParallel}
+		e := &bulksc.Engine{Cfg: cfg, Progs: w.Progs, Mem: w.InitMem(), Devs: w.Devs, PicoLog: picolog}
 		if picolog {
 			e.Policy = newRR(cfg.NProcs)
 		}

@@ -196,7 +196,6 @@ func Fig11(c Config) ([]Fig11Row, error) {
 			rcfg.ChunkSize = t.spec.chunk
 			ro := t.spec.rOpts
 			ro.Perturb = bulksc.DefaultPerturb(c.Seed*1000 + uint64(t.run))
-			ro.Parallel = c.SimParallel
 			res, err := core.Replay(rec, rcfg, w.Progs, ro)
 			if err != nil {
 				return replayResult{err: fmt.Errorf("%s/%s replay: %w", t.name, t.spec.label, err)}
@@ -376,7 +375,7 @@ func Table6(c Config) ([]Table6Row, error) {
 		cfg := c.machine()
 		cfg.ChunkSize = 1000
 		rr := arbiter.NewRoundRobin(cfg.NProcs)
-		e := &bulksc.Engine{Cfg: cfg, Progs: w.Progs, Mem: w.InitMem(), Devs: w.Devs, Policy: rr, PicoLog: true, Parallel: c.SimParallel}
+		e := &bulksc.Engine{Cfg: cfg, Progs: w.Progs, Mem: w.InitMem(), Devs: w.Devs, Policy: rr, PicoLog: true}
 		st := e.Run()
 		if !st.Converged {
 			return Table6Row{}, fmt.Errorf("%s: PicoLog run did not converge", name)

@@ -14,8 +14,8 @@ type Counter struct {
 
 // Registry is an ordered set of named counters — the snapshot surface the
 // observability layer exposes on recordings and traces. It is not
-// goroutine-safe; the engine only writes to it from serial sections. A
-// nil registry is inert: writes are dropped and reads return zero, so
+// goroutine-safe; each run writes only to its own registry. A nil
+// registry is inert: writes are dropped and reads return zero, so
 // instrumentation sites can hold one unconditionally.
 type Registry struct {
 	vals map[string]float64

@@ -559,6 +559,8 @@ type recordSpec struct {
 	ChunkSize       int    `json:"chunk_size"`
 	CheckpointEvery uint64 `json:"checkpoint_every"`
 	Stratify        int    `json:"stratify"`
+	// SimParallel is accepted for wire compatibility only: 0 and 1 are
+	// the same single-goroutine simulation, and any other value is a 400.
 	SimParallel     int    `json:"sim_parallel"`
 	MaxInstructions uint64 `json:"max_instructions"`
 }
@@ -688,6 +690,11 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
+	if rs.SimParallel != 0 && rs.SimParallel != 1 {
+		s.fail(w, errf(http.StatusBadRequest, "bad_request",
+			"sim_parallel must be 0 or 1 (the simulator has one scheduler), got %d", rs.SimParallel))
+		return
+	}
 	wl, err := rs.Spec.instantiate()
 	if err != nil {
 		s.fail(w, errf(http.StatusBadRequest, "bad_request", "%v", err))
@@ -699,7 +706,6 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 		SimulChunks:     2,
 		Stratify:        rs.Stratify,
 		CheckpointEvery: rs.CheckpointEvery,
-		SimParallel:     rs.SimParallel,
 		MaxInstructions: rs.MaxInstructions,
 	}
 	if cfg.ChunkSize <= 0 {

@@ -411,6 +411,32 @@ func TestErrorTaxonomy(t *testing.T) {
 	})
 }
 
+// TestRecordSimParallel: sim_parallel is a retired knob kept on the wire.
+// 0 and 1 record normally; any other value is refused with a typed 400
+// instead of being silently ignored.
+func TestRecordSimParallel(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	spec := func(par int) map[string]any {
+		return map[string]any{"workload": goldenWorkload, "procs": 2, "scale": 200,
+			"mode": "orderonly", "chunk_size": 100, "sim_parallel": par}
+	}
+	for _, par := range []int{2, 8, -1} {
+		resp, body := doJSON(t, "POST", hs.URL+"/v1/recordings", spec(par))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("sim_parallel=%d: status %d: %s", par, resp.StatusCode, body)
+		}
+		if code := errCode(t, body); code != "bad_request" {
+			t.Fatalf("sim_parallel=%d: code %q", par, code)
+		}
+	}
+	for _, par := range []int{0, 1} {
+		resp, body := doJSON(t, "POST", hs.URL+"/v1/recordings", spec(par))
+		if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
+			t.Fatalf("sim_parallel=%d: status %d: %s", par, resp.StatusCode, body)
+		}
+	}
+}
+
 // TestQueueFull: with every pool worker parked and the queue packed, a
 // replay request is refused with 429 instead of queueing unboundedly.
 // White-box: the test occupies the pool directly.

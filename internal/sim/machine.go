@@ -189,7 +189,7 @@ func (m *Machine) Run() Stats {
 		})
 		_ = p
 	}
-	st.C2CTransfers, st.Upgrades = m.ms.TotalC2CTransfers(), m.ms.TotalUpgrades()
+	st.C2CTransfers, st.Upgrades = m.ms.C2CTransfers, m.ms.Upgrades
 	ReleaseMemSys(m.ms)
 	m.ms = nil
 	return *st

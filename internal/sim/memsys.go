@@ -16,18 +16,17 @@ import (
 // Two families of access paths coexist:
 //
 //   - Load/Store serve the classic SC/RC/TSO machines. They mutate shared
-//     structures (L2 LRU, directory) eagerly and count into the scalar
-//     counter fields. They must only be called from a single goroutine.
+//     structures (L2 LRU, directory) eagerly.
 //
 //   - SpecLoad/SpecStore serve the chunked engine's speculative execution.
-//     They touch only processor p's L1 and p's counter slot; shared L2 and
+//     They touch only processor p's L1 and the counters; shared L2 and
 //     directory state is probed read-only, and the mutation each access
 //     implies is returned as a FillKind for the caller to journal and
-//     apply serially at chunk commit (ApplyFill). This confines
-//     speculative side effects to the core — which is both closer to the
-//     BulkSC hardware (speculative state lives in L1; L2 and directory
-//     learn of it at commit) and what lets the engine execute chunks on
-//     concurrent goroutines between commits.
+//     apply at chunk commit (ApplyFill). This confines speculative side
+//     effects to the core, as in the BulkSC hardware: speculative state
+//     lives in L1, and L2 and directory learn of it at commit. Recordings
+//     depend on this deferral, so a squashed chunk's accesses never touch
+//     shared state.
 type MemSys struct {
 	cfg  *Config
 	geom geometry
@@ -40,18 +39,8 @@ type MemSys struct {
 	sharers map[uint32]uint32
 	owner   map[uint32]int8
 
-	// Counters for the classic (serial) access paths.
+	// Access counters, summed over both path families.
 	L1Hits, L2Hits, MemAccesses, C2CTransfers, Upgrades uint64
-
-	// pc[p] counts processor p's speculative accesses; kept per-processor
-	// so concurrent SpecLoad/SpecStore calls never share a cache line of
-	// state. Total* fold both families together.
-	pc []procCounters
-}
-
-type procCounters struct {
-	L1Hits, L2Hits, MemAccesses, C2CTransfers, Upgrades uint64
-	_                                                   [3]uint64 // pad to a cache line
 }
 
 // FillKind classifies the shared-state transition a speculative access
@@ -87,7 +76,6 @@ func newMemSys(cfg *Config) *MemSys {
 	for i := 0; i < cfg.NProcs; i++ {
 		ms.l1 = append(ms.l1, cache.New(cfg.L1Bytes, cfg.L1Ways))
 	}
-	ms.pc = make([]procCounters, cfg.NProcs)
 	return ms
 }
 
@@ -143,9 +131,6 @@ func (ms *MemSys) reset(cfg *Config) {
 	clear(ms.sharers)
 	clear(ms.owner)
 	ms.L1Hits, ms.L2Hits, ms.MemAccesses, ms.C2CTransfers, ms.Upgrades = 0, 0, 0, 0, 0
-	for i := range ms.pc {
-		ms.pc[i] = procCounters{}
-	}
 }
 
 // L1 exposes processor p's L1 geometry (the chunk engine needs SetOf/Ways
@@ -225,27 +210,24 @@ func (ms *MemSys) installL1Spec(p int, line uint32) {
 // p, filling only p's L1. Shared L2 and directory state is read, not
 // written; the returned FillKind tells the caller which shared-state
 // transition to journal and replay at the chunk's commit via ApplyFill.
-// Safe to call concurrently for distinct p while no serial-path method
-// (Load/Store/CommitLine/DMAWrite/ApplyFill) runs.
 func (ms *MemSys) SpecLoad(p int, line uint32) (uint64, FillKind) {
-	c := &ms.pc[p]
 	if ms.l1[p].Access(line) {
-		c.L1Hits++
+		ms.L1Hits++
 		return ms.cfg.L1Lat, FillNone
 	}
 	// L1 miss. A dirty remote owner forwards cache-to-cache through the
 	// directory; the downgrade becomes visible at commit.
 	if o, ok := ms.owner[line]; ok && int(o) != p {
-		c.C2CTransfers++
+		ms.C2CTransfers++
 		ms.installL1Spec(p, line)
 		return ms.cfg.L2Lat, FillC2C
 	}
 	if ms.l2.Contains(line) {
-		c.L2Hits++
+		ms.L2Hits++
 		ms.installL1Spec(p, line)
 		return ms.cfg.L2Lat, FillL2
 	}
-	c.MemAccesses++
+	ms.MemAccesses++
 	ms.installL1Spec(p, line)
 	return ms.cfg.MemLat, FillMem
 }
@@ -256,35 +238,34 @@ func (ms *MemSys) SpecLoad(p int, line uint32) (uint64, FillKind) {
 // only at commit. Like SpecLoad, shared state is probed read-only and the
 // implied transition is returned for commit-time application.
 func (ms *MemSys) SpecStore(p int, line uint32) (uint64, FillKind) {
-	c := &ms.pc[p]
 	if ms.l1[p].Access(line) {
 		if o, ok := ms.owner[line]; ok && int(o) == p {
-			c.L1Hits++
+			ms.L1Hits++
 			return ms.cfg.L1Lat, FillNone
 		}
 		// Present but shared: upgrade through the directory.
-		c.Upgrades++
+		ms.Upgrades++
 		return ms.cfg.L2Lat, FillUpgrade
 	}
 	if o, ok := ms.owner[line]; ok && int(o) != p {
-		c.C2CTransfers++
+		ms.C2CTransfers++
 		ms.installL1Spec(p, line)
 		return ms.cfg.L2Lat, FillC2C
 	}
 	if ms.l2.Contains(line) {
-		c.L2Hits++
+		ms.L2Hits++
 		ms.installL1Spec(p, line)
 		return ms.cfg.L2Lat, FillL2
 	}
-	c.MemAccesses++
+	ms.MemAccesses++
 	ms.installL1Spec(p, line)
 	return ms.cfg.MemLat, FillMem
 }
 
 // ApplyFill replays, at commit time, the shared-state transition a
-// speculative access by processor p deferred. Called serially, in the
-// chunk's access order, when the chunk commits; a squashed chunk's fills
-// are simply dropped (its speculative pollution of shared state is not
+// speculative access by processor p deferred. Called in the chunk's
+// access order, when the chunk commits; a squashed chunk's fills are
+// simply dropped (its speculative pollution of shared state is not
 // modeled, matching hardware where L2/directory learn of a chunk only
 // when it commits).
 func (ms *MemSys) ApplyFill(p int, line uint32, k FillKind) {
@@ -304,39 +285,6 @@ func (ms *MemSys) ApplyFill(p int, line uint32, k FillKind) {
 	if ms.l1[p].Contains(line) {
 		ms.addSharer(line, p)
 	}
-}
-
-// TotalL1Hits returns L1 hits across the classic and speculative paths.
-func (ms *MemSys) TotalL1Hits() uint64 {
-	return ms.total(ms.L1Hits, func(c *procCounters) uint64 { return c.L1Hits })
-}
-
-// TotalL2Hits returns L2 hits across the classic and speculative paths.
-func (ms *MemSys) TotalL2Hits() uint64 {
-	return ms.total(ms.L2Hits, func(c *procCounters) uint64 { return c.L2Hits })
-}
-
-// TotalMemAccesses returns memory accesses across both path families.
-func (ms *MemSys) TotalMemAccesses() uint64 {
-	return ms.total(ms.MemAccesses, func(c *procCounters) uint64 { return c.MemAccesses })
-}
-
-// TotalC2CTransfers returns cache-to-cache transfers across both path
-// families.
-func (ms *MemSys) TotalC2CTransfers() uint64 {
-	return ms.total(ms.C2CTransfers, func(c *procCounters) uint64 { return c.C2CTransfers })
-}
-
-// TotalUpgrades returns directory upgrades across both path families.
-func (ms *MemSys) TotalUpgrades() uint64 {
-	return ms.total(ms.Upgrades, func(c *procCounters) uint64 { return c.Upgrades })
-}
-
-func (ms *MemSys) total(base uint64, f func(*procCounters) uint64) uint64 {
-	for i := range ms.pc {
-		base += f(&ms.pc[i])
-	}
-	return base
 }
 
 // CommitLine makes processor p's speculative write to line globally

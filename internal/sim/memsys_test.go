@@ -153,9 +153,9 @@ func TestSpecStoreOwnershipKinds(t *testing.T) {
 	if lat != cfg.L2Lat || kind != FillC2C {
 		t.Fatalf("peer SpecStore = (%d, %v), want (L2Lat, FillC2C)", lat, kind)
 	}
-	before := ms.TotalC2CTransfers()
+	before := ms.C2CTransfers
 	ms.ApplyFill(1, 800, FillC2C)
-	if got := ms.TotalC2CTransfers(); got != before {
+	if got := ms.C2CTransfers; got != before {
 		t.Fatalf("ApplyFill changed counters: %d -> %d", before, got)
 	}
 
@@ -175,10 +175,10 @@ func TestSpecCountersPerProcessor(t *testing.T) {
 	ms.SpecLoad(0, 1000) // mem access
 	ms.SpecLoad(0, 1000) // L1 hit
 	ms.SpecLoad(2, 1001) // mem access
-	if got := ms.TotalMemAccesses(); got != 2 {
-		t.Fatalf("TotalMemAccesses = %d, want 2", got)
+	if got := ms.MemAccesses; got != 2 {
+		t.Fatalf("MemAccesses = %d, want 2", got)
 	}
-	if got := ms.TotalL1Hits(); got != 1 {
-		t.Fatalf("TotalL1Hits = %d, want 1", got)
+	if got := ms.L1Hits; got != 1 {
+		t.Fatalf("L1Hits = %d, want 1", got)
 	}
 }

@@ -32,7 +32,6 @@ type teEvent struct {
 // machine-global rows follow the processors.
 const (
 	tidArbiter = 1 << 20 // arbiter / commit pipeline row
-	tidSched   = 1<<20 + 1
 	tidLog     = 1<<20 + 2
 	tidReplay  = 1<<20 + 3 // segmented-replay interval spans (slot axis)
 )
@@ -88,9 +87,6 @@ func (s *Sink) WriteTraceEvent(w io.Writer) error {
 		}
 	}
 	if err := meta(tidArbiter, "arbiter"); err != nil {
-		return err
-	}
-	if err := meta(tidSched, "scheduler"); err != nil {
 		return err
 	}
 	if err := meta(tidLog, "logs"); err != nil {
@@ -153,9 +149,6 @@ func (s *Sink) WriteTraceEvent(w io.Writer) error {
 		case DMACommit:
 			err = emit(teEvent{Name: "dma", Cat: "commit", Ph: "i", Ts: ev.Time,
 				Pid: 0, Tid: tidArbiter, Args: map[string]any{"slot": ev.A, "words": ev.B}})
-		case Window:
-			err = emit(teEvent{Name: "window", Cat: "sched", Ph: "i", Ts: ev.Time,
-				Pid: 0, Tid: tidSched, Args: map[string]any{"eligible": ev.A}})
 		case ArbQueue:
 			err = emit(teEvent{Name: "arbiter occupancy", Ph: "C", Ts: ev.Time,
 				Pid: 0, Tid: tidArbiter, Args: map[string]any{"queued": ev.A, "inflight": ev.B}})

@@ -7,13 +7,11 @@
 // Determinism is the design constraint. Tracing is observation-only:
 // every emission site reads engine state and appends to a stream, never
 // the other way around, so recordings, replays and Stats are
-// byte-identical with tracing enabled or disabled. Inside the engine's
-// parallel windows each simulated core writes to its own per-processor
-// stream (no shared state, no locks); engine-global events (commits,
-// squashes-by-conflict, arbiter activity, window barriers) are emitted
-// only from serial sections into a single global stream. Events() merges
-// the streams by (time, stream, emission index) — a total deterministic
-// order that is identical at every simulator worker count.
+// byte-identical with tracing enabled or disabled. Each simulated core
+// writes to its own per-processor stream; engine-global events (commits,
+// squashes-by-conflict, arbiter activity) go to a single global stream.
+// Events() merges the streams by (time, stream, emission index) — a
+// total deterministic order.
 package trace
 
 import (
@@ -44,8 +42,8 @@ const (
 	ChunkCommit
 	// DMACommit: a DMA transfer committed. A = commit slot, B = words.
 	DMACommit
-	// Window: the parallel scheduler opened a window. Time is the horizon,
-	// A = eligible core count.
+	// Window is reserved: it was emitted by a since-removed windowed
+	// scheduler and keeps its value so later kinds keep theirs.
 	Window
 	// ArbQueue: arbiter occupancy sample. A = queued requests,
 	// B = in-flight commits.
@@ -125,10 +123,8 @@ type Event struct {
 	C    uint64
 }
 
-// Stream is an append-only event sequence. Each simulated core owns one
-// (safe to append from that core's worker goroutine inside a parallel
-// window); the sink's global stream must only be appended from serial
-// sections.
+// Stream is an append-only event sequence. Each simulated core owns one;
+// the sink's global stream carries the machine-global events.
 type Stream struct {
 	events []Event
 }
@@ -150,7 +146,7 @@ func (s *Stream) Len() int {
 }
 
 // Sink collects one run's trace: per-processor streams for core-side
-// events plus a global stream for serial-side events.
+// events plus a global stream for machine-global events.
 type Sink struct {
 	nprocs int
 	procs  []Stream
@@ -158,8 +154,7 @@ type Sink struct {
 
 	// Counters is the run's counter registry: end-of-run aggregates
 	// (commit/squash/truncation breakdowns, stall causes, arbiter
-	// contention, log sizes) filled by the engine and recorder from
-	// serial sections.
+	// contention, log sizes) filled by the engine and recorder.
 	Counters *metrics.Registry
 }
 
@@ -196,13 +191,9 @@ func (s *Sink) Global() *Stream {
 
 // Events merges all streams into one deterministic timeline, ordered by
 // (time, stream, emission index) with the global stream first among ties.
-// Each stream's content and internal order are themselves deterministic —
-// a core's emissions depend only on its own execution, and the global
-// stream is appended only from serial sections — so the key is a total
-// order and the merged timeline is reproducible run to run. Scheduler
-// self-description (Window events, sched.* counters) is the only content
-// that varies with the simulator worker count; everything else is
-// identical at every Parallel setting.
+// Each stream's content and internal order are themselves deterministic,
+// so the key is a total order and the merged timeline is reproducible
+// run to run.
 func (s *Sink) Events() []Event {
 	if s == nil {
 		return nil

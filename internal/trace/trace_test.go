@@ -36,7 +36,7 @@ func TestEventsMergeOrder(t *testing.T) {
 	// Out-of-order times across streams; in-stream order preserved.
 	s.Proc(1).Emit(Event{Time: 5, Proc: 1, Kind: ChunkStart, Seq: 10})
 	s.Proc(0).Emit(Event{Time: 5, Proc: 0, Kind: ChunkStart, Seq: 20})
-	s.Global().Emit(Event{Time: 5, Proc: -1, Kind: Window, A: 2})
+	s.Global().Emit(Event{Time: 5, Proc: -1, Kind: DMACommit, A: 2})
 	s.Global().Emit(Event{Time: 1, Proc: -1, Kind: ArbQueue})
 	s.Proc(0).Emit(Event{Time: 3, Proc: 0, Kind: ChunkComplete, Seq: 20})
 
@@ -44,7 +44,7 @@ func TestEventsMergeOrder(t *testing.T) {
 	want := []Event{
 		{Time: 1, Proc: -1, Kind: ArbQueue},
 		{Time: 3, Proc: 0, Kind: ChunkComplete, Seq: 20},
-		{Time: 5, Proc: -1, Kind: Window, A: 2}, // global wins the time tie
+		{Time: 5, Proc: -1, Kind: DMACommit, A: 2}, // global wins the time tie
 		{Time: 5, Proc: 0, Kind: ChunkStart, Seq: 20},
 		{Time: 5, Proc: 1, Kind: ChunkStart, Seq: 10},
 	}
@@ -88,7 +88,6 @@ func sampleSink() *Sink {
 	s.Global().Emit(Event{Time: 120, Proc: 0, Kind: LogSample, A: 3, B: 0, C: 0})
 	s.Global().Emit(Event{Time: 121, Proc: 1, Kind: ChunkSquash, Seq: 2, A: 150, B: 0})
 	s.Global().Emit(Event{Time: 130, Proc: -1, Kind: DMACommit, A: 1, B: 16})
-	s.Global().Emit(Event{Time: 140, Proc: -1, Kind: Window, A: 2})
 	s.Global().Emit(Event{Time: 150, Proc: 1, Kind: Stall, A: 30, B: 2})
 	s.Global().Emit(Event{Time: 160, Proc: 1, Kind: Divergence, Seq: ^uint64(0), A: ^uint64(0)})
 	s.Global().Emit(Event{Time: 170, Proc: -1, Kind: ReplaySegment, Seq: 1, A: 40, B: 80, C: 1})
@@ -109,12 +108,12 @@ func TestWriteTraceEventRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ValidateTraceEvent: %v\n%s", err, buf.Bytes())
 	}
-	// 6 thread-name metadata rows (2 procs + arbiter + scheduler + logs +
-	// replay segments) plus one row per timeline event except the two
+	// 5 thread-name metadata rows (2 procs + arbiter + logs + replay
+	// segments) plus one row per timeline event except the two
 	// ChunkStarts, which only open slices (one closes via complete, one
 	// via squash — the squash emits both the closing slice and its
 	// instant).
-	want := 6 + len(s.Events()) - 2 + 1
+	want := 5 + len(s.Events()) - 2 + 1
 	if n != want {
 		t.Errorf("exported %d events, want %d", n, want)
 	}

@@ -70,6 +70,9 @@ func (t *ExecTrace) Events() int {
 // the recording run's ExecTrace. The trace is also retained on the
 // Recording (see Trace).
 func RecordTraced(cfg Config, mode Mode, w *Workload) (*Recording, *ExecTrace, error) {
+	if err := cfg.checkSimParallel(); err != nil {
+		return nil, nil, err
+	}
 	m := cfg.machine()
 	sink := trace.NewSink(m.NProcs)
 	memory := w.InitMem()
@@ -77,7 +80,6 @@ func RecordTraced(cfg Config, mode Mode, w *Workload) (*Recording, *ExecTrace, e
 		StratifyMax:     cfg.Stratify,
 		ExactConflicts:  cfg.ExactConflicts,
 		CheckpointEvery: cfg.CheckpointEvery,
-		Parallel:        cfg.SimParallel,
 		Trace:           sink,
 	})
 	if err != nil {
@@ -108,7 +110,6 @@ func (r *Recording) ReplayTraced(opts ReplayWith) (ReplayResult, *ExecTrace, err
 	ro := core.ReplayOptions{
 		UseStratified:  opts.UseStratified,
 		ExactConflicts: r.cfg.ExactConflicts,
-		Parallel:       r.cfg.SimParallel,
 		ReplayParallel: opts.Parallel,
 		Trace:          sink,
 		Ctx:            opts.Ctx,
