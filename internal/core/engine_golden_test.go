@@ -198,31 +198,6 @@ func engineGoldenCases() []engineCase {
 	for _, mode := range []Mode{OrderSize, OrderOnly, PicoLog} {
 		mode := mode
 		name := strings.ReplaceAll(mode.String(), "&", "")
-		// Checkpoints far denser than a chunk round: nearly every cut
-		// lands while other cores hold in-flight uncommitted chunks. Interval
-		// replay from the first, middle and last cut must reproduce the
-		// interval, and its perturbed result is pinned too.
-		cases = append(cases, engineCase{"checkpoints7-" + name, func(t *testing.T) []digest {
-			cfg := testConfig(4, 150)
-			progs := racyProgs(4, 80)
-			rec, ds := recordDigests(t, cfg, mode, progs, mem.New(), nil,
-				RecordOptions{TruncSeed: 5, CheckpointEvery: 7})
-			if len(rec.Checkpoints) < 3 {
-				t.Fatalf("only %d checkpoints", len(rec.Checkpoints))
-			}
-			for _, idx := range []int{0, len(rec.Checkpoints) / 2, len(rec.Checkpoints) - 1} {
-				res, err := ReplayFromCheckpoint(rec, idx, ReplayConfig(cfg), progs,
-					ReplayOptions{Perturb: bulksc.DefaultPerturb(uint64(idx)*13 + 1)})
-				if err != nil {
-					t.Fatalf("interval replay cp=%d: %v", idx, err)
-				}
-				if !res.MatchesInterval(rec, idx) {
-					t.Errorf("interval replay cp=%d diverged", idx)
-				}
-				ds = append(ds, digest{fmt.Sprintf("cp%d", idx), sha(fmt.Sprintf("%+v", res))})
-			}
-			return ds
-		}})
 		// A traced full-system recording: the recording must match the
 		// untraced one byte for byte, and the timeline and counters are
 		// pinned.
@@ -250,17 +225,63 @@ func engineGoldenCases() []engineCase {
 	return cases
 }
 
-const engineGolden = "engine.sha256"
+func checkpointGoldenCases() []engineCase {
+	var cases []engineCase
+	for _, mode := range []Mode{OrderSize, OrderOnly, PicoLog} {
+		mode := mode
+		name := strings.ReplaceAll(mode.String(), "&", "")
+		// Checkpoints far denser than a chunk round: nearly every cut
+		// lands while other cores hold in-flight uncommitted chunks. Interval
+		// replay from the first, middle and last cut must reproduce the
+		// interval, and its perturbed result is pinned too.
+		cases = append(cases, engineCase{"checkpoints7-" + name, func(t *testing.T) []digest {
+			cfg := testConfig(4, 150)
+			progs := racyProgs(4, 80)
+			rec, ds := recordDigests(t, cfg, mode, progs, mem.New(), nil,
+				RecordOptions{TruncSeed: 5, CheckpointEvery: 7})
+			if len(rec.Checkpoints) < 3 {
+				t.Fatalf("only %d checkpoints", len(rec.Checkpoints))
+			}
+			for _, idx := range []int{0, len(rec.Checkpoints) / 2, len(rec.Checkpoints) - 1} {
+				res, err := ReplayFromCheckpoint(rec, idx, ReplayConfig(cfg), progs,
+					ReplayOptions{Perturb: bulksc.DefaultPerturb(uint64(idx)*13 + 1)})
+				if err != nil {
+					t.Fatalf("interval replay cp=%d: %v", idx, err)
+				}
+				if !res.MatchesInterval(rec, idx) {
+					t.Errorf("interval replay cp=%d diverged", idx)
+				}
+				ds = append(ds, digest{fmt.Sprintf("cp%d", idx), sha(fmt.Sprintf("%+v", res))})
+			}
+			return ds
+		}})
+	}
+	return cases
+}
 
 // TestEngineGolden pins the engine's complete observable behaviour across
 // commits: for every case, the SHA-256 of the observer stream (or the
-// serialized recording), of Stats and of the final memory, plus interval
-// replays, perturbed replays and traced timelines. A diff means the
-// simulated execution changed; regenerate with
+// serialized recording), of Stats and of the final memory, plus perturbed
+// replays and traced timelines. A diff means the simulated execution
+// changed; regenerate with
 // `go test ./internal/core -run TestEngineGolden -update` only when that
 // is intended.
 func TestEngineGolden(t *testing.T) {
-	cases := engineGoldenCases()
+	checkGolden(t, "engine.sha256", engineGoldenCases())
+}
+
+// TestCheckpointGolden pins recordings cut by checkpoints every 7 commits
+// and the interval replays from their first, middle and last cut, the
+// same way as TestEngineGolden.
+func TestCheckpointGolden(t *testing.T) {
+	checkGolden(t, "checkpoints.sha256", checkpointGoldenCases())
+}
+
+// checkGolden runs every case as a subtest and compares its line (name
+// followed by its digests) with testdata/file, rewriting the file first
+// under -update.
+func checkGolden(t *testing.T, file string, cases []engineCase) {
+	t.Helper()
 	live := make([]string, len(cases))
 	for i, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -275,7 +296,7 @@ func TestEngineGolden(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	path := filepath.Join("testdata", engineGolden)
+	path := filepath.Join("testdata", file)
 	if *updateGolden {
 		for _, l := range live {
 			if l == "" {
