@@ -8,8 +8,8 @@
 //	delorean-exp -exp fig10,table6   # a subset
 //
 // Artifacts: table1 table5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table6
-// replayspeed savebench baselines tso. Flags scale the runs; see
-// EXPERIMENTS.md for the recorded full-scale results.
+// baselines tso. Flags scale the runs; see EXPERIMENTS.md for the
+// recorded full-scale results.
 package main
 
 import (
@@ -154,14 +154,6 @@ func main() {
 	run("table6", func() (string, error) {
 		rows, err := experiments.Table6(cfg)
 		return experiments.RenderTable6(rows), err
-	})
-	run("replayspeed", func() (string, error) {
-		rows, err := experiments.ReplaySpeed(cfg, nil)
-		return experiments.RenderReplaySpeed(rows), err
-	})
-	run("savebench", func() (string, error) {
-		rows, err := experiments.SaveBench(cfg, nil)
-		return experiments.RenderSaveBench(rows), err
 	})
 	run("baselines", func() (string, error) {
 		rows, err := experiments.Baselines(cfg)

@@ -36,6 +36,7 @@ import (
 	"delorean/internal/isa"
 	"delorean/internal/mem"
 	"delorean/internal/sim"
+	"delorean/internal/trace"
 	"delorean/internal/workload"
 )
 
@@ -235,15 +236,20 @@ func Record(cfg Config, mode Mode, w *Workload) (*Recording, error) {
 // than one chunk's execution — and RecordContext returns an error
 // wrapping ctx.Err(). The partial recording is discarded.
 func RecordContext(ctx context.Context, cfg Config, mode Mode, w *Workload) (*Recording, error) {
+	return record(ctx, cfg, mode, w, nil)
+}
+
+// record is the one recording path: RecordContext, and RecordTraced
+// with a sink.
+func record(ctx context.Context, cfg Config, mode Mode, w *Workload, sink *trace.Sink) (*Recording, error) {
 	if err := cfg.checkSimParallel(); err != nil {
 		return nil, err
 	}
-	m := cfg.machine()
-	memory := w.InitMem()
-	rec, err := core.Record(m, coreMode(mode), w.Progs, memory, w.Devs, core.RecordOptions{
+	rec, err := core.Record(cfg.machine(), coreMode(mode), w.Progs, w.InitMem(), w.Devs, core.RecordOptions{
 		StratifyMax:     cfg.Stratify,
 		ExactConflicts:  cfg.ExactConflicts,
 		CheckpointEvery: cfg.CheckpointEvery,
+		Trace:           sink,
 		Ctx:             ctx,
 	})
 	if err != nil {
@@ -363,29 +369,48 @@ func divergenceInfo(div *core.DivergenceError) *DivergenceInfo {
 // Recording concurrency contract); each call runs on private engine
 // state and reads the recording's logs through per-call cursors.
 func (r *Recording) Replay(opts ReplayWith) (ReplayResult, error) {
+	return r.replay(opts, -1, nil)
+}
+
+// replay runs one replay from checkpoint idx (-1: the start of the
+// recording), capturing into sink when non-nil, and converts the
+// verdict. A detected divergence is a well-formed replay outcome
+// (Deterministic=false), not an API failure. A cancelled replay is an
+// API failure (wrapping context.Canceled), never a verdict.
+func (r *Recording) replay(opts ReplayWith, idx int, sink *trace.Sink) (ReplayResult, error) {
 	ro := core.ReplayOptions{
 		UseStratified:  opts.UseStratified,
 		ExactConflicts: r.cfg.ExactConflicts,
 		ReplayParallel: opts.Parallel,
+		Trace:          sink,
 		Ctx:            opts.Ctx,
 	}
 	if opts.PerturbSeed != 0 {
 		ro.Perturb = bulksc.DefaultPerturb(opts.PerturbSeed)
 	}
-	res, err := core.Replay(r.rec, core.ReplayConfig(r.cfg.machine()), r.progs, ro)
+	m := core.ReplayConfig(r.cfg.machine())
+	what := "replay"
+	var res core.ReplayResult
+	var err error
+	if idx < 0 {
+		res, err = core.Replay(r.rec, m, r.progs, ro)
+	} else {
+		what = "interval replay"
+		res, err = core.ReplayFromCheckpoint(r.rec, idx, m, r.progs, ro)
+	}
 	if err != nil {
-		// A detected divergence is a well-formed replay outcome
-		// (Deterministic=false), not an API failure. A cancelled replay is
-		// an API failure (wrapping context.Canceled), never a verdict.
 		var div *core.DivergenceError
 		if errors.As(err, &div) {
 			return ReplayResult{Deterministic: false, Stats: execStats(res.Stats),
 				DivergentInterval: div.Interval, Divergence: divergenceInfo(div)}, nil
 		}
-		return ReplayResult{}, fmt.Errorf("delorean: replay: %w", err)
+		return ReplayResult{}, fmt.Errorf("delorean: %s: %w", what, err)
 	}
-	return ReplayResult{Deterministic: res.Matches(r.rec), Stats: execStats(res.Stats),
-		DivergentInterval: -1}, nil
+	ok := res.Matches(r.rec)
+	if idx >= 0 {
+		ok = res.MatchesInterval(r.rec, idx)
+	}
+	return ReplayResult{Deterministic: ok, Stats: execStats(res.Stats), DivergentInterval: -1}, nil
 }
 
 // RunUnordered executes the recording's programs again on the chunked
@@ -426,21 +451,7 @@ func (r *Recording) Checkpoints() int { return r.rec.CheckpointCount() }
 // the delta-checkpoint materialization cache it shares with segmented
 // replay is internally locked.
 func (r *Recording) ReplayFromCheckpoint(idx int, opts ReplayWith) (ReplayResult, error) {
-	ro := core.ReplayOptions{ExactConflicts: r.cfg.ExactConflicts, Ctx: opts.Ctx}
-	if opts.PerturbSeed != 0 {
-		ro.Perturb = bulksc.DefaultPerturb(opts.PerturbSeed)
-	}
-	res, err := core.ReplayFromCheckpoint(r.rec, idx, core.ReplayConfig(r.cfg.machine()), r.progs, ro)
-	if err != nil {
-		var div *core.DivergenceError
-		if errors.As(err, &div) {
-			return ReplayResult{Deterministic: false, Stats: execStats(res.Stats),
-				DivergentInterval: div.Interval, Divergence: divergenceInfo(div)}, nil
-		}
-		return ReplayResult{}, fmt.Errorf("delorean: interval replay: %w", err)
-	}
-	return ReplayResult{Deterministic: res.MatchesInterval(r.rec, idx), Stats: execStats(res.Stats),
-		DivergentInterval: -1}, nil
+	return r.replay(opts, idx, nil)
 }
 
 // Save serializes the recording (logs, checkpoint, verification hashes)
@@ -484,6 +495,12 @@ func LoadRecordingParallel(src io.Reader, cfg Config, w *Workload, workers int) 
 	if err != nil {
 		return nil, err
 	}
+	return loaded(rec, cfg, w)
+}
+
+// loaded binds a loaded recording to the workload offered for its
+// replay; the processor count and chunk size come from the file.
+func loaded(rec *core.Recording, cfg Config, w *Workload) (*Recording, error) {
 	if len(w.Progs) != rec.NProcs {
 		return nil, fmt.Errorf("delorean: %w: recording has %d processors, workload has %d",
 			ErrWorkloadMismatch, rec.NProcs, len(w.Progs))
@@ -511,13 +528,7 @@ func IndexRecording(data []byte, cfg Config, w *Workload) (*Recording, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(w.Progs) != rec.NProcs {
-		return nil, fmt.Errorf("delorean: %w: recording has %d processors, workload has %d",
-			ErrWorkloadMismatch, rec.NProcs, len(w.Progs))
-	}
-	cfg.Processors = rec.NProcs
-	cfg.ChunkSize = rec.ChunkSize
-	return &Recording{rec: rec, cfg: cfg, progs: w.Progs}, nil
+	return loaded(rec, cfg, w)
 }
 
 // Materialize decodes every lazily retained section of an indexed

@@ -292,3 +292,27 @@ func TestIntervalReplayFacade(t *testing.T) {
 		}
 	}
 }
+
+// TestIntervalReplayFacadeRejectsStratified: stratum boundaries do not
+// align with checkpoint cuts, so a stratified interval replay is an
+// error rather than a silent exact-order replay.
+func TestIntervalReplayFacadeRejectsStratified(t *testing.T) {
+	cfg := smallConfig()
+	cfg.CheckpointEvery = 20
+	cfg.Stratify = 1
+	w := NewWorkload("raytrace", 4, 15000, 6)
+	rec, err := Record(cfg, OrderOnly, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Checkpoints() == 0 || rec.StratifiedLogBits() == 0 {
+		t.Fatal("setup: need checkpoints and a stratified log")
+	}
+	res, err := rec.ReplayFromCheckpoint(0, ReplayWith{UseStratified: true})
+	if err == nil {
+		t.Fatalf("stratified interval replay accepted: %+v", res)
+	}
+	if !strings.Contains(err.Error(), "stratified") {
+		t.Fatalf("error does not name the stratified request: %v", err)
+	}
+}

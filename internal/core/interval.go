@@ -9,6 +9,8 @@ import (
 	"delorean/internal/isa"
 	"delorean/internal/mem"
 	"delorean/internal/sim"
+	"delorean/internal/stratifier"
+	"delorean/internal/trace"
 )
 
 // IntervalCheckpoint is a periodic system checkpoint taken during
@@ -64,63 +66,87 @@ func ReplayFromCheckpoint(rec *Recording, idx int, cfg sim.Config, progs []*isa.
 	if idx < 0 || idx >= len(rec.Checkpoints) {
 		return ReplayResult{}, checkpointRange(idx, len(rec.Checkpoints))
 	}
-	if opts.UseStratified {
-		return ReplayResult{}, fmt.Errorf("core: stratified interval replay is not supported")
-	}
-	if err := rec.Validate(); err != nil {
+	if err := checkReplay(rec, cfg, progs); err != nil {
 		return ReplayResult{}, err
-	}
-	if cfg.NProcs != rec.NProcs {
-		return ReplayResult{}, fmt.Errorf("core: replay with %d procs, recording has %d", cfg.NProcs, rec.NProcs)
-	}
-	if len(progs) != rec.NProcs {
-		return ReplayResult{}, fmt.Errorf("core: replay with %d programs, recording has %d procs", len(progs), rec.NProcs)
 	}
 	if err := validateCheckpointProcs(rec, progs); err != nil {
 		return ReplayResult{}, err
 	}
-	cp := rec.Checkpoints[idx]
-	cfg.ChunkSize = rec.ChunkSize
+	return replayToEnd(rec, cfg, progs, opts, idx)
+}
 
-	img, err := rec.MaterializeCheckpoint(idx)
-	if err != nil {
-		return ReplayResult{}, err
+// cutSlot is checkpoint i's commit slot; i == -1 is the start of the
+// recording, slot 0.
+func (rec *Recording) cutSlot(i int) uint64 {
+	if i < 0 {
+		return 0
 	}
-	memory := mem.New()
-	memory.Restore(img)
+	return rec.Checkpoints[i].Slot
+}
 
+// replayInterval is the one replay mechanism (paper Appendix B): it
+// restarts the machine at checkpoint from (-1: the start of the
+// recording), enforces the log suffix from that cut, and stops at
+// checkpoint to's cut (-1: runs to convergence). memory must already
+// hold the starting image. The caller owns the verdict; the returned
+// observer's fingerprint is complete.
+//
+// I/O is hashed from the log, not as it fires: each processor's chain
+// covers its recorded consumption range for the interval, [consumed at
+// from, consumed at to) — or up to the replay's cursor when unbounded,
+// which is exactly the values the engine consumed. A bounded run racing
+// toward its stop cut can read I/O the recording attributes to the next
+// interval (I/O fires between chunks, so its timing is not pinned by
+// the ordering log); the log range keeps that harmless run-ahead out of
+// the fingerprint, while corrupted values still mismatch.
+func replayInterval(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOptions,
+	view *logView, memory *mem.Memory, from, to int, sink *trace.Sink) (*replayObserver, bulksc.Stats, error) {
+	if opts.UseStratified && from >= 0 {
+		return nil, bulksc.Stats{}, fmt.Errorf("core: stratified interval replay is not supported")
+	}
+	startSlot := rec.cutSlot(from)
 	var policy arbiter.Policy
-	if rec.Mode == PicoLog {
+	switch {
+	case rec.Mode == PicoLog:
 		var slots []arbiter.SlotRef
 		for _, e := range rec.Slots.Entries() {
-			if e.Slot >= cp.Slot {
+			if e.Slot >= startSlot {
 				slots = append(slots, arbiter.SlotRef{Slot: e.Slot, Proc: e.Proc})
 			}
 		}
-		for _, e := range rec.DMA.Entries() {
-			if e.Slot >= cp.Slot {
+		for _, e := range view.dma {
+			if e.Slot >= startSlot {
 				slots = append(slots, arbiter.SlotRef{Slot: e.Slot, Proc: bulksc.DMAProc(rec.NProcs)})
 			}
 		}
 		sort.Slice(slots, func(i, j int) bool { return slots[i].Slot < slots[j].Slot })
-		policy = arbiter.NewRoundRobinReplayAt(rec.NProcs, cp.TokenAt, slots)
-	} else {
-		entries := rec.PI.Entries()
-		if cp.Slot > uint64(len(entries)) {
-			return ReplayResult{}, fmt.Errorf("core: checkpoint slot %d beyond PI log (%d)", cp.Slot, len(entries))
+		token := 0
+		if from >= 0 {
+			token = rec.Checkpoints[from].TokenAt
 		}
-		policy = arbiter.NewLogOrder(entries[cp.Slot:])
+		policy = arbiter.NewRoundRobinReplayAt(rec.NProcs, token, slots)
+	case opts.UseStratified:
+		if rec.Stratified == nil {
+			return nil, bulksc.Stats{}, fmt.Errorf("core: recording has no stratified PI log")
+		}
+		policy = stratifier.NewStratumOrder(rec.Stratified, rec.NProcs)
+	default:
+		policy = arbiter.NewLogOrder(rec.PI.Entries()[startSlot:])
 	}
 
-	src := newLogSource(rec)
-	for p := 0; p < rec.NProcs; p++ {
-		src.ioIdx[p] = cp.Procs[p].IOConsumed
+	src := view.source()
+	if from >= 0 {
+		for p := range src.ioIdx {
+			src.ioIdx[p] = rec.Checkpoints[from].Procs[p].IOConsumed
+		}
 	}
 	// Skip DMA entries already applied before the cut.
-	for src.dmaIdx < len(src.dma) && src.dma[src.dmaIdx].Slot < cp.Slot {
+	for src.dmaIdx < len(src.dma) && src.dma[src.dmaIdx].Slot < startSlot {
 		src.dmaIdx++
 	}
+	ioFrom := append([]int(nil), src.ioIdx...)
 
+	cfg.ChunkSize = rec.ChunkSize
 	obs := &replayObserver{fp: newFingerprint(rec.NProcs), nprocs: rec.NProcs}
 	eng := &bulksc.Engine{
 		Cfg:            cfg,
@@ -132,27 +158,31 @@ func ReplayFromCheckpoint(rec *Recording, idx int, cfg sim.Config, progs []*isa.
 		Perturb:        opts.Perturb,
 		ExactConflicts: opts.ExactConflicts,
 		PicoLog:        rec.Mode == PicoLog,
-		Trace:          opts.Trace,
-		Resume:         &bulksc.Resume{Procs: cp.Procs, BaseCommits: cp.Slot},
+		Trace:          sink,
+	}
+	if from >= 0 {
+		eng.Resume = &bulksc.Resume{Procs: rec.Checkpoints[from].Procs, BaseCommits: startSlot}
+	}
+	if to >= 0 {
+		eng.StopAtCommit = rec.Checkpoints[to].Slot
 	}
 	if opts.Ctx != nil {
 		eng.Cancel = opts.Ctx.Done()
 	}
 	st := eng.Run()
-	res := ReplayResult{Stats: st, Fingerprint: obs.fp.sum(), MemHash: memory.Hash()}
-	if st.Cancelled {
-		return res, cancelledErr("interval replay", opts.Ctx)
+
+	for p := range obs.fp.ioChain {
+		hi := src.ioIdx[p]
+		if to >= 0 {
+			hi = rec.Checkpoints[to].Procs[p].IOConsumed
+		}
+		var chain uint64
+		for _, v := range view.io[p][ioFrom[p]:hi] {
+			chain = mix(chain, v)
+		}
+		obs.fp.ioChain[p] = chain
 	}
-	if !st.Converged {
-		derr := rec.stallError(obs, st, cfg.MaxInstsOrDefault(), cp.Slot)
-		noteDivergence(opts.Trace, st.Cycles, derr)
-		return res, derr
-	}
-	if div := rec.divergence(obs, res, cp.Slot, cp.Fingerprint, cp.ProcChains, rec.FinalMemHash, true); div != nil {
-		noteDivergence(opts.Trace, st.Cycles, div)
-		return res, div
-	}
-	return res, nil
+	return obs, st, nil
 }
 
 // IntervalMatch reports which sides of an interval-replay comparison

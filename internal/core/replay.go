@@ -3,15 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
-	"delorean/internal/arbiter"
 	"delorean/internal/bulksc"
 	"delorean/internal/dlog"
 	"delorean/internal/isa"
 	"delorean/internal/mem"
 	"delorean/internal/sim"
-	"delorean/internal/stratifier"
 	"delorean/internal/trace"
 )
 
@@ -74,10 +71,6 @@ type logSource struct {
 	dmaIdx int
 }
 
-func newLogSource(rec *Recording) *logSource {
-	return newLogView(rec).source()
-}
-
 func (s *logSource) Truncation(proc int, seqID uint64) (int, bool) {
 	sz, ok := s.trunc[proc][seqID]
 	return sz, ok
@@ -121,19 +114,14 @@ type slotCommit struct {
 }
 
 // replayObserver builds the replay-side fingerprint and keeps the
-// logical commit stream for divergence localization.
+// logical commit stream for divergence localization. It leaves I/O to
+// the interval runner, which hashes each processor's consumed range of
+// the input log after the run.
 type replayObserver struct {
 	bulksc.NopObserver
 	fp     *fingerprint
 	nprocs int
 	stream []slotCommit
-	// ioByLog suppresses fire-time I/O hashing. Segmented replay sets it:
-	// an interval worker racing toward its stop boundary can consume I/O
-	// values the recording attributes to the next interval (I/O fires
-	// between chunks, so its timing — unlike commit slots — is not pinned
-	// by the ordering log), so the driver reconstructs each interval's
-	// I/O chains from the log's consumption ranges after the run.
-	ioByLog bool
 }
 
 func (o *replayObserver) OnCommit(ev bulksc.CommitEvent) {
@@ -152,11 +140,6 @@ func (o *replayObserver) OnCommit(ev bulksc.CommitEvent) {
 		return
 	}
 	o.stream = append(o.stream, slotCommit{proc: ev.Proc, seqID: ev.SeqID, size: ev.Size})
-}
-func (o *replayObserver) OnIORead(proc int, _ int64, v uint64) {
-	if !o.ioByLog {
-		o.fp.io(proc, v)
-	}
 }
 func (o *replayObserver) OnInterrupt(proc int, seq uint64, typ, data int64, _ bool) {
 	o.fp.intr(proc, seq, typ, data)
@@ -334,17 +317,9 @@ func Replay(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOpt
 	if err := rec.EnsureLogs(opts.ReplayParallel); err != nil {
 		return ReplayResult{}, err
 	}
-	if err := rec.Validate(); err != nil {
+	if err := checkReplay(rec, cfg, progs); err != nil {
 		return ReplayResult{}, err
 	}
-	if cfg.NProcs != rec.NProcs {
-		return ReplayResult{}, fmt.Errorf("core: replay with %d procs, recording has %d", cfg.NProcs, rec.NProcs)
-	}
-	if len(progs) != rec.NProcs {
-		return ReplayResult{}, fmt.Errorf("core: replay with %d programs, recording has %d procs", len(progs), rec.NProcs)
-	}
-	cfg.ChunkSize = rec.ChunkSize
-
 	if opts.ReplayParallel > 0 {
 		if opts.UseStratified {
 			return ReplayResult{}, fmt.Errorf("core: segmented replay cannot enforce a stratified log")
@@ -357,62 +332,68 @@ func Replay(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOpt
 		}
 		// No checkpoints to partition at: plain sequential replay below.
 	}
+	return replayToEnd(rec, cfg, progs, opts, -1)
+}
 
+// checkReplay validates rec and matches the replay machine and programs
+// against it.
+func checkReplay(rec *Recording, cfg sim.Config, progs []*isa.Program) error {
+	if err := rec.Validate(); err != nil {
+		return err
+	}
+	if cfg.NProcs != rec.NProcs {
+		return fmt.Errorf("core: replay with %d procs, recording has %d", cfg.NProcs, rec.NProcs)
+	}
+	if len(progs) != rec.NProcs {
+		return fmt.Errorf("core: replay with %d programs, recording has %d procs", len(progs), rec.NProcs)
+	}
+	return nil
+}
+
+// replayToEnd replays from checkpoint from (-1: the start of the
+// recording) to convergence on fresh memory and checks the run against
+// the recorded suffix. Sequential Replay and ReplayFromCheckpoint are
+// both this call.
+func replayToEnd(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOptions, from int) (ReplayResult, error) {
 	memory := mem.New()
-	memory.Restore(rec.InitialMem)
-
-	var policy arbiter.Policy
-	switch {
-	case rec.Mode == PicoLog:
-		var slots []arbiter.SlotRef
-		for _, e := range rec.Slots.Entries() {
-			slots = append(slots, arbiter.SlotRef{Slot: e.Slot, Proc: e.Proc})
+	if from < 0 {
+		memory.Restore(rec.InitialMem)
+	} else {
+		img, err := rec.MaterializeCheckpoint(from)
+		if err != nil {
+			return ReplayResult{}, err
 		}
-		for _, e := range rec.DMA.Entries() {
-			slots = append(slots, arbiter.SlotRef{Slot: e.Slot, Proc: bulksc.DMAProc(rec.NProcs)})
-		}
-		sort.Slice(slots, func(i, j int) bool { return slots[i].Slot < slots[j].Slot })
-		policy = arbiter.NewRoundRobinReplay(rec.NProcs, slots)
-	case opts.UseStratified:
-		if rec.Stratified == nil {
-			return ReplayResult{}, fmt.Errorf("core: recording has no stratified PI log")
-		}
-		policy = stratifier.NewStratumOrder(rec.Stratified, rec.NProcs)
-	default:
-		policy = arbiter.NewLogOrder(rec.PI.Entries())
+		memory.Restore(img)
 	}
-
-	obs := &replayObserver{fp: newFingerprint(rec.NProcs), nprocs: rec.NProcs}
-	eng := &bulksc.Engine{
-		Cfg:            cfg,
-		Progs:          progs,
-		Mem:            memory,
-		Obs:            obs,
-		Policy:         policy,
-		Replay:         newLogSource(rec),
-		Perturb:        opts.Perturb,
-		ExactConflicts: opts.ExactConflicts,
-		PicoLog:        rec.Mode == PicoLog,
-		Trace:          opts.Trace,
+	obs, st, err := replayInterval(rec, cfg, progs, opts, newLogView(rec), memory, from, -1, opts.Trace)
+	if err != nil {
+		return ReplayResult{}, err
 	}
-	if opts.Ctx != nil {
-		eng.Cancel = opts.Ctx.Done()
-	}
-	st := eng.Run()
 	res := ReplayResult{Stats: st, Fingerprint: obs.fp.sum(), MemHash: memory.Hash()}
 	if st.Cancelled {
 		return res, cancelledErr("replay", opts.Ctx)
 	}
-	if !st.Converged {
-		derr := rec.stallError(obs, st, cfg.MaxInstsOrDefault(), 0)
-		noteDivergence(opts.Trace, st.Cycles, derr)
-		return res, derr
-	}
-	if div := rec.divergence(obs, res, 0, rec.Fingerprint, rec.ProcChains, rec.FinalMemHash, !opts.UseStratified); div != nil {
-		noteDivergence(opts.Trace, st.Cycles, div)
-		return res, div
+	if d := rec.checkEnd(obs, res, cfg.MaxInstsOrDefault(), from, !opts.UseStratified); d != nil {
+		noteDivergence(opts.Trace, st.Cycles, d)
+		return res, d
 	}
 	return res, nil
+}
+
+// checkEnd is the verdict of a replay from checkpoint from (-1: the
+// start) that ran to the end of the recording: it must have converged
+// with the recorded suffix fingerprint, per-processor chains and final
+// memory hash. ordered is false for stratified replay (see divergence).
+func (rec *Recording) checkEnd(obs *replayObserver, res ReplayResult, budget uint64, from int, ordered bool) *DivergenceError {
+	base := rec.cutSlot(from)
+	if !res.Stats.Converged {
+		return rec.stallError(obs, res.Stats, budget, base)
+	}
+	fp, chains := rec.Fingerprint, rec.ProcChains
+	if from >= 0 {
+		fp, chains = rec.Checkpoints[from].Fingerprint, rec.Checkpoints[from].ProcChains
+	}
+	return rec.divergence(obs, res, base, fp, chains, rec.FinalMemHash, ordered)
 }
 
 // noteDivergence marks a located replay divergence on the trace

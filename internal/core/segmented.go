@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
-	"delorean/internal/arbiter"
 	"delorean/internal/bulksc"
 	"delorean/internal/chunk"
 	"delorean/internal/isa"
@@ -62,7 +60,6 @@ func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts 
 		return ReplayResult{}, err
 	}
 	view := newLogView(rec)
-	budget := cfg.MaxInstsOrDefault()
 
 	// Workers pool the functional memory's backing map across intervals
 	// and across replays (each interval's engine draws its cache
@@ -73,7 +70,7 @@ func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts 
 	outs, _ := runner.Map(opts.ReplayParallel, k+1, func(i int) (segOut, error) {
 		// Queued intervals behind a cancellation return fast without
 		// touching an engine; running ones stop via Engine.Cancel inside
-		// replayInterval. Either way the interval reports the context's
+		// replaySegment. Either way the interval reports the context's
 		// error, and error selection below still picks the earliest
 		// interval's.
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
@@ -83,7 +80,7 @@ func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts 
 		if s == nil {
 			s = &segScratch{mem: mem.New()}
 		}
-		out := replayInterval(rec, cfg, progs, opts, view, budget, i, s)
+		out := replaySegment(rec, cfg, progs, opts, view, i, s)
 		segPool.Put(s)
 		return out, nil
 	})
@@ -176,41 +173,37 @@ const segMemUnknown = -2
 // segPool holds segScratch entries across segmented replays.
 var segPool sync.Pool
 
-// replayInterval replays interval i on its own engine and verifies it
-// against the recording's interval targets. It never shares mutable
-// state with other intervals; scratch is owned by the calling worker
-// for the duration of the call.
-func replayInterval(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOptions,
-	view *logView, budget uint64, i int, s *segScratch) segOut {
+// replaySegment replays interval i, [cut_{i-1}, cut_i), on its own
+// engine and verifies it against the recording's interval targets. It
+// never shares mutable state with other intervals; scratch is owned by
+// the calling worker for the duration of the call.
+func replaySegment(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOptions,
+	view *logView, i int, s *segScratch) segOut {
 	k := len(rec.Checkpoints)
-	startSlot := uint64(0)
-	if i > 0 {
-		startSlot = rec.Checkpoints[i-1].Slot
+	from, to := i-1, i
+	if i == k {
+		to = -1 // the final interval runs to convergence
 	}
-	stopSlot := uint64(0) // 0: unbounded, run to convergence
-	if i < k {
-		stopSlot = rec.Checkpoints[i].Slot
+	startSlot := rec.cutSlot(from)
+	out := segOut{start: startSlot}
+	if to >= 0 {
+		out.end = rec.Checkpoints[to].Slot
 	}
-	out := segOut{start: startSlot, end: stopSlot}
 
 	memory := s.mem
-	var resume *bulksc.Resume
-	if i > 0 {
-		resume = &bulksc.Resume{Procs: rec.Checkpoints[i-1].Procs, BaseCommits: startSlot}
-	}
 	// Establish the start state: image i-1 (the initial memory for
 	// i == 0). A worker holding a proven earlier image of this recording
 	// rolls forward in place through the intervening deltas —
 	// O(delta volume) — and only otherwise restores a materialized image
 	// — O(footprint).
-	if s.memRec == rec && s.memAt >= -1 && s.memAt <= i-1 {
-		for j := s.memAt + 1; j < i; j++ {
+	if s.memRec == rec && s.memAt >= -1 && s.memAt <= from {
+		for j := s.memAt + 1; j <= from; j++ {
 			memory.ApplyDelta(rec.Checkpoints[j].MemDelta)
 		}
-	} else if i == 0 {
+	} else if from < 0 {
 		memory.Restore(rec.InitialMem)
 	} else {
-		img, err := rec.MaterializeCheckpoint(i - 1)
+		img, err := rec.MaterializeCheckpoint(from)
 		if err != nil {
 			out.err = err
 			return out
@@ -224,89 +217,22 @@ func replayInterval(rec *Recording, cfg sim.Config, progs []*isa.Program, opts R
 	// journal of the interval's own writes (Memory.EqualDelta) — no
 	// materialization of image i, no footprint-sized scan. The final
 	// interval checks FinalMemHash instead and needs no journal.
-	if i < k {
+	if to >= 0 {
 		memory.BeginJournal()
 	} else {
 		memory.EndJournal()
 	}
 
-	var policy arbiter.Policy
-	if rec.Mode == PicoLog {
-		var slots []arbiter.SlotRef
-		for _, e := range rec.Slots.Entries() {
-			if e.Slot >= startSlot {
-				slots = append(slots, arbiter.SlotRef{Slot: e.Slot, Proc: e.Proc})
-			}
-		}
-		for _, e := range rec.DMA.Entries() {
-			if e.Slot >= startSlot {
-				slots = append(slots, arbiter.SlotRef{Slot: e.Slot, Proc: bulksc.DMAProc(rec.NProcs)})
-			}
-		}
-		sort.Slice(slots, func(a, b int) bool { return slots[a].Slot < slots[b].Slot })
-		if i == 0 {
-			policy = arbiter.NewRoundRobinReplay(rec.NProcs, slots)
-		} else {
-			policy = arbiter.NewRoundRobinReplayAt(rec.NProcs, rec.Checkpoints[i-1].TokenAt, slots)
-		}
-	} else {
-		policy = arbiter.NewLogOrder(rec.PI.Entries()[startSlot:])
+	obs, st, err := replayInterval(rec, cfg, progs, opts, view, memory, from, to, nil)
+	if err != nil {
+		out.err = err
+		return out
 	}
-
-	src := view.source()
-	if i > 0 {
-		for p := 0; p < rec.NProcs; p++ {
-			src.ioIdx[p] = rec.Checkpoints[i-1].Procs[p].IOConsumed
-		}
-		for src.dmaIdx < len(src.dma) && src.dma[src.dmaIdx].Slot < startSlot {
-			src.dmaIdx++
-		}
-	}
-
-	obs := &replayObserver{fp: newFingerprint(rec.NProcs), nprocs: rec.NProcs, ioByLog: true}
-	eng := &bulksc.Engine{
-		Cfg:            cfg,
-		Progs:          progs,
-		Mem:            memory,
-		Obs:            obs,
-		Policy:         policy,
-		Replay:         src,
-		Perturb:        opts.Perturb,
-		ExactConflicts: opts.ExactConflicts,
-		PicoLog:        rec.Mode == PicoLog,
-		Resume:         resume,
-		StopAtCommit:   stopSlot,
-	}
-	if opts.Ctx != nil {
-		eng.Cancel = opts.Ctx.Done()
-	}
-	st := eng.Run()
 	if st.Cancelled {
 		// Scratch state stays pool-safe: memRec/memAt were already marked
 		// unknown above, and Memory is restored on the next reuse.
 		out.err = cancelledErr("segmented replay", opts.Ctx)
 		return out
-	}
-
-	// Rebuild the interval's I/O chains from the log's recorded
-	// consumption ranges (see replayObserver.ioByLog): an interval is
-	// credited with exactly the values the recording attributes to it,
-	// so a worker's harmless run-ahead at its stop boundary cannot skew
-	// the fingerprint, while corrupted values still mismatch.
-	for p := 0; p < rec.NProcs; p++ {
-		lo := 0
-		if i > 0 {
-			lo = rec.Checkpoints[i-1].Procs[p].IOConsumed
-		}
-		hi := src.ioIdx[p]
-		if i < k {
-			hi = rec.Checkpoints[i].Procs[p].IOConsumed
-		}
-		var chain uint64
-		for _, v := range view.io[p][lo:hi] {
-			chain = mix(chain, v)
-		}
-		obs.fp.ioChain[p] = chain
 	}
 
 	// Bounded intervals defer the memory hash: their end check verifies
@@ -315,7 +241,7 @@ func replayInterval(rec *Recording, cfg sim.Config, progs []*isa.Program, opts R
 	// mismatch. The final interval checks FinalMemHash, so it hashes up
 	// front.
 	res := ReplayResult{Stats: st, Fingerprint: obs.fp.sum()}
-	if i == k {
+	if to < 0 {
 		res.MemHash = memory.Hash()
 		out.end = startSlot + uint64(len(obs.stream))
 	}
@@ -326,47 +252,43 @@ func replayInterval(rec *Recording, cfg sim.Config, progs []*isa.Program, opts R
 		out.err = d
 		return out
 	}
-	if i < k {
-		cp := &rec.Checkpoints[i]
-		if !st.Stopped {
-			if !st.Converged {
-				return fail(rec.stallError(obs, st, budget, startSlot))
-			}
-			// The machine halted before reaching the cut: fewer commits
-			// than the recording demands of this interval.
-			if d := rec.divergence(obs, res, startSlot, cp.IntervalFingerprint, cp.IntervalChains, res.MemHash, true); d != nil {
-				return fail(d)
-			}
-			return fail(&DivergenceError{Kind: "stall", Mode: rec.Mode,
-				Slot: int64(startSlot) + int64(len(obs.stream)), Proc: -1, SeqID: -1,
-				Detail: fmt.Sprintf("interval replay halted after %d commits, before the checkpoint cut at %d",
-					startSlot+uint64(len(obs.stream)), cp.Slot)})
-		}
-		if res.Fingerprint == cp.IntervalFingerprint && memory.EqualDelta(cp.MemDelta) {
-			// The passed check proves memory == image i exactly; record
-			// that so this worker's next interval can roll forward.
-			s.memAt = i
-			return out
-		}
-		// Mismatch: materialize the full checkpoint image only now, to
-		// hash both sides for the divergence report.
-		img, err := rec.MaterializeCheckpoint(i)
-		if err != nil {
-			out.err = err
-			return out
-		}
-		res.MemHash = memory.Hash()
-		out.res = res
-		if d := rec.divergence(obs, res, startSlot, cp.IntervalFingerprint, cp.IntervalChains, mem.HashSnapshot(img), true); d != nil {
+	if to < 0 {
+		if d := rec.checkEnd(obs, res, cfg.MaxInstsOrDefault(), from, true); d != nil {
 			return fail(d)
 		}
 		return out
 	}
-	if !st.Converged {
-		return fail(rec.stallError(obs, st, budget, startSlot))
+	cp := &rec.Checkpoints[to]
+	if !st.Stopped {
+		if !st.Converged {
+			return fail(rec.stallError(obs, st, cfg.MaxInstsOrDefault(), startSlot))
+		}
+		// The machine halted before reaching the cut: fewer commits
+		// than the recording demands of this interval.
+		if d := rec.divergence(obs, res, startSlot, cp.IntervalFingerprint, cp.IntervalChains, res.MemHash, true); d != nil {
+			return fail(d)
+		}
+		return fail(&DivergenceError{Kind: "stall", Mode: rec.Mode,
+			Slot: int64(startSlot) + int64(len(obs.stream)), Proc: -1, SeqID: -1,
+			Detail: fmt.Sprintf("interval replay halted after %d commits, before the checkpoint cut at %d",
+				startSlot+uint64(len(obs.stream)), cp.Slot)})
 	}
-	last := &rec.Checkpoints[k-1]
-	if d := rec.divergence(obs, res, startSlot, last.Fingerprint, last.ProcChains, rec.FinalMemHash, true); d != nil {
+	if res.Fingerprint == cp.IntervalFingerprint && memory.EqualDelta(cp.MemDelta) {
+		// The passed check proves memory == image i exactly; record
+		// that so this worker's next interval can roll forward.
+		s.memAt = i
+		return out
+	}
+	// Mismatch: materialize the full checkpoint image only now, to
+	// hash both sides for the divergence report.
+	img, err := rec.MaterializeCheckpoint(i)
+	if err != nil {
+		out.err = err
+		return out
+	}
+	res.MemHash = memory.Hash()
+	out.res = res
+	if d := rec.divergence(obs, res, startSlot, cp.IntervalFingerprint, cp.IntervalChains, mem.HashSnapshot(img), true); d != nil {
 		return fail(d)
 	}
 	return out

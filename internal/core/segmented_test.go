@@ -140,6 +140,18 @@ func TestSegmentedReplayDivergenceInterval(t *testing.T) {
 				t.Fatalf("sequential divergence carries interval %d", seqDiv.Interval)
 			}
 
+			// Replaying from the cut just before the corrupted interval
+			// runs the same log suffix to the same end, so it must report
+			// the sequential divergence exactly.
+			_, cpErr := ReplayFromCheckpoint(rec, wantInterval-1, ReplayConfig(cfg), progs, ReplayOptions{})
+			var cpDiv *DivergenceError
+			if !errors.As(cpErr, &cpDiv) {
+				t.Fatalf("interval replay from checkpoint %d of corrupted recording: %v", wantInterval-1, cpErr)
+			}
+			if !reflect.DeepEqual(cpDiv, seqDiv) {
+				t.Fatalf("interval replay divergence differs from sequential:\n%+v\nvs\n%+v", cpDiv, seqDiv)
+			}
+
 			var errs []*DivergenceError
 			for _, workers := range []int{1, 2, 8} {
 				_, err := Replay(rec, ReplayConfig(cfg), progs, ReplayOptions{ReplayParallel: workers})
@@ -151,11 +163,57 @@ func TestSegmentedReplayDivergenceInterval(t *testing.T) {
 					t.Fatalf("segmented replay (%d workers) blamed interval %d, corruption is in %d",
 						workers, div.Interval, wantInterval)
 				}
+				if div.Kind != seqDiv.Kind || div.Proc != seqDiv.Proc {
+					t.Fatalf("segmented replay (%d workers) reports %s divergence on proc %d, sequential %s on proc %d",
+						workers, div.Kind, div.Proc, seqDiv.Kind, seqDiv.Proc)
+				}
 				errs = append(errs, div)
 			}
 			for i := 1; i < len(errs); i++ {
 				if !reflect.DeepEqual(errs[0], errs[i]) {
 					t.Fatalf("divergence differs across worker counts:\n%+v\nvs\n%+v", errs[0], errs[i])
+				}
+			}
+		})
+	}
+}
+
+// TestCheckpointCutPastPILog: a checkpoint cut beyond the end of the PI
+// log is structural corruption. Sequential, segmented and interval
+// replay all reach it through Validate and must reject it with
+// ErrCorruptLog before any engine runs.
+func TestCheckpointCutPastPILog(t *testing.T) {
+	for _, mode := range []Mode{OrderSize, OrderOnly} {
+		mode := mode
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := testConfig(4, 250)
+			progs := replicateProgs(systemProgram(150), 4)
+			rec, _ := record(t, cfg, mode, progs, nil, RecordOptions{CheckpointEvery: 25})
+			last := len(rec.Checkpoints) - 1
+			if last < 0 {
+				t.Fatal("setup: no checkpoints")
+			}
+			rec.Checkpoints[last].Slot = uint64(len(rec.PI.Entries())) + 5
+
+			for _, c := range []struct {
+				name string
+				run  func() error
+			}{
+				{"sequential", func() error {
+					_, err := Replay(rec, ReplayConfig(cfg), progs, ReplayOptions{})
+					return err
+				}},
+				{"segmented", func() error {
+					_, err := Replay(rec, ReplayConfig(cfg), progs, ReplayOptions{ReplayParallel: 2})
+					return err
+				}},
+				{"from-checkpoint", func() error {
+					_, err := ReplayFromCheckpoint(rec, last, ReplayConfig(cfg), progs, ReplayOptions{})
+					return err
+				}},
+			} {
+				if err := c.run(); !errors.Is(err, ErrCorruptLog) {
+					t.Fatalf("%s replay = %v, want ErrCorruptLog", c.name, err)
 				}
 			}
 		})

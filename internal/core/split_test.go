@@ -78,7 +78,7 @@ func TestReplaySplitsOnUnexpectedOverflow(t *testing.T) {
 		Mem:     m2,
 		Obs:     obs,
 		Policy:  arbiter.NewLogOrder(rec.PI.Entries()),
-		Replay:  newLogSource(rec),
+		Replay:  newLogView(rec).source(),
 		Perturb: bulksc.DefaultPerturb(7),
 	}
 	st := eng.Run()

@@ -290,30 +290,3 @@ func TestTSOStudy(t *testing.T) {
 		t.Fatal("render broken")
 	}
 }
-
-func TestReplaySpeedShape(t *testing.T) {
-	c := quick(t)
-	c.Workloads = []string{"fft"}
-	rows, err := ReplaySpeed(c, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 { // sequential reference + 2 worker counts
-		t.Fatalf("got %d rows, want 3", len(rows))
-	}
-	for _, r := range rows {
-		if r.Intervals < 2 {
-			t.Errorf("workers=%d: only %d intervals", r.Workers, r.Intervals)
-		}
-		if r.Millis <= 0 || r.Speedup <= 0 {
-			t.Errorf("workers=%d: degenerate timing row %+v", r.Workers, r)
-		}
-	}
-	if rows[0].Workers != 0 || rows[0].Speedup != 1 {
-		t.Errorf("first row is not the sequential reference: %+v", rows[0])
-	}
-	out := RenderReplaySpeed(rows)
-	if !strings.Contains(out, "fft") || !strings.Contains(out, "seq") {
-		t.Errorf("render missing expected cells:\n%s", out)
-	}
-}

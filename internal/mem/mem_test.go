@@ -81,13 +81,13 @@ func TestEqualDelta(t *testing.T) {
 	m.Store(2, 20)
 	m.Store(3, 30)
 	m.BeginJournal()
-	m.Store(2, 99)  // changed, matches the delta below
-	m.Store(3, 0)   // became zero, matches the delta
-	m.Store(4, 40)  // scratch write...
-	m.Store(4, 0)   // ...restored to its base value (zero)
-	m.Store(5, 77)  // scratch write...
-	m.Store(5, 77)  // ...double write keeps the first-seen base
-	m.Store(5, 0)   // ...restored
+	m.Store(2, 99) // changed, matches the delta below
+	m.Store(3, 0)  // became zero, matches the delta
+	m.Store(4, 40) // scratch write...
+	m.Store(4, 0)  // ...restored to its base value (zero)
+	m.Store(5, 77) // scratch write...
+	m.Store(5, 77) // ...double write keeps the first-seen base
+	m.Store(5, 0)  // ...restored
 	delta := map[uint32]uint64{2: 99, 3: 0}
 	if !m.EqualDelta(delta) {
 		t.Fatal("EqualDelta rejected base+delta state")

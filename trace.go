@@ -1,12 +1,9 @@
 package delorean
 
 import (
-	"errors"
-	"fmt"
+	"context"
 	"io"
 
-	"delorean/internal/bulksc"
-	"delorean/internal/core"
 	"delorean/internal/trace"
 )
 
@@ -70,22 +67,12 @@ func (t *ExecTrace) Events() int {
 // the recording run's ExecTrace. The trace is also retained on the
 // Recording (see Trace).
 func RecordTraced(cfg Config, mode Mode, w *Workload) (*Recording, *ExecTrace, error) {
-	if err := cfg.checkSimParallel(); err != nil {
+	sink := trace.NewSink(cfg.machine().NProcs)
+	rec, err := record(context.Background(), cfg, mode, w, sink)
+	if err != nil {
 		return nil, nil, err
 	}
-	m := cfg.machine()
-	sink := trace.NewSink(m.NProcs)
-	memory := w.InitMem()
-	rec, err := core.Record(m, coreMode(mode), w.Progs, memory, w.Devs, core.RecordOptions{
-		StratifyMax:     cfg.Stratify,
-		ExactConflicts:  cfg.ExactConflicts,
-		CheckpointEvery: cfg.CheckpointEvery,
-		Trace:           sink,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("delorean: record %s: %w", w.Name, err)
-	}
-	return &Recording{rec: rec, cfg: cfg, progs: w.Progs}, &ExecTrace{sink: sink}, nil
+	return rec, &ExecTrace{sink: sink}, nil
 }
 
 // Trace returns the recording run's execution trace when the recording
@@ -107,26 +94,9 @@ func (r *Recording) Trace() *ExecTrace {
 // trace sink, so concurrent traced replays never share event buffers.
 func (r *Recording) ReplayTraced(opts ReplayWith) (ReplayResult, *ExecTrace, error) {
 	sink := trace.NewSink(r.rec.NProcs)
-	ro := core.ReplayOptions{
-		UseStratified:  opts.UseStratified,
-		ExactConflicts: r.cfg.ExactConflicts,
-		ReplayParallel: opts.Parallel,
-		Trace:          sink,
-		Ctx:            opts.Ctx,
-	}
-	if opts.PerturbSeed != 0 {
-		ro.Perturb = bulksc.DefaultPerturb(opts.PerturbSeed)
-	}
-	tr := &ExecTrace{sink: sink}
-	res, err := core.Replay(r.rec, core.ReplayConfig(r.cfg.machine()), r.progs, ro)
+	res, err := r.replay(opts, -1, sink)
 	if err != nil {
-		var div *core.DivergenceError
-		if errors.As(err, &div) {
-			return ReplayResult{Deterministic: false, Stats: execStats(res.Stats),
-				DivergentInterval: div.Interval, Divergence: divergenceInfo(div)}, tr, nil
-		}
-		return ReplayResult{}, nil, fmt.Errorf("delorean: replay: %w", err)
+		return ReplayResult{}, nil, err
 	}
-	return ReplayResult{Deterministic: res.Matches(r.rec), Stats: execStats(res.Stats),
-		DivergentInterval: -1}, tr, nil
+	return res, &ExecTrace{sink: sink}, nil
 }
