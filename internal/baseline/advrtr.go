@@ -24,15 +24,9 @@ type AdvancedRTR struct {
 	// SC violation.
 	recentWindow uint64
 
-	lastWrite    map[uint32]writeStamp
 	valueEntries int
 	vw           bitio.Writer
 	prevValue    uint64
-}
-
-type writeStamp struct {
-	proc int32
-	time uint64
 }
 
 // NewAdvancedRTR builds the recorder. window is the recency bound for
@@ -44,7 +38,6 @@ func NewAdvancedRTR(nprocs int, window uint64) *AdvancedRTR {
 	return &AdvancedRTR{
 		RTR:          NewRTR(nprocs),
 		recentWindow: window,
-		lastWrite:    make(map[uint32]writeStamp),
 	}
 }
 
@@ -55,7 +48,12 @@ func (a *AdvancedRTR) Name() string { return "AdvancedRTR" }
 // everything else flows into the Basic RTR machinery.
 func (a *AdvancedRTR) OnAccess(e sim.AccessEvent) {
 	if e.Read && !e.Write && e.StoresPending {
-		if ws, ok := a.lastWrite[e.Line]; ok && int(ws.proc) != e.Proc && e.Time-ws.time <= a.recentWindow {
+		// The line's last writer: RTR.OnAccess stamps writerProc and
+		// writerTime on every write.
+		ls := a.lines.get(e.Line)
+		// Known defect (ROADMAP): a preceding write stamped after e.Time
+		// wraps the unsigned subtraction, so the load goes unflagged.
+		if ls.writerProc >= 0 && int(ls.writerProc) != e.Proc && e.Time-ls.writerTime <= a.recentWindow {
 			// Possible SC violation: log the load's value (xor-delta
 			// against the previous logged value — loaded values repeat
 			// heavily, and the encoding should see that).
@@ -69,9 +67,6 @@ func (a *AdvancedRTR) OnAccess(e sim.AccessEvent) {
 			a.noteOnly(e)
 			return
 		}
-	}
-	if e.Write {
-		a.lastWrite[e.Line] = writeStamp{proc: int32(e.Proc), time: e.Time}
 	}
 	a.RTR.OnAccess(e)
 }

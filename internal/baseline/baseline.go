@@ -12,6 +12,7 @@ package baseline
 
 import (
 	"delorean/internal/device"
+	"delorean/internal/flat"
 	"delorean/internal/isa"
 	"delorean/internal/mem"
 	"delorean/internal/sim"
@@ -77,36 +78,50 @@ type lineState struct {
 	writerProc  int32 // -1 none
 	writerOp    uint64
 	writerInst  uint64
+	writerTime  uint64   // cycle of the last write (AdvancedRTR)
 	readerOp    []uint64 // per proc, memop count of last read
 	readerInst  []uint64
 	writerStrat uint32 // stratum index + 1 (Strata)
 	readerStrat []uint32
 }
 
-func newLineState(nprocs int) *lineState {
-	return &lineState{
-		writerProc:  -1,
-		readerOp:    make([]uint64, nprocs),
-		readerInst:  make([]uint64, nprocs),
-		readerStrat: make([]uint32, nprocs),
-	}
-}
+// slabLines is how many lines' per-processor slices one slab allocation
+// covers.
+const slabLines = 256
 
-// lineTable maps lines to their dependence state.
+// lineTable maps lines to their dependence state. The states live in one
+// slice indexed through a flat table, and their per-processor slices are
+// cut from slabs, so a new line costs no allocation of its own. get may
+// move the states: no caller holds a *lineState across another get.
 type lineTable struct {
 	nprocs int
-	m      map[uint32]*lineState
+	index  flat.Table // line -> position in states
+	states []lineState
+	ops    []uint64 // slab for readerOp and readerInst
+	strats []uint32 // slab for readerStrat
 }
 
 func newLineTable(nprocs int) *lineTable {
-	return &lineTable{nprocs: nprocs, m: make(map[uint32]*lineState)}
+	return &lineTable{nprocs: nprocs}
 }
 
 func (t *lineTable) get(line uint32) *lineState {
-	ls, ok := t.m[line]
-	if !ok {
-		ls = newLineState(t.nprocs)
-		t.m[line] = ls
+	i, fresh := t.index.Ptr(line)
+	if !fresh {
+		return &t.states[*i]
 	}
-	return ls
+	*i = uint64(len(t.states))
+	n := t.nprocs
+	if len(t.ops) < 2*n {
+		t.ops = make([]uint64, 2*n*slabLines)
+		t.strats = make([]uint32, n*slabLines)
+	}
+	t.states = append(t.states, lineState{
+		writerProc:  -1,
+		readerOp:    t.ops[:n:n],
+		readerInst:  t.ops[n : 2*n : 2*n],
+		readerStrat: t.strats[:n:n],
+	})
+	t.ops, t.strats = t.ops[2*n:], t.strats[n:]
+	return &t.states[len(t.states)-1]
 }

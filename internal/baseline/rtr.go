@@ -171,6 +171,7 @@ func (r *RTR) OnAccess(e sim.AccessEvent) {
 		}
 		ls.writerProc = int32(e.Proc)
 		ls.writerInst = e.Inst
+		ls.writerTime = e.Time
 		for q := range ls.readerInst {
 			ls.readerInst[q] = 0
 		}

@@ -63,14 +63,12 @@ type PendingIntr struct {
 // (The arbiter's grant counter — and its policy state — can run ahead
 // within a grant batch, so the applied count and the engine-tracked
 // token are the consistent values.) The memory delta is read out of the
-// dirty-address set the engine maintains between checkpoints: each dirty
-// address's current committed value (zero when the word was deleted).
+// memory's write journal, restarted at every checkpoint: each address
+// stored to since the last one, with its current committed value (zero
+// when the word was deleted).
 func (e *Engine) capture(appliedSlots uint64) Checkpoint {
-	delta := make(map[uint32]uint64, len(e.ckptDirty))
-	for a := range e.ckptDirty {
-		delta[a] = e.Mem.Load(a)
-	}
-	e.ckptDirty = make(map[uint32]struct{})
+	delta := e.Mem.Written()
+	e.Mem.BeginJournal()
 	cp := Checkpoint{
 		Slot:     appliedSlots,
 		MemDelta: delta,

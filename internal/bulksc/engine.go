@@ -95,12 +95,6 @@ type Engine struct {
 	inputStarved   bool // replay: an input log ran dry mid-run (corrupt log)
 	lastCommitTime uint64
 
-	// ckptDirty, non-nil only while recording with checkpoints enabled,
-	// accumulates the addresses stored to since the last checkpoint —
-	// capture() reads the delta out of it. nil in every other
-	// configuration so the common path pays one nil check per store.
-	ckptDirty map[uint32]struct{}
-
 	// policy is the effective commit-ordering policy: e.Policy, wrapped in
 	// the stop gate when StopAtCommit is set. All engine-side policy calls
 	// go through it.
@@ -361,7 +355,6 @@ func (e *Engine) resetRun() {
 	e.replayDMAOpen = false
 	e.inputStarved = false
 	e.lastCommitTime = 0
-	e.ckptDirty = nil
 	e.policy = nil
 	e.gate = nil
 	e.appliedCommits = 0
@@ -397,8 +390,10 @@ func (e *Engine) Run() Stats {
 		e.gate = &stopGate{inner: e.Policy}
 		e.policy = e.gate
 	}
-	if e.CheckpointEvery > 0 && e.OnCheckpoint != nil && e.Replay == nil {
-		e.ckptDirty = make(map[uint32]struct{})
+	// A recording's checkpoints read their memory deltas out of the
+	// memory's write journal (capture), restarted at every checkpoint.
+	if e.checkpointing() {
+		e.Mem.BeginJournal()
 	}
 	e.arb = arbiter.New(e.Cfg.ArbLat, e.Cfg.CommitDur, e.Cfg.MaxConcurCommits, e.policy)
 	e.arb.Exact = e.ExactConflicts
@@ -467,6 +462,9 @@ func (e *Engine) Run() Stats {
 		}
 	}
 
+	if e.checkpointing() {
+		e.Mem.EndJournal()
+	}
 	e.finishStats()
 	sim.ReleaseMemSys(e.ms)
 	e.ms = nil
@@ -1226,9 +1224,6 @@ func (e *Engine) applyCommit(g *arbiter.Request) {
 		p := g.Tag.(dmaPayload)
 		for k, v := range p.data {
 			e.Mem.Store(p.addr+uint32(k), v)
-			if e.ckptDirty != nil {
-				e.ckptDirty[p.addr+uint32(k)] = struct{}{}
-			}
 		}
 		for _, l := range g.WLines {
 			e.ms.DMAWrite(l)
@@ -1256,12 +1251,8 @@ func (e *Engine) applyCommit(g *arbiter.Request) {
 	// FNV-1a over (addr, value) little-endian, inlined: hash/fnv would
 	// allocate a hash.Hash64 per commit.
 	h := fnvOffset
-	dirty := e.ckptDirty
 	c.Apply(func(a uint32, v uint64) {
 		e.Mem.Store(a, v)
-		if dirty != nil {
-			dirty[a] = struct{}{}
-		}
 		h = fnvByte(h, byte(a))
 		h = fnvByte(h, byte(a>>8))
 		h = fnvByte(h, byte(a>>16))
@@ -1395,10 +1386,15 @@ func (e *Engine) advanceToken(p int) {
 	e.tokenTrack = p
 }
 
+// checkpointing reports whether the run records checkpoints.
+func (e *Engine) checkpointing() bool {
+	return e.CheckpointEvery > 0 && e.OnCheckpoint != nil && e.Replay == nil
+}
+
 // maybeCheckpoint captures a periodic checkpoint (record mode only)
 // after the commit occupying slot appliedSlots-1 has been applied.
 func (e *Engine) maybeCheckpoint(appliedSlots uint64) {
-	if e.CheckpointEvery == 0 || e.OnCheckpoint == nil || e.Replay != nil {
+	if !e.checkpointing() {
 		return
 	}
 	if appliedSlots > 0 && appliedSlots%e.CheckpointEvery == 0 && appliedSlots != e.lastCkptAt {

@@ -9,6 +9,7 @@
 package chunk
 
 import (
+	"delorean/internal/flat"
 	"delorean/internal/isa"
 	"delorean/internal/signature"
 )
@@ -78,14 +79,15 @@ type Chunk struct {
 
 	// Speculative write buffer: word address -> value, with insertion
 	// order retained so commit applies writes deterministically.
-	writes     map[uint32]uint64
+	writes     flat.Table
 	writeOrder []uint32
 
 	// Read/write footprints: exact line sets (for overflow accounting and
 	// the exact-conflict oracle) and Bulk signatures (what the hardware
-	// disambiguates with).
+	// disambiguates with). lines maps each touched line to its
+	// lineRead|lineWritten bits; wLines lists the written lines.
 	RSig, WSig signature.Sig
-	rLines     map[uint32]struct{}
+	lines      flat.Table
 	wLines     []uint32 // insertion order; deduplicated
 
 	// fills journals the shared-state transitions (L2 installs, directory
@@ -138,8 +140,14 @@ type Fill struct {
 	Kind uint8
 }
 
+// Line footprint bits in Chunk.lines.
+const (
+	lineRead    = 1
+	lineWritten = 2
+)
+
 // Storage is a chunk's reusable interior allocation: the speculative
-// write buffer, read-line set and fill journal. Chunks start and die
+// write buffer, line footprint and fill journal. Chunks start and die
 // (commit or squash) millions of times per run; recycling these buffers
 // through the engine's free lists removes the dominant per-chunk
 // allocation cost.
@@ -149,21 +157,14 @@ type Fill struct {
 // in-flight conflict window hold it after the chunk retires — so it is
 // left to the garbage collector.
 type Storage struct {
-	writes     map[uint32]uint64
-	writeOrder []uint32
-	rLines     map[uint32]struct{}
-	fills      []Fill
+	writes, lines flat.Table
+	writeOrder    []uint32
+	fills         []Fill
 }
 
 // NewWith is New drawing interior buffers from st (a retired chunk's
-// storage); zero-value Storage fields are allocated fresh.
+// storage); zero-value Storage fields grow on first use.
 func NewWith(st Storage, proc int, seqID uint64, ckpt isa.ThreadState, target int) *Chunk {
-	if st.writes == nil {
-		st.writes = make(map[uint32]uint64)
-	}
-	if st.rLines == nil {
-		st.rLines = make(map[uint32]struct{})
-	}
 	return &Chunk{
 		Proc:       proc,
 		SeqID:      seqID,
@@ -171,7 +172,7 @@ func NewWith(st Storage, proc int, seqID uint64, ckpt isa.ThreadState, target in
 		Target:     target,
 		writes:     st.writes,
 		writeOrder: st.writeOrder,
-		rLines:     st.rLines,
+		lines:      st.lines,
 		fills:      st.fills,
 	}
 }
@@ -181,10 +182,11 @@ func NewWith(st Storage, proc int, seqID uint64, ckpt isa.ThreadState, target in
 // checks against stale events keep working) but must not execute or
 // buffer further accesses.
 func (c *Chunk) TakeStorage() Storage {
-	st := Storage{writes: c.writes, writeOrder: c.writeOrder[:0], rLines: c.rLines, fills: c.fills[:0]}
-	clear(st.writes)
-	clear(st.rLines)
-	c.writes, c.writeOrder, c.rLines, c.fills = nil, nil, nil, nil
+	st := Storage{writes: c.writes, lines: c.lines, writeOrder: c.writeOrder[:0], fills: c.fills[:0]}
+	st.writes.Reset()
+	st.lines.Reset()
+	c.writes, c.lines = flat.Table{}, flat.Table{}
+	c.writeOrder, c.fills = nil, nil
 	return st
 }
 
@@ -199,8 +201,8 @@ func (c *Chunk) Fills() []Fill { return c.fills }
 
 // NoteRead records a load from line.
 func (c *Chunk) NoteRead(line uint32) {
-	if _, ok := c.rLines[line]; !ok {
-		c.rLines[line] = struct{}{}
+	if b, _ := c.lines.Ptr(line); *b&lineRead == 0 {
+		*b |= lineRead
 		c.RSig.Insert(line)
 	}
 }
@@ -208,12 +210,14 @@ func (c *Chunk) NoteRead(line uint32) {
 // Write buffers a store of v to word addr, recording the line footprint.
 // It reports whether the line is new to this chunk's write set.
 func (c *Chunk) Write(addr uint32, v uint64) (newLine bool) {
-	if _, seen := c.writes[addr]; !seen {
+	p, fresh := c.writes.Ptr(addr)
+	if fresh {
 		c.writeOrder = append(c.writeOrder, addr)
 	}
-	c.writes[addr] = v
+	*p = v
 	line := isa.LineOf(addr)
-	if !c.WroteLine(line) {
+	if b, _ := c.lines.Ptr(line); *b&lineWritten == 0 {
+		*b |= lineWritten
 		c.wLines = append(c.wLines, line)
 		c.WSig.Insert(line)
 		return true
@@ -222,26 +226,19 @@ func (c *Chunk) Write(addr uint32, v uint64) (newLine bool) {
 }
 
 // Load returns this chunk's buffered value for addr, if any.
-func (c *Chunk) Load(addr uint32) (uint64, bool) {
-	v, ok := c.writes[addr]
-	return v, ok
-}
+func (c *Chunk) Load(addr uint32) (uint64, bool) { return c.writes.Get(addr) }
 
 // WroteLine reports whether the chunk wrote to line (exact, not
 // signature-based).
 func (c *Chunk) WroteLine(line uint32) bool {
-	for _, l := range c.wLines {
-		if l == line {
-			return true
-		}
-	}
-	return false
+	b, _ := c.lines.Get(line)
+	return b&lineWritten != 0
 }
 
 // ReadLine reports whether the chunk read line (exact).
 func (c *Chunk) ReadLine(line uint32) bool {
-	_, ok := c.rLines[line]
-	return ok
+	b, _ := c.lines.Get(line)
+	return b&lineRead != 0
 }
 
 // WLines returns the written lines in first-write order. Callers must not
@@ -271,7 +268,8 @@ func (c *Chunk) ConflictsWith(otherW *signature.Sig, otherWLines []uint32, exact
 // the store callback (the commit's functional effect).
 func (c *Chunk) Apply(store func(addr uint32, v uint64)) {
 	for _, a := range c.writeOrder {
-		store(a, c.writes[a])
+		v, _ := c.writes.Get(a)
+		store(a, v)
 	}
 }
 

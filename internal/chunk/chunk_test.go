@@ -136,3 +136,39 @@ func TestTruncReasonStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledStorageForgetsFootprint recycles one chunk's storage into
+// the next, as the engine's free lists do: the new chunk must report
+// nothing the old one buffered, read or wrote, and must rebuild its own
+// footprint from scratch.
+func TestRecycledStorageForgetsFootprint(t *testing.T) {
+	old := New(0, 0, isa.ThreadState{}, 2000)
+	var addrs []uint32
+	for i := uint32(0); i < 200; i++ {
+		a := i*37 + i*i*4099
+		addrs = append(addrs, a)
+		old.Write(a, uint64(i)+1)
+		old.NoteRead(isa.LineOf(a) + 1)
+		old.NoteFill(isa.LineOf(a), 1)
+	}
+	c := NewWith(old.TakeStorage(), 0, 1, isa.ThreadState{}, 2000)
+	for _, a := range addrs {
+		line := isa.LineOf(a)
+		if _, ok := c.Load(a); ok {
+			t.Fatalf("recycled chunk buffers a value for %#x", a)
+		}
+		if c.WroteLine(line) || c.ReadLine(line) || c.ReadLine(line+1) {
+			t.Fatalf("recycled chunk reports line %#x in its footprint", line)
+		}
+	}
+	if c.StoreCount() != 0 || c.NumWLines() != 0 || len(c.Fills()) != 0 {
+		t.Fatalf("recycled chunk starts with %d stores, %d lines, %d fills",
+			c.StoreCount(), c.NumWLines(), len(c.Fills()))
+	}
+	if !c.Write(addrs[3], 9) || !c.WroteLine(isa.LineOf(addrs[3])) {
+		t.Fatal("recycled chunk lost a fresh write")
+	}
+	if v, ok := c.Load(addrs[3]); !ok || v != 9 {
+		t.Fatalf("recycled chunk Load = %d,%v, want 9,true", v, ok)
+	}
+}

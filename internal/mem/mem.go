@@ -7,8 +7,9 @@ package mem
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"sort"
+	"slices"
 
+	"delorean/internal/flat"
 	"delorean/internal/isa"
 )
 
@@ -16,66 +17,67 @@ import (
 // as zero. It is purely functional: timing lives in the cache and core
 // models.
 type Memory struct {
-	words map[uint32]uint64
+	// words holds the nonzero words: storing zero deletes the entry, so
+	// "never written" and "written zero" are one state.
+	words flat.Table
 
 	// journal, while journaling, maps every address written since
 	// BeginJournal to its value at BeginJournal time (first write wins).
-	journal    map[uint32]uint64
+	journal    flat.Table
 	journaling bool
+
+	// addrs is Hash's reusable sort buffer.
+	addrs []uint32
 }
 
 // New returns an empty memory.
-func New() *Memory {
-	return &Memory{words: make(map[uint32]uint64)}
-}
+func New() *Memory { return &Memory{} }
 
 // Load returns the word at addr.
-func (m *Memory) Load(addr uint32) uint64 { return m.words[addr] }
+func (m *Memory) Load(addr uint32) uint64 {
+	v, _ := m.words.Get(addr)
+	return v
+}
 
-// Store writes the word at addr. Storing zero still materializes the
-// entry; Hash and Snapshot must not distinguish "never written" from
-// "written zero", so both are canonicalized (see Hash).
+// Store writes the word at addr. Storing zero deletes the entry, the
+// canonical form Hash and Snapshot rely on.
 func (m *Memory) Store(addr uint32, v uint64) {
 	if m.journaling {
-		if _, ok := m.journal[addr]; !ok {
-			m.journal[addr] = m.words[addr]
+		if p, fresh := m.journal.Ptr(addr); fresh {
+			*p = m.Load(addr)
 		}
 	}
 	if v == 0 {
-		delete(m.words, addr)
+		m.words.Delete(addr)
 		return
 	}
-	m.words[addr] = v
+	p, _ := m.words.Ptr(addr)
+	*p = v
 }
 
 // Len reports the number of nonzero words.
-func (m *Memory) Len() int { return len(m.words) }
+func (m *Memory) Len() int { return m.words.Len() }
 
 // Snapshot captures the full memory contents. The snapshot is independent
 // of future mutations.
 func (m *Memory) Snapshot() map[uint32]uint64 {
-	s := make(map[uint32]uint64, len(m.words))
-	for a, v := range m.words {
-		s[a] = v
-	}
+	s := make(map[uint32]uint64, m.words.Len())
+	m.words.Each(func(a uint32, v uint64) { s[a] = v })
 	return s
 }
 
 // Restore replaces the memory contents with a snapshot taken earlier.
 // Zero-valued snapshot entries are dropped (the canonical form Store
-// maintains), and an existing backing map is reused rather than
-// reallocated — replay workers Restore once per checkpoint interval.
-// Restore bypasses the write journal; callers tracking writes against
-// the restored state start a fresh journal with BeginJournal after it.
+// maintains), and the existing table is reused rather than reallocated —
+// replay workers Restore once per checkpoint interval. Restore bypasses
+// the write journal; callers tracking writes against the restored state
+// start a fresh journal with BeginJournal after it.
 func (m *Memory) Restore(s map[uint32]uint64) {
-	if m.words == nil {
-		m.words = make(map[uint32]uint64, len(s))
-	} else {
-		clear(m.words)
-	}
+	m.words.Reset()
 	for a, v := range s {
 		if v != 0 {
-			m.words[a] = v
+			p, _ := m.words.Ptr(a)
+			*p = v
 		}
 	}
 }
@@ -83,19 +85,26 @@ func (m *Memory) Restore(s map[uint32]uint64) {
 // BeginJournal starts (or restarts) write journaling: from now until
 // EndJournal, the first Store to each address records the value the
 // address held at BeginJournal time. The journal backs EqualDelta's
-// O(written) equality check; journaling costs one map probe per Store.
+// O(written) equality check and Written's checkpoint deltas; journaling
+// costs one table probe per Store.
 func (m *Memory) BeginJournal() {
-	if m.journal == nil {
-		m.journal = make(map[uint32]uint64)
-	} else {
-		clear(m.journal)
-	}
+	m.journal.Reset()
 	m.journaling = true
 }
 
 // EndJournal stops write journaling. The recorded journal remains
-// available to EqualDelta until the next BeginJournal.
+// available to EqualDelta and Written until the next BeginJournal.
 func (m *Memory) EndJournal() { m.journaling = false }
+
+// Written returns the current value of every address stored to since
+// the last BeginJournal, zero for a word that is now zero: the memory's
+// delta from its contents at BeginJournal (it may also list written
+// words that ended at their old value).
+func (m *Memory) Written() map[uint32]uint64 {
+	d := make(map[uint32]uint64, m.journal.Len())
+	m.journal.Each(func(a uint32, _ uint64) { d[a] = m.Load(a) })
+	return d
+}
 
 // EqualDelta reports whether the memory's contents equal base+delta,
 // where base is the contents at the last BeginJournal and delta maps
@@ -114,19 +123,17 @@ func (m *Memory) EndJournal() { m.journaling = false }
 // still holds), so missing writes are caught, not just wrong ones.
 func (m *Memory) EqualDelta(delta map[uint32]uint64) bool {
 	for a, v := range delta {
-		if m.words[a] != v {
+		if m.Load(a) != v {
 			return false
 		}
 	}
-	for a, base := range m.journal {
-		if _, in := delta[a]; in {
-			continue
+	equal := true
+	m.journal.Each(func(a uint32, base uint64) {
+		if _, in := delta[a]; !in && m.Load(a) != base {
+			equal = false
 		}
-		if m.words[a] != base {
-			return false
-		}
-	}
-	return true
+	})
+	return equal
 }
 
 // ApplyDelta applies a checkpoint-style delta in place: zero-valued
@@ -138,27 +145,28 @@ func (m *Memory) EqualDelta(delta map[uint32]uint64) bool {
 func (m *Memory) ApplyDelta(delta map[uint32]uint64) {
 	for a, v := range delta {
 		if v == 0 {
-			delete(m.words, a)
+			m.words.Delete(a)
 		} else {
-			m.words[a] = v
+			p, _ := m.words.Ptr(a)
+			*p = v
 		}
 	}
 }
 
 // Hash returns a canonical FNV-1a hash over the nonzero words in address
 // order. Two memories with identical architectural contents hash equally
-// regardless of write history.
+// regardless of write history. Hash reuses a sort buffer held by m, so
+// it must not run concurrently with any other use of m.
 func (m *Memory) Hash() uint64 {
-	addrs := make([]uint32, 0, len(m.words))
-	for a := range m.words {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	addrs := m.addrs[:0]
+	m.words.Each(func(a uint32, _ uint64) { addrs = append(addrs, a) })
+	slices.Sort(addrs)
+	m.addrs = addrs
 	h := fnv.New64a()
 	var buf [12]byte
 	for _, a := range addrs {
 		binary.LittleEndian.PutUint32(buf[0:4], a)
-		binary.LittleEndian.PutUint64(buf[4:12], m.words[a])
+		binary.LittleEndian.PutUint64(buf[4:12], m.Load(a))
 		h.Write(buf[:])
 	}
 	return h.Sum64()
@@ -174,7 +182,7 @@ func HashSnapshot(s map[uint32]uint64) uint64 {
 			addrs = append(addrs, a)
 		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	h := fnv.New64a()
 	var buf [12]byte
 	for _, a := range addrs {

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"delorean/internal/cache"
+	"delorean/internal/flat"
 )
 
 // MemSys is the timing side of the memory hierarchy: per-processor L1
@@ -33,11 +34,11 @@ type MemSys struct {
 	l1   []*cache.Cache
 	l2   *cache.Cache
 
-	// Directory state per line. sharers is a bitmask of processors whose
-	// L1 may hold the line; owner is the processor holding it exclusively
-	// (-1 if none). Entries vanish when no L1 holds the line.
-	sharers map[uint32]uint32
-	owner   map[uint32]int8
+	// dir is the directory, one entry per line: the low 32 bits are the
+	// bitmask of processors whose L1 may hold the line, the high bits the
+	// processor holding it exclusively plus one (0 if none). An entry
+	// vanishes when both parts are empty.
+	dir flat.Table
 
 	// Access counters, summed over both path families.
 	L1Hits, L2Hits, MemAccesses, C2CTransfers, Upgrades uint64
@@ -67,11 +68,9 @@ const (
 // through AcquireMemSys.
 func newMemSys(cfg *Config) *MemSys {
 	ms := &MemSys{
-		cfg:     cfg,
-		geom:    geometryOf(cfg),
-		l2:      cache.New(cfg.L2Bytes, cfg.L2Ways),
-		sharers: make(map[uint32]uint32),
-		owner:   make(map[uint32]int8),
+		cfg:  cfg,
+		geom: geometryOf(cfg),
+		l2:   cache.New(cfg.L2Bytes, cfg.L2Ways),
 	}
 	for i := 0; i < cfg.NProcs; i++ {
 		ms.l1 = append(ms.l1, cache.New(cfg.L1Bytes, cfg.L1Ways))
@@ -128,8 +127,7 @@ func (ms *MemSys) reset(cfg *Config) {
 	for _, c := range ms.l1 {
 		c.Flush()
 	}
-	clear(ms.sharers)
-	clear(ms.owner)
+	ms.dir.Reset()
 	ms.L1Hits, ms.L2Hits, ms.MemAccesses, ms.C2CTransfers, ms.Upgrades = 0, 0, 0, 0, 0
 }
 
@@ -137,20 +135,45 @@ func (ms *MemSys) reset(cfg *Config) {
 // for overflow accounting).
 func (ms *MemSys) L1(p int) *cache.Cache { return ms.l1[p] }
 
+// owner returns the processor holding line exclusively, if any.
+func (ms *MemSys) owner(line uint32) (int, bool) {
+	v, _ := ms.dir.Get(line)
+	o := int(v >> 32)
+	return o - 1, o != 0
+}
+
+// setDir stores line's directory entry, dropping it when empty.
+func (ms *MemSys) setDir(line uint32, v uint64) {
+	if v == 0 {
+		ms.dir.Delete(line)
+		return
+	}
+	e, _ := ms.dir.Ptr(line)
+	*e = v
+}
+
+func (ms *MemSys) setOwner(line uint32, p int) {
+	e, _ := ms.dir.Ptr(line)
+	*e = *e&0xffffffff | uint64(p+1)<<32
+}
+
+func (ms *MemSys) clearOwner(line uint32) {
+	v, _ := ms.dir.Get(line)
+	ms.setDir(line, v&0xffffffff)
+}
+
 func (ms *MemSys) addSharer(line uint32, p int) {
-	ms.sharers[line] |= 1 << uint(p)
+	e, _ := ms.dir.Ptr(line)
+	*e |= 1 << uint(p)
 }
 
 func (ms *MemSys) dropSharer(line uint32, p int) {
-	s := ms.sharers[line] &^ (1 << uint(p))
-	if s == 0 {
-		delete(ms.sharers, line)
-	} else {
-		ms.sharers[line] = s
+	v, _ := ms.dir.Get(line)
+	v &^= 1 << uint(p)
+	if int(v>>32) == p+1 {
+		v &= 0xffffffff
 	}
-	if o, ok := ms.owner[line]; ok && int(o) == p {
-		delete(ms.owner, line)
-	}
+	ms.setDir(line, v)
 }
 
 func (ms *MemSys) installL1(p int, line uint32) {
@@ -169,8 +192,8 @@ func (ms *MemSys) Load(p int, line uint32) uint64 {
 	}
 	// L1 miss. If another processor owns the line dirty, it is forwarded
 	// cache-to-cache through the directory and downgraded to shared.
-	if o, ok := ms.owner[line]; ok && int(o) != p {
-		delete(ms.owner, line)
+	if o, ok := ms.owner(line); ok && o != p {
+		ms.clearOwner(line)
 		ms.C2CTransfers++
 		ms.l2.Install(line)
 		ms.installL1(p, line)
@@ -193,7 +216,7 @@ func (ms *MemSys) Load(p int, line uint32) uint64 {
 func (ms *MemSys) Store(p int, line uint32) uint64 {
 	lat := ms.exclusiveLat(p, line)
 	ms.invalidateOthers(p, line)
-	ms.owner[line] = int8(p)
+	ms.setOwner(line, p)
 	ms.installL1(p, line)
 	return lat
 }
@@ -217,7 +240,7 @@ func (ms *MemSys) SpecLoad(p int, line uint32) (uint64, FillKind) {
 	}
 	// L1 miss. A dirty remote owner forwards cache-to-cache through the
 	// directory; the downgrade becomes visible at commit.
-	if o, ok := ms.owner[line]; ok && int(o) != p {
+	if o, ok := ms.owner(line); ok && o != p {
 		ms.C2CTransfers++
 		ms.installL1Spec(p, line)
 		return ms.cfg.L2Lat, FillC2C
@@ -239,7 +262,7 @@ func (ms *MemSys) SpecLoad(p int, line uint32) (uint64, FillKind) {
 // implied transition is returned for commit-time application.
 func (ms *MemSys) SpecStore(p int, line uint32) (uint64, FillKind) {
 	if ms.l1[p].Access(line) {
-		if o, ok := ms.owner[line]; ok && int(o) == p {
+		if o, ok := ms.owner(line); ok && o == p {
 			ms.L1Hits++
 			return ms.cfg.L1Lat, FillNone
 		}
@@ -247,7 +270,7 @@ func (ms *MemSys) SpecStore(p int, line uint32) (uint64, FillKind) {
 		ms.Upgrades++
 		return ms.cfg.L2Lat, FillUpgrade
 	}
-	if o, ok := ms.owner[line]; ok && int(o) != p {
+	if o, ok := ms.owner(line); ok && o != p {
 		ms.C2CTransfers++
 		ms.installL1Spec(p, line)
 		return ms.cfg.L2Lat, FillC2C
@@ -271,8 +294,8 @@ func (ms *MemSys) SpecStore(p int, line uint32) (uint64, FillKind) {
 func (ms *MemSys) ApplyFill(p int, line uint32, k FillKind) {
 	switch k {
 	case FillC2C:
-		if o, ok := ms.owner[line]; ok && int(o) != p {
-			delete(ms.owner, line)
+		if o, ok := ms.owner(line); ok && o != p {
+			ms.clearOwner(line)
 		}
 		ms.l2.Install(line)
 	case FillL2:
@@ -292,7 +315,7 @@ func (ms *MemSys) ApplyFill(p int, line uint32, k FillKind) {
 // latency is folded into the commit operation, not charged per line.
 func (ms *MemSys) CommitLine(p int, line uint32) {
 	ms.invalidateOthers(p, line)
-	ms.owner[line] = int8(p)
+	ms.setOwner(line, p)
 	ms.l2.Install(line)
 	ms.installL1(p, line)
 }
@@ -305,13 +328,13 @@ func (ms *MemSys) DMAWrite(line uint32) {
 			ms.dropSharer(line, q)
 		}
 	}
-	delete(ms.owner, line)
+	ms.clearOwner(line)
 	ms.l2.Install(line)
 }
 
 func (ms *MemSys) exclusiveLat(p int, line uint32) uint64 {
 	if ms.l1[p].Access(line) {
-		if o, ok := ms.owner[line]; ok && int(o) == p {
+		if o, ok := ms.owner(line); ok && o == p {
 			ms.L1Hits++
 			return ms.cfg.L1Lat
 		}
@@ -319,7 +342,7 @@ func (ms *MemSys) exclusiveLat(p int, line uint32) uint64 {
 		ms.Upgrades++
 		return ms.cfg.L2Lat
 	}
-	if o, ok := ms.owner[line]; ok && int(o) != p {
+	if o, ok := ms.owner(line); ok && o != p {
 		ms.C2CTransfers++
 		return ms.cfg.L2Lat
 	}
@@ -333,10 +356,8 @@ func (ms *MemSys) exclusiveLat(p int, line uint32) uint64 {
 }
 
 func (ms *MemSys) invalidateOthers(p int, line uint32) {
-	mask, ok := ms.sharers[line]
-	if !ok {
-		return
-	}
+	v, _ := ms.dir.Get(line)
+	mask := uint32(v)
 	for q := 0; q < ms.cfg.NProcs; q++ {
 		if q != p && mask&(1<<uint(q)) != 0 {
 			ms.l1[q].Invalidate(line)
@@ -353,6 +374,6 @@ func (ms *MemSys) installL2(line uint32) {
 				ms.dropSharer(evicted, q)
 			}
 		}
-		delete(ms.owner, evicted)
+		ms.clearOwner(evicted)
 	}
 }
