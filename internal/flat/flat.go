@@ -9,9 +9,17 @@
 // clear. Table stores keys and values inline in one slot array, probes
 // linearly from a multiplicative hash, and clears in O(1) with a
 // per-slot generation stamp — the property a recycled chunk needs.
+//
+// Keys can come from outside: a replay restores memory images from
+// uploaded recordings. The hash is therefore keyed with a secret drawn
+// per table, as Go maps are, so no fixed key set can pile into one
+// probe run (see home).
 package flat
 
-import "math/bits"
+import (
+	"math/bits"
+	"math/rand/v2"
+)
 
 // slot is one table entry. It is live iff gen equals the table's
 // current generation; gen 0 never is, so a zeroed slot array is empty.
@@ -25,23 +33,46 @@ type slot struct {
 // table ready to use. A Table is not safe for concurrent mutation;
 // concurrent Get, Len and Each calls are safe.
 //
-// Iteration order (Each) is a function of the table's operation history
-// alone, so it is deterministic, but it is not key order.
+// Iteration order (Each) depends on the table's random hash key: it is
+// not key order and differs from run to run.
 type Table struct {
 	slots []slot
 	mask  uint32 // len(slots) - 1
-	shift uint8  // 32 - log2(len(slots))
+	shift uint8  // 64 - log2(len(slots))
 	gen   uint32 // current generation; 0 until the first insert
 	n     int
+
+	// mul and add key the hash; drawn at the first allocation, mul odd.
+	mul, add uint64
+	mixed    bool // home mixes mul·k + add before taking its top bits
 }
 
 // minSlots is the capacity of a table's first allocation.
 const minSlots = 16
 
-// home returns k's preferred slot: Fibonacci hashing, the top bits of
-// k times 2^32/φ, which spreads strided keys (word addresses, line
-// numbers) evenly.
-func (t *Table) home(k uint32) uint32 { return (k * 0x9E3779B9) >> t.shift }
+// maxProbe is how far past its home Ptr may place a key before the
+// table switches to mixed hashing.
+const maxProbe = 32
+
+// home returns k's preferred slot: the top bits of mul·k + add mod
+// 2^64. With mul and add random this is a keyed, nearly 2-independent
+// hash (Dietzfelbinger, STACS 1996), so keys chosen without the key
+// collide no more than chance allows. Being affine, it maps strided
+// addresses to strided slots, which the hardware prefetcher follows; a
+// hash that scatters them made sequential lookups about three times
+// slower on x86-64.
+//
+// Some keys cluster some strides, though; once an insert lands more
+// than maxProbe slots past its home, the table rehashes with a fixed
+// xor-shift-multiply folded in, which behaves like a random function.
+func (t *Table) home(k uint32) uint32 {
+	x := uint64(k)*t.mul + t.add
+	if t.mixed {
+		x ^= x >> 32
+		x *= 0x9E3779B97F4A7C15
+	}
+	return uint32(x >> t.shift)
+}
 
 // Len returns the number of entries.
 func (t *Table) Len() int { return t.n }
@@ -69,9 +100,14 @@ func (t *Table) Ptr(k uint32) (v *uint64, inserted bool) {
 	if 2*(t.n+1) > len(t.slots) {
 		t.grow()
 	}
-	for i := t.home(k); ; i = (i + 1) & t.mask {
+	for i, d := t.home(k), 0; ; i, d = (i+1)&t.mask, d+1 {
 		s := &t.slots[i]
 		if s.gen != t.gen {
+			if d > maxProbe && !t.mixed {
+				t.mixed = true
+				t.rehash(len(t.slots))
+				return t.Ptr(k)
+			}
 			*s = slot{key: k, gen: t.gen}
 			t.n++
 			return &s.val, true
@@ -139,18 +175,21 @@ func (t *Table) Each(fn func(k uint32, v uint64)) {
 	}
 }
 
-// grow doubles the slot array (allocating the first one) and reinserts
-// the live entries, keeping the load factor at most one half.
-func (t *Table) grow() {
+// grow doubles the slot array (allocating the first one), keeping the
+// load factor at most one half.
+func (t *Table) grow() { t.rehash(max(2*len(t.slots), minSlots)) }
+
+// rehash moves the live entries into a fresh array of size slots,
+// drawing the hash key at the first allocation.
+func (t *Table) rehash(size int) {
 	old, gen := t.slots, t.gen
-	size := 2 * len(old)
-	if size < minSlots {
-		size = minSlots
-	}
 	t.slots = make([]slot, size)
 	t.mask = uint32(size - 1)
-	t.shift = uint8(32 - bits.TrailingZeros(uint(size)))
+	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 	t.gen = 1
+	if t.mul == 0 {
+		t.mul, t.add = rand.Uint64()|1, rand.Uint64()
+	}
 	for i := range old {
 		if s := old[i]; s.gen == gen {
 			j := t.home(s.key)

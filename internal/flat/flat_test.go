@@ -86,10 +86,18 @@ func run(t *testing.T, tab *Table, data []byte) {
 	check(t, tab, ref)
 }
 
-// collider returns the i-th key whose home slot in a 16-slot table is
-// slot 0, so small tables see long probe runs.
+// testMul fixes the hash key of the tables tests build with testTable:
+// the 64-bit golden-ratio multiplier, with add 0. Knowing the key, a
+// test can pick keys that share one probe run (collider).
+const testMul = 0x9E3779B97F4A7C15
+
+// testTable returns an empty table whose hash key is testMul.
+func testTable() *Table { return &Table{mul: testMul} }
+
+// collider returns the i-th key whose home slot in a 16-slot
+// testTable is slot 0, so small tables see long probe runs.
 func collider(i uint32) uint32 {
-	var probe Table
+	probe := testTable()
 	probe.grow()
 	for k, n := uint32(0), uint32(0); ; k++ {
 		if probe.home(k) == 0 {
@@ -106,8 +114,7 @@ func FuzzTable(f *testing.F) {
 	f.Add([]byte{0x40, 0, 0, 0, 0, 0x40, 1, 0, 0, 0, 0x40, 2, 0, 0, 0, 0x45, 0, 0, 0, 0, 0x43, 2, 0, 0, 0})
 	f.Add([]byte{0x80, 0xff, 0xff, 0xff, 0xff, 0x80, 0, 0, 0, 0, 0xa7, 0, 0, 0, 0, 0x83, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var tab Table
-		run(t, &tab, data)
+		run(t, testTable(), data)
 	})
 }
 
@@ -116,7 +123,7 @@ func FuzzTable(f *testing.F) {
 func TestProbeRunDeletes(t *testing.T) {
 	keys := []uint32{collider(0), collider(1), collider(2), collider(3), collider(4)}
 	for first := range keys {
-		var tab Table
+		tab := testTable()
 		ref := make(map[uint32]uint64)
 		for i, k := range keys {
 			p, _ := tab.Ptr(k)
@@ -127,7 +134,7 @@ func TestProbeRunDeletes(t *testing.T) {
 			k := keys[(first+i)%len(keys)]
 			tab.Delete(k)
 			delete(ref, k)
-			check(t, &tab, ref)
+			check(t, tab, ref)
 		}
 		// Reinsert after the run is gone.
 		p, ins := tab.Ptr(keys[first])
@@ -192,5 +199,108 @@ func TestGenerationWraparound(t *testing.T) {
 		if _, ok := tab.Get(i); ok {
 			t.Fatalf("key %d survived Reset", i)
 		}
+	}
+}
+
+// fibonacciRun returns n keys whose products with the 32-bit golden
+// ratio are consecutive: an unkeyed Fibonacci hash, (k·0x9E3779B9 mod
+// 2^32) >> shift, puts them all in one probe run.
+func fibonacciRun(n int) []uint32 {
+	const phi = 0x9E3779B9
+	inv := uint32(phi) // Newton's iteration for phi^-1 mod 2^32
+	for i := 0; i < 5; i++ {
+		inv *= 2 - phi*inv
+	}
+	keys := make([]uint32, n)
+	for i := range keys {
+		keys[i] = inv * (0xAB000000 + uint32(i))
+	}
+	return keys
+}
+
+// meanDisplacement inserts keys into tab and returns the mean distance,
+// in slots, from each entry's home to where it sits: the extra probes
+// a lookup of it costs.
+func meanDisplacement(tab *Table, keys []uint32) float64 {
+	for _, k := range keys {
+		tab.Ptr(k)
+	}
+	total := 0
+	for j := range tab.slots {
+		if s := &tab.slots[j]; s.gen == tab.gen {
+			total += int((uint32(j) - tab.home(s.key)) & tab.mask)
+		}
+	}
+	return float64(total) / float64(tab.Len())
+}
+
+// TestHostileKeysSpread checks that keys chosen against a fixed hash do
+// not pile up in a keyed table. fibonacciRun's 2^17 keys would sit in
+// one probe run under an unkeyed Fibonacci hash, so inserting them from
+// an uploaded image would cost ~2^33 probes; a random key must spread
+// them, and the word-strided and consecutive addresses programs use,
+// to under a few extra probes per entry on average over fresh keys.
+func TestHostileKeysSpread(t *testing.T) {
+	const n, trials = 1 << 17, 8
+	strided := make([]uint32, n)
+	consecutive := make([]uint32, n)
+	for i := range strided {
+		strided[i] = uint32(i) * 512
+		consecutive[i] = uint32(i)
+	}
+	for name, keys := range map[string][]uint32{
+		"fibonacci-run": fibonacciRun(n),
+		"stride-512":    strided,
+		"consecutive":   consecutive,
+	} {
+		sum := 0.0
+		for trial := 0; trial < trials; trial++ {
+			sum += meanDisplacement(new(Table), keys)
+		}
+		if d := sum / trials; d > 4 {
+			t.Errorf("%s: mean displacement %.2f slots averaged over %d tables, want at most 4", name, d, trials)
+		}
+	}
+}
+
+// TestLongProbeSwitchesToMixedHash inserts keys that all share a home
+// under a known key: the insert that lands more than maxProbe slots
+// past its home must switch the table to mixed hashing, which spreads
+// the run, and every entry must stay reachable.
+func TestLongProbeSwitchesToMixedHash(t *testing.T) {
+	tab := testTable()
+	tab.rehash(1 << 12)
+	ref := make(map[uint32]uint64)
+	for k := uint32(0); len(ref) < 2*maxProbe; k++ {
+		if tab.home(k) == 0 {
+			ref[k] = uint64(k) + 1
+		}
+	}
+	i := 0
+	for k, v := range ref {
+		p, _ := tab.Ptr(k)
+		*p = v
+		if i++; tab.mixed != (i > maxProbe+1) {
+			t.Fatalf("after %d colliding inserts mixed = %v", i, tab.mixed)
+		}
+	}
+	check(t, tab, ref)
+	if d := meanDisplacement(tab, nil); d > 1 {
+		t.Fatalf("mixed hash left mean displacement %.2f", d)
+	}
+}
+
+// TestTablesDrawTheirOwnKey checks that each table keys its hash with
+// fresh random bits, so no key set can be chosen against them in
+// advance.
+func TestTablesDrawTheirOwnKey(t *testing.T) {
+	var a, b Table
+	a.Ptr(1)
+	b.Ptr(1)
+	if a.mul&1 == 0 || b.mul&1 == 0 {
+		t.Fatalf("multipliers %#x, %#x: want odd", a.mul, b.mul)
+	}
+	if a.mul == b.mul || a.add == b.add {
+		t.Fatalf("two tables drew the same hash key (%#x, %#x)", a.mul, a.add)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"delorean/internal/rng"
 )
@@ -62,9 +63,10 @@ func (r *refMemory) equalDelta(d map[uint32]uint64) bool {
 	return true
 }
 
-// collidingKeys returns n keys sharing the top 16 bits of their
-// Fibonacci hash, so they fall in one probe run of any table of up to
-// 2^16 slots.
+// collidingKeys returns n keys whose products with the 32-bit golden
+// ratio are consecutive: an unkeyed Fibonacci hash, (k·0x9E3779B9 mod
+// 2^32) >> shift, would put them all in one probe run. They are the
+// keys an uploaded memory image would pick against a fixed hash.
 func collidingKeys(n int) []uint32 {
 	const phi = 0x9E3779B9
 	inv := uint32(phi) // Newton's iteration for phi^-1 mod 2^32
@@ -73,13 +75,13 @@ func collidingKeys(n int) []uint32 {
 	}
 	keys := make([]uint32, n)
 	for i := range keys {
-		keys[i] = inv * (0xABCD0000 + uint32(i)*977)
+		keys[i] = inv * (0xAB000000 + uint32(i))
 	}
 	return keys
 }
 
 // addrPool draws the addresses a differential run uses: uniform over
-// the 32-bit space, the extremes, and a block of colliding keys.
+// the 32-bit space, the extremes, and a block of collidingKeys.
 func addrPool(s *rng.Source) []uint32 {
 	pool := []uint32{0, 1, math.MaxUint32, math.MaxUint32 - 1, 1 << 31}
 	pool = append(pool, collidingKeys(24)...)
@@ -200,6 +202,36 @@ func TestMemoryMatchesMapModel(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRestoreHostileImage restores an image of 2^17 collidingKeys
+// addresses and bounds its time against an image of as many random
+// addresses. Under a fixed hash the hostile image is one probe run,
+// ~2^33 probes, seconds rather than milliseconds.
+func TestRestoreHostileImage(t *testing.T) {
+	const n = 1 << 17
+	s := rng.New(1)
+	hostile := make(map[uint32]uint64, n)
+	for _, a := range collidingKeys(n) {
+		hostile[a] = uint64(a) | 1
+	}
+	random := make(map[uint32]uint64, n)
+	for len(random) < n {
+		random[uint32(s.Uint64())] = 1
+	}
+	restore := func(img map[uint32]uint64) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			New().Restore(img)
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	base, got := restore(random), restore(hostile)
+	if got > 10*base+100*time.Millisecond {
+		t.Fatalf("restoring %d colliding addresses took %v, %d random ones %v", n, got, n, base)
 	}
 }
 

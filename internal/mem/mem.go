@@ -25,9 +25,6 @@ type Memory struct {
 	// BeginJournal to its value at BeginJournal time (first write wins).
 	journal    flat.Table
 	journaling bool
-
-	// addrs is Hash's reusable sort buffer.
-	addrs []uint32
 }
 
 // New returns an empty memory.
@@ -155,13 +152,11 @@ func (m *Memory) ApplyDelta(delta map[uint32]uint64) {
 
 // Hash returns a canonical FNV-1a hash over the nonzero words in address
 // order. Two memories with identical architectural contents hash equally
-// regardless of write history. Hash reuses a sort buffer held by m, so
-// it must not run concurrently with any other use of m.
+// regardless of write history.
 func (m *Memory) Hash() uint64 {
-	addrs := m.addrs[:0]
+	addrs := make([]uint32, 0, m.words.Len())
 	m.words.Each(func(a uint32, _ uint64) { addrs = append(addrs, a) })
 	slices.Sort(addrs)
-	m.addrs = addrs
 	h := fnv.New64a()
 	var buf [12]byte
 	for _, a := range addrs {
