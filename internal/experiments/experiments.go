@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"delorean/internal/baseline"
 	"delorean/internal/bulksc"
 	"delorean/internal/core"
 	"delorean/internal/runner"
@@ -109,6 +110,11 @@ func splashIn(name string) bool {
 //     11's plain and stratified replay inputs share one recording.
 //   - SimulChunks=0 means the machine default; it is resolved before
 //     keying so explicit-default sweeps (Figure 12) hit the same entry.
+//   - An SC classic run always carries the FDR, RTR, Strata and
+//     Strata-noWAR recorders. Like the stratifier they are pure observers
+//     (the machine hands them each access by value and reads nothing
+//     back), so the bare SC reference of Figure 10 and the TSO study and
+//     the recorded SC run of the baseline comparison are one run.
 type runKey struct {
 	kind      string // "classic" | "chunked" | "record"
 	workload  string
@@ -136,6 +142,14 @@ type recordResult struct {
 	err error
 }
 
+// classicRun memoizes one classic-machine run. An SC run also carries the
+// compressed log sizes, in bits, of the baseline recorders that observed
+// it; an RC run carries no logs.
+type classicRun struct {
+	sim.Stats
+	fdrBits, rtrBits, strataBits, strataNoWARBits int
+}
+
 // replayResult memoizes one verified perturbed replay's cycle count.
 type replayResult struct {
 	cycles float64
@@ -145,10 +159,13 @@ type replayResult struct {
 // Cache is the harness's single-flight memo store: each distinct
 // RC/SC/BulkSC baseline run, recording, and verified perturbed replay
 // executes exactly once per Cache no matter how many figures consume it.
+// The one SC run per workload is shared by Figure 10, the TSO study, the
+// baseline comparison and Table 1: it carries the prior-work recorders'
+// log sizes as well as the machine statistics.
 // The zero value is ready to use; a nil Config.Cache uses one
 // process-wide instance.
 type Cache struct {
-	classic runner.Memo[runKey, sim.Stats]
+	classic runner.Memo[runKey, classicRun]
 	chunked runner.Memo[runKey, bulksc.Stats]
 	records runner.Memo[runKey, recordResult]
 	replays runner.Memo[runKey, replayResult]
@@ -196,13 +213,27 @@ func (c Config) recordWorkload(name string, mode core.Mode, chunkSize int, opts 
 	return res.rec, res.err
 }
 
-// runClassic executes one workload on the classic machine (memoized).
-func (c Config) runClassic(name string, model sim.Model) sim.Stats {
+// runClassic executes one workload on the classic machine (memoized). An
+// SC run feeds every baseline recorder (see runKey).
+func (c Config) runClassic(name string, model sim.Model) classicRun {
 	key := runKey{kind: "classic", workload: name, procs: c.Procs, scale: c.Scale, seed: c.Seed, model: model}
-	return c.cache().classic.Do(key, func() sim.Stats {
+	return c.cache().classic.Do(key, func() classicRun {
 		w := workload.Get(name, c.params())
-		m := sim.NewMachine(c.machine(), model, w.Progs, w.InitMem(), w.Devs)
-		return m.Run()
+		if model != sim.SC {
+			return classicRun{Stats: sim.NewMachine(c.machine(), model, w.Progs, w.InitMem(), w.Devs).Run()}
+		}
+		fdr := baseline.NewFDR(c.Procs)
+		rtr := baseline.NewRTR(c.Procs)
+		str := baseline.NewStrata(c.Procs, false)
+		strNW := baseline.NewStrata(c.Procs, true)
+		st := baseline.Run(c.machine(), w.Progs, w.InitMem(), w.Devs, fdr, rtr, str, strNW)
+		return classicRun{
+			Stats:           st,
+			fdrBits:         fdr.CompressedBits(),
+			rtrBits:         rtr.CompressedBits(),
+			strataBits:      str.CompressedBits(),
+			strataNoWARBits: strNW.CompressedBits(),
+		}
 	})
 }
 

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"delorean/internal/baseline"
 	"delorean/internal/sim"
+	"delorean/internal/workload"
 )
 
 // The experiment harnesses run at Quick scale in tests: the point here is
@@ -288,5 +291,34 @@ func TestTSOStudy(t *testing.T) {
 	}
 	if s := RenderTSO(rows); !strings.Contains(s, "AdvRTR") {
 		t.Fatal("render broken")
+	}
+}
+
+// TestRecordersArePassive pins what the shared SC run relies on: the
+// baseline recorders only observe. For every workload at quick scale, a
+// bare SC run and an SC run feeding all four recorders must end in
+// deep-equal statistics, and an RTR attached alone must log exactly what
+// the RTR inside the four-recorder fanout logs.
+func TestRecordersArePassive(t *testing.T) {
+	c := quick(t)
+	for _, name := range c.workloads() {
+		w := workload.Get(name, c.params())
+		bare := sim.NewMachine(c.machine(), sim.SC, w.Progs, w.InitMem(), w.Devs).Run()
+
+		rtr := baseline.NewRTR(c.Procs)
+		all := baseline.Run(c.machine(), w.Progs, w.InitMem(), w.Devs,
+			baseline.NewFDR(c.Procs), rtr, baseline.NewStrata(c.Procs, false), baseline.NewStrata(c.Procs, true))
+		if !reflect.DeepEqual(bare, all) {
+			t.Errorf("%s: recorders changed the SC run:\nbare %+v\nobserved %+v", name, bare, all)
+		}
+
+		alone := baseline.NewRTR(c.Procs)
+		baseline.Run(c.machine(), w.Progs, w.InitMem(), w.Devs, alone)
+		if alone.Entries() != rtr.Entries() || alone.RawBits() != rtr.RawBits() ||
+			alone.CompressedBits() != rtr.CompressedBits() {
+			t.Errorf("%s: RTR alone logged %d entries, %d raw, %d compressed bits; in the fanout %d, %d, %d",
+				name, alone.Entries(), alone.RawBits(), alone.CompressedBits(),
+				rtr.Entries(), rtr.RawBits(), rtr.CompressedBits())
+		}
 	}
 }

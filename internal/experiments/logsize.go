@@ -7,6 +7,7 @@ import (
 	"delorean/internal/core"
 	"delorean/internal/metrics"
 	"delorean/internal/runner"
+	"delorean/internal/sim"
 	"delorean/internal/workload"
 )
 
@@ -230,26 +231,22 @@ type BaselineRow struct {
 
 // Baselines measures FDR/RTR/Strata (on SC) and DeLorean's OrderOnly and
 // PicoLog logs (on the chunked machine) for every workload, one worker
-// per workload. The OrderOnly and PicoLog recordings are the same
-// memoized runs Figures 6, 7, 10 and 11 consume.
+// per workload. The recorders' logs come from the memoized SC run that
+// Figure 10 and the TSO study read, and the OrderOnly and PicoLog
+// recordings are the same memoized runs Figures 6, 7, 10 and 11 consume.
 func Baselines(c Config) ([]BaselineRow, error) {
 	names := c.workloads()
 	return runner.Map(c.Parallel, len(names), func(i int) (BaselineRow, error) {
 		name := names[i]
-		w := workload.Get(name, c.params())
-		fdr := baseline.NewFDR(c.Procs)
-		rtr := baseline.NewRTR(c.Procs)
-		str := baseline.NewStrata(c.Procs, false)
-		strNW := baseline.NewStrata(c.Procs, true)
-		st := baseline.Run(c.machine(), w.Progs, w.InitMem(), w.Devs, fdr, rtr, str, strNW)
-		if !st.Converged {
+		sc := c.runClassic(name, sim.SC)
+		if !sc.Converged {
 			return BaselineRow{}, fmt.Errorf("%s: SC run did not converge", name)
 		}
 		row := BaselineRow{Workload: name}
-		row.FDR = baseline.BitsPerProcPerKinst(fdr.CompressedBits(), c.Procs, st.Insts)
-		row.RTR = baseline.BitsPerProcPerKinst(rtr.CompressedBits(), c.Procs, st.Insts)
-		row.Strata = baseline.BitsPerProcPerKinst(str.CompressedBits(), c.Procs, st.Insts)
-		row.StrataNoWAR = baseline.BitsPerProcPerKinst(strNW.CompressedBits(), c.Procs, st.Insts)
+		row.FDR = baseline.BitsPerProcPerKinst(sc.fdrBits, c.Procs, sc.Insts)
+		row.RTR = baseline.BitsPerProcPerKinst(sc.rtrBits, c.Procs, sc.Insts)
+		row.Strata = baseline.BitsPerProcPerKinst(sc.strataBits, c.Procs, sc.Insts)
+		row.StrataNoWAR = baseline.BitsPerProcPerKinst(sc.strataNoWARBits, c.Procs, sc.Insts)
 
 		recOO, err := c.recordWorkload(name, core.OrderOnly, 2000, core.RecordOptions{})
 		if err != nil {

@@ -26,8 +26,9 @@ type TSORow struct {
 
 // TSOStudy measures the Advanced-RTR configuration: recording on the
 // TSO machine with value logging for bypassing loads. Workloads fan
-// across the worker pool; the RC/SC references are memoized runs shared
-// with Figures 10 and 11.
+// across the worker pool; the RC reference is the memoized run shared
+// with Figures 10 and 11, and the SC speed and Basic RTR log come from
+// the one memoized SC run Figure 10 and the baseline comparison read.
 func TSOStudy(c Config) ([]TSORow, error) {
 	names := c.workloads()
 	rows, err := runner.Map(c.Parallel, len(names), func(i int) (TSORow, error) {
@@ -36,7 +37,10 @@ func TSOStudy(c Config) ([]TSORow, error) {
 		if !rc.Converged {
 			return TSORow{}, fmt.Errorf("%s: RC did not converge", name)
 		}
-		scStats := c.runClassic(name, sim.SC)
+		sc := c.runClassic(name, sim.SC)
+		if !sc.Converged {
+			return TSORow{}, fmt.Errorf("%s: SC did not converge", name)
+		}
 
 		w := workload.Get(name, c.params())
 		adv := baseline.NewAdvancedRTR(c.Procs, 0)
@@ -45,19 +49,12 @@ func TSOStudy(c Config) ([]TSORow, error) {
 			return TSORow{}, fmt.Errorf("%s: TSO did not converge", name)
 		}
 
-		w2 := workload.Get(name, c.params())
-		basic := baseline.NewRTR(c.Procs)
-		scRun := baseline.Run(c.machine(), w2.Progs, w2.InitMem(), w2.Devs, basic)
-		if !scRun.Converged {
-			return TSORow{}, fmt.Errorf("%s: SC did not converge", name)
-		}
-
 		return TSORow{
 			Workload:     name,
 			TSOSpeed:     metrics.SafeDiv(float64(rc.Cycles), float64(tso.Cycles)),
-			SCSpeed:      metrics.SafeDiv(float64(rc.Cycles), float64(scStats.Cycles)),
+			SCSpeed:      metrics.SafeDiv(float64(rc.Cycles), float64(sc.Cycles)),
 			AdvRTRLog:    baseline.BitsPerProcPerKinst(adv.CompressedBits(), c.Procs, tso.Insts),
-			BasicRTRLog:  baseline.BitsPerProcPerKinst(basic.CompressedBits(), c.Procs, scRun.Insts),
+			BasicRTRLog:  baseline.BitsPerProcPerKinst(sc.rtrBits, c.Procs, sc.Insts),
 			ValueEntries: adv.ValueEntries(),
 		}, nil
 	})

@@ -9,6 +9,10 @@
 // experiment harnesses can express log sizes in
 // bits/processor/kilo-instruction, as the paper does.
 //
+// Most calls price a log of a few bytes, so the pooled match tables are
+// not refilled per call: positions are stored relative to a base that
+// moves past each scan, and a call costs work in proportion to its input.
+//
 // Token format (bit-packed, LSB-first):
 //
 //	literal: 0 followed by 8 bits of data
@@ -21,6 +25,7 @@ package lz77
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -63,40 +68,45 @@ func hash3(p []byte) uint32 {
 // matcher is the reusable match-search state: head[h] is the most recent
 // position with hash h; prev chains older positions within the window.
 // The tables are recycled through a pool because the log-size accounting
-// paths call into the compressor once per query — a fresh head+prev pair
-// per call would dominate the allocation profile.
+// paths call into the compressor once per query, mostly on inputs of a
+// few bytes — a fresh head+prev pair, or even a refill of the 192 KiB of
+// heads, per call would dominate their cost.
+//
+// Positions are stored as base+i, and each scan moves base past the
+// positions it stored, so a table entry below base is empty: it belongs
+// to an earlier scan. The tables are cleared only when base would pass
+// math.MaxInt32.
 type matcher struct {
 	head  []int32 // hash4 chain heads
 	head3 []int32 // most recent position per hash3 bucket (no chain)
 	prev  []int32
+	next  int32 // base of the next scan
 }
 
-var matcherPool = sync.Pool{
-	New: func() any {
-		return &matcher{
-			head:  make([]int32, hashSize),
-			head3: make([]int32, hash3Size),
-		}
-	},
+var matcherPool = sync.Pool{New: func() any { return newMatcher() }}
+
+func newMatcher() *matcher {
+	// The tables start zeroed, so base 1 makes every entry empty.
+	return &matcher{head: make([]int32, hashSize), head3: make([]int32, hash3Size), next: 1}
 }
 
-func getMatcher(n int) *matcher {
-	m := matcherPool.Get().(*matcher)
-	for i := range m.head {
-		m.head[i] = -1
+// claim readies m for a scan of n bytes and returns the scan's base, the
+// stored position of its first byte.
+func (m *matcher) claim(n int) int32 {
+	if int64(m.next)+int64(n)+1 > math.MaxInt32 {
+		clear(m.head)
+		clear(m.head3)
+		m.next = 1
 	}
-	for i := range m.head3 {
-		m.head3[i] = -1
-	}
+	base := m.next
+	m.next += int32(n) + 1
 	if cap(m.prev) < n {
 		m.prev = make([]int32, n)
 	} else {
 		m.prev = m.prev[:n]
 	}
-	return m
+	return base
 }
-
-func (m *matcher) release() { matcherPool.Put(m) }
 
 // Match-finder tuning. These model a hardware match-finder's bounded
 // probe budget: maxChain caps the hash-chain walk per position, goodLen
@@ -124,6 +134,7 @@ func ScanCount() int64 { return scans.Load() }
 func scan(src []byte, m *matcher, emitLiteral func(b byte), emitMatch func(dist, length int)) {
 	scans.Add(1)
 	n := len(src)
+	base := m.claim(n)
 	if n < minLen {
 		for _, b := range src {
 			emitLiteral(b)
@@ -136,11 +147,12 @@ func scan(src []byte, m *matcher, emitLiteral func(b byte), emitMatch func(dist,
 	// index records position i in both tables; probe must read its
 	// candidates first.
 	index := func(i int) {
-		head3[hash3(src[i:])] = int32(i)
+		pos := base + int32(i)
+		head3[hash3(src[i:])] = pos
 		if i <= hash4End {
 			h := hash4(src[i:])
 			prev[i] = head[h]
-			head[h] = int32(i)
+			head[h] = pos
 		}
 	}
 	// probe returns the best match starting at i: the single hash3
@@ -148,9 +160,9 @@ func scan(src []byte, m *matcher, emitLiteral func(b byte), emitMatch func(dist,
 	probe := func(i int) (int, int) {
 		c3 := head3[hash3(src[i:])]
 		if i <= hash4End {
-			return findMatch(src, head, prev, i, hash4(src[i:]), c3)
+			return findMatch(src, head, prev, base, i, hash4(src[i:]), c3)
 		}
-		return probeOne(src, i, c3)
+		return probeOne(src, base, i, c3)
 	}
 	i := 0
 	misses := 0 // consecutive positions with no match, drives skip stride
@@ -201,25 +213,32 @@ func scan(src []byte, m *matcher, emitLiteral func(b byte), emitMatch func(dist,
 	}
 }
 
-// probeOne evaluates the single candidate cand for a match starting at i
-// (used for tail positions past the last full hash4 window).
-func probeOne(src []byte, i int, cand int32) (int, int) {
-	limit := int32(i - windowSize)
-	if limit < -1 {
-		limit = -1
+// windowLimit returns the stored position at or below which a candidate
+// for a match at i is empty or outside the window.
+func windowLimit(base int32, i int) int32 {
+	if i < windowSize {
+		return base - 1
 	}
-	if cand <= limit {
+	return base + int32(i-windowSize)
+}
+
+// probeOne evaluates the single stored candidate cand for a match
+// starting at i (used for tail positions past the last full hash4
+// window).
+func probeOne(src []byte, base int32, i int, cand int32) (int, int) {
+	if cand <= windowLimit(base, i) {
 		return 0, 0
 	}
+	c := int(cand - base)
 	avail := len(src) - i
 	if avail > maxLen {
 		avail = maxLen
 	}
-	l := matchLen(src[cand:], src[i:i+avail])
+	l := matchLen(src[c:], src[i:i+avail])
 	if l < minLen {
 		return 0, 0
 	}
-	return l, i - int(cand)
+	return l, i - c
 }
 
 // findMatch walks position i's hash4 chain (already hashed to h) for the
@@ -228,29 +247,27 @@ func probeOne(src []byte, i int, cand int32) (int, int) {
 // are still found. A candidate that cannot beat the best so far must
 // differ at byte bestLen, so one byte comparison rejects it before the
 // full matchLen. The walk stops after maxChain probes or as soon as a
-// goodLen match is in hand.
-func findMatch(src []byte, head, prev []int32, i int, h uint32, c3 int32) (bestLen, bestDist int) {
+// goodLen match is in hand. Candidates are stored positions (base+index).
+func findMatch(src []byte, head, prev []int32, base int32, i int, h uint32, c3 int32) (bestLen, bestDist int) {
 	avail := len(src) - i
 	if avail > maxLen {
 		avail = maxLen
 	}
-	limit := int32(i - windowSize)
-	if limit < -1 {
-		limit = -1 // empty chain slots hold -1; never follow them
-	}
+	limit := windowLimit(base, i)
 	bestLen = minLen - 1
 	b := src[i : i+avail]
 	if c3 > limit {
-		if l := matchLen(src[c3:], b); l > bestLen {
-			bestLen, bestDist = l, i-int(c3)
+		c := int(c3 - base)
+		if l := matchLen(src[c:], b); l > bestLen {
+			bestLen, bestDist = l, i-c
 			if bestLen >= avail || bestLen >= goodLen {
 				return bestLen, bestDist
 			}
 		}
 	}
 	reject := b[bestLen] // loop-invariant until bestLen grows
-	for cand, chain := head[h], maxChain; cand > limit; cand = prev[cand] {
-		c := int(cand)
+	for cand, chain := head[h], maxChain; cand > limit; cand = prev[cand-base] {
+		c := int(cand - base)
 		if src[c+bestLen] != reject {
 			if chain--; chain <= 0 {
 				break
@@ -279,9 +296,13 @@ func findMatch(src []byte, head, prev []int32, i int, h uint32, c3 int32) (bestL
 // The bit length, not the padded byte length, is the honest measure of a
 // hardware log buffer's occupancy.
 func Compress(src []byte) (packed []byte, bits int) {
+	m := matcherPool.Get().(*matcher)
+	defer matcherPool.Put(m)
+	return m.compress(src)
+}
+
+func (m *matcher) compress(src []byte) (packed []byte, bits int) {
 	var w bitio.Writer
-	m := getMatcher(len(src))
-	defer m.release()
 	scan(src, m,
 		func(b byte) {
 			w.WriteBits(0, 1)
@@ -395,8 +416,12 @@ func MaxDecodedLen(bits int) int {
 // compressed-bits queries) never use the packed bytes, so this skips the
 // bit packing entirely and just prices the tokens the shared scan emits.
 func CompressedBits(src []byte) int {
-	m := getMatcher(len(src))
-	defer m.release()
+	m := matcherPool.Get().(*matcher)
+	defer matcherPool.Put(m)
+	return m.compressedBits(src)
+}
+
+func (m *matcher) compressedBits(src []byte) int {
 	bits := 0
 	scan(src, m,
 		func(byte) { bits += literalBits },

@@ -2,6 +2,8 @@ package lz77
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -217,6 +219,26 @@ func BenchmarkCompressedBits(b *testing.B) {
 	}
 }
 
+// BenchmarkCompressSmall measures the input sizes the log-size
+// accounting paths actually send: most calls price a few bytes, so the
+// per-call set-up of the match tables, not the scan, sets their cost.
+func BenchmarkCompressSmall(b *testing.B) {
+	s := rng.New(5)
+	for _, n := range []int{4, 64, 1 << 10} {
+		src := make([]byte, n)
+		for i := range src {
+			src[i] = byte(s.Intn(8))
+		}
+		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Compress(src)
+			}
+		})
+	}
+}
+
 // matchLenRef is the byte-at-a-time reference the word-at-a-time
 // matchLen must agree with everywhere.
 func matchLenRef(a, b []byte) int {
@@ -385,5 +407,46 @@ func TestMaxDecodedLen(t *testing.T) {
 	}
 	if MaxDecodedLen(0) != 0 || MaxDecodedLen(-5) != 0 || MaxDecodedLen(matchBits) != maxLen {
 		t.Error("MaxDecodedLen edge values")
+	}
+}
+
+// TestMatcherReuse: a reused matcher keeps its tables between scans and
+// only moves base past the positions it stored, so entries left by
+// earlier inputs must read as empty. One matcher reused over a seeded
+// sequence of inputs, across a forced wrap of base, must produce the
+// same tokens as a fresh matcher for every input. The small alphabet
+// makes each input share hashes with the ones before it.
+func TestMatcherReuse(t *testing.T) {
+	s := rng.New(23)
+	reused := newMatcher()
+	wrapped := false
+	for k := 0; k < 300; k++ {
+		if k == 150 {
+			// The next few scans no longer fit below math.MaxInt32.
+			reused.next = math.MaxInt32 - 6000
+		}
+		n := s.Intn(3000)
+		if k%3 == 0 {
+			n = s.Intn(16)
+		}
+		src := make([]byte, n)
+		for i := range src {
+			src[i] = byte(s.Intn(4))
+		}
+		before := reused.next
+		wantPacked, wantBits := newMatcher().compress(src)
+		gotPacked, gotBits := reused.compress(src)
+		if gotBits != wantBits || !bytes.Equal(gotPacked, wantPacked) {
+			t.Fatalf("input %d (%d bytes): reused matcher gave %d bits, fresh %d", k, n, gotBits, wantBits)
+		}
+		if got := reused.compressedBits(src); got != wantBits {
+			t.Fatalf("input %d (%d bytes): reused CompressedBits=%d, want %d", k, n, got, wantBits)
+		}
+		if reused.next < before {
+			wrapped = true
+		}
+	}
+	if !wrapped {
+		t.Fatal("base never wrapped")
 	}
 }
