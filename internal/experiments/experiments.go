@@ -115,6 +115,10 @@ func splashIn(name string) bool {
 //     (the machine hands them each access by value and reads nothing
 //     back), so the bare SC reference of Figure 10 and the TSO study and
 //     the recorded SC run of the baseline comparison are one run.
+//   - An OrderOnly recording is also Figure 10's plain BulkSC run. The
+//     DeLorean recorder, like the stratifier and the baseline recorders,
+//     is a pure observer, and OrderOnly commits in the free order a plain
+//     run defaults to, so recording changes no statistic.
 type runKey struct {
 	kind      string // "classic" | "chunked" | "record"
 	workload  string
@@ -128,7 +132,6 @@ type runKey struct {
 	truncSeed uint64
 	exact     bool
 	ckptEvery uint64
-	picolog   bool
 	simul     int
 	// Replay runs: which policy variant and which perturbation index.
 	stratReplay bool
@@ -156,12 +159,13 @@ type replayResult struct {
 	err    error
 }
 
-// Cache is the harness's single-flight memo store: each distinct
-// RC/SC/BulkSC baseline run, recording, and verified perturbed replay
-// executes exactly once per Cache no matter how many figures consume it.
-// The one SC run per workload is shared by Figure 10, the TSO study, the
-// baseline comparison and Table 1: it carries the prior-work recorders'
-// log sizes as well as the machine statistics.
+// Cache is the harness's single-flight memo store: each distinct RC/SC
+// classic run, Figure 12 PicoLog chunked run, recording, and verified
+// perturbed replay executes exactly once per Cache no matter how many
+// figures consume it. The one SC run per workload is shared by Figure 10,
+// the TSO study, the baseline comparison and Table 1: it carries the
+// prior-work recorders' log sizes as well as the machine statistics.
+// Figure 10's BulkSC and OrderOnly columns read one OrderOnly recording.
 // The zero value is ready to use; a nil Config.Cache uses one
 // process-wide instance.
 type Cache struct {
@@ -237,25 +241,23 @@ func (c Config) runClassic(name string, model sim.Model) classicRun {
 	})
 }
 
-// runChunked executes one workload on the plain chunked machine, no
-// recording (memoized).
-func (c Config) runChunked(name string, chunkSize int, picolog bool, simul int) bulksc.Stats {
+// runChunked executes one workload on the PicoLog chunked machine of the
+// Figure 12 sweep: round-robin commit order, no recording (memoized).
+func (c Config) runChunked(name string, chunkSize, simul int) bulksc.Stats {
 	if simul <= 0 {
 		simul = c.machine().SimulChunks
 	}
 	key := runKey{
 		kind: "chunked", workload: name, procs: c.Procs, scale: c.Scale, seed: c.Seed,
-		chunkSize: chunkSize, picolog: picolog, simul: simul,
+		chunkSize: chunkSize, simul: simul,
 	}
 	return c.cache().chunked.Do(key, func() bulksc.Stats {
 		w := workload.Get(name, c.params())
 		cfg := c.machine()
 		cfg.ChunkSize = chunkSize
 		cfg.SimulChunks = simul
-		e := &bulksc.Engine{Cfg: cfg, Progs: w.Progs, Mem: w.InitMem(), Devs: w.Devs, PicoLog: picolog}
-		if picolog {
-			e.Policy = newRR(cfg.NProcs)
-		}
+		e := &bulksc.Engine{Cfg: cfg, Progs: w.Progs, Mem: w.InitMem(), Devs: w.Devs,
+			PicoLog: true, Policy: newRR(cfg.NProcs)}
 		return e.Run()
 	})
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"delorean/internal/baseline"
+	"delorean/internal/bulksc"
+	"delorean/internal/core"
 	"delorean/internal/sim"
 	"delorean/internal/workload"
 )
@@ -152,9 +154,10 @@ func TestFig10Orderings(t *testing.T) {
 		t.Fatalf("last row is %q", gm.Workload)
 	}
 	// Headline shapes (robust even at small scale):
-	// OrderOnly ~ BulkSC (logging is nearly free).
-	if gm.OrderOnly < 0.85*gm.BulkSC {
-		t.Errorf("OrderOnly %.3f far below BulkSC %.3f — logging not nearly free", gm.OrderOnly, gm.BulkSC)
+	// OrderOnly ≡ BulkSC: both columns read one recording, which
+	// TestDeLoreanRecorderIsPassive shows is the plain run.
+	if gm.OrderOnly != gm.BulkSC {
+		t.Errorf("OrderOnly %.3f differs from BulkSC %.3f — the columns must share one run", gm.OrderOnly, gm.BulkSC)
 	}
 	// PicoLog should not meaningfully beat OrderOnly (predefined order
 	// costs; slack for small-scale noise — the full-scale gap is in
@@ -319,6 +322,43 @@ func TestRecordersArePassive(t *testing.T) {
 			t.Errorf("%s: RTR alone logged %d entries, %d raw, %d compressed bits; in the fanout %d, %d, %d",
 				name, alone.Entries(), alone.RawBits(), alone.CompressedBits(),
 				rtr.Entries(), rtr.RawBits(), rtr.CompressedBits())
+		}
+	}
+}
+
+// TestDeLoreanRecorderIsPassive pins what Figure 10's shared OrderOnly
+// run relies on: the DeLorean recorder only observes. For every workload
+// at quick scale, a plain chunked run and a recording of it must end in
+// deep-equal statistics, both for OrderOnly at chunk size 2000 (Figure
+// 10's BulkSC column) and for PicoLog's round-robin order at chunk size
+// 1000 (the plain PicoLog runs of Figure 12 and Table 6).
+func TestDeLoreanRecorderIsPassive(t *testing.T) {
+	c := quick(t)
+	for _, name := range c.workloads() {
+		w := workload.Get(name, c.params())
+		for _, tc := range []struct {
+			mode      core.Mode
+			chunkSize int
+			opts      core.RecordOptions
+		}{
+			{core.OrderOnly, 2000, core.RecordOptions{StratifyMax: 1}},
+			{core.PicoLog, 1000, core.RecordOptions{}},
+		} {
+			cfg := c.machine()
+			cfg.ChunkSize = tc.chunkSize
+			e := &bulksc.Engine{Cfg: cfg, Progs: w.Progs, Mem: w.InitMem(), Devs: w.Devs}
+			if tc.mode == core.PicoLog {
+				e.PicoLog = true
+				e.Policy = newRR(cfg.NProcs)
+			}
+			plain := e.Run()
+			rec, err := core.Record(cfg, tc.mode, w.Progs, w.InitMem(), w.Devs, tc.opts)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, tc.mode, err)
+			}
+			if !reflect.DeepEqual(plain, rec.Stats) {
+				t.Errorf("%s %v: recording changed the run:\nplain    %+v\nrecorded %+v", name, tc.mode, plain, rec.Stats)
+			}
 		}
 	}
 }

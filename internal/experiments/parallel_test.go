@@ -39,8 +39,9 @@ func TestParallelByteIdentical(t *testing.T) {
 }
 
 // TestMemoSharesRuns pins the cache-sharing contract: rendering Figure 10
-// twice must not re-run anything, and the plain vs stratified OrderOnly
-// recordings (Figure 11's two inputs) must collapse to one run.
+// twice must not re-run anything, and the plain BulkSC run and the plain
+// and stratified OrderOnly recordings (Figure 11's two inputs) must
+// collapse to one run.
 func TestMemoSharesRuns(t *testing.T) {
 	c := quick(t)
 	c.Workloads = []string{"barnes"}
@@ -53,11 +54,11 @@ func TestMemoSharesRuns(t *testing.T) {
 	if runs == 0 {
 		t.Fatal("cache recorded no runs")
 	}
-	// Fig10 on one workload: RC + SC classic, plain BulkSC, and three
-	// recordings (OrderSize, OrderOnly — shared by the plain and
-	// stratified bars — and PicoLog). Six distinct runs, not seven.
-	if runs != 6 {
-		t.Errorf("Fig10 on one workload executed %d distinct runs, want 6 (plain and stratified OrderOnly must share)", runs)
+	// Fig10 on one workload: RC + SC classic and three recordings
+	// (OrderSize, PicoLog, and OrderOnly — shared by the BulkSC, plain
+	// OrderOnly and stratified bars). Five distinct runs, not seven.
+	if runs != 5 {
+		t.Errorf("Fig10 on one workload executed %d distinct runs, want 5 (BulkSC, plain and stratified OrderOnly must share)", runs)
 	}
 
 	if _, err := Fig10(c); err != nil {

@@ -50,8 +50,7 @@ func (c Config) fig10One(name string) (Fig10Row, error) {
 		return float64(rc.Cycles) / float64(cycles)
 	}
 
-	plain := c.runChunked(name, 2000, false, 0)
-	row := Fig10Row{Workload: name, BulkSC: speed(plain.Cycles), SC: speed(scSt.Cycles)}
+	row := Fig10Row{Workload: name, SC: speed(scSt.Cycles)}
 
 	recOS, err := c.recordWorkload(name, core.OrderSize, 2000, core.RecordOptions{TruncSeed: c.Seed})
 	if err != nil {
@@ -59,11 +58,14 @@ func (c Config) fig10One(name string) (Fig10Row, error) {
 	}
 	row.OrderSize = speed(recOS.Stats.Cycles)
 
+	// The OrderOnly recorder only observes, so its run is also the plain
+	// BulkSC run (see runKey).
 	recOO, err := c.recordWorkload(name, core.OrderOnly, 2000, core.RecordOptions{})
 	if err != nil {
 		return row, err
 	}
-	row.OrderOnly = speed(recOO.Stats.Cycles)
+	row.BulkSC = speed(recOO.Stats.Cycles)
+	row.OrderOnly = row.BulkSC
 
 	recStrat, err := c.recordWorkload(name, core.OrderOnly, 2000, core.RecordOptions{StratifyMax: 1})
 	if err != nil {
@@ -313,7 +315,7 @@ func Fig12(c Config, procs []int, chunkSizes []int, simuls []int) ([]Fig12Row, e
 		if !rc.Converged {
 			return 0, fmt.Errorf("%s@%dp: RC did not converge", t.name, t.np)
 		}
-		st := cp.runChunked(t.name, t.cs, true, t.sm)
+		st := cp.runChunked(t.name, t.cs, t.sm)
 		if !st.Converged {
 			return 0, fmt.Errorf("%s@%dp cs=%d sm=%d: did not converge", t.name, t.np, t.cs, t.sm)
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
@@ -12,6 +14,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -682,6 +685,75 @@ func TestBootRemovesStrayTempFiles(t *testing.T) {
 	wantMetric(t, hs.URL, "store.recordings 1")
 	if resp, body := doJSON(t, "GET", hs.URL+"/v1/recordings/"+id, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("persisted entry not served: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestPersistFailureBetweenRenames fails a persist's first rename (the
+// spec sidecar's) and then, in a second case, its second (the
+// container's). The upload still succeeds but reports "persisted": false;
+// a reboot on the same directory counts no load error and finds no file
+// left behind; and a retried upload persists, so the next reboot serves
+// the identical bytes.
+func TestPersistFailureBetweenRenames(t *testing.T) {
+	for _, failAt := range []int32{1, 2} {
+		t.Run(fmt.Sprintf("rename%d", failAt), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := New(Config{Dir: dir, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var renames atomic.Int32
+			s.store.rename = func(oldpath, newpath string) error {
+				if renames.Add(1) == failAt {
+					return errors.New("injected rename failure")
+				}
+				return os.Rename(oldpath, newpath)
+			}
+			hs := httptest.NewServer(s)
+			t.Cleanup(func() { hs.Close(); s.Drain() })
+
+			postGolden := func(wantPersisted bool) string {
+				t.Helper()
+				resp, body := upload(t, hs.URL, goldenQuery, goldenBytes(t))
+				if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
+					t.Fatalf("upload: status %d: %s", resp.StatusCode, body)
+				}
+				var rec recordingJSON
+				if err := json.Unmarshal(body, &rec); err != nil {
+					t.Fatal(err)
+				}
+				if rec.Persisted != wantPersisted {
+					t.Fatalf("upload says persisted=%v, want %v: %s", rec.Persisted, wantPersisted, body)
+				}
+				return rec.ID
+			}
+			id := postGolden(false)
+			wantMetric(t, hs.URL, "store.persist_errors 1")
+
+			_, reboot := newTestServer(t, Config{Dir: dir})
+			if body := metricsBody(t, reboot.URL); strings.Contains(body, "store.load_errors") {
+				t.Fatalf("reboot after a failed persist counted load errors:\n%s", body)
+			}
+			if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+				t.Fatalf("reboot left %v in the store directory (err %v)", left, err)
+			}
+
+			if retried := postGolden(true); retried != id {
+				t.Fatalf("retried upload got id %s, first %s", retried, id)
+			}
+			want, _ := s.store.get(id)
+			s2, reboot2 := newTestServer(t, Config{Dir: dir})
+			if body := metricsBody(t, reboot2.URL); strings.Contains(body, "store.load_errors") {
+				t.Fatalf("reboot after the retried persist counted load errors:\n%s", body)
+			}
+			got, ok := s2.store.get(id)
+			if !ok {
+				t.Fatal("retried persist not served after reboot")
+			}
+			if !bytes.Equal(got.data, want.data) {
+				t.Fatal("reboot serves different bytes than were uploaded")
+			}
+		})
 	}
 }
 

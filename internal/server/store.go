@@ -6,7 +6,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -146,10 +148,14 @@ type store struct {
 	// successes) — the dedup-upload test asserts identical concurrent
 	// uploads persist exactly once.
 	persistAttempts atomic.Int64
+
+	// rename installs a persisted file; tests swap it to fail a persist
+	// between its two renames.
+	rename func(oldpath, newpath string) error
 }
 
 func newStore(dir string, budget int64) *store {
-	st := &store{dir: dir, budget: budget, m: make(map[string]*entry)}
+	st := &store{dir: dir, budget: budget, m: make(map[string]*entry), rename: os.Rename}
 	st.cond = sync.NewCond(&st.mu)
 	return st
 }
@@ -338,13 +344,14 @@ func (st *store) put(rec *delorean.Recording, spec Spec, canonical []byte) (id s
 	return id, !exists, nil
 }
 
-// persist writes the container and its spec sidecar atomically and
+// persist writes the spec sidecar and then the container atomically and
 // durably: each file is written and fsynced under a unique temp name,
 // then renamed into place, and the directory is fsynced once after both
 // renames. A crash can never install a torn file, and once persist
 // returns nil both files survive power loss, so "persisted": true holds.
-// A crash before the renames leaves only temp files, which loadDir
-// removes at the next boot.
+// The container goes last, so a persist that fails or crashes part way
+// leaves only temp files or a sidecar without its container; loadDir
+// removes both at the next boot.
 func (st *store) persist(id string, spec Spec, canonical []byte) error {
 	sp, err := json.Marshal(spec)
 	if err != nil {
@@ -353,16 +360,16 @@ func (st *store) persist(id string, spec Spec, canonical []byte) error {
 	for _, f := range []struct {
 		name string
 		data []byte
-	}{{id + dataExt, canonical}, {id + specExt, sp}} {
-		if err := writeFileAtomic(st.dir, f.name, f.data); err != nil {
+	}{{id + specExt, sp}, {id + dataExt, canonical}} {
+		if err := st.writeFileAtomic(f.name, f.data); err != nil {
 			return err
 		}
 	}
 	return syncDir(st.dir)
 }
 
-func writeFileAtomic(dir, name string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, name+".tmp*")
+func (st *store) writeFileAtomic(name string, data []byte) error {
+	tmp, err := os.CreateTemp(st.dir, name+".tmp*")
 	if err != nil {
 		return err
 	}
@@ -382,7 +389,7 @@ func writeFileAtomic(dir, name string, data []byte) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, name))
+	return st.rename(tmp.Name(), filepath.Join(st.dir, name))
 }
 
 // syncDir fsyncs a directory so the renames into it are durable.
@@ -420,8 +427,9 @@ func (st *store) ids() []string {
 // loadDir restores every <id>.dlrn/<id>.json pair under dir into the
 // in-memory map. Files that fail to index are skipped with an error in
 // the returned slice — a damaged cache entry must not keep the server
-// from booting. Temp files a crash left behind mid-persist are removed
-// first; nothing ever reads them.
+// from booting. What a persist interrupted part way leaves behind — temp
+// files, and a sidecar whose container was never installed — is removed
+// first; nothing ever reads it.
 func (st *store) loadDir(workers int) []error {
 	if st.dir == "" {
 		return nil
@@ -430,6 +438,15 @@ func (st *store) loadDir(workers int) []error {
 	stray, err := filepath.Glob(filepath.Join(st.dir, "*.tmp*"))
 	if err != nil {
 		return []error{err}
+	}
+	specs, err := filepath.Glob(filepath.Join(st.dir, "*"+specExt))
+	if err != nil {
+		return []error{err}
+	}
+	for _, name := range specs {
+		if _, err := os.Stat(strings.TrimSuffix(name, specExt) + dataExt); errors.Is(err, fs.ErrNotExist) {
+			stray = append(stray, name)
+		}
 	}
 	for _, name := range stray {
 		if err := os.Remove(name); err != nil {
