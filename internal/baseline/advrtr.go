@@ -45,7 +45,8 @@ func NewAdvancedRTR(nprocs int, window uint64) *AdvancedRTR {
 func (a *AdvancedRTR) Name() string { return "AdvancedRTR" }
 
 // OnAccess implements sim.Observer: violating loads log their value;
-// everything else flows into the Basic RTR machinery.
+// everything else flows into the Basic RTR machinery. Counted events
+// never have StoresPending set, so they fold as in RTR.
 func (a *AdvancedRTR) OnAccess(e sim.AccessEvent) {
 	if e.Read && !e.Write && e.StoresPending {
 		// The line's last writer: RTR.OnAccess stamps writerProc and
@@ -93,5 +94,10 @@ func (a *AdvancedRTR) CompressedBits() int {
 
 // Entries implements Recorder.
 func (a *AdvancedRTR) Entries() int { return a.RTR.Entries() + a.valueEntries }
+
+// Log returns the dependence log's bytes, then the value log's.
+func (a *AdvancedRTR) Log() []byte {
+	return append(append([]byte(nil), a.RTR.Log()...), a.vw.Bytes()...)
+}
 
 var _ Recorder = (*AdvancedRTR)(nil)

@@ -63,7 +63,9 @@ func (f *FDR) dependence(srcProc int, srcInst uint64, dstProc int, dstInst uint6
 	f.vc[dstProc][srcProc] = srcInst
 }
 
-// OnAccess implements sim.Observer.
+// OnAccess implements sim.Observer. A counted event folds exactly: its
+// reads repeat a read whose dependence is already logged or implied, and
+// the last of them sets the last-reader fields the event carries.
 func (f *FDR) OnAccess(e sim.AccessEvent) {
 	ls := f.lines.get(e.Line)
 	if e.Read {
@@ -104,5 +106,9 @@ func (f *FDR) RawBits() int { return f.w.Len() }
 
 // CompressedBits implements Recorder.
 func (f *FDR) CompressedBits() int { return lz77.CompressedBits(f.w.Bytes()) }
+
+// Log returns the raw log, its last byte zero-padded. The caller must
+// not modify it.
+func (f *FDR) Log() []byte { return f.w.Bytes() }
 
 var _ Recorder = (*FDR)(nil)

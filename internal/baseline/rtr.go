@@ -151,7 +151,9 @@ func (r *RTR) flushRun(dstProc, srcProc int) {
 	run.valid = false
 }
 
-// OnAccess implements sim.Observer.
+// OnAccess implements sim.Observer. A counted event folds exactly, as in
+// FDR: its reads add no dependence, and the last of them sets curInst and
+// the last-reader fields the event carries.
 func (r *RTR) OnAccess(e sim.AccessEvent) {
 	r.curInst[e.Proc] = e.Inst
 	ls := r.lines.get(e.Line)
@@ -205,6 +207,13 @@ func (r *RTR) RawBits() int {
 func (r *RTR) CompressedBits() int {
 	r.flushAll()
 	return lz77.CompressedBits(r.w.Bytes())
+}
+
+// Log returns the raw log, its last byte zero-padded. The caller must
+// not modify it.
+func (r *RTR) Log() []byte {
+	r.flushAll()
+	return r.w.Bytes()
 }
 
 var _ Recorder = (*RTR)(nil)

@@ -89,8 +89,11 @@ func (s *Strata) OnAccess(e sim.AccessEvent) {
 		s.cut()
 	}
 
-	// Count the access and record its stratum.
-	s.memOps[e.Proc]++
+	// Count the access and record its stratum. A counted event's reads
+	// repeat an earlier read of the line with no write since, so none of
+	// them completes a dependence in the current stratum: the only trace
+	// they leave is their number.
+	s.memOps[e.Proc] += e.Count
 	if e.Write {
 		ls.writerProc = int32(e.Proc)
 		ls.writerStrat = s.stratum
@@ -111,5 +114,9 @@ func (s *Strata) RawBits() int { return s.w.Len() }
 
 // CompressedBits implements Recorder.
 func (s *Strata) CompressedBits() int { return lz77.CompressedBits(s.w.Bytes()) }
+
+// Log returns the raw log, its last byte zero-padded. The caller must
+// not modify it.
+func (s *Strata) Log() []byte { return s.w.Bytes() }
 
 var _ Recorder = (*Strata)(nil)

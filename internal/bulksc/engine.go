@@ -89,6 +89,10 @@ type Engine struct {
 	gtr *trace.Stream
 
 	doneCores      int
+	exec, chunks   uint64        // executed instructions and committed chunks, over all cores
+	budget         uint64        // bound on both
+	watchSpins     bool          // cores' Spins observe their iterations (see skipSpins)
+	runs           []sim.SpinRun // skipSpins' scratch
 	lastCkptAt     uint64
 	tokenTrack     int  // PicoLog: token holder after the APPLIED commits
 	replayDMAOpen  bool // replay: a DMA request is queued at the arbiter
@@ -211,11 +215,13 @@ type core struct {
 	// execution, never on how the scheduler interleaves cores: the
 	// chunk-storage free list and the perturbation and random-truncation
 	// streams (seeded per processor, so a core's draw sequence is a
-	// function of its own steps), and the executed-instruction counter.
+	// function of its own steps).
 	free []chunk.Storage
 	prng *rng.Source
 	trng *rng.Source
-	exec uint64
+
+	spinLoads []bool // prog.SpinLoads()
+	spin      sim.Spin
 
 	// wake is the core's next step time, valid while wakeOK. A core has
 	// at most one pending step, so it lives here rather than in the event
@@ -350,6 +356,7 @@ func (e *Engine) resetRun() {
 	e.now = 0
 	e.gtr = nil
 	e.doneCores = 0
+	e.exec, e.chunks = 0, 0
 	e.lastCkptAt = 0
 	e.tokenTrack = 0
 	e.replayDMAOpen = false
@@ -411,7 +418,7 @@ func (e *Engine) Run() Stats {
 		e.gate.closed = true
 	}
 	for p := 0; p < e.Cfg.NProcs; p++ {
-		co := &core{proc: p, prog: e.Progs[p], tm: sim.NewCoreTiming(&e.Cfg)}
+		co := &core{proc: p, prog: e.Progs[p], tm: sim.NewCoreTiming(&e.Cfg), spinLoads: e.Progs[p].SpinLoads()}
 		co.tr = e.Trace.Proc(p)
 		co.ts.Reg[15] = int64(p)
 		co.ts.Reg[14] = int64(e.Cfg.NProcs)
@@ -448,12 +455,18 @@ func (e *Engine) Run() Stats {
 		}
 	}
 
-	budget := e.Cfg.MaxInsts
-	if budget == 0 {
-		budget = 100_000_000
+	e.budget = e.Cfg.MaxInsts
+	if e.budget == 0 {
+		e.budget = 100_000_000
 	}
+	e.watchSpins = e.Perturb == nil || e.Perturb.FlipProb == 0
 
-	for e.doneCores < e.Cfg.NProcs && !e.inputStarved && !e.stopped && e.execCount() < budget && e.chunkCount() < budget {
+	// The chunk bound backstops the instruction budget: a malformed replay
+	// log can drive the engine into committing empty chunks that never
+	// execute an instruction, which the instruction budget alone would let
+	// spin forever. Any legitimate run commits far fewer chunks than its
+	// instruction budget.
+	for e.doneCores < e.Cfg.NProcs && !e.inputStarved && !e.stopped && e.exec < e.budget && e.chunks < e.budget {
 		if e.pollCancel(); e.cancelled {
 			break
 		}
@@ -469,29 +482,6 @@ func (e *Engine) Run() Stats {
 	sim.ReleaseMemSys(e.ms)
 	e.ms = nil
 	return e.stats.clone()
-}
-
-// execCount sums executed instructions (useful and squashed) across
-// cores; the sum is cheap next to processing an event.
-func (e *Engine) execCount() uint64 {
-	var n uint64
-	for _, co := range e.cores {
-		n += co.exec
-	}
-	return n
-}
-
-// chunkCount sums committed chunks across cores. It backstops the
-// instruction budget: a malformed replay log can drive the engine into
-// committing empty chunks that never execute an instruction, which the
-// instruction budget alone would let spin forever. Any legitimate run
-// commits far fewer chunks than its instruction budget.
-func (e *Engine) chunkCount() uint64 {
-	var n uint64
-	for _, co := range e.cores {
-		n += co.chunksDone
-	}
-	return n
 }
 
 // step processes the earliest pending event in (time, kind, id) order:
@@ -514,6 +504,9 @@ func (e *Engine) step() bool {
 		}
 	}
 	if next != nil && (e.events.Len() == 0 || next.wake < e.events[0].time) {
+		if next.spin.Steady(next.ts.PC) && e.skipSpins() {
+			return true
+		}
 		e.advance(next.wake)
 		next.wakeOK = false
 		e.stepCore(next) // re-arms wakeOK via reschedule unless the core blocked
@@ -667,6 +660,7 @@ func (e *Engine) unblock(co *core) {
 	was := co.blocked
 	co.blocked = notBlocked
 	co.tm.AdvanceTo(e.now)
+	co.spin.Reset()
 	if was == waitSlot && co.tm.Clock > co.blockStart {
 		co.slotStall += co.tm.Clock - co.blockStart
 	}
@@ -694,21 +688,32 @@ func (e *Engine) stepCore(co *core) {
 		}
 	}
 
-	if co.cur == nil && !e.startChunk(co) {
+	// A step that starts a chunk is never a spin iteration: the new
+	// chunk's read set does not hold the spin line yet.
+	fresh := co.cur == nil
+	if fresh && !e.startChunk(co) {
+		co.spin.Reset()
 		return
 	}
 	c := co.cur
 	limit := c.Target - c.Insts
 	if limit <= 0 {
+		co.spin.Reset()
 		e.completeChunk(co, c.BudgetReason)
 		e.reschedule(co)
 		return
 	}
 
+	start := co.ts.PC
 	n, pend := isa.RunToMemOpTimed(&co.ts, co.prog, limit, co.tm.RegReady())
 	co.tm.ChargeALU(n)
 	c.Insts += n
-	co.exec += uint64(n)
+	e.exec += uint64(n)
+	// A spin iteration: the loop's branch went back to its load.
+	spin := e.watchSpins && !fresh && n == 1 && pend != nil && co.spinLoads[co.ts.PC] && start == co.ts.PC+1
+	if !spin {
+		co.spin.Reset()
+	}
 
 	if pend == nil {
 		if c.Insts >= c.Target {
@@ -726,7 +731,7 @@ func (e *Engine) stepCore(co *core) {
 		co.ts.Halted = true
 		co.tm.Seq++
 		c.Insts++
-		co.exec++
+		e.exec++
 		e.completeChunk(co, chunk.Halt)
 
 	case isa.FENCE:
@@ -735,7 +740,7 @@ func (e *Engine) stepCore(co *core) {
 		co.ts.PC++
 		co.tm.Seq++
 		c.Insts++
-		co.exec++
+		e.exec++
 		if c.Insts >= c.Target {
 			e.completeChunk(co, c.BudgetReason)
 		}
@@ -756,7 +761,7 @@ func (e *Engine) stepCore(co *core) {
 		co.pendingIO = pend
 
 	case isa.LD:
-		e.chunkLoad(co, pend)
+		e.chunkLoad(co, pend, spin)
 		if c.Insts >= c.Target {
 			e.completeChunk(co, c.BudgetReason)
 		}
@@ -782,6 +787,109 @@ func (co *core) lookupBuffers(addr uint32) (uint64, bool) {
 	return 0, false
 }
 
+// skipSpins advances every core waiting in a steady spin loop past the
+// iterations it runs before the next action of anything else, in one
+// scheduler step, and reports whether it skipped any. That action is
+// the earliest, in step's order (time; global events before cores; then
+// processor), of: the next global event, a step by any other runnable
+// core, and each waiting core's own next step that is not a plain
+// iteration — the one that fills its chunk, or, recording, the
+// high-priority interrupt that squashes it. Stepping would run the
+// skipped iterations in that order and nothing else, and none of them
+// touches state another core or an observer sees: each repeats a load
+// that hits in its own L1 and already is in its chunk's read set. Only
+// timing, the instruction, memory-op and L1-hit counts and the clock
+// advance.
+//
+// Skipping is off under hit/miss flips, which draw from the core's
+// random stream on every load (no core is watched, so none is ever
+// steady), and while a stop target drains, when step runs only the
+// cores that owe split continuations.
+func (e *Engine) skipSpins() bool {
+	if e.stopPending {
+		return false
+	}
+	h := sim.NoHorizon()
+	if e.events.Len() > 0 {
+		h.Min(e.events[0].time, -1)
+	}
+	runs := e.runs[:0]
+	for _, co := range e.cores {
+		if !co.wakeOK || co.blocked != notBlocked || co.haltDone {
+			continue
+		}
+		if !e.spinning(co) {
+			h.Min(co.wake, co.proc)
+			continue
+		}
+		// Iteration j starts with 2j more instructions in the chunk; the
+		// first to bring it to its target completes it.
+		d := co.spin.Period()
+		fill := uint64(co.cur.Target-co.cur.Insts-1) / 2
+		h.Min(co.wake+fill*d, co.proc)
+		if t, ok := e.urgentInterrupt(co); ok {
+			h.Min(t, -1)
+		}
+		runs = append(runs, sim.SpinRun{Proc: co.proc, T: co.wake, D: d})
+	}
+	for i := range runs {
+		r := &runs[i]
+		r.N = h.Iters(r.T, r.D, r.Proc)
+	}
+	// Each iteration executes two instructions, and the run stops once
+	// the budget is reached: at most ceil(left/2) more iterations run.
+	sim.LimitSpins(runs, (e.budget-e.exec+1)/2)
+	var last uint64
+	skipped := false
+	for _, r := range runs {
+		if r.N == 0 {
+			continue
+		}
+		co := e.cores[r.Proc]
+		co.spin.Skip(co.tm, r.N)
+		co.cur.Insts += 2 * int(r.N)
+		e.exec += 2 * r.N
+		co.memOps += r.N
+		e.ms.L1Hits += r.N
+		co.wake = co.tm.Clock
+		last = max(last, r.T+(r.N-1)*r.D)
+		skipped = true
+	}
+	e.runs = runs[:0]
+	if skipped {
+		e.advance(last) // the last skipped iteration's step time
+	}
+	return skipped
+}
+
+// spinning reports whether core co is about to repeat a steady spin
+// iteration: its load will miss its chunks' buffered stores, hit in L1
+// and read the same value.
+func (e *Engine) spinning(co *core) bool {
+	if co.cur == nil || !co.spin.Steady(co.ts.PC) {
+		return false
+	}
+	a := co.spin.Addr()
+	if _, ok := co.lookupBuffers(a); ok {
+		return false
+	}
+	return e.Mem.Load(a) == co.spin.Val() && e.ms.L1(co.proc).Contains(isa.LineOf(a))
+}
+
+// urgentInterrupt returns the time from which stepCore would squash
+// co's running chunk for a high-priority interrupt, if it ever would
+// while co spins.
+func (e *Engine) urgentInterrupt(co *core) (uint64, bool) {
+	if e.Replay != nil || co.ts.InIntr || co.prog.IntrVec < 0 || co.cur.Checkpoint.InIntr {
+		return 0, false
+	}
+	iv, ok := e.peekIRQ(co)
+	if !ok || !iv.HighPriority {
+		return 0, false
+	}
+	return iv.Time, true
+}
+
 func (e *Engine) flipLat(co *core, lat uint64) uint64 {
 	if e.Perturb == nil || e.Perturb.FlipProb == 0 || !co.prng.Bool(e.Perturb.FlipProb) {
 		return lat
@@ -792,12 +900,15 @@ func (e *Engine) flipLat(co *core, lat uint64) uint64 {
 	return e.Cfg.L1Lat
 }
 
-func (e *Engine) chunkLoad(co *core, in *isa.Inst) {
+// chunkLoad performs a load; spin marks the load of a spin iteration,
+// which the core's Spin observes.
+func (e *Engine) chunkLoad(co *core, in *isa.Inst, spin bool) {
 	co.tm.WaitReg(in.Rs)
 	addr := in.MemAddr(&co.ts)
 	line := isa.LineOf(addr)
 	val, fromBuf := co.lookupBuffers(addr)
 	var lat uint64
+	hit := false
 	if fromBuf {
 		lat = e.Cfg.L1Lat // store-buffer forwarding
 	} else {
@@ -807,13 +918,17 @@ func (e *Engine) chunkLoad(co *core, in *isa.Inst) {
 			co.cur.NoteFill(line, uint8(fill))
 		}
 		lat = e.flipLat(co, specLat)
+		hit = fill == sim.FillNone && lat == specLat
 	}
 	co.cur.NoteRead(line)
 	co.tm.LoadOp(lat, lat == e.Cfg.L1Lat, false, in.Rd)
+	if spin {
+		co.spin.Observe(co.tm, co.ts.PC, in, addr, val, hit)
+	}
 	in.Complete(&co.ts, val)
 	co.cur.Insts++
 	co.memOps++
-	co.exec++
+	e.exec++
 }
 
 // chunkStore executes a store-class instruction into the chunk's write
@@ -877,7 +992,7 @@ func (e *Engine) chunkStore(co *core, in *isa.Inst) bool {
 	in.Complete(&co.ts, old)
 	c.Insts++
 	co.memOps++
-	co.exec++
+	e.exec++
 	return true
 }
 
@@ -990,6 +1105,7 @@ func (e *Engine) squashSelfForInterrupt(co *core) {
 	co.ts = c.Checkpoint
 	co.tm.Reset()
 	co.tm.Clock += e.Cfg.SquashPenalty
+	co.spin.Reset()
 	co.nextSeqRollback(c)
 	e.releaseChunk(c)
 }
@@ -1113,7 +1229,7 @@ func (e *Engine) execIO(co *core) {
 	}
 	in.Complete(&co.ts, v)
 	co.useful++
-	co.exec++
+	e.exec++
 	e.stats.IOOps++
 }
 
@@ -1274,6 +1390,7 @@ func (e *Engine) applyCommit(g *arbiter.Request) {
 	co.useful += uint64(c.Insts)
 	if !g.Split {
 		co.chunksDone++
+		e.chunks++
 	}
 	// The commit makes any interrupt delivered at this chunk's start
 	// architectural: finalize it (log + stats).
@@ -1481,6 +1598,7 @@ func (e *Engine) squashFrom(co *core, idx int, committer int) {
 	co.tm.Reset()
 	co.tm.AdvanceTo(e.now)
 	co.tm.Clock += e.Cfg.SquashPenalty
+	co.spin.Reset()
 
 	target := victim.Target
 	budget := victim.BudgetReason
@@ -1529,7 +1647,7 @@ func (e *Engine) chunkAlive(c *chunk.Chunk) bool {
 // far each chunk sequence has progressed).
 func (e *Engine) DebugState() string {
 	s := fmt.Sprintf("t=%d commits=%d pending=%d inflight=%d exec=%d\n",
-		e.now, e.arb.GlobalCommits(), e.arb.Pending(), e.arb.InFlight(), e.execCount())
+		e.now, e.arb.GlobalCommits(), e.arb.Pending(), e.arb.InFlight(), e.exec)
 	if head, ok := e.policy.Head(e.arb.GlobalCommits()); ok {
 		s += fmt.Sprintf("policy head: proc %d\n", head)
 	}

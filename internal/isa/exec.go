@@ -181,17 +181,50 @@ type ffEntry struct {
 // loopHead marks a counted-loop head in ffEntry.n.
 const loopHead = -1
 
-// fastForwardTable returns the program's idiom table, building it on
-// first use. Programs are shared by concurrent simulations; racing
-// builders store identical tables, so whichever store lands last is
-// as good as any.
-func (p *Program) fastForwardTable() []ffEntry {
-	if t := p.ff.Load(); t != nil {
-		return *t
+// idioms is a program's idiom table: the closed-form ALU runs and loops
+// fastForward retires, and the spin-wait loads the machines skip
+// (SpinLoads). Both are derived from Insts alone.
+type idioms struct {
+	ff   []ffEntry
+	spin []bool
+}
+
+// idioms returns the program's idiom table, building it on first use.
+// Programs are shared by concurrent simulations; racing builders store
+// identical tables, so whichever store lands last is as good as any.
+func (p *Program) idioms() *idioms {
+	if t := p.idiomTab.Load(); t != nil {
+		return t
 	}
-	t := buildFastForward(p.Insts)
-	p.ff.Store(&t)
+	t := &idioms{ff: buildFastForward(p.Insts), spin: buildSpinLoads(p.Insts)}
+	p.idiomTab.Store(t)
 	return t
+}
+
+func (p *Program) fastForwardTable() []ffEntry { return p.idioms().ff }
+
+// SpinLoads reports, per PC, whether the instruction heads a spin-wait
+// loop: LD rX, imm(rA) followed by a conditional branch back to it that
+// compares rX with a register rC, where rX differs from rA and rC. One
+// iteration of the loop writes only rX and reads memory only at
+// Reg[rA]+imm, so once two iterations load the same value from the same
+// address, every later one repeats them until that word or the compared
+// registers change. The slice is shared; callers must not modify it.
+func (p *Program) SpinLoads() []bool { return p.idioms().spin }
+
+func buildSpinLoads(insts []Inst) []bool {
+	spin := make([]bool, len(insts))
+	for pc := 0; pc+1 < len(insts); pc++ {
+		ld, b := &insts[pc], &insts[pc+1]
+		if ld.Op != LD || ld.Rd == ld.Rs || b.Imm != int64(pc) {
+			continue
+		}
+		switch b.Op {
+		case BEQ, BNE, BLT, BGE:
+			spin[pc] = (b.Rs == ld.Rd) != (b.Rt == ld.Rd)
+		}
+	}
+	return spin
 }
 
 func buildFastForward(insts []Inst) []ffEntry {

@@ -198,8 +198,9 @@ func (i Inst) String() string {
 
 // Program is an assembled instruction sequence for one thread. Insts must
 // not be mutated once the program has first run: the interpreter derives
-// a per-program idiom table from it on first execution (see fastForward)
-// and shares that table between every processor running the program.
+// a per-program idiom table from it on first execution (see fastForward
+// and SpinLoads) and shares that table between every processor running
+// the program.
 type Program struct {
 	Insts []Inst
 	// TrapVec is the instruction index of the trap handler entered by
@@ -211,7 +212,7 @@ type Program struct {
 	// handler ends with IRET). -1 if the program takes no interrupts.
 	IntrVec int
 
-	ff atomic.Pointer[[]ffEntry]
+	idiomTab atomic.Pointer[idioms]
 }
 
 // ThreadState is the architectural state of one hardware context. It is a

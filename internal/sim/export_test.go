@@ -1,0 +1,9 @@
+package sim
+
+// SetStepSpins turns spin skipping off (true) or back on (false) in both
+// machines, this package's and bulksc's.
+func SetStepSpins(step bool) { stepSpins.Store(step) }
+
+// SpinSkips returns how many spin iterations both machines have skipped
+// so far in this process.
+func SpinSkips() uint64 { return spinSkips.Load() }

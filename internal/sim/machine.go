@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"delorean/internal/device"
 	"delorean/internal/isa"
@@ -29,6 +31,18 @@ type AccessEvent struct {
 	// StoresPending marks a load issued while older stores were still
 	// buffered (possible store→load reordering under TSO/RC).
 	StoresPending bool
+	// Count is the number of accesses the event stands for: 1, or more
+	// for the reads of a skipped spin-wait. Such an event stands for
+	// Count reads by Proc of Addr, each returning Value and each repeating
+	// Proc's access before it: a read of Addr that returned Value without
+	// StoresPending, with no write to Line by anyone in between. Time,
+	// MemOp and Inst are the last read's, and StoresPending is false. A
+	// skip emits its events together, one per waiting core in (Time,
+	// Proc) order, and only such repeated reads happen between the reads
+	// they stand for. So an observer folds them exactly by counting them:
+	// none of the reads can add a dependence, and the last-reader state
+	// the last one leaves is the event's.
+	Count uint64
 }
 
 // Observer receives the machine's global access stream.
@@ -84,6 +98,7 @@ type Machine struct {
 	cores []*classicCore
 	ms    *MemSys // pooled; held only while Run executes
 	stats Stats
+	runs  []SpinRun // skipSpins' scratch
 }
 
 type classicCore struct {
@@ -93,6 +108,9 @@ type classicCore struct {
 	memOps  uint64
 	insts   uint64
 	nextIRQ int // index into Devs.Interrupts filtered by proc
+
+	spinLoads []bool // prog.SpinLoads()
+	spin      Spin
 }
 
 // NewMachine builds a classic machine. progs must have Cfg.NProcs
@@ -106,7 +124,7 @@ func NewMachine(cfg Config, model Model, progs []*isa.Program, memory *mem.Memor
 	}
 	m := &Machine{Cfg: cfg, Model: model, Progs: progs, Mem: memory, Devs: devs}
 	for p := 0; p < cfg.NProcs; p++ {
-		cc := &classicCore{tm: NewCoreTiming(&m.Cfg), prog: progs[p]}
+		cc := &classicCore{tm: NewCoreTiming(&m.Cfg), prog: progs[p], spinLoads: progs[p].SpinLoads()}
 		cc.ts.Reg[15] = int64(p)
 		cc.ts.Reg[14] = int64(cfg.NProcs)
 		m.cores = append(m.cores, cc)
@@ -167,6 +185,12 @@ func (m *Machine) Run() Stats {
 		if total >= budget {
 			break
 		}
+		if cc.spin.Steady(cc.ts.PC) {
+			if k := m.skipSpins(budget-total, dmaIdx); k > 0 {
+				total += 2 * k
+				continue
+			}
+		}
 		total += m.step(p, cc)
 	}
 
@@ -211,6 +235,7 @@ func (m *Machine) deliverInterrupts(p int, cc *classicCore, now uint64) {
 		iv := ivs[cc.nextIRQ]
 		cc.nextIRQ++
 		cc.ts.EnterInterrupt(cc.prog.IntrVec, iv.Type, iv.Data, iv.HighPriority)
+		cc.spin.Reset()
 		m.stats.Interrupts++
 		return // one at a time; the next is considered after the handler
 	}
@@ -220,10 +245,16 @@ func (m *Machine) deliverInterrupts(p int, cc *classicCore, now uint64) {
 // one memory/I-O/fence instruction, returning retired instructions.
 func (m *Machine) step(p int, cc *classicCore) uint64 {
 	const batch = 4096
+	start := cc.ts.PC
 	n, pend := isa.RunToMemOpTimed(&cc.ts, cc.prog, batch, &cc.tm.regReady)
 	cc.tm.ChargeALU(n)
 	cc.insts += uint64(n)
 	retired := uint64(n)
+	// A spin iteration: the loop's branch went back to its load.
+	spin := n == 1 && pend != nil && cc.spinLoads[cc.ts.PC] && start == cc.ts.PC+1
+	if !spin {
+		cc.spin.Reset()
+	}
 	if pend == nil {
 		return retired
 	}
@@ -248,7 +279,7 @@ func (m *Machine) step(p int, cc *classicCore) uint64 {
 		return retired + 1
 
 	case isa.LD, isa.ST, isa.SWAP, isa.FADD, isa.CAS:
-		m.memAccess(p, cc, pend)
+		m.memAccess(p, cc, pend, spin)
 		cc.insts++
 		return retired + 1
 
@@ -275,7 +306,9 @@ func (m *Machine) step(p int, cc *classicCore) uint64 {
 	panic(fmt.Sprintf("sim: unexpected pending op %v", pend.Op))
 }
 
-func (m *Machine) memAccess(p int, cc *classicCore, in *isa.Inst) {
+// memAccess performs a memory instruction; spin marks the load of a spin
+// iteration, which the core's Spin observes.
+func (m *Machine) memAccess(p int, cc *classicCore, in *isa.Inst, spin bool) {
 	// Address (and store-data) registers may depend on pending loads.
 	cc.tm.WaitReg(in.Rs)
 	if in.Op == isa.ST || in.Op.IsAtomic() {
@@ -311,8 +344,12 @@ func (m *Machine) memAccess(p int, cc *classicCore, in *isa.Inst) {
 		cc.tm.advance(done)
 		cc.tm.regReady[in.Rd] = done
 	case in.Op == isa.LD:
+		hits := m.ms.L1Hits
 		lat := m.ms.Load(p, line)
 		cc.tm.LoadOp(lat, lat == m.Cfg.L1Lat, m.Model == SC, in.Rd)
+		if spin {
+			cc.spin.Observe(cc.tm, cc.ts.PC, in, addr, old, m.ms.L1Hits != hits)
+		}
 	default: // ST
 		lat := m.ms.Store(p, line)
 		switch m.Model {
@@ -338,7 +375,116 @@ func (m *Machine) memAccess(p int, cc *classicCore, in *isa.Inst) {
 			Inst:          cc.insts + 1,
 			Value:         old,
 			StoresPending: cc.tm.PendingStores() > 0,
+			Count:         1,
 		})
 	}
 	in.Complete(&cc.ts, old)
+}
+
+// skipSpins advances every core waiting in a steady spin loop past the
+// iterations it runs before the next action of anything else, and
+// returns how many it skipped; left is what remains of the instruction
+// budget. That action is the earliest, in nextCore's (clock, processor)
+// order, of: a step by any other core, the next DMA transfer (applied
+// before any core steps at or after its time), and an interrupt due to a
+// waiting core. Stepping would run the skipped iterations in that order
+// and nothing else, and none of them touches state another core reads:
+// each repeats a load that hits in its own L1.
+func (m *Machine) skipSpins(left uint64, dmaIdx int) uint64 {
+	h := NoHorizon()
+	if dmaIdx < len(m.Devs.DMA) {
+		h.Min(m.Devs.DMA[dmaIdx].Time, -1)
+	}
+	runs := m.runs[:0]
+	for q, cc := range m.cores {
+		if cc.ts.Halted {
+			continue
+		}
+		if !m.spinning(q, cc) {
+			h.Min(cc.tm.Clock, q)
+			continue
+		}
+		if t, ok := m.nextInterrupt(q, cc); ok {
+			h.Min(t, -1)
+		}
+		runs = append(runs, SpinRun{Proc: q, T: cc.tm.Clock, D: cc.spin.Period()})
+	}
+	for i := range runs {
+		r := &runs[i]
+		r.N = h.Iters(r.T, r.D, r.Proc)
+	}
+	// Each iteration retires two instructions, and stepping stops once
+	// the budget is reached: at most ceil(left/2) more iterations run.
+	LimitSpins(runs, (left+1)/2)
+	var k uint64
+	for _, r := range runs {
+		if r.N == 0 {
+			continue
+		}
+		cc := m.cores[r.Proc]
+		cc.spin.Skip(cc.tm, r.N)
+		cc.insts += 2 * r.N
+		cc.memOps += r.N
+		m.ms.L1Hits += r.N
+		k += r.N
+	}
+	if k > 0 && m.Obs != nil {
+		m.emitSpins(runs)
+	}
+	m.runs = runs[:0]
+	return k
+}
+
+// spinning reports whether core q is about to repeat a steady spin
+// iteration: its load will hit in L1 and read the same value.
+func (m *Machine) spinning(q int, cc *classicCore) bool {
+	if !cc.spin.Steady(cc.ts.PC) {
+		return false
+	}
+	a := cc.spin.Addr()
+	return m.Mem.Load(a) == cc.spin.Val() && m.ms.L1(q).Contains(isa.LineOf(a))
+}
+
+// nextInterrupt returns the time of the next interrupt deliverInterrupts
+// would hand core q, if any.
+func (m *Machine) nextInterrupt(q int, cc *classicCore) (uint64, bool) {
+	if cc.prog.IntrVec < 0 || cc.ts.InIntr {
+		return 0, false
+	}
+	for _, iv := range m.Devs.Interrupts[cc.nextIRQ:] {
+		if iv.Proc == q {
+			return iv.Time, true
+		}
+	}
+	return 0, false
+}
+
+// emitSpins hands the observer one counted event per skipped run, in
+// (Time, Proc) order.
+func (m *Machine) emitSpins(runs []SpinRun) {
+	clock := func(r SpinRun) uint64 { return m.cores[r.Proc].tm.Clock }
+	slices.SortFunc(runs, func(a, b SpinRun) int {
+		if c := cmp.Compare(clock(a), clock(b)); c != 0 {
+			return c
+		}
+		return a.Proc - b.Proc
+	})
+	for _, r := range runs {
+		if r.N == 0 {
+			continue
+		}
+		cc := m.cores[r.Proc]
+		a := cc.spin.Addr()
+		m.Obs.OnAccess(AccessEvent{
+			Proc:  r.Proc,
+			Time:  cc.tm.Clock,
+			Line:  isa.LineOf(a),
+			Addr:  a,
+			Read:  true,
+			MemOp: cc.memOps,
+			Inst:  cc.insts,
+			Value: cc.spin.Val(),
+			Count: r.N,
+		})
+	}
 }

@@ -72,6 +72,9 @@ func (q *fifo[T]) len() int { return q.n }
 // at returns the i-th oldest entry.
 func (q *fifo[T]) at(i int) T { return q.buf[(q.head+i)&(len(q.buf)-1)] }
 
+// ref returns a pointer to the i-th oldest entry.
+func (q *fifo[T]) ref(i int) *T { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+
 func (q *fifo[T]) front() T { return q.buf[q.head] }
 
 func (q *fifo[T]) pop() {
