@@ -126,9 +126,6 @@ func foldRepeats(evs []sim.AccessEvent) []sim.AccessEvent {
 	return out
 }
 
-// logged is what every recorder offers beyond Recorder: its raw log.
-type logged interface{ Log() []byte }
-
 // TestRecordersFoldCountedReads feeds every recorder a seeded access
 // stream once as it is and once with its repeated reads folded into
 // counted events, the form the machines use for skipped spin-waits. Both
@@ -154,17 +151,18 @@ func TestRecordersFoldCountedReads(t *testing.T) {
 				NewStrata(nprocs, true), NewAdvancedRTR(nprocs, 0)}
 		}
 		plain, fold := mk(), mk()
+		plainObs, foldObs := newObserver(nprocs, plain), newObserver(nprocs, fold)
 		for _, e := range evs {
-			fanout(plain).OnAccess(e)
+			plainObs.OnAccess(e)
 		}
 		for _, e := range folded {
-			fanout(fold).OnAccess(e)
+			foldObs.OnAccess(e)
 		}
 		for i, a := range plain {
 			b := fold[i]
 			got := fmt.Sprint(b.Entries(), b.RawBits(), b.CompressedBits())
 			want := fmt.Sprint(a.Entries(), a.RawBits(), a.CompressedBits())
-			la, lb := a.(logged).Log(), b.(logged).Log()
+			la, lb := a.Log(), b.Log()
 			if got != want || !bytes.Equal(la, lb) {
 				t.Errorf("seed %d %s: folded stream gives entries/raw/compressed %s, log %x; stepped %s, log %x",
 					seed, a.Name(), got, lb, want, la)
