@@ -193,7 +193,7 @@ func Fig11(c Config) ([]Fig11Row, error) {
 			if err != nil {
 				return replayResult{err: fmt.Errorf("%s/%s: %w", t.name, t.spec.label, err)}
 			}
-			w := workload.Get(t.name, c.params())
+			w := c.workload(t.name)
 			rcfg := core.ReplayConfig(c.machine())
 			rcfg.ChunkSize = t.spec.chunk
 			ro := t.spec.rOpts
@@ -373,7 +373,7 @@ func Table6(c Config) ([]Table6Row, error) {
 	names := c.workloads()
 	return runner.Map(c.Parallel, len(names), func(i int) (Table6Row, error) {
 		name := names[i]
-		w := workload.Get(name, c.params())
+		w := c.workload(name)
 		cfg := c.machine()
 		cfg.ChunkSize = 1000
 		rr := arbiter.NewRoundRobin(cfg.NProcs)

@@ -7,7 +7,6 @@ import (
 	"delorean/internal/metrics"
 	"delorean/internal/runner"
 	"delorean/internal/sim"
-	"delorean/internal/workload"
 )
 
 // TSORow answers the paper's open question about Advanced RTR (its
@@ -42,7 +41,7 @@ func TSOStudy(c Config) ([]TSORow, error) {
 			return TSORow{}, fmt.Errorf("%s: SC did not converge", name)
 		}
 
-		w := workload.Get(name, c.params())
+		w := c.workload(name)
 		adv := baseline.NewAdvancedRTR(c.Procs, 0)
 		tso := baseline.RunModel(c.machine(), sim.TSO, w.Progs, w.InitMem(), w.Devs, adv)
 		if !tso.Converged {
