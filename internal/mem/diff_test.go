@@ -1,9 +1,13 @@
 package mem
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -256,6 +260,77 @@ func TestSparseFootprintBound(t *testing.T) {
 		t.Fatalf("100000 sparse words hold %.2f MiB of live heap, bound 8 MiB", float64(live)/(1<<20))
 	}
 	runtime.KeepAlive(m)
+}
+
+// sortedHash is the canonical encoding written the plain way: sort the
+// nonzero words' addresses, then FNV-1a over each little-endian address
+// and value.
+func sortedHash(img map[uint32]uint64) uint64 {
+	addrs := make([]uint32, 0, len(img))
+	for a := range img {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	h := fnv.New64a()
+	var buf [12]byte
+	for _, a := range addrs {
+		if img[a] == 0 {
+			continue
+		}
+		binary.LittleEndian.PutUint32(buf[0:4], a)
+		binary.LittleEndian.PutUint64(buf[4:12], img[a])
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestHashMatchesSortedEncoding checks Hash and HashSnapshot, which
+// order words by radix sort, against sortedHash on empty and one-word
+// memories, random ones, 2^17 words spread over the whole address space,
+// a hostile image of collidingKeys, and addresses that differ only in one
+// byte (so the other passes are skipped).
+func TestHashMatchesSortedEncoding(t *testing.T) {
+	s := rng.New(7)
+	images := map[string]map[uint32]uint64{
+		"empty": {},
+		"one":   {0xdeadbeef: 3},
+	}
+	random := map[uint32]uint64{}
+	for len(random) < 5000 {
+		random[uint32(s.Uint64())>>s.Intn(32)] = s.Uint64()
+	}
+	random[0] = 0 // a zero entry, which HashSnapshot must skip
+	images["random"] = random
+	sparse := map[uint32]uint64{}
+	for i := uint32(0); i < 1<<17; i++ {
+		sparse[i*(1<<15)+uint32(s.Intn(1<<15))] = s.Uint64() | 1
+	}
+	images["sparse"] = sparse
+	hostile := map[uint32]uint64{}
+	for _, a := range collidingKeys(1 << 17) {
+		hostile[a] = uint64(a) | 1
+	}
+	images["hostile"] = hostile
+	for _, shift := range []int{0, 8, 16, 24} {
+		img := map[uint32]uint64{}
+		for b := uint32(0); b < 256; b += 3 {
+			img[0x5a5a5a5a&^(0xff<<shift)|b<<shift] = uint64(b) + 1
+		}
+		images[fmt.Sprintf("byte%d", shift)] = img
+	}
+	for name, img := range images {
+		want := sortedHash(img)
+		m := New()
+		for a, v := range img {
+			m.Store(a, v)
+		}
+		if got := m.Hash(); got != want {
+			t.Errorf("%s: Hash %#x, sorted encoding %#x", name, got, want)
+		}
+		if got := HashSnapshot(img); got != want {
+			t.Errorf("%s: HashSnapshot %#x, sorted encoding %#x", name, got, want)
+		}
+	}
 }
 
 // benchFootprint is BenchmarkMemory's working-set size in words.
