@@ -81,8 +81,11 @@ type Engine struct {
 	// submissions and arbiter wake-ups. Core wake-ups live in the cores'
 	// (wake, wakeOK) fields; step merges the two.
 	events eventHeap
-	stats  Stats
-	now    uint64 // current global event time (monotone)
+	// arbWake is the time of the one arbiter wake-up drainArbiter keeps
+	// pending, 0 for none; an evArb at any other time is stale.
+	arbWake uint64
+	stats   Stats
+	now     uint64 // current global event time (monotone)
 
 	// gtr caches Trace's global stream (nil when tracing is off) so the
 	// engine-wide emission sites pay one nil check when disabled.
@@ -352,6 +355,7 @@ func (e *Engine) resetRun() {
 	e.ms = nil
 	e.cores = nil
 	e.events = nil
+	e.arbWake = 0
 	e.stats = Stats{}
 	e.now = 0
 	e.gtr = nil
@@ -529,6 +533,10 @@ func (e *Engine) step() bool {
 		e.arb.Submit(e.now, ev.req)
 		e.drainArbiter()
 	case evArb:
+		if ev.time != e.arbWake {
+			return true // superseded (see drainArbiter)
+		}
+		e.arbWake = 0
 		e.drainArbiter()
 	}
 	return true
@@ -966,15 +974,16 @@ func (e *Engine) chunkStore(co *core, in *isa.Inst) bool {
 		}
 	}
 
-	// Read-modify-writes also read.
+	// Read-modify-writes also read; a plain store's value and result do
+	// not depend on the old value, so it reads nothing.
 	var old uint64
 	isRMW := in.Op.IsAtomic()
-	if v, ok := co.lookupBuffers(addr); ok {
-		old = v
-	} else {
-		old = e.Mem.Load(addr)
-	}
 	if isRMW {
+		if v, ok := co.lookupBuffers(addr); ok {
+			old = v
+		} else {
+			old = e.Mem.Load(addr)
+		}
 		c.NoteRead(line)
 	}
 	c.Write(addr, in.NewValue(&co.ts, old))
@@ -1256,7 +1265,18 @@ func (e *Engine) drainArbiter() {
 		}
 		break
 	}
-	if nxt, ok := e.arb.NextEventAfter(e.now); ok {
+	// Keep one wake-up pending, at the arbiter's next event, rather than
+	// one per drain. The next event is always an in-flight commit's end,
+	// which stays pending until it passes; so when a wake-up is
+	// superseded by an earlier one, a later drain sets the wake-up to its
+	// time again, and the one drain at that time runs before the stale
+	// entry pops (and is dropped). A second drain at one time changed
+	// nothing but the arbiter's sample count.
+	nxt, ok := e.arb.NextEventAfter(e.now)
+	if !ok {
+		e.arbWake = 0
+	} else if nxt != e.arbWake {
+		e.arbWake = nxt
 		e.push(event{time: nxt, kind: evArb})
 	}
 }

@@ -1,6 +1,7 @@
 package bulksc
 
 import (
+	"math"
 	"testing"
 
 	"delorean/internal/arbiter"
@@ -538,5 +539,49 @@ func TestHaltWithEmptyProgram(t *testing.T) {
 	st := runEngine(t, e)
 	if st.Chunks != 1 {
 		t.Fatalf("expected one (empty) final chunk, got %d", st.Chunks)
+	}
+}
+
+// TestArbiterWakeupsStayBounded runs four cores that spin on a flag
+// nobody sets until the instruction budget ends the run, at chunk size
+// 50: a long stream of small commits with the arbiter idle in between.
+// The event heap must stay a few entries deep however long the run, and
+// the arbiter's sampled statistics must not move.
+func TestArbiterWakeupsStayBounded(t *testing.T) {
+	progs := make([]*isa.Program, 4)
+	for p := range progs {
+		a := isa.NewAsm()
+		a.LockInit()
+		a.Ldi(1, 0x1000)
+		a.Ldi(2, 0x2000)
+		a.Ldi(4, 0x3000)
+		a.Lock(2, 7, "l")
+		a.Ld(8, 4, 0)
+		a.Addi(8, 8, 1)
+		a.St(4, 0, 8)
+		a.Unlock(2)
+		a.Label("spin")
+		a.Ld(3, 1, 0)
+		a.Beq(3, 10, "spin")
+		a.Halt()
+		progs[p] = a.Assemble()
+	}
+	cfg := testConfig(4)
+	cfg.ChunkSize = 50
+	cfg.MaxInsts = 30_000
+	e := &Engine{Cfg: cfg, Progs: progs, Mem: mem.New()}
+	st := e.Run()
+	if cap(e.events) > 16 {
+		t.Errorf("event heap grew to capacity %d", cap(e.events))
+	}
+	// The values an engine that pushed a wake-up on every drain, and whose
+	// heap grew past 500 entries here, produced.
+	as := e.Arbiter().StatsAt(st.Cycles)
+	if st.Cycles != 4870 || st.Chunks != 582 || as.Grants != 582 ||
+		math.Float64bits(as.ReadyProcsAvg) != 0x3f678cc6124b10b7 ||
+		math.Float64bits(as.ActualCommitAvg) != 0x40008f16634900f9 {
+		t.Errorf("cycles %d, chunks %d, arbiter %+v (ready %#x, commit %#x); want 4870, 582, 582 grants, %#x, %#x",
+			st.Cycles, st.Chunks, as, math.Float64bits(as.ReadyProcsAvg), math.Float64bits(as.ActualCommitAvg),
+			uint64(0x3f678cc6124b10b7), uint64(0x40008f16634900f9))
 	}
 }
