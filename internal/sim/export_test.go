@@ -4,6 +4,9 @@ package sim
 // machines, this package's and bulksc's.
 func SetStepSpins(step bool) { stepSpins.Store(step) }
 
+// CountSpinSkips turns counting skipped spin iterations on or off.
+func CountSpinSkips(on bool) { countSpins.Store(on) }
+
 // SpinSkips returns how many spin iterations both machines have skipped
-// so far in this process.
+// while counting was on, so far in this process.
 func SpinSkips() uint64 { return spinSkips.Load() }

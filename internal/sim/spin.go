@@ -26,9 +26,13 @@ import (
 // compare skipping against; only they set it (export_test.go).
 var stepSpins atomic.Bool
 
-// spinSkips counts skipped iterations, so the tests can check that the
-// skipping path ran.
-var spinSkips atomic.Uint64
+// spinSkips counts skipped iterations while countSpins is on, so the
+// tests can check that the skipping path ran. Runs sharing the process
+// do not pay for a shared counter otherwise.
+var (
+	countSpins atomic.Bool
+	spinSkips  atomic.Uint64
+)
 
 // Spin follows one core through a spin-wait loop. The machine reports
 // every iteration — a step that took the loop's branch back and then
@@ -184,7 +188,9 @@ func (s *Spin) Skip(tm *CoreTiming, k uint64) {
 		*c += k * s.dctr[i]
 	}
 	s.prev.take(tm, s.rx)
-	spinSkips.Add(k)
+	if countSpins.Load() {
+		spinSkips.Add(k)
+	}
 }
 
 // Horizon is the first action a skip must stop before: one at time T
