@@ -20,6 +20,7 @@ package arbiter
 
 import (
 	"fmt"
+	"slices"
 
 	"delorean/internal/signature"
 	"delorean/internal/trace"
@@ -80,6 +81,7 @@ type Arbiter struct {
 
 	queue    []*Request
 	inflight []inflightCommit
+	grants   []*Request // TryGrant's result, reused across calls
 	commits  uint64
 
 	// Stats integrals for Table 6.
@@ -90,10 +92,16 @@ type Arbiter struct {
 	grantCount       uint64
 }
 
+// inflightCommit is one granted commit still propagating. It owns copies
+// of the request's write set: the engine recycles a chunk, signatures and
+// written-line buffer included, as soon as it has applied the commit,
+// while the window must keep answering conflict checks until end. Every
+// entry owns its own wlines buffer (expire swaps entries, never copies
+// one over another), so refilling an entry reuses its buffer.
 type inflightCommit struct {
 	proc   int
 	end    uint64
-	wsig   *signature.Sig
+	wsig   signature.Sig
 	wlines []uint32
 }
 
@@ -163,13 +171,27 @@ func (a *Arbiter) Withdraw(now uint64, squashed func(tag any) bool) {
 
 func (a *Arbiter) expire(now uint64) {
 	k := 0
-	for _, c := range a.inflight {
-		if c.end > now {
-			a.inflight[k] = c
+	for i := range a.inflight {
+		if a.inflight[i].end > now {
+			a.inflight[k], a.inflight[i] = a.inflight[i], a.inflight[k]
 			k++
 		}
 	}
 	a.inflight = a.inflight[:k]
+}
+
+// admit enters granted request r into the in-flight window until end,
+// copying its write set into an entry the window owns.
+func (a *Arbiter) admit(r *Request, end uint64) {
+	n := len(a.inflight)
+	a.inflight = slices.Grow(a.inflight, 1)[:n+1] // keeps the spare entry's buffer
+	c := &a.inflight[n]
+	c.proc, c.end = r.Proc, end
+	c.wsig = signature.Sig{}
+	if r.WSig != nil {
+		c.wsig = *r.WSig
+	}
+	c.wlines = append(c.wlines[:0], r.WLines...)
 }
 
 func (a *Arbiter) sameProcEarlier(r *Request, idx int) bool {
@@ -187,7 +209,8 @@ func (a *Arbiter) sameProcEarlier(r *Request, idx int) bool {
 }
 
 func (a *Arbiter) conflictsInflight(r *Request) bool {
-	for _, c := range a.inflight {
+	for i := range a.inflight {
+		c := &a.inflight[i]
 		if a.Exact {
 			for _, l := range c.wlines {
 				for _, rl := range r.WLines {
@@ -199,10 +222,10 @@ func (a *Arbiter) conflictsInflight(r *Request) bool {
 			// Exact read-set checks need the chunk; signatures carry the
 			// read side even in exact mode.
 		}
-		if r.RSig != nil && r.RSig.Intersects(c.wsig) {
+		if r.RSig != nil && r.RSig.Intersects(&c.wsig) {
 			return true
 		}
-		if r.WSig != nil && r.WSig.Intersects(c.wsig) {
+		if r.WSig != nil && r.WSig.Intersects(&c.wsig) {
 			return true
 		}
 	}
@@ -212,12 +235,13 @@ func (a *Arbiter) conflictsInflight(r *Request) bool {
 // TryGrant grants every request that may commit at time now, in request
 // order with split continuations first. The returned requests have been
 // removed from the queue and entered the in-flight set; the engine
-// applies their functional effects. Callers should invoke TryGrant in a
-// loop until it returns nothing (a grant can unblock the next).
+// applies their functional effects. The returned slice is reused: it is
+// valid until the next TryGrant call. Callers should invoke TryGrant in
+// a loop until it returns nothing (a grant can unblock the next).
 func (a *Arbiter) TryGrant(now uint64) []*Request {
 	a.sample(now)
 	a.expire(now)
-	var grants []*Request
+	a.grants = a.grants[:0]
 	// A grant can unblock an earlier-queued request (an ordered policy's
 	// turn advancing), so scan repeatedly until a full round makes no
 	// progress. Split continuations are considered before ordinary
@@ -234,7 +258,7 @@ func (a *Arbiter) TryGrant(now uint64) []*Request {
 					continue
 				}
 				if len(a.inflight) >= a.MaxConcur {
-					return grants
+					return a.grants
 				}
 				if !r.Split && !a.Policy.MayGrant(r, a.commits) {
 					continue
@@ -249,23 +273,21 @@ func (a *Arbiter) TryGrant(now uint64) []*Request {
 					// Conflicting commits serialize; an ordered policy's
 					// blocked head blocks everyone behind it.
 					if _, ordered := a.Policy.Head(a.commits); ordered {
-						return grants
+						return a.grants
 					}
 					continue
 				}
 				// Grant.
 				a.queue = append(a.queue[:i], a.queue[i+1:]...)
 				i--
-				a.inflight = append(a.inflight, inflightCommit{
-					proc: r.Proc, end: now + a.CommitDur, wsig: r.WSig, wlines: r.WLines,
-				})
+				a.admit(r, now+a.CommitDur)
 				a.grantCount++
 				r.Slot = a.commits
 				if !r.Split {
 					a.Policy.Granted(r, now, a.commits)
 				}
 				a.commits++
-				grants = append(grants, r)
+				a.grants = append(a.grants, r)
 				progressed = true
 			}
 		}
@@ -273,14 +295,14 @@ func (a *Arbiter) TryGrant(now uint64) []*Request {
 	if a.Trace != nil {
 		a.Trace.Emit(trace.Event{Time: now, Proc: -1, Kind: trace.ArbQueue,
 			A: uint64(len(a.queue)), B: uint64(len(a.inflight))})
-		if len(grants) == 0 {
+		if len(a.grants) == 0 {
 			if reason, ready := a.denyReason(now); ready > 0 && reason != 0 {
 				a.Trace.Emit(trace.Event{Time: now, Proc: -1, Kind: trace.ArbDeny,
 					A: reason, B: uint64(ready)})
 			}
 		}
 	}
-	return grants
+	return a.grants
 }
 
 // denyReason reports why the head-most ready request cannot be granted at

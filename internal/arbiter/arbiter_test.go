@@ -58,6 +58,42 @@ func TestConflictingCommitsSerialize(t *testing.T) {
 	}
 }
 
+// TestWindowOwnsGrantedWriteSet: the engine recycles a chunk, signature
+// and written-line buffer included, as soon as it has applied the
+// commit, while the commit stays in flight. Overwriting a granted
+// request's write set must not change the window's conflict answers, in
+// either conflict mode, and entries that survive an expiry must not
+// share a written-line buffer with the entry refilled after it.
+func TestWindowOwnsGrantedWriteSet(t *testing.T) {
+	for _, exact := range []bool{false, true} {
+		a := New(30, 100, 4, FreeOrder{})
+		a.Exact = exact
+		r := req(0, 10, 500)
+		a.Submit(10, r)
+		if g := a.TryGrant(10); len(g) != 1 {
+			t.Fatalf("exact=%v: granted %d, want 1", exact, len(g))
+		}
+		*r.WSig = *sigOf(900)
+		r.WLines[0] = 900
+		a.Submit(11, req(1, 11, 500)) // conflicts with the write set as granted
+		a.Submit(12, req(2, 12, 900)) // conflicts only with the overwritten one
+		if got := procsOf(a.TryGrant(12)); len(got) != 1 || got[0] != 2 {
+			t.Fatalf("exact=%v: grants = %v, want [2]", exact, got)
+		}
+		// At 111 the first commit has expired: proc 1 goes, and its entry
+		// refills the slot the expired one left.
+		if got := procsOf(a.TryGrant(111)); len(got) != 1 || got[0] != 1 {
+			t.Fatalf("exact=%v: grants after expiry = %v, want [1]", exact, got)
+		}
+		if len(a.inflight) != 2 || &a.inflight[0].wlines[0] == &a.inflight[1].wlines[0] {
+			t.Fatalf("exact=%v: in-flight entries share a written-line buffer", exact)
+		}
+		if w := a.inflight[0].wlines; len(w) != 1 || w[0] != 900 {
+			t.Fatalf("exact=%v: surviving entry's lines = %v, want [900]", exact, w)
+		}
+	}
+}
+
 func TestMaxConcurrencyBound(t *testing.T) {
 	a := New(30, 100, 2, FreeOrder{})
 	for p := 0; p < 4; p++ {

@@ -10,7 +10,6 @@ package bitio
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Writer accumulates values of arbitrary bit width into a byte stream.
@@ -94,22 +93,6 @@ func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
 	w.nbit = 0
 }
-
-// writerPool recycles Writers for transient packing work — the recording
-// serializer packs every shard through a scratch writer, and a fresh
-// buffer per shard would dominate the save path's allocation profile.
-var writerPool = sync.Pool{New: func() any { return new(Writer) }}
-
-// GetWriter returns an empty Writer from the package pool.
-func GetWriter() *Writer {
-	w := writerPool.Get().(*Writer)
-	w.Reset()
-	return w
-}
-
-// PutWriter recycles w. The caller must not retain w or any slice
-// obtained from its Bytes after the call.
-func PutWriter(w *Writer) { writerPool.Put(w) }
 
 // ErrShortStream is returned by Reader when a read runs past the end of
 // the stream.

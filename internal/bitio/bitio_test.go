@@ -243,22 +243,6 @@ func TestWriteBitsZeroWidth(t *testing.T) {
 	}
 }
 
-func TestWriterPool(t *testing.T) {
-	w := GetWriter()
-	w.WriteBits(0xabcd, 16)
-	PutWriter(w)
-	w2 := GetWriter()
-	if w2.Len() != 0 || len(w2.Bytes()) != 0 {
-		t.Fatalf("pooled writer not reset: Len=%d bytes=%d", w2.Len(), len(w2.Bytes()))
-	}
-	w2.WriteBits(7, 3)
-	r := NewReader(w2.Bytes(), w2.Len())
-	if v, err := r.ReadBits(3); err != nil || v != 7 {
-		t.Fatalf("got %#x, %v", v, err)
-	}
-	PutWriter(w2)
-}
-
 func BenchmarkWriteBits4(b *testing.B) {
 	var w Writer
 	for i := 0; i < b.N; i++ {

@@ -11,10 +11,9 @@ import (
 
 // BenchmarkChunkStartSquash measures the chunk lifecycle hot path: start
 // a chunk, populate a realistic read/write footprint, then retire it the
-// way a squash or commit does. With the engine's free list the interior
-// maps are recycled, so steady-state allocations are just the chunk
-// object and its written-line slice (which escapes to the arbiter and is
-// deliberately not pooled).
+// way a squash or commit does. The core's free list hands the retired
+// chunk back whole, buffers included, so the steady state allocates
+// nothing.
 func BenchmarkChunkStartSquash(b *testing.B) {
 	e := &Engine{Cfg: sim.Default8()}
 	co := &core{proc: 0}

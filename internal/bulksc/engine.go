@@ -75,7 +75,7 @@ type Engine struct {
 	Cancel <-chan struct{}
 
 	arb   *arbiter.Arbiter
-	ms    *sim.MemSys // from sim's pool; held only while Run executes
+	ms    *sim.MemSys // from sim's free list; held only while Run executes
 	cores []*core
 	// events holds the global events only: DMA arrivals, commit-request
 	// submissions and arbiter wake-ups. Core wake-ups live in the cores'
@@ -215,13 +215,14 @@ type core struct {
 	lastReqArrive uint64 // commit requests leave the core in chunk order
 
 	// Per-core state whose behaviour must depend only on this core's own
-	// execution, never on how the scheduler interleaves cores: the
-	// chunk-storage free list and the perturbation and random-truncation
+	// execution, never on how the scheduler interleaves cores: the free
+	// list of retired chunks and the perturbation and random-truncation
 	// streams (seeded per processor, so a core's draw sequence is a
 	// function of its own steps).
-	free []chunk.Storage
-	prng *rng.Source
-	trng *rng.Source
+	free  []*chunk.Chunk
+	built int // chunk objects constructed rather than reused
+	prng  *rng.Source
+	trng  *rng.Source
 
 	spinLoads []bool // prog.SpinLoads()
 	spin      sim.Spin
@@ -254,6 +255,10 @@ const (
 type event struct {
 	time uint64
 	kind uint8
+	// life is an evSubmit's chunk's Life at submission: the chunk object
+	// may be retired and reused under a new identity before the event
+	// pops.
+	life uint32
 	id   int
 	req  *arbiter.Request
 }
@@ -319,26 +324,27 @@ func (h *eventHeap) pop() event {
 
 func (e *Engine) push(ev event) { e.events.push(ev) }
 
-// newChunk starts a chunk for co, reusing a retired chunk's interior
-// buffers when available. The free list is per-core so recycling order
-// depends only on the core's own chunk turnover, not on how cores
-// interleave.
+// newChunk starts a chunk for co, reusing a retired chunk when one is
+// available. The free list is per-core so recycling order depends only on
+// the core's own chunk turnover, not on how cores interleave.
 func (e *Engine) newChunk(co *core, seqID uint64, ckpt isa.ThreadState, target int) *chunk.Chunk {
 	if n := len(co.free); n > 0 {
-		st := co.free[n-1]
+		c := co.free[n-1]
 		co.free = co.free[:n-1]
-		return chunk.NewWith(st, co.proc, seqID, ckpt, target)
+		c.Reuse(seqID, ckpt, target)
+		return c
 	}
+	co.built++
 	return chunk.New(co.proc, seqID, ckpt, target)
 }
 
-// releaseChunk reclaims a retired (committed, squashed or abandoned)
-// chunk's interior buffers into its core's free list. The chunk object
-// itself is left alone: stale events and arbiter bookkeeping may still
-// compare its pointer.
+// releaseChunk hands a retired (committed, squashed or abandoned) chunk
+// to its core's free list. The next newChunk on that core may return it,
+// so the caller must be done reading it. Stale submit events may still
+// point at it; they carry the Life it had, which its reuse advances.
 func (e *Engine) releaseChunk(c *chunk.Chunk) {
 	co := e.cores[c.Proc]
-	co.free = append(co.free, c.TakeStorage())
+	co.free = append(co.free, c)
 }
 
 // resetRun clears all per-run state so a reused Engine starts every Run
@@ -378,6 +384,34 @@ func (e *Engine) resetRun() {
 // Run executes the machine to completion and returns statistics. The
 // returned Stats does not alias engine state and survives reuse.
 func (e *Engine) Run() Stats {
+	e.begin()
+	// The chunk bound backstops the instruction budget: a malformed replay
+	// log can drive the engine into committing empty chunks that never
+	// execute an instruction, which the instruction budget alone would let
+	// spin forever. Any legitimate run commits far fewer chunks than its
+	// instruction budget.
+	for e.doneCores < e.Cfg.NProcs && !e.inputStarved && !e.stopped && e.exec < e.budget && e.chunks < e.budget {
+		if e.pollCancel(); e.cancelled {
+			break
+		}
+		if !e.step() {
+			break // no pending event and no runnable core
+		}
+	}
+
+	if e.checkpointing() {
+		e.Mem.EndJournal()
+	}
+	e.finishStats()
+	sim.ReleaseMemSys(e.ms)
+	e.ms = nil
+	return e.stats.clone()
+}
+
+// begin sets up a run: fresh per-run state, the arbiter, a cache
+// hierarchy, the cores at their entry points (or the Resume cut) and the
+// DMA arrivals.
+func (e *Engine) begin() {
 	if len(e.Progs) != e.Cfg.NProcs {
 		panic(fmt.Sprintf("bulksc: %d programs for %d processors", len(e.Progs), e.Cfg.NProcs))
 	}
@@ -464,28 +498,6 @@ func (e *Engine) Run() Stats {
 		e.budget = 100_000_000
 	}
 	e.watchSpins = e.Perturb == nil || e.Perturb.FlipProb == 0
-
-	// The chunk bound backstops the instruction budget: a malformed replay
-	// log can drive the engine into committing empty chunks that never
-	// execute an instruction, which the instruction budget alone would let
-	// spin forever. Any legitimate run commits far fewer chunks than its
-	// instruction budget.
-	for e.doneCores < e.Cfg.NProcs && !e.inputStarved && !e.stopped && e.exec < e.budget && e.chunks < e.budget {
-		if e.pollCancel(); e.cancelled {
-			break
-		}
-		if !e.step() {
-			break // no pending event and no runnable core
-		}
-	}
-
-	if e.checkpointing() {
-		e.Mem.EndJournal()
-	}
-	e.finishStats()
-	sim.ReleaseMemSys(e.ms)
-	e.ms = nil
-	return e.stats.clone()
 }
 
 // step processes the earliest pending event in (time, kind, id) order:
@@ -526,8 +538,9 @@ func (e *Engine) step() bool {
 		e.recordDMAArrival(ev.id)
 	case evSubmit:
 		// The chunk may have been squashed between completion and this
-		// request's arrival at the arbiter; drop stale requests.
-		if c, isChunk := ev.req.Tag.(*chunk.Chunk); isChunk && !e.chunkAlive(c) {
+		// request's arrival at the arbiter, and even reused by its core
+		// as a new chunk; drop stale requests.
+		if c, isChunk := ev.req.Tag.(*chunk.Chunk); isChunk && (c.Life() != ev.life || !e.chunkAlive(c)) {
 			return true
 		}
 		e.arb.Submit(e.now, ev.req)
@@ -1081,7 +1094,7 @@ func (e *Engine) completeChunk(co *core, reason chunk.TruncReason) {
 		Split:  c.SplitPiece,
 		Tag:    c,
 	}
-	e.push(event{time: arrive, kind: evSubmit, id: co.proc, req: req})
+	e.push(event{time: arrive, kind: evSubmit, life: c.Life(), id: co.proc, req: req})
 }
 
 // ---- chunk lifecycle ----
@@ -1441,13 +1454,15 @@ func (e *Engine) applyCommit(g *arbiter.Request) {
 	}
 
 	e.squashConflicting(c.Proc, &c.WSig, c.WLines())
-	e.releaseChunk(c)
 
 	// Track the round-robin token across APPLIED commits (the arbiter's
 	// own policy state can run ahead within a grant batch).
 	if e.PicoLog && !g.Split && !c.Urgent {
 		e.advanceToken(c.Proc)
 	}
+	// The arbiter's in-flight window holds copies of the write set, so
+	// the chunk is free for reuse once this commit is done reading it.
+	e.releaseChunk(c)
 	if co.ts.Halted && co.cur == nil && len(co.chunks) == 0 && co.pendingIO == nil {
 		co.haltDone = true
 		e.policy.MarkDone(co.proc)
@@ -1630,12 +1645,14 @@ func (e *Engine) squashFrom(co *core, idx int, committer int) {
 		target /= 2
 		budget = chunk.Collision
 	}
-	nc := e.newChunk(co, victim.SeqID, co.ts, target)
+	// newChunk may hand back the victim itself: read it first.
+	seq, urgent, split, ioAtStart := victim.SeqID, victim.Urgent, victim.SplitPiece, victim.IOAtStart
+	nc := e.newChunk(co, seq, co.ts, target)
 	nc.Restarts = restarts
-	nc.Urgent = victim.Urgent
-	nc.SplitPiece = victim.SplitPiece
+	nc.Urgent = urgent
+	nc.SplitPiece = split
 	nc.BudgetReason = budget
-	nc.IOAtStart = victim.IOAtStart
+	nc.IOAtStart = ioAtStart
 	co.chunks = append(co.chunks, nc)
 	co.cur = nc
 

@@ -184,7 +184,12 @@ type collectObs struct {
 	dmaSlots   []uint64
 }
 
-func (c *collectObs) OnCommit(ev CommitEvent)           { c.commits = append(c.commits, ev) }
+// OnCommit keeps the event without its callback-scoped signatures: the
+// engine reuses the chunk they point into.
+func (c *collectObs) OnCommit(ev CommitEvent) {
+	ev.RSig, ev.WSig = nil, nil
+	c.commits = append(c.commits, ev)
+}
 func (c *collectObs) OnSquash(int, uint64, int, int)    { c.squashes++ }
 func (c *collectObs) OnIORead(_ int, _ int64, v uint64) { c.ioReads = append(c.ioReads, v) }
 func (c *collectObs) OnInterrupt(_ int, seq uint64, _, _ int64, _ bool) {

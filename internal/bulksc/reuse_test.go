@@ -234,3 +234,57 @@ func TestEnginePooledHierarchyMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleSubmitAfterChunkReuse: a chunk squashed while its commit
+// request is still on the way to the arbiter is reused by its core as
+// the squash's restart, so the request's chunk pointer is live again.
+// The request must still be recognised as stale and dropped: the
+// restarted chunk has not completed, and granting it would commit it.
+func TestStaleSubmitAfterChunkReuse(t *testing.T) {
+	e := &Engine{Cfg: testConfig(2), Mem: mem.New(),
+		Progs: []*isa.Program{storeStream(0x1000, 100), storeStream(0x9000, 100)}}
+	e.begin()
+	defer sim.ReleaseMemSys(e.ms)
+	co := e.cores[0]
+	if !e.startChunk(co) {
+		t.Fatal("core 0 did not start a chunk")
+	}
+	c := co.cur
+	c.Write(0x1000, 1)
+	e.completeChunk(co, chunk.SizeLimit)
+	if e.events.Len() != 1 || e.events[0].kind != evSubmit {
+		t.Fatalf("want one pending submit event, have %d events", e.events.Len())
+	}
+	e.squashFrom(co, 0, 1) // as a conflicting commit by core 1 would
+	if co.cur != c || c.Completed {
+		t.Fatal("the squash's restart did not reuse the squashed chunk")
+	}
+	// Pop the pending events alone.
+	for _, d := range e.cores {
+		d.wakeOK = false
+	}
+	for i := 0; i < 100 && e.step(); i++ {
+	}
+	if n, q := e.arb.GlobalCommits(), e.arb.Pending(); n != 0 || q != 0 {
+		t.Fatalf("the squashed chunk's request reached the arbiter: %d commits, %d queued", n, q)
+	}
+}
+
+// TestChunkObjectsRecycled bounds fresh chunk constructions: a core
+// never holds more than SimulChunks chunks at once, and retired chunks
+// are reused, so a run committing hundreds of chunks, squashes included,
+// builds no more than that many per core.
+func TestChunkObjectsRecycled(t *testing.T) {
+	e := &Engine{Cfg: testConfig(4), Progs: reuseProgs()}
+	e.Cfg.ChunkSize = 50
+	st := runEngine(t, e)
+	if st.Chunks < 200 || st.Squashes == 0 {
+		t.Fatalf("run too small to test recycling: %d chunks, %d squashes", st.Chunks, st.Squashes)
+	}
+	for p, n := range chunksBuilt(e) {
+		if n > e.Cfg.SimulChunks {
+			t.Errorf("core %d built %d chunk objects for %d chunks; at most %d are live at once",
+				p, n, st.PerProc[p].Chunks, e.Cfg.SimulChunks)
+		}
+	}
+}

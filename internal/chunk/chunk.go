@@ -124,13 +124,39 @@ type Chunk struct {
 	// performed when the chunk started — checkpoint/interval-replay
 	// bookkeeping.
 	IOAtStart int
+
+	// life counts the chunk object's reuses (see Reuse).
+	life uint32
 }
 
 // New starts a chunk for proc with the given sequence number, register
 // checkpoint and instruction budget.
 func New(proc int, seqID uint64, ckpt isa.ThreadState, target int) *Chunk {
-	return NewWith(Storage{}, proc, seqID, ckpt, target)
+	return &Chunk{Proc: proc, SeqID: seqID, Checkpoint: ckpt, Target: target}
 }
+
+// Reuse restarts a retired (committed, squashed or abandoned) chunk as a
+// new chunk of the same processor, as New would build it, but keeping
+// its buffers: the write buffer, line footprint, written-line list and
+// fill journal. Chunks start and die millions of times per run, and
+// reuse removes the per-chunk allocation. It advances the chunk's life
+// count, so anything that recorded Life before the reuse (an engine
+// event naming the old chunk) can tell the old chunk from the new one
+// that shares its pointer.
+func (c *Chunk) Reuse(seqID uint64, ckpt isa.ThreadState, target int) {
+	c.writes.Reset()
+	c.lines.Reset()
+	*c = Chunk{
+		Proc: c.Proc, SeqID: seqID, Checkpoint: ckpt, Target: target,
+		writes: c.writes, writeOrder: c.writeOrder[:0],
+		lines: c.lines, wLines: c.wLines[:0],
+		fills: c.fills[:0],
+		life:  c.life + 1,
+	}
+}
+
+// Life returns how many times the chunk object has been reused.
+func (c *Chunk) Life() uint32 { return c.life }
 
 // Fill is one journaled speculative cache fill: the line and an engine-
 // defined kind describing which shared-state transition to apply at
@@ -145,50 +171,6 @@ const (
 	lineRead    = 1
 	lineWritten = 2
 )
-
-// Storage is a chunk's reusable interior allocation: the speculative
-// write buffer, line footprint and fill journal. Chunks start and die
-// (commit or squash) millions of times per run; recycling these buffers
-// through the engine's free lists removes the dominant per-chunk
-// allocation cost.
-//
-// The written-line slice (WLines) is deliberately NOT part of Storage:
-// its ownership escapes the chunk — commit requests and the arbiter's
-// in-flight conflict window hold it after the chunk retires — so it is
-// left to the garbage collector.
-type Storage struct {
-	writes, lines flat.Table
-	writeOrder    []uint32
-	fills         []Fill
-}
-
-// NewWith is New drawing interior buffers from st (a retired chunk's
-// storage); zero-value Storage fields grow on first use.
-func NewWith(st Storage, proc int, seqID uint64, ckpt isa.ThreadState, target int) *Chunk {
-	return &Chunk{
-		Proc:       proc,
-		SeqID:      seqID,
-		Checkpoint: ckpt,
-		Target:     target,
-		writes:     st.writes,
-		writeOrder: st.writeOrder,
-		lines:      st.lines,
-		fills:      st.fills,
-	}
-}
-
-// TakeStorage strips c's interior buffers, cleared for reuse, and
-// returns them. The chunk object itself stays intact (pointer-identity
-// checks against stale events keep working) but must not execute or
-// buffer further accesses.
-func (c *Chunk) TakeStorage() Storage {
-	st := Storage{writes: c.writes, lines: c.lines, writeOrder: c.writeOrder[:0], fills: c.fills[:0]}
-	st.writes.Reset()
-	st.lines.Reset()
-	c.writes, c.lines = flat.Table{}, flat.Table{}
-	c.writeOrder, c.fills = nil, nil
-	return st
-}
 
 // NoteFill journals a speculative cache fill for commit-time replay.
 func (c *Chunk) NoteFill(line uint32, kind uint8) {
@@ -242,7 +224,8 @@ func (c *Chunk) ReadLine(line uint32) bool {
 }
 
 // WLines returns the written lines in first-write order. Callers must not
-// mutate the returned slice.
+// mutate the returned slice, and must not keep it past the chunk's next
+// Reuse.
 func (c *Chunk) WLines() []uint32 { return c.wLines }
 
 // NumWLines returns the written-line count.

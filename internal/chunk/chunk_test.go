@@ -137,21 +137,34 @@ func TestTruncReasonStrings(t *testing.T) {
 	}
 }
 
-// TestRecycledStorageForgetsFootprint recycles one chunk's storage into
-// the next, as the engine's free lists do: the new chunk must report
-// nothing the old one buffered, read or wrote, and must rebuild its own
-// footprint from scratch.
-func TestRecycledStorageForgetsFootprint(t *testing.T) {
-	old := New(0, 0, isa.ThreadState{}, 2000)
+// TestReuseForgetsFootprint reuses a chunk as the engine's free lists
+// do: the reused chunk must report nothing the old one buffered, read or
+// wrote, must rebuild its own footprint from scratch, and must carry a
+// new life count.
+func TestReuseForgetsFootprint(t *testing.T) {
+	c := New(3, 0, isa.ThreadState{}, 2000)
 	var addrs []uint32
 	for i := uint32(0); i < 200; i++ {
 		a := i*37 + i*i*4099
 		addrs = append(addrs, a)
-		old.Write(a, uint64(i)+1)
-		old.NoteRead(isa.LineOf(a) + 1)
-		old.NoteFill(isa.LineOf(a), 1)
+		c.Write(a, uint64(i)+1)
+		c.NoteRead(isa.LineOf(a) + 1)
+		c.NoteFill(isa.LineOf(a), 1)
 	}
-	c := NewWith(old.TakeStorage(), 0, 1, isa.ThreadState{}, 2000)
+	c.Completed, c.Restarts, c.Urgent = true, 4, true
+	life := c.Life()
+	var st isa.ThreadState
+	st.Reg[2] = 7
+	c.Reuse(1, st, 500)
+	if c.Life() != life+1 {
+		t.Fatalf("Life = %d after reuse, want %d", c.Life(), life+1)
+	}
+	fresh := New(3, 1, st, 500)
+	if c.Proc != fresh.Proc || c.SeqID != fresh.SeqID || c.Checkpoint != fresh.Checkpoint ||
+		c.Target != fresh.Target || c.Completed || c.Restarts != 0 || c.Urgent ||
+		c.RSig != fresh.RSig || c.WSig != fresh.WSig {
+		t.Fatalf("reused chunk keeps old state: %+v", *c)
+	}
 	for _, a := range addrs {
 		line := isa.LineOf(a)
 		if _, ok := c.Load(a); ok {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"delorean/internal/bulksc"
 	"delorean/internal/chunk"
@@ -51,7 +50,7 @@ type segOut struct {
 // has already validated the recording and matched cfg/progs against it.
 //
 // Safe under concurrent replaySegmented calls on the same recording:
-// each segPool scratch is exclusively owned while checked out, the log
+// each scratch is exclusively owned while checked out, the log
 // view holds per-call cursors over the read-only logs, and checkpoint
 // materialization goes through the recording's locked LRU.
 func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOptions) (ReplayResult, error) {
@@ -61,12 +60,16 @@ func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts 
 	}
 	view := newLogView(rec)
 
-	// Workers pool the functional memory's backing map across intervals
-	// and across replays (each interval's engine draws its cache
-	// hierarchy from sim's shared pool): engine construction, not
+	// Workers recycle the functional memory's backing table across
+	// intervals and across replays (each interval's engine draws its
+	// cache hierarchy from sim's free list): engine construction, not
 	// interval execution, otherwise dominates replay of finely
 	// checkpointed recordings. Reuse is observation-equivalent to fresh
-	// state (Memory.Restore).
+	// state (Memory.Restore). An interval takes scratch from this
+	// replay's own list first, where a scratch still knows which image of
+	// rec it holds; scratch returns to the shared list with that
+	// forgotten, so the shared list never keeps a recording alive.
+	var local runner.FreeList[*segScratch]
 	outs, _ := runner.Map(opts.ReplayParallel, k+1, func(i int) (segOut, error) {
 		// Queued intervals behind a cancellation return fast without
 		// touching an engine; running ones stop via Engine.Cancel inside
@@ -76,14 +79,20 @@ func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts 
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
 			return segOut{err: cancelledErr("segmented replay", opts.Ctx)}, nil
 		}
-		s, _ := segPool.Get().(*segScratch)
-		if s == nil {
-			s = &segScratch{mem: mem.New()}
+		s, ok := local.Get()
+		if !ok {
+			if s, ok = segScratches.Get(); !ok {
+				s = &segScratch{mem: mem.New()}
+			}
 		}
 		out := replaySegment(rec, cfg, progs, opts, view, i, s)
-		segPool.Put(s)
+		local.Put(s)
 		return out, nil
 	})
+	for s, ok := local.Get(); ok; s, ok = local.Get() {
+		s.memRec = nil
+		segScratches.Put(s)
+	}
 
 	// Workers ran traceless; narrate the segment spans (and the earliest
 	// divergence, if any) onto the timeline serially, in interval order.
@@ -150,7 +159,7 @@ func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts 
 }
 
 // segScratch is one worker's reusable engine state: the functional
-// memory, which outlives a single replay via segPool.
+// memory, which outlives a single replay via segScratches.
 //
 // memRec/memAt track what the scratch memory currently holds: image
 // memAt of recording memRec (-1 is the initial memory, segMemUnknown
@@ -170,8 +179,9 @@ type segScratch struct {
 // segMemUnknown marks scratch memory with no provable image identity.
 const segMemUnknown = -2
 
-// segPool holds segScratch entries across segmented replays.
-var segPool sync.Pool
+// segScratches holds idle scratch between segmented replays, each with
+// memRec nil.
+var segScratches runner.FreeList[*segScratch]
 
 // replaySegment replays interval i, [cut_{i-1}, cut_i), on its own
 // engine and verifies it against the recording's interval targets. It
@@ -229,7 +239,7 @@ func replaySegment(rec *Recording, cfg sim.Config, progs []*isa.Program, opts Re
 		return out
 	}
 	if st.Cancelled {
-		// Scratch state stays pool-safe: memRec/memAt were already marked
+		// Scratch state stays safe to reuse: memRec/memAt were already marked
 		// unknown above, and Memory is restored on the next reuse.
 		out.err = cancelledErr("segmented replay", opts.Ctx)
 		return out

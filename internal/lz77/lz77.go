@@ -3,13 +3,13 @@
 //
 // The paper states "all log buffers are enhanced with compression hardware
 // that uses the LZ77 algorithm" (§5). This package provides a faithful
-// software LZ77: a sliding window, a pooled hash-chain match-finder with
+// software LZ77: a sliding window, a recycled hash-chain match-finder with
 // lazy one-step matching and word-at-a-time prefix comparison, and a
 // compact token encoding. It reports compressed sizes in bits so the
 // experiment harnesses can express log sizes in
 // bits/processor/kilo-instruction, as the paper does.
 //
-// Most calls price a log of a few bytes, so the pooled match tables are
+// Most calls price a log of a few bytes, so the recycled match tables are
 // not refilled per call: positions are stored relative to a base that
 // moves past each scan, and a call costs work in proportion to its input.
 //
@@ -27,10 +27,10 @@ import (
 	"errors"
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"delorean/internal/bitio"
+	"delorean/internal/runner"
 )
 
 const (
@@ -67,10 +67,11 @@ func hash3(p []byte) uint32 {
 
 // matcher is the reusable match-search state: head[h] is the most recent
 // position with hash h; prev chains older positions within the window.
-// The tables are recycled through a pool because the log-size accounting
-// paths call into the compressor once per query, mostly on inputs of a
-// few bytes — a fresh head+prev pair, or even a refill of the 192 KiB of
-// heads, per call would dominate their cost.
+// The tables are recycled through a free list because the log-size
+// accounting paths call into the compressor once per query, mostly on
+// inputs of a few bytes — a fresh head+prev pair, or even a refill of
+// the 192 KiB of heads, per call would dominate their cost. A free list,
+// unlike a sync.Pool, keeps its tables across garbage collections.
 //
 // Positions are stored as base+i, and each scan moves base past the
 // positions it stored, so a table entry below base is empty: it belongs
@@ -83,7 +84,17 @@ type matcher struct {
 	next  int32 // base of the next scan
 }
 
-var matcherPool = sync.Pool{New: func() any { return newMatcher() }}
+// matchers holds idle matchers for reuse.
+var matchers runner.FreeList[*matcher]
+
+// getMatcher returns an idle matcher, or a new one; hand it back with
+// matchers.Put.
+func getMatcher() *matcher {
+	if m, ok := matchers.Get(); ok {
+		return m
+	}
+	return newMatcher()
+}
 
 func newMatcher() *matcher {
 	// The tables start zeroed, so base 1 makes every entry empty.
@@ -296,8 +307,8 @@ func findMatch(src []byte, head, prev []int32, base int32, i int, h uint32, c3 i
 // The bit length, not the padded byte length, is the honest measure of a
 // hardware log buffer's occupancy.
 func Compress(src []byte) (packed []byte, bits int) {
-	m := matcherPool.Get().(*matcher)
-	defer matcherPool.Put(m)
+	m := getMatcher()
+	defer matchers.Put(m)
 	return m.compress(src)
 }
 
@@ -416,8 +427,8 @@ func MaxDecodedLen(bits int) int {
 // compressed-bits queries) never use the packed bytes, so this skips the
 // bit packing entirely and just prices the tokens the shared scan emits.
 func CompressedBits(src []byte) int {
-	m := matcherPool.Get().(*matcher)
-	defer matcherPool.Put(m)
+	m := getMatcher()
+	defer matchers.Put(m)
 	return m.compressedBits(src)
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -449,4 +450,39 @@ func TestMatcherReuse(t *testing.T) {
 	if !wrapped {
 		t.Fatal("base never wrapped")
 	}
+}
+
+// TestConcurrentCompress compresses on several goroutines at once, as
+// the parallel container writer does, so the shared matchers move
+// between goroutines (run it under -race). Every result must match a
+// serial compression of the same input.
+func TestConcurrentCompress(t *testing.T) {
+	s := rng.New(5)
+	inputs := make([][]byte, 24)
+	want := make([][]byte, len(inputs))
+	for i := range inputs {
+		inputs[i] = make([]byte, 64+s.Intn(4000))
+		for k := range inputs[i] {
+			inputs[i][k] = byte(s.Intn(6))
+		}
+		want[i], _ = Compress(inputs[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 3; r++ {
+				for i := range inputs {
+					k := (i + g) % len(inputs)
+					got, bits := Compress(inputs[k])
+					if !bytes.Equal(got, want[k]) || CompressedBits(inputs[k]) != bits {
+						t.Errorf("goroutine %d: input %d compressed differently from serial", g, k)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -289,6 +290,41 @@ func sortedHash(img map[uint32]uint64) uint64 {
 // memories, random ones, 2^17 words spread over the whole address space,
 // a hostile image of collidingKeys, and addresses that differ only in one
 // byte (so the other passes are skipped).
+// TestConcurrentHash hashes memories and snapshots of several sizes on
+// several goroutines at once, so the recycled word buffers move between
+// goroutines and sizes (run it under -race). Every hash must match the
+// serial one.
+func TestConcurrentHash(t *testing.T) {
+	s := rng.New(11)
+	var mems []*Memory
+	var snaps []map[uint32]uint64
+	var want []uint64
+	for i := 0; i < 8; i++ {
+		m := New()
+		for k := 0; k < 50+400*i; k++ {
+			m.Store(uint32(s.Uint64()), s.Uint64()|1)
+		}
+		mems, snaps, want = append(mems, m), append(snaps, m.Snapshot()), append(want, m.Hash())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 5; r++ {
+				for i := range mems {
+					k := (i + g) % len(mems)
+					if mems[k].Hash() != want[k] || HashSnapshot(snaps[k]) != want[k] {
+						t.Errorf("goroutine %d: memory %d hashed differently from serial", g, k)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 func TestHashMatchesSortedEncoding(t *testing.T) {
 	s := rng.New(7)
 	images := map[string]map[uint32]uint64{

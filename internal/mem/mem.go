@@ -7,6 +7,7 @@ package mem
 import (
 	"delorean/internal/flat"
 	"delorean/internal/isa"
+	"delorean/internal/runner"
 )
 
 // Memory is a sparse 64-bit word-addressed memory. Unwritten words read
@@ -155,7 +156,7 @@ func (m *Memory) ApplyDelta(delta map[uint32]uint64) {
 // order. Two memories with identical architectural contents hash equally
 // regardless of write history.
 func (m *Memory) Hash() uint64 {
-	ws := make([]word, 0, m.words.Len())
+	ws := getWords(m.words.Len())
 	m.words.Each(func(a uint32, v uint64) { ws = append(ws, word{a, v}) })
 	return hashWords(ws)
 }
@@ -164,7 +165,7 @@ func (m *Memory) Hash() uint64 {
 // Hash: FNV-1a over nonzero words in address order. A memory and a
 // snapshot of it hash equally without materializing a Memory.
 func HashSnapshot(s map[uint32]uint64) uint64 {
-	ws := make([]word, 0, len(s))
+	ws := getWords(len(s))
 	for a, v := range s {
 		if v != 0 {
 			ws = append(ws, word{a, v})
@@ -184,12 +185,26 @@ const (
 	fnvPrime  uint64 = 1099511628211
 )
 
+// wordBufs recycles the word buffers hashing sorts: a memory's whole
+// footprint, twice, on every Hash.
+var wordBufs runner.FreeList[[]word]
+
+// getWords returns an empty word buffer with room for n words.
+func getWords(n int) []word {
+	if ws, ok := wordBufs.Get(); ok && cap(ws) >= n {
+		return ws[:0]
+	}
+	return make([]word, 0, n)
+}
+
 // hashWords is the canonical encoding behind Hash: FNV-1a over each
 // word's little-endian address and value, in address order. ws holds
-// distinct addresses in any order; hashWords reorders it.
+// distinct addresses in any order; hashWords reorders it and hands it
+// back to wordBufs.
 func hashWords(ws []word) uint64 {
+	tmp := getWords(len(ws))[:len(ws)]
 	h := fnvOffset
-	for _, w := range sortWords(ws) {
+	for _, w := range sortWords(ws, tmp) {
 		for k := 0; k < 32; k += 8 {
 			h = (h ^ uint64(byte(w.addr>>k))) * fnvPrime
 		}
@@ -197,14 +212,16 @@ func hashWords(ws []word) uint64 {
 			h = (h ^ uint64(byte(w.val>>k))) * fnvPrime
 		}
 	}
+	wordBufs.Put(ws)
+	wordBufs.Put(tmp)
 	return h
 }
 
 // sortWords orders ws by address with an LSD radix sort, one stable
 // counting pass per address byte, in time linear in len(ws). A pass whose
-// byte is the same in every address is skipped. The result is ws or a
-// buffer of the same length.
-func sortWords(ws []word) []word {
+// byte is the same in every address is skipped. The result is ws or tmp,
+// a buffer of the same length.
+func sortWords(ws, tmp []word) []word {
 	if len(ws) < 2 {
 		return ws
 	}
@@ -214,15 +231,12 @@ func sortWords(ws []word) []word {
 			counts[p][byte(w.addr>>(8*p))]++
 		}
 	}
-	src, dst := ws, []word(nil)
+	src, dst := ws, tmp
 	for p := range counts {
 		c := &counts[p]
 		shift := 8 * p
 		if c[byte(src[0].addr>>shift)] == len(src) {
 			continue
-		}
-		if dst == nil {
-			dst = make([]word, len(ws))
 		}
 		sum := 0
 		for b, n := range c {

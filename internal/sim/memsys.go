@@ -1,10 +1,9 @@
 package sim
 
 import (
-	"sync"
-
 	"delorean/internal/cache"
 	"delorean/internal/flat"
+	"delorean/internal/runner"
 )
 
 // MemSys is the timing side of the memory hierarchy: per-processor L1
@@ -88,39 +87,38 @@ func geometryOf(cfg *Config) geometry {
 	return geometry{cfg.NProcs, cfg.L1Bytes, cfg.L1Ways, cfg.L2Bytes, cfg.L2Ways}
 }
 
-// hierarchyPools holds released hierarchies: a *sync.Pool per geometry.
-var hierarchyPools sync.Map
+// hierarchies holds released hierarchies of any geometry.
+var hierarchies runner.FreeList[*MemSys]
 
-// AcquireMemSys returns a cold hierarchy for cfg, reusing a released one
-// of the same geometry when the pool has one. Building a hierarchy
+// AcquireMemSys returns a cold hierarchy for cfg, reusing the most
+// recently released one when it has cfg's geometry. Building a hierarchy
 // allocates and zeroes the full L2 tag array (~600 KB at the default
 // 8 MB, 8-way geometry), which dominated short simulations; reuse is
-// observation-equivalent to newMemSys (see reset). Every simulation
-// (Machine.Run, bulksc.Engine.Run) acquires one per run and hands it
-// back with ReleaseMemSys when the run ends, so no hierarchy outlives
-// its run. Safe for concurrent use.
+// observation-equivalent to newMemSys (see reset). A released hierarchy
+// of another geometry is dropped, so the free list holds at most
+// GOMAXPROCS hierarchies whatever mix of geometries a process runs.
+// Every simulation (Machine.Run, bulksc.Engine.Run) acquires one per run
+// and hands it back with ReleaseMemSys when the run ends, so no
+// hierarchy outlives its run. Safe for concurrent use.
 func AcquireMemSys(cfg *Config) *MemSys {
-	if p, ok := hierarchyPools.Load(geometryOf(cfg)); ok {
-		if ms, _ := p.(*sync.Pool).Get().(*MemSys); ms != nil {
-			ms.reset(cfg)
-			return ms
-		}
+	if ms, ok := hierarchies.Get(); ok && ms.geom == geometryOf(cfg) {
+		ms.reset(cfg)
+		return ms
 	}
 	return newMemSys(cfg)
 }
 
-// ReleaseMemSys returns ms to the pool. The caller must not use ms
+// ReleaseMemSys hands ms back for reuse. The caller must not use ms
 // afterwards. Safe for concurrent use.
 func ReleaseMemSys(ms *MemSys) {
-	ms.cfg = nil // a pooled hierarchy must not pin its last run's Config
-	p, _ := hierarchyPools.LoadOrStore(ms.geom, new(sync.Pool))
-	p.(*sync.Pool).Put(ms)
+	ms.cfg = nil // a released hierarchy must not pin its last run's Config
+	hierarchies.Put(ms)
 }
 
 // reset returns the hierarchy to its post-construction state for reuse
 // under cfg: cold caches, empty directory, zeroed counters, latencies
 // re-bound to cfg. It must be equivalent to newMemSys(cfg); cfg has the
-// geometry the hierarchy was built with (the pool is keyed by it).
+// geometry the hierarchy was built with (AcquireMemSys checks it).
 func (ms *MemSys) reset(cfg *Config) {
 	ms.cfg = cfg
 	ms.l2.Flush()
