@@ -28,6 +28,7 @@ import (
 	"delorean"
 	"delorean/internal/bulksc"
 	"delorean/internal/core"
+	"delorean/internal/mem"
 	"delorean/internal/trace"
 )
 
@@ -143,16 +144,17 @@ func inspect(out io.Writer, rec *core.Recording, piN int, showCS, showIn bool) {
 	if len(rec.Checkpoints) > 0 {
 		// Per-checkpoint storage: what the delta encoding stores (the
 		// words that changed since the previous cut) against what a
-		// full-image scheme would store (the whole materialized memory),
-		// both as raw 12-byte addr/value words before compression.
+		// full-image scheme would store (the whole memory at the cut,
+		// rolled forward one delta at a time), both as raw 12-byte
+		// addr/value words before compression.
 		fmt.Fprintf(out, "interval checkpoints (%d):\n", len(rec.Checkpoints))
 		deltaW, fullW := 0, 0
+		img := mem.New()
+		img.Restore(rec.InitialMem)
 		for i := range rec.Checkpoints {
 			cp := &rec.Checkpoints[i]
-			full := 0
-			if img, err := rec.MaterializeCheckpoint(i); err == nil {
-				full = len(img)
-			}
+			img.ApplyDelta(cp.MemDelta)
+			full := img.Len()
 			fmt.Fprintf(out, "  checkpoint %d @ slot %d: delta %d words (%d B), full image %d words (%d B)\n",
 				i, cp.Slot, len(cp.MemDelta), 12*len(cp.MemDelta), full, 12*full)
 			deltaW += len(cp.MemDelta)

@@ -38,7 +38,7 @@ func TestConcurrentReplaySameRecording(t *testing.T) {
 	variants := []ReplayWith{
 		{PerturbSeed: 11},
 		{PerturbSeed: 23},
-		{PerturbSeed: 11, Parallel: 2}, // segmented: exercises the checkpoint LRU
+		{PerturbSeed: 11, Parallel: 2}, // segmented: workers roll checkpoint images forward
 	}
 	want := make([]ReplayResult, len(variants))
 	for i, v := range variants {
@@ -75,7 +75,7 @@ func TestConcurrentReplaySameRecording(t *testing.T) {
 						t.Errorf("goroutine %d: traced replay res=%+v tr=%v err=%v", g, res, tr, err)
 						return
 					}
-				case 4: // interval replay shares the materialization cache
+				case 4: // interval replay rebuilds the checkpoint image per call
 					res, err := rec.ReplayFromCheckpoint(0, ReplayWith{PerturbSeed: 5})
 					if err != nil {
 						t.Errorf("goroutine %d: interval replay: %v", g, err)

@@ -86,9 +86,6 @@ type Config struct {
 	// Stratify, when > 0, additionally builds the Strata-reorganized PI
 	// log with that many chunks per processor per stratum (paper §4.3).
 	Stratify int
-	// ExactConflicts replaces Bulk signatures with an exact-footprint
-	// oracle for squash decisions (ablation).
-	ExactConflicts bool
 	// CheckpointEvery, when > 0, takes a system checkpoint every that
 	// many chunk commits during recording; ReplayFromCheckpoint can then
 	// replay any interval (continuous-recording use).
@@ -213,10 +210,11 @@ func execStats(st bulksc.Stats) ExecStats {
 // Concurrency contract: a Recording is immutable after construction and
 // safe for concurrent use. Replay, ReplayFromCheckpoint, ReplayTraced
 // and every read accessor may be called from multiple goroutines on the
-// same Recording at once — each replay materializes its own engine
-// state, and the only shared mutable structures behind the API (the
-// checkpoint materialization cache, the log-size memoization) carry
-// their own locks. Concurrent replays return the same verdicts, bit for
+// same Recording at once — each replay builds its own engine state and
+// rolls its own memory to the checkpoint image it starts from, and the
+// only shared mutable structures behind the API (a loaded recording's
+// lazily decoded sections, the log-size memoization) carry their own
+// locks. Concurrent replays return the same verdicts, bit for
 // bit, as sequential ones.
 type Recording struct {
 	rec   *core.Recording
@@ -247,7 +245,6 @@ func record(ctx context.Context, cfg Config, mode Mode, w *Workload, sink *trace
 	}
 	rec, err := core.Record(cfg.machine(), coreMode(mode), w.Progs, w.InitMem(), w.Devs, core.RecordOptions{
 		StratifyMax:     cfg.Stratify,
-		ExactConflicts:  cfg.ExactConflicts,
 		CheckpointEvery: cfg.CheckpointEvery,
 		Trace:           sink,
 		Ctx:             ctx,
@@ -380,7 +377,6 @@ func (r *Recording) Replay(opts ReplayWith) (ReplayResult, error) {
 func (r *Recording) replay(opts ReplayWith, idx int, sink *trace.Sink) (ReplayResult, error) {
 	ro := core.ReplayOptions{
 		UseStratified:  opts.UseStratified,
-		ExactConflicts: r.cfg.ExactConflicts,
 		ReplayParallel: opts.Parallel,
 		Trace:          sink,
 		Ctx:            opts.Ctx,
@@ -447,9 +443,9 @@ func (r *Recording) Checkpoints() int { return r.rec.CheckpointCount() }
 // their saved chunk boundaries, and the log suffixes drive ordering and
 // inputs.
 //
-// Like Replay, it is safe to call concurrently on the same Recording;
-// the delta-checkpoint materialization cache it shares with segmented
-// replay is internally locked.
+// Like Replay, it is safe to call concurrently on the same Recording:
+// the checkpoint's image is rebuilt in the replay's own memory, from
+// the initial image and the deltas up to idx.
 func (r *Recording) ReplayFromCheckpoint(idx int, opts ReplayWith) (ReplayResult, error) {
 	return r.replay(opts, idx, nil)
 }

@@ -2,6 +2,7 @@ package bulksc
 
 import (
 	"delorean/internal/isa"
+	"delorean/internal/mem"
 )
 
 // Checkpoint is a consistent cut of the machine at a global commit count
@@ -20,7 +21,7 @@ type Checkpoint struct {
 	// and including this one — delta encoding is what keeps dense
 	// checkpointing affordable, per-checkpoint cost scaling with interval
 	// write footprint rather than total memory footprint.
-	MemDelta map[uint32]uint64
+	MemDelta mem.Image
 	// Procs holds each processor's resume state.
 	Procs []ProcCheckpoint
 	// TokenAt is the round-robin token holder at the cut (PicoLog), or

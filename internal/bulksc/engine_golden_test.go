@@ -99,6 +99,21 @@ func goldenScenarios() []goldenScenario {
 	}
 }
 
+// goldenCheckpoint returns cp in the form the golden streams print it:
+// the delta as a map, which fmt prints sorted by address.
+func goldenCheckpoint(cp Checkpoint) any {
+	delta := make(map[uint32]uint64, len(cp.MemDelta))
+	for _, w := range cp.MemDelta {
+		delta[w.Addr] = w.Val
+	}
+	return struct {
+		Slot     uint64
+		MemDelta map[uint32]uint64
+		Procs    []ProcCheckpoint
+		TokenAt  int
+	}{cp.Slot, delta, cp.Procs, cp.TokenAt}
+}
+
 // runGoldenScenario runs s with checkpoints every 40 commits appended to
 // the observer stream and returns its golden line: the SHA-256 of the
 // stream and of Stats, and the final memory hash.
@@ -110,7 +125,7 @@ func runGoldenScenario(t *testing.T, s goldenScenario) string {
 	e.Mem = mem.New()
 	e.CheckpointEvery = 40
 	e.OnCheckpoint = func(cp Checkpoint) {
-		fmt.Fprintf(&obs.b, "K %+v\n", cp) // map fields print sorted
+		fmt.Fprintf(&obs.b, "K %+v\n", goldenCheckpoint(cp))
 	}
 	st := e.Run()
 	if !st.Converged {

@@ -335,13 +335,3 @@ func TestRecordingString(t *testing.T) {
 		t.Fatal("empty description")
 	}
 }
-
-func TestExactConflictOracleAlsoDeterministic(t *testing.T) {
-	cfg := testConfig(4, 300)
-	progs := racyProgs(4, 80)
-	rec, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{ExactConflicts: true})
-	replayMatches(t, rec, cfg, progs, ReplayOptions{
-		ExactConflicts: true,
-		Perturb:        bulksc.DefaultPerturb(3),
-	})
-}

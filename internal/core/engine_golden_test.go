@@ -89,6 +89,21 @@ type engineCase struct {
 	run  func(t *testing.T) []digest
 }
 
+// goldenCheckpoint returns cp in the form the golden streams print it:
+// the delta as a map, which fmt prints sorted by address.
+func goldenCheckpoint(cp bulksc.Checkpoint) any {
+	delta := make(map[uint32]uint64, len(cp.MemDelta))
+	for _, w := range cp.MemDelta {
+		delta[w.Addr] = w.Val
+	}
+	return struct {
+		Slot     uint64
+		MemDelta map[uint32]uint64
+		Procs    []bulksc.ProcCheckpoint
+		TokenAt  int
+	}{cp.Slot, delta, cp.Procs, cp.TokenAt}
+}
+
 // runObserved runs e with a traceObs (checkpoints appended to the same
 // stream) and returns the stream, Stats and final-memory digests.
 func runObserved(t *testing.T, e *bulksc.Engine, wantConverged bool) []digest {
@@ -100,7 +115,7 @@ func runObserved(t *testing.T, e *bulksc.Engine, wantConverged bool) []digest {
 	}
 	if e.CheckpointEvery > 0 {
 		e.OnCheckpoint = func(cp bulksc.Checkpoint) {
-			fmt.Fprintf(&obs.b, "K %+v\n", cp) // map fields print sorted
+			fmt.Fprintf(&obs.b, "K %+v\n", goldenCheckpoint(cp))
 		}
 	}
 	st := e.Run()

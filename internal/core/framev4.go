@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
-	"sort"
 
 	"delorean/internal/dlog"
 	"delorean/internal/lz77"
@@ -165,15 +164,10 @@ func (r *Recording) frameSpecs() []frameSpec {
 	var specs []frameSpec
 	specs = append(specs, frameSpec{kind: frameInitMem, build: func() []byte {
 		p := newPayload()
-		addrs := make([]uint32, 0, len(r.InitialMem))
-		for a := range r.InitialMem {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		p.u32(uint32(len(addrs)))
-		for _, a := range addrs {
-			p.u32(a)
-			p.u64(r.InitialMem[a])
+		p.u32(uint32(len(r.InitialMem)))
+		for _, w := range r.InitialMem {
+			p.u32(w.Addr)
+			p.u64(w.Val)
 		}
 		return p.bytes()
 	}})
@@ -352,11 +346,13 @@ func (r *Recording) applyFrame(kind uint8, shard uint32, raw []byte) error {
 	d := &reader{r: bytes.NewReader(raw)}
 	switch kind {
 	case frameInitMem:
-		n := d.u32()
-		r.InitialMem = make(map[uint32]uint64, allocHint(n))
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			a := d.u32()
-			r.InitialMem[a] = d.u64()
+		raw := d.bytes(12 * int64(d.u32()))
+		if d.err == nil {
+			img, ok := decodeImage(raw)
+			if !ok {
+				return corrupt("initial memory addresses do not strictly increase")
+			}
+			r.InitialMem = img
 		}
 	case framePI:
 		entries := int(d.u32())

@@ -149,16 +149,15 @@ func replayInterval(rec *Recording, cfg sim.Config, progs []*isa.Program, opts R
 	cfg.ChunkSize = rec.ChunkSize
 	obs := &replayObserver{fp: newFingerprint(rec.NProcs), nprocs: rec.NProcs}
 	eng := &bulksc.Engine{
-		Cfg:            cfg,
-		Progs:          progs,
-		Mem:            memory,
-		Obs:            obs,
-		Policy:         policy,
-		Replay:         src,
-		Perturb:        opts.Perturb,
-		ExactConflicts: opts.ExactConflicts,
-		PicoLog:        rec.Mode == PicoLog,
-		Trace:          sink,
+		Cfg:     cfg,
+		Progs:   progs,
+		Mem:     memory,
+		Obs:     obs,
+		Policy:  policy,
+		Replay:  src,
+		Perturb: opts.Perturb,
+		PicoLog: rec.Mode == PicoLog,
+		Trace:   sink,
 	}
 	if from >= 0 {
 		eng.Resume = &bulksc.Resume{Procs: rec.Checkpoints[from].Procs, BaseCommits: startSlot}

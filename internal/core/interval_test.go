@@ -90,6 +90,36 @@ func TestIntervalReplayWithSystemEvents(t *testing.T) {
 	}
 }
 
+// TestPicoLogUrgentCommitTokens replays every interval of a PicoLog
+// recording whose urgent interrupt handlers commit out of turn (a
+// non-empty slot log), checkpointed densely so that cuts fall between an
+// urgent commit and the next in-turn one. An urgent commit does not pass
+// the round-robin token, so each checkpoint's TokenAt must still name the
+// processor whose turn is next; a wrong holder reorders the interval's
+// commits.
+func TestPicoLogUrgentCommitTokens(t *testing.T) {
+	cfg := testConfig(4, 250)
+	progs := replicateProgs(systemProgram(60), 4)
+	devs := device.New(42)
+	devs.GenerateInterrupts(rng.New(1), 4, 4_000, 2_000_000, 0.3)
+	rec, err := Record(cfg, PicoLog, progs, newMem(), devs, RecordOptions{CheckpointEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Slots.Len() == 0 || len(rec.Checkpoints) == 0 {
+		t.Fatalf("setup: %d urgent commit slots, %d checkpoints", rec.Slots.Len(), len(rec.Checkpoints))
+	}
+	for idx := range rec.Checkpoints {
+		res, err := ReplayFromCheckpoint(rec, idx, ReplayConfig(cfg), progs, ReplayOptions{})
+		if err != nil {
+			t.Fatalf("interval %d (slot %d, token %d): %v", idx, rec.Checkpoints[idx].Slot, rec.Checkpoints[idx].TokenAt, err)
+		}
+		if !res.MatchesInterval(rec, idx) {
+			t.Fatalf("interval %d (slot %d, token %d) diverged", idx, rec.Checkpoints[idx].Slot, rec.Checkpoints[idx].TokenAt)
+		}
+	}
+}
+
 // TestIntervalReplayWorkloads runs interval replay over real workloads.
 func TestIntervalReplayWorkloads(t *testing.T) {
 	for _, name := range []string{"raytrace", "lu", "sjbb2k"} {

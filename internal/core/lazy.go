@@ -20,9 +20,10 @@ import (
 // rematerialize it later with a bit-identical result.
 //
 // Locking: lzMu guards the log section's lazy state, ckMu the
-// checkpoint section's, matMu the materialized-image LRU. The canonical
-// acquisition order is lzMu -> ckMu -> matMu (EnsureLogs holds lzMu
-// while Validate takes ckMu; ReleaseLogs takes all three).
+// checkpoint section's. The canonical acquisition order is lzMu -> ckMu
+// (EnsureLogs holds lzMu while Validate takes ckMu; ReleaseLogs takes
+// both). Replays share no other state: each rolls its own memory to the
+// checkpoint image it starts from.
 
 // lazyFrame is one retained v4 frame: header fields plus the encoded
 // payload, which aliases the container bytes handed to IndexRecording.
@@ -278,26 +279,22 @@ func (r *Recording) resetDecodedLogsLocked() {
 }
 
 // ReleaseLogs evicts a lazily indexed recording's materialized state —
-// decoded logs, checkpoints, and the materialized-image LRU — back to
-// the retained compressed frames; the next Ensure call rebuilds an
-// identical recording. No-op for freshly recorded recordings (there
-// are no frames to fall back to). The caller must guarantee no replay of
-// this recording is in flight (the server's residency manager only
-// releases unpinned entries).
+// decoded logs and checkpoints — back to the retained compressed
+// frames; the next Ensure call rebuilds an identical recording. No-op
+// for freshly recorded recordings (there are no frames to fall back
+// to). The caller must guarantee no replay of this recording is in
+// flight (the server's residency manager only releases unpinned
+// entries).
 func (r *Recording) ReleaseLogs() {
 	r.lzMu.Lock()
 	defer r.lzMu.Unlock()
 	r.ckMu.Lock()
 	defer r.ckMu.Unlock()
-	r.matMu.Lock()
-	defer r.matMu.Unlock()
 	if r.logLazy == nil {
 		return
 	}
 	r.resetDecodedLogsLocked()
 	r.Checkpoints = nil
-	r.matCache = nil
-	r.matOrder = nil
 	r.logDone, r.ckDone = false, false
 	r.logErr, r.ckErr = nil, nil
 }

@@ -22,8 +22,6 @@ type RecordOptions struct {
 	// PI log with at most this many chunks per processor per stratum
 	// (paper §4.3 and Figure 9 evaluate 1, 3 and 7).
 	StratifyMax int
-	// ExactConflicts switches the squash oracle (ablation).
-	ExactConflicts bool
 	// TruncSeed seeds Order&Size's random chunk truncation model (paper
 	// §5: 25% of chunks truncated to a uniform size). Ignored in the
 	// deterministic-chunking modes.
@@ -226,15 +224,14 @@ func Record(cfg sim.Config, mode Mode, progs []*isa.Program, memory *mem.Memory,
 	}
 
 	eng := &bulksc.Engine{
-		Cfg:            cfg,
-		Progs:          progs,
-		Mem:            memory,
-		Devs:           devs,
-		Obs:            r,
-		Policy:         policy,
-		ExactConflicts: opts.ExactConflicts,
-		PicoLog:        mode == PicoLog,
-		Trace:          opts.Trace,
+		Cfg:     cfg,
+		Progs:   progs,
+		Mem:     memory,
+		Devs:    devs,
+		Obs:     r,
+		Policy:  policy,
+		PicoLog: mode == PicoLog,
+		Trace:   opts.Trace,
 	}
 	if mode == OrderSize {
 		eng.RandomTrunc = bulksc.DefaultRandomTrunc(opts.TruncSeed ^ 0xD0_0DAD)

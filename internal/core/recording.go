@@ -26,6 +26,7 @@ import (
 
 	"delorean/internal/bulksc"
 	"delorean/internal/dlog"
+	"delorean/internal/mem"
 	"delorean/internal/sim"
 	"delorean/internal/stratifier"
 	"delorean/internal/trace"
@@ -66,17 +67,19 @@ func (m Mode) String() string {
 // verification.
 //
 // All exported fields are written once (by the recorder or the loader)
-// and read-only thereafter; replay never mutates them. The one mutable
-// structure, the materialized-checkpoint LRU, is guarded by matMu. This
-// is what makes concurrent replays of one Recording safe — the public
-// API's concurrency contract (delorean.Recording) rests on it.
+// and read-only thereafter; replay never mutates them, and each replay
+// rolls its own memory to the checkpoint image it starts from. The only
+// mutable state, a loaded recording's lazily decoded sections, is
+// guarded by lzMu and ckMu (lazy.go). This is what makes concurrent
+// replays of one Recording safe — the public API's concurrency contract
+// (delorean.Recording) rests on it.
 type Recording struct {
 	Mode      Mode
 	NProcs    int
 	ChunkSize int
 
 	// InitialMem is the system checkpoint recording started from.
-	InitialMem map[uint32]uint64
+	InitialMem mem.Image
 
 	// Memory-ordering log.
 	PI    *dlog.PILog     // nil in PicoLog
@@ -118,21 +121,12 @@ type Recording struct {
 	// not serialized by WriteTo and not part of replay matching.
 	Trace *trace.Sink
 
-	// Materialized-checkpoint LRU (MaterializeCheckpoint). Checkpoints
-	// store memory deltas; replay workers materialize the full image a
-	// resumed interval starts from, and repeated replays of the same
-	// recording share the cached images. Host-side only, guarded by
-	// matMu.
-	matMu    sync.Mutex
-	matCache map[int]map[uint32]uint64
-	matOrder []int // access order, least recent first
-
 	// Lazy-residency state (lazy.go). A recording loaded from a
 	// container (IndexRecording) retains its v4 frames compressed and
 	// decodes sections on first use; freshly recorded ones leave
-	// logLazy/ckLazy nil and every Ensure call is a no-op. lzMu guards the log section's state, ckMu
-	// the checkpoint section's; acquisition order is lzMu -> ckMu ->
-	// matMu.
+	// logLazy/ckLazy nil and every Ensure call is a no-op. lzMu guards
+	// the log section's state, ckMu the checkpoint section's;
+	// acquisition order is lzMu -> ckMu.
 	lzMu    sync.Mutex
 	logLazy []lazyFrame // retained non-checkpoint frames; nil when fresh
 	logDone bool
@@ -144,75 +138,13 @@ type Recording struct {
 	sizeEst int64 // summed raw frame bytes (residency cost estimate)
 }
 
-// matCacheCap bounds the materialized-image LRU. Segmented replay needs
-// each image once per pass (as the next interval's start state; interval
-// end checks run off the delta and the write journal instead), so the cap
-// is sized to keep a typically-checkpointed recording's images resident
-// across repeated replays — the second and later replays of the same
-// recording then materialize nothing.
-const matCacheCap = 64
-
-// MaterializeCheckpoint returns the full memory image at checkpoint idx,
-// folding the delta-encoded checkpoints over the initial memory (nearest
-// cached image first). The returned map is shared via an internal LRU and
-// MUST be treated as read-only. Safe for concurrent use.
-func (r *Recording) MaterializeCheckpoint(idx int) (map[uint32]uint64, error) {
-	if err := r.EnsureCheckpoints(0); err != nil {
-		return nil, err
-	}
-	if idx < 0 || idx >= len(r.Checkpoints) {
-		return nil, checkpointRange(idx, len(r.Checkpoints))
-	}
-	r.matMu.Lock()
-	defer r.matMu.Unlock()
-	if img, ok := r.matCache[idx]; ok {
-		r.matTouch(idx)
-		return img, nil
-	}
-	// Start from the nearest cached image at or below idx, else the
-	// initial memory.
-	base := -1
-	var src map[uint32]uint64 = r.InitialMem
-	for j := range r.matCache {
-		if j <= idx && j > base {
-			base, src = j, r.matCache[j]
-		}
-	}
-	img := make(map[uint32]uint64, len(src))
-	for a, v := range src {
-		if v != 0 {
-			img[a] = v
-		}
-	}
-	for j := base + 1; j <= idx; j++ {
-		for a, v := range r.Checkpoints[j].MemDelta {
-			if v == 0 {
-				delete(img, a) // the word became zero in this interval
-			} else {
-				img[a] = v
-			}
-		}
-	}
-	if r.matCache == nil {
-		r.matCache = make(map[int]map[uint32]uint64)
-	}
-	r.matCache[idx] = img
-	r.matOrder = append(r.matOrder, idx)
-	if len(r.matOrder) > matCacheCap {
-		evict := r.matOrder[0]
-		r.matOrder = r.matOrder[1:]
-		delete(r.matCache, evict)
-	}
-	return img, nil
-}
-
-// matTouch moves idx to the most-recent end of the LRU order.
-func (r *Recording) matTouch(idx int) {
-	for i, j := range r.matOrder {
-		if j == idx {
-			r.matOrder = append(append(r.matOrder[:i:i], r.matOrder[i+1:]...), idx)
-			return
-		}
+// restoreImage loads memory with the image at checkpoint k (-1: the
+// initial memory): the initial image rolled forward through deltas
+// 0..k. It is the one way a replay reaches a checkpoint's image.
+func (r *Recording) restoreImage(memory *mem.Memory, k int) {
+	memory.Restore(r.InitialMem)
+	for j := 0; j <= k; j++ {
+		memory.ApplyDelta(r.Checkpoints[j].MemDelta)
 	}
 }
 

@@ -273,8 +273,6 @@ type ReplayOptions struct {
 	// the exact PI sequence (only meaningful if the recording carried
 	// one).
 	UseStratified bool
-	// ExactConflicts matches the recording's squash oracle.
-	ExactConflicts bool
 	// ReplayParallel, when > 0, partitions a checkpointed recording into
 	// checkpoint-delimited intervals and replays them concurrently on a
 	// bounded pool of that many workers (segmented replay). The verdict
@@ -356,15 +354,7 @@ func checkReplay(rec *Recording, cfg sim.Config, progs []*isa.Program) error {
 // both this call.
 func replayToEnd(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOptions, from int) (ReplayResult, error) {
 	memory := mem.New()
-	if from < 0 {
-		memory.Restore(rec.InitialMem)
-	} else {
-		img, err := rec.MaterializeCheckpoint(from)
-		if err != nil {
-			return ReplayResult{}, err
-		}
-		memory.Restore(img)
-	}
+	rec.restoreImage(memory, from)
 	obs, st, err := replayInterval(rec, cfg, progs, opts, newLogView(rec), memory, from, -1, opts.Trace)
 	if err != nil {
 		return ReplayResult{}, err

@@ -34,9 +34,10 @@ import (
 // — and failure is attributed to the earliest diverging interval
 // (DivergenceError.Interval), independent of worker count or
 // scheduling: workers never share mutable state (each has its own
-// engine, memory and log cursors; materialized checkpoint images are
-// shared read-only), so each interval's outcome is a pure function of
-// the recording, and the earliest failing index is deterministic.
+// engine, memory and log cursors, and rolls its memory to the image it
+// starts from out of the read-only recording), so each interval's
+// outcome is a pure function of the recording, and the earliest failing
+// index is deterministic.
 type segOut struct {
 	res ReplayResult
 	err error
@@ -50,9 +51,8 @@ type segOut struct {
 // has already validated the recording and matched cfg/progs against it.
 //
 // Safe under concurrent replaySegmented calls on the same recording:
-// each scratch is exclusively owned while checked out, the log
-// view holds per-call cursors over the read-only logs, and checkpoint
-// materialization goes through the recording's locked LRU.
+// each scratch is exclusively owned while checked out, and the log view
+// holds per-call cursors over the read-only logs.
 func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOptions) (ReplayResult, error) {
 	k := len(rec.Checkpoints)
 	if err := validateCheckpointProcs(rec, progs); err != nil {
@@ -168,7 +168,7 @@ func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts 
 // that is what the check proves — so the next interval this worker
 // claims, always a later one under work-queue assignment, rolls the
 // memory forward by applying the intervening checkpoint deltas in
-// place instead of restoring a materialized image from scratch.
+// place instead of rolling the initial image forward from scratch.
 type segScratch struct {
 	mem *mem.Memory
 
@@ -203,29 +203,21 @@ func replaySegment(rec *Recording, cfg sim.Config, progs []*isa.Program, opts Re
 	memory := s.mem
 	// Establish the start state: image i-1 (the initial memory for
 	// i == 0). A worker holding a proven earlier image of this recording
-	// rolls forward in place through the intervening deltas —
-	// O(delta volume) — and only otherwise restores a materialized image
-	// — O(footprint).
+	// rolls forward in place through the intervening deltas; otherwise
+	// it rolls the initial image forward through deltas 0..i-1.
 	if s.memRec == rec && s.memAt >= -1 && s.memAt <= from {
 		for j := s.memAt + 1; j <= from; j++ {
 			memory.ApplyDelta(rec.Checkpoints[j].MemDelta)
 		}
-	} else if from < 0 {
-		memory.Restore(rec.InitialMem)
 	} else {
-		img, err := rec.MaterializeCheckpoint(from)
-		if err != nil {
-			out.err = err
-			return out
-		}
-		memory.Restore(img)
+		rec.restoreImage(memory, from)
 	}
 	// Unknown while the interval runs; re-proven by a passing end check.
 	s.memRec, s.memAt = rec, segMemUnknown
 	// A bounded interval starts at image i-1 by construction, so its end
 	// check against image i reduces to the checkpoint's delta plus a
 	// journal of the interval's own writes (Memory.EqualDelta) — no
-	// materialization of image i, no footprint-sized scan. The final
+	// image i, no footprint-sized scan. The final
 	// interval checks FinalMemHash instead and needs no journal.
 	if to >= 0 {
 		memory.BeginJournal()
@@ -289,16 +281,13 @@ func replaySegment(rec *Recording, cfg sim.Config, progs []*isa.Program, opts Re
 		s.memAt = i
 		return out
 	}
-	// Mismatch: materialize the full checkpoint image only now, to
-	// hash both sides for the divergence report.
-	img, err := rec.MaterializeCheckpoint(i)
-	if err != nil {
-		out.err = err
-		return out
-	}
+	// Mismatch: build checkpoint i's full image only now, to hash both
+	// sides for the divergence report.
+	want := mem.New()
+	rec.restoreImage(want, i)
 	res.MemHash = memory.Hash()
 	out.res = res
-	if d := rec.divergence(obs, res, startSlot, cp.IntervalFingerprint, cp.IntervalChains, mem.HashSnapshot(img), true); d != nil {
+	if d := rec.divergence(obs, res, startSlot, cp.IntervalFingerprint, cp.IntervalChains, want.Hash(), true); d != nil {
 		return fail(d)
 	}
 	return out

@@ -241,10 +241,7 @@ func TestSegmentedReplayCheckpointValueCorruption(t *testing.T) {
 	if len(delta) == 0 {
 		t.Skip("middle checkpoint has an empty delta")
 	}
-	for a := range delta {
-		delta[a] ^= 1 << 17
-		break
-	}
+	delta[0].Val ^= 1 << 17
 	if _, err := Replay(rec, ReplayConfig(cfg), progs, ReplayOptions{ReplayParallel: 4}); err == nil {
 		t.Fatal("segmented replay reported a clean match from a corrupted checkpoint image")
 	}

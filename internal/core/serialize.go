@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"delorean/internal/bulksc"
 	"delorean/internal/dlog"
+	"delorean/internal/mem"
 )
 
 // Recording serialization: a recording written during one session can be
@@ -139,22 +139,17 @@ func (r *Recording) writeCheckpointBody(c *countingWriter, cp *IntervalCheckpoin
 		}
 	}
 
-	// Memory delta: canonical address order, carried raw. Interval
+	// Memory delta: the image's address order, carried raw. Interval
 	// write footprints revisit the same working set, so the pair stream
 	// compresses well under the frame-level LZ77.
-	addrs := make([]uint32, 0, len(cp.MemDelta))
-	for a := range cp.MemDelta {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(x, y int) bool { return addrs[x] < addrs[y] })
-	raw := make([]byte, 0, 12*len(addrs))
+	raw := make([]byte, 0, 12*len(cp.MemDelta))
 	var pair [12]byte
-	for _, a := range addrs {
-		binary.LittleEndian.PutUint32(pair[0:4], a)
-		binary.LittleEndian.PutUint64(pair[4:12], cp.MemDelta[a])
+	for _, w := range cp.MemDelta {
+		binary.LittleEndian.PutUint32(pair[0:4], w.Addr)
+		binary.LittleEndian.PutUint64(pair[4:12], w.Val)
 		raw = append(raw, pair[:]...)
 	}
-	c.u32(uint32(len(addrs)))
+	c.u32(uint32(len(cp.MemDelta)))
 	c.u32(uint32(len(raw)))
 	c.write(raw)
 }
@@ -219,12 +214,27 @@ func (r *Recording) readCheckpointBody(d *reader, i int) (IntervalCheckpoint, er
 	if len(raw) != 12*int(words) {
 		return cp, corrupt("checkpoint %d memory delta holds %d bytes for %d words", i, len(raw), words)
 	}
-	cp.MemDelta = make(map[uint32]uint64, allocHint(words))
-	for off := 0; off+12 <= len(raw); off += 12 {
-		a := binary.LittleEndian.Uint32(raw[off : off+4])
-		cp.MemDelta[a] = binary.LittleEndian.Uint64(raw[off+4 : off+12])
+	delta, ok := decodeImage(raw)
+	if !ok {
+		return cp, corrupt("checkpoint %d memory delta addresses do not strictly increase", i)
 	}
+	cp.MemDelta = delta
 	return cp, nil
+}
+
+// decodeImage decodes packed 12-byte little-endian address/value pairs.
+// It reports false unless the addresses strictly increase, the only
+// order the writer emits.
+func decodeImage(raw []byte) (mem.Image, bool) {
+	img := make(mem.Image, len(raw)/12)
+	for i := range img {
+		p := raw[12*i:]
+		img[i] = mem.Word{Addr: binary.LittleEndian.Uint32(p), Val: binary.LittleEndian.Uint64(p[4:])}
+		if i > 0 && img[i].Addr <= img[i-1].Addr {
+			return nil, false
+		}
+	}
+	return img, true
 }
 
 // reader decodes little-endian fields from an in-memory buffer (a

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"delorean/internal/bulksc"
 	"delorean/internal/device"
 	"delorean/internal/isa"
+	"delorean/internal/mem"
 	"delorean/internal/rng"
 )
 
@@ -165,13 +167,8 @@ func TestSerializeCheckpoints(t *testing.T) {
 			g.Fingerprint != want.Fingerprint || g.IntervalFingerprint != want.IntervalFingerprint {
 			t.Fatalf("checkpoint %d metadata did not round-trip", i)
 		}
-		if len(g.MemDelta) != len(want.MemDelta) {
-			t.Fatalf("checkpoint %d delta: %d vs %d words", i, len(g.MemDelta), len(want.MemDelta))
-		}
-		for a, v := range want.MemDelta {
-			if g.MemDelta[a] != v {
-				t.Fatalf("checkpoint %d delta word %#x differs", i, a)
-			}
+		if !slices.Equal(g.MemDelta, want.MemDelta) {
+			t.Fatalf("checkpoint %d delta did not round-trip", i)
 		}
 		for p := range want.Procs {
 			if g.Procs[p] != want.Procs[p] && (g.Procs[p].PendingIntr == nil ||
@@ -237,19 +234,14 @@ func TestSerializeDeltaSmallerThanFullImages(t *testing.T) {
 	}
 
 	// Re-serialize the same recording with every checkpoint carrying its
-	// materialized image instead of the interval delta and compare.
+	// full image instead of the interval delta and compare.
 	origCk := rec.Checkpoints
 	fullCk := append([]IntervalCheckpoint(nil), origCk...)
+	img := mem.New()
+	img.Restore(rec.InitialMem)
 	for i := range fullCk {
-		img, err := rec.MaterializeCheckpoint(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp := make(map[uint32]uint64, len(img))
-		for a, v := range img {
-			cp[a] = v
-		}
-		fullCk[i].MemDelta = cp
+		img.ApplyDelta(origCk[i].MemDelta)
+		fullCk[i].MemDelta = img.Snapshot()
 	}
 	rec.Checkpoints = fullCk
 	var fbuf bytes.Buffer
@@ -264,6 +256,66 @@ func TestSerializeDeltaSmallerThanFullImages(t *testing.T) {
 	}
 	t.Logf("checkpointed recording: %d bytes delta-encoded vs %d full-image (%.2fx)",
 		dbuf.Len(), fbuf.Len(), float64(fbuf.Len())/float64(dbuf.Len()))
+}
+
+// TestLoadersRejectUnsortedImages: the initial memory and every
+// checkpoint delta are stored in strictly increasing address order, the
+// only order WriteTo emits. A container that repeats an address or lists
+// one out of order is corrupt, to the eager loader and to an indexed
+// recording's materialization alike.
+func TestLoadersRejectUnsortedImages(t *testing.T) {
+	for name, data := range unsortedImageContainers(t) {
+		if _, err := ReadRecording(bytes.NewReader(data)); !errors.Is(err, ErrCorruptLog) {
+			t.Errorf("%s: ReadRecording: %v", name, err)
+		}
+		rec, err := IndexRecording(data)
+		if err == nil {
+			err = rec.EnsureCheckpoints(0)
+		}
+		if !errors.Is(err, ErrCorruptLog) {
+			t.Errorf("%s: IndexRecording+EnsureCheckpoints: %v", name, err)
+		}
+	}
+}
+
+// unsortedImageContainers serializes a small checkpointed recording with
+// its initial memory or its first checkpoint's delta replaced by an
+// image that repeats an address ("dup") or descends ("desc").
+func unsortedImageContainers(t *testing.T) map[string][]byte {
+	t.Helper()
+	cfg := testConfig(2, 100)
+	progs := racyProgs(2, 20)
+	memory := mem.New()
+	memory.Store(0x100, 1)
+	memory.Store(0x200, 2)
+	rec, err := Record(cfg, OrderOnly, progs, memory, nil, RecordOptions{CheckpointEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Checkpoints) == 0 {
+		t.Fatal("setup: no checkpoints")
+	}
+	out := map[string][]byte{}
+	write := func(name string) {
+		var buf bytes.Buffer
+		if _, err := rec.WriteTo(&buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[name] = buf.Bytes()
+	}
+	initMem, delta := rec.InitialMem, rec.Checkpoints[0].MemDelta
+	for kind, img := range map[string]mem.Image{
+		"dup":  {{Addr: 0x100, Val: 1}, {Addr: 0x100, Val: 2}},
+		"desc": {{Addr: 0x200, Val: 2}, {Addr: 0x100, Val: 1}},
+	} {
+		rec.InitialMem = img
+		write("init-mem-" + kind)
+		rec.InitialMem = initMem
+		rec.Checkpoints[0].MemDelta = img
+		write("ckpt-delta-" + kind)
+		rec.Checkpoints[0].MemDelta = delta
+	}
+	return out
 }
 
 func TestReadRecordingRejectsGarbage(t *testing.T) {

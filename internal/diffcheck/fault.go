@@ -1,8 +1,6 @@
 package diffcheck
 
 import (
-	"sort"
-
 	"delorean/internal/core"
 	"delorean/internal/dlog"
 	"delorean/internal/rng"
@@ -264,13 +262,7 @@ func CheckpointFaults() []RecordingFault {
 				if len(d) == 0 {
 					continue
 				}
-				addrs := make([]uint32, 0, len(d))
-				for a := range d {
-					addrs = append(addrs, a)
-				}
-				sort.Slice(addrs, func(x, y int) bool { return addrs[x] < addrs[y] })
-				a := addrs[s.Intn(len(addrs))]
-				d[a] ^= 1 << uint(s.Intn(64))
+				d[s.Intn(len(d))].Val ^= 1 << uint(s.Intn(64))
 				return true
 			}
 			return false

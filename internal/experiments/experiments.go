@@ -131,7 +131,6 @@ type runKey struct {
 	chunkSize int
 	stratify  int
 	truncSeed uint64
-	exact     bool
 	ckptEvery uint64
 	simul     int
 	// Replay runs: which policy variant and which perturbation index.
@@ -229,7 +228,7 @@ func (c Config) recordWorkload(name string, mode core.Mode, chunkSize int, opts 
 		kind: "record", workload: name, procs: c.Procs, scale: c.Scale, seed: c.Seed,
 		mode: mode, chunkSize: chunkSize,
 		stratify: opts.StratifyMax, truncSeed: opts.TruncSeed,
-		exact: opts.ExactConflicts, ckptEvery: opts.CheckpointEvery,
+		ckptEvery: opts.CheckpointEvery,
 	}
 	if mode != core.OrderSize {
 		key.truncSeed = 0

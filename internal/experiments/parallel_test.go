@@ -122,10 +122,8 @@ func TestWorkloadBuiltOnce(t *testing.T) {
 			if m.Hash() != want {
 				t.Errorf("clone %d differs from a fresh build", g)
 			}
-			for addr, v := range m.Snapshot() {
-				m.Store(addr, v+1) // one word of the image
-				break
-			}
+			w := m.Snapshot()[0]
+			m.Store(w.Addr, w.Val+1) // one word of the image
 			m.Store(0x7fff_fff0+uint32(g), 5)
 			if m.Hash() == want {
 				t.Errorf("stores did not change clone %d", g)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"delorean/internal/isa"
+	"delorean/internal/mem"
 	"delorean/internal/workload"
 )
 
@@ -22,12 +23,12 @@ const (
 	interpBudget = 2000
 )
 
-// interleave runs the programs round robin to completion. When mem is
+// interleave runs the programs round robin to completion. When m is
 // non-nil it performs every memory op sequentially consistently against
 // it and appends the value each pending instruction completes with to
 // *loaded; otherwise it completes them from *loaded in order. It returns
 // the number of instructions RunToMemOp retired.
-func interleave(progs []*isa.Program, mem map[uint32]uint64, loaded *[]uint64) int {
+func interleave(progs []*isa.Program, m *mem.Memory, loaded *[]uint64) int {
 	sts := make([]isa.ThreadState, len(progs))
 	for p := range sts {
 		sts[p].Reg[15] = int64(p)
@@ -49,16 +50,16 @@ func interleave(progs []*isa.Program, mem map[uint32]uint64, loaded *[]uint64) i
 				live--
 			case i.Op == isa.FENCE:
 				st.PC++
-			case mem == nil:
+			case m == nil:
 				i.Complete(st, (*loaded)[next])
 				next++
 			default:
 				var v uint64
 				if i.Op.IsMem() {
 					a := i.MemAddr(st)
-					v = mem[a]
+					v = m.Load(a)
 					if i.Op.IsStore() {
-						mem[a] = i.NewValue(st, v)
+						m.Store(a, i.NewValue(st, v))
 					}
 				}
 				*loaded = append(*loaded, v)
@@ -80,7 +81,7 @@ func BenchmarkInterpreter(b *testing.B) {
 	for _, name := range workload.Names() {
 		w := workload.Get(name, workload.Params{NProcs: interpProcs, Scale: 120_000, Seed: 1})
 		s := interpSchedule{progs: w.Progs}
-		s.insts = interleave(w.Progs, w.InitMem().Snapshot(), &s.loaded)
+		s.insts = interleave(w.Progs, w.InitMem(), &s.loaded)
 		scheds = append(scheds, s)
 	}
 	total := 0

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -41,6 +42,30 @@ func (r *refMemory) store(a uint32, v uint64) {
 	} else {
 		r.words[a] = v
 	}
+}
+
+// imageOf returns a map model's words as an Image.
+func imageOf(m map[uint32]uint64) Image {
+	img := make(Image, 0, len(m))
+	for a, v := range m {
+		img = append(img, Word{a, v})
+	}
+	slices.SortFunc(img, func(x, y Word) int { return cmp.Compare(x.Addr, y.Addr) })
+	return img
+}
+
+// mapOf returns an Image's words as a map, failing t unless the
+// addresses strictly increase.
+func mapOf(t testing.TB, img Image) map[uint32]uint64 {
+	t.Helper()
+	m := make(map[uint32]uint64, len(img))
+	for i, w := range img {
+		if i > 0 && w.Addr <= img[i-1].Addr {
+			t.Fatalf("image address %#x at word %d does not follow %#x", w.Addr, i, img[i-1].Addr)
+		}
+		m[w.Addr] = w.Val
+	}
+	return m
 }
 
 func (r *refMemory) applyDelta(d map[uint32]uint64) {
@@ -118,7 +143,7 @@ func TestMemoryMatchesMapModel(t *testing.T) {
 		}
 		m := New()
 		ref := &refMemory{words: map[uint32]uint64{}, journal: map[uint32]uint64{}}
-		var snaps []map[uint32]uint64
+		var snaps []Image
 		for op := 0; op < 3000; op++ {
 			switch k := s.Intn(100); {
 			case k < 45:
@@ -158,12 +183,12 @@ func TestMemoryMatchesMapModel(t *testing.T) {
 				if len(snaps) > 0 {
 					snap := snaps[s.Intn(len(snaps))]
 					m.Restore(snap)
-					ref.words = maps.Clone(snap)
+					ref.words = mapOf(t, snap)
 					ref.base = nil
 				}
 			case k < 86:
 				d := delta()
-				m.ApplyDelta(d)
+				m.ApplyDelta(imageOf(d))
 				ref.applyDelta(d)
 				ref.base = nil
 			case k < 94:
@@ -171,9 +196,9 @@ func TestMemoryMatchesMapModel(t *testing.T) {
 				// so EqualDelta's true answer is exercised too.
 				d := delta()
 				if s.Intn(2) == 0 {
-					d = m.Written()
+					d = mapOf(t, m.Written())
 				}
-				got := m.EqualDelta(d)
+				got := m.EqualDelta(imageOf(d))
 				if want := ref.equalDelta(d); got != want {
 					t.Fatalf("seed %d op %d: EqualDelta = %v, want %v", seed, op, got, want)
 				}
@@ -182,7 +207,7 @@ func TestMemoryMatchesMapModel(t *testing.T) {
 					for a, v := range d {
 						img[a] = v
 					}
-					if want := HashSnapshot(img) == HashSnapshot(ref.words); got != want {
+					if want := sortedHash(img) == sortedHash(ref.words); got != want {
 						t.Fatalf("seed %d op %d: EqualDelta = %v, base+delta equality %v", seed, op, got, want)
 					}
 				}
@@ -191,7 +216,7 @@ func TestMemoryMatchesMapModel(t *testing.T) {
 				for a := range ref.journal {
 					want[a] = ref.words[a]
 				}
-				if got := m.Written(); !maps.Equal(got, want) {
+				if got := mapOf(t, m.Written()); !maps.Equal(got, want) {
 					t.Fatalf("seed %d op %d: Written = %v, want %v", seed, op, got, want)
 				}
 			}
@@ -199,11 +224,11 @@ func TestMemoryMatchesMapModel(t *testing.T) {
 				t.Fatalf("seed %d op %d: Len = %d, want %d", seed, op, m.Len(), len(ref.words))
 			}
 			if op%50 == 0 {
-				if got := m.Snapshot(); !maps.Equal(got, ref.words) {
+				if got := mapOf(t, m.Snapshot()); !maps.Equal(got, ref.words) {
 					t.Fatalf("seed %d op %d: Snapshot diverged from the model", seed, op)
 				}
-				if h := m.Hash(); h != HashSnapshot(m.Snapshot()) || h != HashSnapshot(ref.words) {
-					t.Fatalf("seed %d op %d: Hash disagrees with HashSnapshot", seed, op)
+				if h := m.Hash(); h != sortedHash(ref.words) {
+					t.Fatalf("seed %d op %d: Hash disagrees with the model's sorted encoding", seed, op)
 				}
 			}
 		}
@@ -225,7 +250,8 @@ func TestRestoreHostileImage(t *testing.T) {
 	for len(random) < n {
 		random[uint32(s.Uint64())] = 1
 	}
-	restore := func(img map[uint32]uint64) time.Duration {
+	restore := func(words map[uint32]uint64) time.Duration {
+		img := imageOf(words)
 		best := time.Duration(math.MaxInt64)
 		for i := 0; i < 3; i++ {
 			start := time.Now()
@@ -285,19 +311,14 @@ func sortedHash(img map[uint32]uint64) uint64 {
 	return h.Sum64()
 }
 
-// TestHashMatchesSortedEncoding checks Hash and HashSnapshot, which
-// order words by radix sort, against sortedHash on empty and one-word
-// memories, random ones, 2^17 words spread over the whole address space,
-// a hostile image of collidingKeys, and addresses that differ only in one
-// byte (so the other passes are skipped).
-// TestConcurrentHash hashes memories and snapshots of several sizes on
+// TestConcurrentHash hashes and snapshots memories of several sizes on
 // several goroutines at once, so the recycled word buffers move between
-// goroutines and sizes (run it under -race). Every hash must match the
-// serial one.
+// goroutines and sizes (run it under -race). Every hash and snapshot
+// must match the serial one.
 func TestConcurrentHash(t *testing.T) {
 	s := rng.New(11)
 	var mems []*Memory
-	var snaps []map[uint32]uint64
+	var snaps []Image
 	var want []uint64
 	for i := 0; i < 8; i++ {
 		m := New()
@@ -314,7 +335,7 @@ func TestConcurrentHash(t *testing.T) {
 			for r := 0; r < 5; r++ {
 				for i := range mems {
 					k := (i + g) % len(mems)
-					if mems[k].Hash() != want[k] || HashSnapshot(snaps[k]) != want[k] {
+					if mems[k].Hash() != want[k] || !slices.Equal(mems[k].Snapshot(), snaps[k]) {
 						t.Errorf("goroutine %d: memory %d hashed differently from serial", g, k)
 						return
 					}
@@ -325,6 +346,12 @@ func TestConcurrentHash(t *testing.T) {
 	wg.Wait()
 }
 
+// TestHashMatchesSortedEncoding checks Hash and Snapshot, which order
+// words by radix sort, against sortedHash and a comparison sort on empty
+// and one-word memories, random ones, 2^17 words spread over the whole
+// address space, a hostile image of collidingKeys, and addresses that
+// differ only in one byte (so the other passes are skipped). A memory
+// restored from the image must hash the same.
 func TestHashMatchesSortedEncoding(t *testing.T) {
 	s := rng.New(7)
 	images := map[string]map[uint32]uint64{
@@ -335,7 +362,7 @@ func TestHashMatchesSortedEncoding(t *testing.T) {
 	for len(random) < 5000 {
 		random[uint32(s.Uint64())>>s.Intn(32)] = s.Uint64()
 	}
-	random[0] = 0 // a zero entry, which HashSnapshot must skip
+	random[0] = 0 // a zero entry, which Store and Restore must skip
 	images["random"] = random
 	sparse := map[uint32]uint64{}
 	for i := uint32(0); i < 1<<17; i++ {
@@ -363,8 +390,15 @@ func TestHashMatchesSortedEncoding(t *testing.T) {
 		if got := m.Hash(); got != want {
 			t.Errorf("%s: Hash %#x, sorted encoding %#x", name, got, want)
 		}
-		if got := HashSnapshot(img); got != want {
-			t.Errorf("%s: HashSnapshot %#x, sorted encoding %#x", name, got, want)
+		nonzero := maps.Clone(img)
+		maps.DeleteFunc(nonzero, func(_ uint32, v uint64) bool { return v == 0 })
+		if got := m.Snapshot(); !slices.Equal(got, imageOf(nonzero)) {
+			t.Errorf("%s: Snapshot is not the sorted nonzero words", name)
+		}
+		r := New()
+		r.Restore(imageOf(img))
+		if got := r.Hash(); got != want {
+			t.Errorf("%s: restored Hash %#x, sorted encoding %#x", name, got, want)
 		}
 	}
 }

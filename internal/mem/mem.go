@@ -57,28 +57,36 @@ func (m *Memory) Len() int { return m.words.Len() }
 // nothing stores to it.
 func (m *Memory) Clone() *Memory { return &Memory{words: m.words.Clone()} }
 
-// Snapshot captures the full memory contents. The snapshot is independent
-// of future mutations.
-func (m *Memory) Snapshot() map[uint32]uint64 {
-	s := make(map[uint32]uint64, m.words.Len())
-	m.words.Each(func(a uint32, v uint64) { s[a] = v })
-	return s
+// Word is one memory word: an address and its value.
+type Word struct {
+	Addr uint32
+	Val  uint64
 }
 
-// Restore replaces the memory contents with a snapshot taken earlier.
-// Zero-valued snapshot entries are dropped (the canonical form Store
-// maintains), and the existing table is reused rather than reallocated —
-// replay workers Restore once per checkpoint interval. Restore bypasses
-// the write journal; callers tracking writes against the restored state
-// start a fresh journal with BeginJournal after it.
-func (m *Memory) Restore(s map[uint32]uint64) {
+// Image is a list of words in strictly increasing address order, the
+// order the recording container stores. It holds either a full memory
+// image (Snapshot, a recording's initial memory), whose words are
+// nonzero, or a delta against one (Written, a checkpoint's changed
+// words), where a zero value records a word that became zero.
+type Image []Word
+
+// Snapshot captures the full memory contents: every nonzero word. The
+// snapshot is independent of future mutations.
+func (m *Memory) Snapshot() Image {
+	ws := getWords(m.words.Len())
+	m.words.Each(func(a uint32, v uint64) { ws = append(ws, Word{a, v}) })
+	return toImage(ws)
+}
+
+// Restore replaces the memory contents with an image. Zero-valued
+// entries are dropped (the canonical form Store maintains), and the
+// existing table is reused rather than reallocated — replay workers
+// Restore once per checkpoint interval. Restore bypasses the write
+// journal; callers tracking writes against the restored state start a
+// fresh journal with BeginJournal after it.
+func (m *Memory) Restore(img Image) {
 	m.words.Reset()
-	for a, v := range s {
-		if v != 0 {
-			p, _ := m.words.Ptr(a)
-			*p = v
-		}
-	}
+	m.ApplyDelta(img)
 }
 
 // BeginJournal starts (or restarts) write journaling: from now until
@@ -99,40 +107,46 @@ func (m *Memory) EndJournal() { m.journaling = false }
 // the last BeginJournal, zero for a word that is now zero: the memory's
 // delta from its contents at BeginJournal (it may also list written
 // words that ended at their old value).
-func (m *Memory) Written() map[uint32]uint64 {
-	d := make(map[uint32]uint64, m.journal.Len())
-	m.journal.Each(func(a uint32, _ uint64) { d[a] = m.Load(a) })
-	return d
+func (m *Memory) Written() Image {
+	ws := getWords(m.journal.Len())
+	m.journal.Each(func(a uint32, _ uint64) { ws = append(ws, Word{a, m.Load(a)}) })
+	return toImage(ws)
 }
 
 // EqualDelta reports whether the memory's contents equal base+delta,
-// where base is the contents at the last BeginJournal and delta maps
-// changed addresses to their new values (zero meaning the word became
+// where base is the contents at the last BeginJournal and delta lists
+// changed addresses with their new values (zero meaning the word became
 // zero). The check is exact — sound and complete — in O(|delta| +
 // words written since BeginJournal), with no sort and no allocation:
 //
 //   - every delta address must hold its delta value;
-//   - every journaled (written) address outside the delta must have
-//     been restored to its base value;
+//   - every journaled (written) address that no longer holds its base
+//     value must be a delta address: counting such addresses over the
+//     journal and over the delta must agree, as the delta's addresses
+//     are distinct;
 //   - unwritten addresses outside the delta still hold their base
 //     value, which the delta asserts is unchanged — nothing to check.
 //
 // A base word the delta claims changed but the execution never wrote
 // fails the first rule (the delta value differs from the base value it
 // still holds), so missing writes are caught, not just wrong ones.
-func (m *Memory) EqualDelta(delta map[uint32]uint64) bool {
-	for a, v := range delta {
-		if m.Load(a) != v {
+func (m *Memory) EqualDelta(delta Image) bool {
+	inDelta := 0
+	for _, w := range delta {
+		if m.Load(w.Addr) != w.Val {
 			return false
 		}
+		if base, ok := m.journal.Get(w.Addr); ok && base != w.Val {
+			inDelta++
+		}
 	}
-	equal := true
+	changed := 0
 	m.journal.Each(func(a uint32, base uint64) {
-		if _, in := delta[a]; !in && m.Load(a) != base {
-			equal = false
+		if m.Load(a) != base {
+			changed++
 		}
 	})
-	return equal
+	return changed == inDelta
 }
 
 // ApplyDelta applies a checkpoint-style delta in place: zero-valued
@@ -141,75 +155,32 @@ func (m *Memory) EqualDelta(delta map[uint32]uint64) bool {
 // one this way costs O(|delta|) where a Restore of the target image
 // costs O(footprint). ApplyDelta bypasses the write journal — it is
 // state setup, not simulated execution.
-func (m *Memory) ApplyDelta(delta map[uint32]uint64) {
-	for a, v := range delta {
-		if v == 0 {
-			m.words.Delete(a)
+func (m *Memory) ApplyDelta(delta Image) {
+	for _, w := range delta {
+		if w.Val == 0 {
+			m.words.Delete(w.Addr)
 		} else {
-			p, _ := m.words.Ptr(a)
-			*p = v
+			p, _ := m.words.Ptr(w.Addr)
+			*p = w.Val
 		}
 	}
 }
 
 // Hash returns a canonical FNV-1a hash over the nonzero words in address
-// order. Two memories with identical architectural contents hash equally
-// regardless of write history.
+// order: each word's little-endian address and value. Two memories with
+// identical architectural contents hash equally regardless of write
+// history.
 func (m *Memory) Hash() uint64 {
 	ws := getWords(m.words.Len())
-	m.words.Each(func(a uint32, v uint64) { ws = append(ws, word{a, v}) })
-	return hashWords(ws)
-}
-
-// HashSnapshot hashes a snapshot map with the same canonical encoding as
-// Hash: FNV-1a over nonzero words in address order. A memory and a
-// snapshot of it hash equally without materializing a Memory.
-func HashSnapshot(s map[uint32]uint64) uint64 {
-	ws := getWords(len(s))
-	for a, v := range s {
-		if v != 0 {
-			ws = append(ws, word{a, v})
-		}
-	}
-	return hashWords(ws)
-}
-
-// word is one nonzero word of a memory's contents.
-type word struct {
-	addr uint32
-	val  uint64
-}
-
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-// wordBufs recycles the word buffers hashing sorts: a memory's whole
-// footprint, twice, on every Hash.
-var wordBufs runner.FreeList[[]word]
-
-// getWords returns an empty word buffer with room for n words.
-func getWords(n int) []word {
-	if ws, ok := wordBufs.Get(); ok && cap(ws) >= n {
-		return ws[:0]
-	}
-	return make([]word, 0, n)
-}
-
-// hashWords is the canonical encoding behind Hash: FNV-1a over each
-// word's little-endian address and value, in address order. ws holds
-// distinct addresses in any order; hashWords reorders it and hands it
-// back to wordBufs.
-func hashWords(ws []word) uint64 {
+	m.words.Each(func(a uint32, v uint64) { ws = append(ws, Word{a, v}) })
 	tmp := getWords(len(ws))[:len(ws)]
 	h := fnvOffset
 	for _, w := range sortWords(ws, tmp) {
 		for k := 0; k < 32; k += 8 {
-			h = (h ^ uint64(byte(w.addr>>k))) * fnvPrime
+			h = (h ^ uint64(byte(w.Addr>>k))) * fnvPrime
 		}
 		for k := 0; k < 64; k += 8 {
-			h = (h ^ uint64(byte(w.val>>k))) * fnvPrime
+			h = (h ^ uint64(byte(w.Val>>k))) * fnvPrime
 		}
 	}
 	wordBufs.Put(ws)
@@ -217,25 +188,50 @@ func hashWords(ws []word) uint64 {
 	return h
 }
 
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+// wordBufs recycles the word buffers Hash, Snapshot and Written sort in.
+var wordBufs runner.FreeList[[]Word]
+
+// getWords returns an empty word buffer with room for n words.
+func getWords(n int) []Word {
+	if ws, ok := wordBufs.Get(); ok && cap(ws) >= n {
+		return ws[:0]
+	}
+	return make([]Word, 0, n)
+}
+
+// toImage returns ws, which holds distinct addresses in any order, as
+// a fresh Image and hands ws back to wordBufs.
+func toImage(ws []Word) Image {
+	img := make(Image, len(ws))
+	copy(img, sortWords(ws, img))
+	wordBufs.Put(ws)
+	return img
+}
+
 // sortWords orders ws by address with an LSD radix sort, one stable
 // counting pass per address byte, in time linear in len(ws). A pass whose
 // byte is the same in every address is skipped. The result is ws or tmp,
 // a buffer of the same length.
-func sortWords(ws, tmp []word) []word {
+func sortWords(ws, tmp []Word) []Word {
 	if len(ws) < 2 {
 		return ws
 	}
 	var counts [4][256]int
 	for _, w := range ws {
 		for p := range counts {
-			counts[p][byte(w.addr>>(8*p))]++
+			counts[p][byte(w.Addr>>(8*p))]++
 		}
 	}
 	src, dst := ws, tmp
 	for p := range counts {
 		c := &counts[p]
 		shift := 8 * p
-		if c[byte(src[0].addr>>shift)] == len(src) {
+		if c[byte(src[0].Addr>>shift)] == len(src) {
 			continue
 		}
 		sum := 0
@@ -244,7 +240,7 @@ func sortWords(ws, tmp []word) []word {
 			sum += n
 		}
 		for _, w := range src {
-			b := byte(w.addr >> shift)
+			b := byte(w.Addr >> shift)
 			dst[c[b]] = w
 			c[b]++
 		}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"maps"
 	"testing"
 	"testing/quick"
 
@@ -70,7 +71,7 @@ func TestSnapshotIsIndependent(t *testing.T) {
 	m.Store(5, 50)
 	snap := m.Snapshot()
 	m.Store(5, 51)
-	if snap[5] != 50 {
+	if snap[0] != (Word{5, 50}) {
 		t.Fatal("snapshot mutated by later store")
 	}
 }
@@ -88,13 +89,13 @@ func TestEqualDelta(t *testing.T) {
 	m.Store(5, 77) // scratch write...
 	m.Store(5, 77) // ...double write keeps the first-seen base
 	m.Store(5, 0)  // ...restored
-	delta := map[uint32]uint64{2: 99, 3: 0}
+	delta := Image{{2, 99}, {3, 0}}
 	if !m.EqualDelta(delta) {
 		t.Fatal("EqualDelta rejected base+delta state")
 	}
 	// A delta word the execution never wrote: the word still holds its
 	// base value, which differs from the delta's claim.
-	if m.EqualDelta(map[uint32]uint64{1: 11, 2: 99, 3: 0}) {
+	if m.EqualDelta(Image{{1, 11}, {2, 99}, {3, 0}}) {
 		t.Fatal("EqualDelta missed an unapplied delta word")
 	}
 	// A write outside the delta that was not restored.
@@ -118,7 +119,7 @@ func TestQuickEqualDeltaMatchesHash(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			m.Store(uint32(s.Intn(32)), s.Uint64()%4)
 		}
-		base := m.Snapshot()
+		base := mapOf(t, m.Snapshot())
 		m.BeginJournal()
 		for i := 0; i < 100; i++ {
 			m.Store(uint32(s.Intn(32)), s.Uint64()%4)
@@ -127,18 +128,9 @@ func TestQuickEqualDeltaMatchesHash(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			delta[uint32(s.Intn(32))] = s.Uint64() % 4
 		}
-		img := make(map[uint32]uint64, len(base))
-		for a, v := range base {
-			img[a] = v
-		}
-		for a, v := range delta {
-			if v == 0 {
-				delete(img, a)
-			} else {
-				img[a] = v
-			}
-		}
-		return m.EqualDelta(delta) == (m.Hash() == HashSnapshot(img))
+		img := maps.Clone(base)
+		maps.Copy(img, delta)
+		return m.EqualDelta(imageOf(delta)) == (m.Hash() == sortedHash(img))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -154,16 +146,10 @@ func TestApplyDeltaMatchesRestore(t *testing.T) {
 		ref.Store(a, v)
 	}
 	delta := map[uint32]uint64{3: 0, 9: 900, 31: 1}
-	m.ApplyDelta(delta)
-	img := ref.Snapshot()
-	for a, v := range delta {
-		if v == 0 {
-			delete(img, a)
-		} else {
-			img[a] = v
-		}
-	}
-	ref.Restore(img)
+	m.ApplyDelta(imageOf(delta))
+	img := mapOf(t, ref.Snapshot())
+	maps.Copy(img, delta)
+	ref.Restore(imageOf(img))
 	if m.Hash() != ref.Hash() {
 		t.Fatal("ApplyDelta diverged from Restore of the folded image")
 	}

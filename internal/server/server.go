@@ -95,9 +95,6 @@ type Config struct {
 	// RequestTimeout bounds each simulation request (default 2 minutes;
 	// negative: no deadline).
 	RequestTimeout time.Duration
-	// LoadWorkers is the container decode/encode worker count
-	// (0: host default).
-	LoadWorkers int
 	// RetryAfter is the backoff hint sent (rounded up to whole seconds)
 	// in the Retry-After header of every 429 and of the 503 a draining
 	// /healthz returns (default 1s).
@@ -190,7 +187,7 @@ func New(cfg Config) (*Server, error) {
 		log:   cfg.Logger,
 		reg:   metrics.NewRegistry(),
 	}
-	for _, err := range s.store.loadDir(cfg.LoadWorkers) {
+	for _, err := range s.store.loadDir() {
 		s.count("store.load_errors", 1)
 		s.log.Warn("store entry failed to load", "dir", cfg.Dir, "error", err)
 	}
@@ -626,10 +623,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		rec, lerr := delorean.IndexRecording(body, delorean.Config{}, wl)
-		if halt(lerr) || halt(rec.Materialize(s.cfg.LoadWorkers)) {
+		if halt(lerr) || halt(rec.Materialize(0)) {
 			return
 		}
-		canonical, cerr := canonicalize(rec, s.cfg.LoadWorkers)
+		canonical, cerr := canonicalize(rec)
 		if halt(cerr) {
 			return
 		}
@@ -726,7 +723,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 			err = rerr
 			return
 		}
-		canonical, cerr := canonicalize(rec, s.cfg.LoadWorkers)
+		canonical, cerr := canonicalize(rec)
 		if cerr != nil {
 			err = cerr
 			return
@@ -788,7 +785,7 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 		// logs, so materialize under the budget once and cache the result.
 		ctx, cancel := s.reqCtx(r)
 		defer cancel()
-		if aerr := s.store.acquire(ctx, e, s.cfg.LoadWorkers); aerr != nil {
+		if aerr := s.store.acquire(ctx, e); aerr != nil {
 			s.fail(w, aerr)
 			return
 		}
@@ -823,7 +820,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	}
 	key := cacheKey{id: e.id, kind: "replay", seed: rs.PerturbSeed, strat: rs.UseStratified, par: rs.Parallel}
 	s.serveCached(w, r, key, func(ctx context.Context) (cachedVerdict, error) {
-		if aerr := s.store.acquire(ctx, e, s.cfg.LoadWorkers); aerr != nil {
+		if aerr := s.store.acquire(ctx, e); aerr != nil {
 			return cachedVerdict{}, aerr
 		}
 		defer s.store.release(e)
@@ -867,7 +864,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	key := cacheKey{id: e.id, kind: "trace"}
 	s.serveCached(w, r, key, func(ctx context.Context) (cachedVerdict, error) {
-		if aerr := s.store.acquire(ctx, e, s.cfg.LoadWorkers); aerr != nil {
+		if aerr := s.store.acquire(ctx, e); aerr != nil {
 			return cachedVerdict{}, aerr
 		}
 		defer s.store.release(e)

@@ -191,7 +191,7 @@ func (st *store) stats() storeStats {
 // evicting idle LRU entries to make room. Callers must release exactly
 // once per successful acquire; the materialized logs are guaranteed to
 // stay resident until then.
-func (st *store) acquire(ctx context.Context, e *entry, workers int) error {
+func (st *store) acquire(ctx context.Context, e *entry) error {
 	// Wake waiters when the caller's request dies, so a full budget plus
 	// a cancelled client cannot strand the queue. The Lock/Unlock pair
 	// orders the broadcast after the waiter has entered cond.Wait — a
@@ -241,7 +241,7 @@ func (st *store) acquire(ctx context.Context, e *entry, workers int) error {
 	// Decode outside the lock. Concurrent acquirers of the same entry
 	// rendezvous inside Materialize (idempotent, internally locked), so
 	// only one decodes.
-	if err := e.rec.Materialize(workers); err != nil {
+	if err := e.rec.Materialize(0); err != nil {
 		st.mu.Lock()
 		e.pins--
 		if e.resident && e.pins == 0 {
@@ -294,9 +294,9 @@ const (
 // An upload is a v4 container, but its frame compression and sharding
 // need not match what this build writes; addressing the canonical bytes
 // makes the id independent of the uploaded encoding.
-func canonicalize(rec *delorean.Recording, workers int) ([]byte, error) {
+func canonicalize(rec *delorean.Recording) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := rec.SaveParallel(&buf, workers); err != nil {
+	if err := rec.SaveParallel(&buf, 0); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -430,7 +430,7 @@ func (st *store) ids() []string {
 // from booting. What a persist interrupted part way leaves behind — temp
 // files, and a sidecar whose container was never installed — is removed
 // first; nothing ever reads it.
-func (st *store) loadDir(workers int) []error {
+func (st *store) loadDir() []error {
 	if st.dir == "" {
 		return nil
 	}
