@@ -212,10 +212,9 @@ func execStats(st bulksc.Stats) ExecStats {
 // and every read accessor may be called from multiple goroutines on the
 // same Recording at once — each replay builds its own engine state and
 // rolls its own memory to the checkpoint image it starts from, and the
-// only shared mutable structures behind the API (a loaded recording's
-// lazily decoded sections, the log-size memoization) carry their own
-// locks. Concurrent replays return the same verdicts, bit for
-// bit, as sequential ones.
+// only shared mutable state behind the API, an indexed recording's
+// one-time decode, is guarded by its own lock. Concurrent replays
+// return the same verdicts, bit for bit, as sequential ones.
 type Recording struct {
 	rec   *core.Recording
 	cfg   Config
@@ -415,7 +414,7 @@ func (r *Recording) replay(opts ReplayWith, idx int, sink *trace.Sink) (ReplayRe
 // re-execution happened to reproduce the recording's final state (for a
 // racy workload under different timing: almost surely false).
 func (r *Recording) RunUnordered(perturbArbiter bool) (bool, ExecStats, error) {
-	if err := r.rec.EnsureLogs(0); err != nil {
+	if err := r.rec.Materialize(0); err != nil {
 		return false, ExecStats{}, fmt.Errorf("delorean: unordered run: %w", err)
 	}
 	m := r.cfg.machine()
@@ -434,7 +433,7 @@ func (r *Recording) RunUnordered(perturbArbiter bool) (bool, ExecStats, error) {
 
 // Checkpoints returns how many interval checkpoints the recording holds
 // (zero unless recorded with Config.CheckpointEvery). Counting does not
-// force a lazily indexed recording to decode its checkpoint section.
+// decode an indexed recording.
 func (r *Recording) Checkpoints() int { return r.rec.CheckpointCount() }
 
 // ReplayFromCheckpoint deterministically replays the interval from the
@@ -509,11 +508,11 @@ func loaded(rec *core.Recording, cfg Config, w *Workload) (*Recording, error) {
 // IndexRecording builds a Recording from an in-memory v4 container
 // without decoding it: frame headers are parsed and checked against the
 // container's structure rules and every payload is CRC-checked, but the
-// payloads stay compressed, retained as subslices of data, and sections
-// decode on first use (a replay materializes the logs it needs;
-// Materialize forces everything). The caller must not mutate data while
-// the Recording is alive. It is the first half of every load:
-// LoadRecording is IndexRecording followed by Materialize.
+// payloads stay compressed, retained as subslices of data, and the whole
+// recording decodes on first use (the first replay, or Materialize).
+// The caller must not mutate data while the Recording is alive. It is
+// the first half of every load: LoadRecording is IndexRecording
+// followed by Materialize.
 //
 // This is the serving path's cheap admission: indexing costs one pass
 // over the bytes (CRC speed), not a decompression of every shard, and
@@ -527,24 +526,23 @@ func IndexRecording(data []byte, cfg Config, w *Workload) (*Recording, error) {
 	return loaded(rec, cfg, w)
 }
 
-// Materialize decodes every lazily retained section of an indexed
-// recording (logs and checkpoints), fanning the decompression across
-// workers (0: host default). It is a validated no-op on a fresh
-// (Record-made) or already materialized recording, and it is safe to call
-// concurrently with replays — a replay triggers the same
-// materialization paths under the same locks.
+// Materialize decodes every retained frame of an indexed recording (logs
+// and checkpoints), fanning the decompression across workers (0: host
+// default). It is a validated no-op on a fresh (Record-made) or already
+// materialized recording, and it is safe to call concurrently with
+// replays — a replay makes the same call under the same lock.
 func (r *Recording) Materialize(workers int) error {
-	return r.rec.EnsureCheckpoints(workers)
+	return r.rec.Materialize(workers)
 }
 
-// Release evicts an indexed recording's materialized sections back to
-// the retained compressed frames; the next replay (or Materialize)
+// Release evicts an indexed recording's decoded state back to the
+// retained compressed frames; the next replay (or Materialize)
 // rebuilds them bit-identically. No-op for fresh (Record-made)
 // recordings, which have no container to fall back to.
 // The caller must guarantee no replay of this Recording is in flight.
-func (r *Recording) Release() { r.rec.ReleaseLogs() }
+func (r *Recording) Release() { r.rec.Release() }
 
-// Materialized reports whether every section is currently decoded
+// Materialized reports whether the recording is currently decoded
 // (always true for fresh, Record-made recordings).
 func (r *Recording) Materialized() bool { return r.rec.Materialized() }
 

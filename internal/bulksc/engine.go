@@ -67,11 +67,8 @@ type Engine struct {
 	// Cancel, when non-nil, requests cooperative cancellation: once the
 	// channel closes, the run stops at the next scheduler step (within a
 	// bounded number of events — far less than one chunk's worth of
-	// execution) and Stats.Cancelled reports it. Cancellation leaves the
-	// engine in the same reusable state as any other early exit: a later
-	// Run (with fresh Mem/Policy/Replay, and Cancel cleared or re-armed)
-	// behaves exactly like a run on a fresh engine. The serving layer
-	// arms this with a request context's Done channel.
+	// execution) and Stats.Cancelled reports it. The serving layer arms
+	// this with a request context's Done channel.
 	Cancel <-chan struct{}
 
 	arb   *arbiter.Arbiter
@@ -347,42 +344,7 @@ func (e *Engine) releaseChunk(c *chunk.Chunk) {
 	co.free = append(co.free, c)
 }
 
-// resetRun clears all per-run state so a reused Engine starts every Run
-// from scratch. Without it a second Run on the same Engine doubled
-// e.cores, accumulated e.stats and kept the previous run's pending
-// events.
-//
-// Configuration fields are left alone. Note that a stateful Policy or
-// ReplaySource (LogOrder, replay log cursors) carries its own position
-// across runs: callers reusing an Engine must install fresh ones, just
-// as they must provide a fresh Mem image.
-func (e *Engine) resetRun() {
-	e.arb = nil
-	e.ms = nil
-	e.cores = nil
-	e.events = nil
-	e.arbWake = 0
-	e.stats = Stats{}
-	e.now = 0
-	e.gtr = nil
-	e.doneCores = 0
-	e.exec, e.chunks = 0, 0
-	e.lastCkptAt = 0
-	e.tokenTrack = 0
-	e.replayDMAOpen = false
-	e.inputStarved = false
-	e.lastCommitTime = 0
-	e.policy = nil
-	e.gate = nil
-	e.appliedCommits = 0
-	e.stopPending = false
-	e.stopped = false
-	e.cancelled = false
-	e.cancelPoll = 0
-}
-
-// Run executes the machine to completion and returns statistics. The
-// returned Stats does not alias engine state and survives reuse.
+// Run executes the machine to completion and returns statistics.
 func (e *Engine) Run() Stats {
 	e.begin()
 	// The chunk bound backstops the instruction budget: a malformed replay
@@ -405,17 +367,18 @@ func (e *Engine) Run() Stats {
 	e.finishStats()
 	sim.ReleaseMemSys(e.ms)
 	e.ms = nil
-	return e.stats.clone()
+	return e.stats
 }
 
-// begin sets up a run: fresh per-run state, the arbiter, a cache
-// hierarchy, the cores at their entry points (or the Resume cut) and the
-// DMA arrivals.
+// begin sets up the run: the arbiter, a cache hierarchy, the cores at
+// their entry points (or the Resume cut) and the DMA arrivals.
 func (e *Engine) begin() {
 	if len(e.Progs) != e.Cfg.NProcs {
 		panic(fmt.Sprintf("bulksc: %d programs for %d processors", len(e.Progs), e.Cfg.NProcs))
 	}
-	e.resetRun()
+	if e.cores != nil {
+		panic("bulksc: Engine.Run called twice; an engine runs once")
+	}
 	if e.Devs == nil {
 		e.Devs = device.New(0)
 	}

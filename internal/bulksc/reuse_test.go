@@ -12,78 +12,13 @@ import (
 )
 
 // reuseProgs is a small contended workload: squashes, truncations and
-// per-proc stats all nonzero, so accumulation bugs have state to leak.
+// per-proc stats all nonzero.
 func reuseProgs() []*isa.Program {
 	return []*isa.Program{
 		lockIncProgram(0x1000, 0x2000, 300),
 		lockIncProgram(0x1000, 0x2000, 300),
 		atomicIncProgram(0x3000, 1200),
 		storeStream(0x8000, 1200),
-	}
-}
-
-// A reused Engine must behave exactly like a fresh one: Run resets all
-// run state, so a rerun (with fresh memory — the run mutates it) yields
-// identical stats.
-func TestEngineReuseMatchesFresh(t *testing.T) {
-	fresh := &Engine{Cfg: testConfig(4), Progs: reuseProgs()}
-	want := runEngine(t, fresh)
-
-	reused := &Engine{Cfg: testConfig(4), Progs: reuseProgs()}
-	first := runEngine(t, reused)
-	if !reflect.DeepEqual(first, want) {
-		t.Fatalf("first run differs from fresh engine:\n got %+v\nwant %+v", first, want)
-	}
-	for run := 2; run <= 3; run++ {
-		reused.Mem = mem.New()
-		again := runEngine(t, reused)
-		if !reflect.DeepEqual(again, want) {
-			t.Fatalf("run %d on reused engine differs:\n got %+v\nwant %+v", run, again, want)
-		}
-	}
-}
-
-// A run cut short by the instruction budget stops with core wake-ups and
-// global events still pending. A full rerun on the same engine must
-// match a fresh engine, so none of that scheduler state may leak.
-func TestEngineReuseAfterBudgetStop(t *testing.T) {
-	want := runEngine(t, &Engine{Cfg: testConfig(4), Progs: reuseProgs()})
-
-	e := &Engine{Cfg: testConfig(4), Progs: reuseProgs(), Mem: mem.New()}
-	e.Cfg.MaxInsts = 10_000
-	if st := e.Run(); st.Converged || st.Chunks == 0 {
-		t.Fatalf("budget run should stop mid-flight: %+v", st)
-	}
-	e.Cfg.MaxInsts = testConfig(4).MaxInsts
-	e.Mem = mem.New()
-	if got := runEngine(t, e); !reflect.DeepEqual(got, want) {
-		t.Fatalf("rerun after a budget stop differs from fresh engine:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// The Stats a run returns must be a snapshot: a later run on the same
-// engine must not mutate the caller's copy through the TruncBy map or
-// PerProc slice.
-func TestEngineReuseStatsNotAliased(t *testing.T) {
-	e := &Engine{Cfg: testConfig(4), Progs: reuseProgs()}
-	st1 := runEngine(t, e)
-	if len(st1.TruncBy) == 0 || len(st1.PerProc) == 0 {
-		t.Fatalf("workload exercises no truncation/per-proc stats: %+v", st1)
-	}
-	truncBy := make(map[chunk.TruncReason]uint64, len(st1.TruncBy))
-	for k, v := range st1.TruncBy {
-		truncBy[k] = v
-	}
-	perProc := append([]ProcStats(nil), st1.PerProc...)
-
-	e.Mem = mem.New()
-	runEngine(t, e)
-
-	if !reflect.DeepEqual(st1.TruncBy, truncBy) {
-		t.Errorf("second run mutated first run's TruncBy:\n got %v\nwant %v", st1.TruncBy, truncBy)
-	}
-	if !reflect.DeepEqual(st1.PerProc, perProc) {
-		t.Errorf("second run mutated first run's PerProc:\n got %v\nwant %v", st1.PerProc, perProc)
 	}
 }
 
@@ -110,38 +45,19 @@ func TestEngineTraceObservationOnly(t *testing.T) {
 	}
 }
 
-// A cancelled run must leave the engine as reusable as any other early
-// exit: clearing Cancel and refreshing Mem, the next Run behaves exactly
-// like a run on a fresh engine. This is what lets the serving layer pool
-// engines across requests whose contexts get cancelled.
-func TestEngineReuseAfterCancel(t *testing.T) {
-	want := runEngine(t, &Engine{Cfg: testConfig(4), Progs: reuseProgs()})
-
-	cancelled := make(chan struct{})
-	close(cancelled)
+// An engine runs once: a second Run would start from the first run's
+// cores, events and stats, so it must panic instead of quietly doubling
+// them.
+func TestEngineRunTwicePanics(t *testing.T) {
 	e := &Engine{Cfg: testConfig(4), Progs: reuseProgs()}
-	for cycle := 1; cycle <= 2; cycle++ {
-		e.Mem = mem.New()
-		e.Cancel = cancelled
-		st := e.Run()
-		if !st.Cancelled {
-			t.Fatalf("cycle %d: pre-cancelled run not reported: %+v", cycle, st)
+	runEngine(t, e)
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("second Run on the same engine did not panic")
 		}
-		if st.Converged {
-			t.Fatalf("cycle %d: cancelled run claims convergence", cycle)
-		}
-
-		e.Mem = mem.New()
-		e.Cancel = nil
-		again := runEngine(t, e)
-		if again.Cancelled {
-			t.Fatalf("cycle %d: rerun kept stale Cancelled flag", cycle)
-		}
-		if !reflect.DeepEqual(again, want) {
-			t.Fatalf("cycle %d: rerun after cancel differs from fresh engine:\n got %+v\nwant %+v",
-				cycle, again, want)
-		}
-	}
+	}()
+	e.Mem = mem.New()
+	e.Run()
 }
 
 // A sink sized for the wrong processor count is a wiring bug: Run must

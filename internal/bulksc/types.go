@@ -183,24 +183,6 @@ type ProcStats struct {
 	SlotStallCycles uint64
 }
 
-// clone returns a deep copy. Run hands its caller a clone so the
-// returned Stats never aliases engine state: without it the TruncBy map
-// and PerProc slice were shared with the engine, and a later Run on a
-// reused Engine mutated results the caller had already retained.
-func (s Stats) clone() Stats {
-	out := s
-	if s.TruncBy != nil {
-		out.TruncBy = make(map[chunk.TruncReason]uint64, len(s.TruncBy))
-		for k, v := range s.TruncBy {
-			out.TruncBy[k] = v
-		}
-	}
-	if s.PerProc != nil {
-		out.PerProc = append([]ProcStats(nil), s.PerProc...)
-	}
-	return out
-}
-
 // IPC returns useful instructions per cycle.
 func (s Stats) IPC() float64 {
 	if s.Cycles == 0 {

@@ -170,20 +170,7 @@ func (r *Recording) Validate() error {
 	if n := len(r.ProcChains); n != 0 && n != r.NProcs {
 		return corrupt("%d per-processor chain digests for %d procs", n, r.NProcs)
 	}
-	// Checkpoint structure: a lazily loaded recording (IndexRecording /
-	// Materialize) defers its checkpoint section — EnsureCheckpoints runs
-	// the same validateCheckpoints pass when the section is first
-	// decoded, so the invariant "no replay path sees an unvalidated
-	// checkpoint" holds either way.
-	r.ckMu.Lock()
-	lazy := r.ckLazy != nil && !r.ckDone
-	r.ckMu.Unlock()
-	if !lazy {
-		if err := r.validateCheckpoints(r.Checkpoints); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.validateCheckpoints()
 }
 
 // validateCheckpoints checks the checkpoint section's structural
@@ -191,7 +178,8 @@ func (r *Recording) Validate() error {
 // and fans out workers based on these fields, so a structurally corrupt
 // checkpoint must fail here — identically for sequential and segmented
 // replay — rather than panic a worker.
-func (r *Recording) validateCheckpoints(cps []IntervalCheckpoint) error {
+func (r *Recording) validateCheckpoints() error {
+	cps := r.Checkpoints
 	var prevCut uint64
 	for i := range cps {
 		cp := &cps[i]

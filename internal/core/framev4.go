@@ -271,9 +271,8 @@ func (r *Recording) frameSpecs() []frameSpec {
 // runs fully inline). Output bytes are identical at any worker count;
 // only wall-clock and peak memory differ.
 func (r *Recording) WriteToParallel(w io.Writer, workers int) (int64, error) {
-	// A lazily indexed recording materializes everything frameSpecs
-	// reads (logs and checkpoints) before serialization walks it.
-	if err := r.EnsureCheckpoints(workers); err != nil {
+	// An indexed recording materializes before serialization walks it.
+	if err := r.Materialize(workers); err != nil {
 		return 0, err
 	}
 	bw := bufio.NewWriter(w)
@@ -337,11 +336,12 @@ func (r *Recording) WriteToParallel(w io.Writer, workers int) (int64, error) {
 	return c.n, c.err
 }
 
-// applyFrame decodes one log frame's raw (already decoded) payload into
-// the recording. IndexRecording has already enforced the frame-structure
+// applyFrame parses one frame's raw (already decoded) payload into the
+// recording. IndexRecording has already enforced the frame-structure
 // rules — canonical kind order, contiguous shards, singletons at most
-// once, section completeness — so per-processor frames arrive in shard
-// order and simply append.
+// once, section completeness — so per-processor and per-checkpoint
+// frames arrive in shard order and simply append. A payload must be
+// consumed exactly: bytes left after parsing make the frame corrupt.
 func (r *Recording) applyFrame(kind uint8, shard uint32, raw []byte) error {
 	d := &reader{r: bytes.NewReader(raw)}
 	switch kind {
@@ -433,6 +433,14 @@ func (r *Recording) applyFrame(kind uint8, shard uint32, raw []byte) error {
 			prev = slot
 			r.Slots.Append(dlog.SlotEntry{Slot: slot, Proc: proc})
 		}
+	case frameCheckpoint:
+		cp, err := r.readCheckpointBody(d, int(shard))
+		if err != nil {
+			return err
+		}
+		if d.err == nil {
+			r.Checkpoints = append(r.Checkpoints, cp)
+		}
 	case frameStratified:
 		strata := d.u32()
 		maxChunk := int(d.u16())
@@ -453,10 +461,13 @@ func (r *Recording) applyFrame(kind uint8, shard uint32, raw []byte) error {
 			r.Stratified = stratifier.Rebuild(r.NProcs, maxChunk, rows)
 		}
 	default:
-		return corrupt("frame kind %d is not a log frame", kind)
+		return corrupt("unknown frame kind %d", kind)
 	}
 	if d.err != nil {
 		return corrupt("frame kind %d shard %d truncated: %v", kind, shard, d.err)
+	}
+	if n := d.r.Len(); n != 0 {
+		return corrupt("frame kind %d shard %d has %d bytes left after parsing", kind, shard, n)
 	}
 	return nil
 }

@@ -347,3 +347,57 @@ func TestV4ParallelLoadSurfacesCorruption(t *testing.T) {
 		}
 	}
 }
+
+// rawV4Frame builds a frame carrying payload uncompressed, whatever the
+// writer's compression decision would be.
+func rawV4Frame(kind uint8, shard uint32, payload []byte) []byte {
+	frame := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
+	frame[0] = kind
+	binary.LittleEndian.PutUint32(frame[1:5], shard)
+	frame[5] = encRaw
+	binary.LittleEndian.PutUint32(frame[6:10], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[10:14], crc32.ChecksumIEEE(payload))
+	return append(frame, payload...)
+}
+
+// TestV4RejectsTrailingPayloadBytes: a frame payload must be consumed
+// exactly. Every frame of a full-featured recording, checkpoints
+// included, is re-emitted raw: as it is it still loads, and with three
+// junk bytes after the payload (length and CRC fixed up, so only the
+// parse can notice) materialization must fail with ErrCorruptLog.
+func TestV4RejectsTrailingPayloadBytes(t *testing.T) {
+	rec, _, _ := fullFatV4Recording(t, OrderSize)
+	var wire bytes.Buffer
+	if _, err := rec.WriteTo(&wire); err != nil {
+		t.Fatal(err)
+	}
+	header, frames := parseV4Frames(t, wire.Bytes(), rec.NProcs)
+	seen := make(map[uint8]bool)
+	for i, f := range frames[:len(frames)-1] { // the end frame carries no payload
+		seen[f.kind] = true
+		payload, err := decodeFramePayload(f.raw[5], binary.LittleEndian.Uint32(f.raw[10:14]), f.raw[frameHeaderLen:])
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		for _, junk := range [][]byte{nil, {0xA5, 0x5A, 0xFF}} {
+			mut := append([]v4Frame(nil), frames...)
+			mut[i].raw = rawV4Frame(f.kind, f.shard, append(append([]byte(nil), payload...), junk...))
+			lazy, err := IndexRecording(spliceV4(header, mut))
+			if err != nil {
+				t.Fatalf("kind %d shard %d re-emitted raw with %d junk bytes: IndexRecording: %v", f.kind, f.shard, len(junk), err)
+			}
+			err = lazy.Materialize(1)
+			if junk == nil && err != nil {
+				t.Fatalf("kind %d shard %d re-emitted raw does not load: %v", f.kind, f.shard, err)
+			}
+			if junk != nil && !errors.Is(err, ErrCorruptLog) {
+				t.Fatalf("kind %d shard %d with %d junk bytes: Materialize = %v, want ErrCorruptLog", f.kind, f.shard, len(junk), err)
+			}
+		}
+	}
+	for kind := uint8(frameInitMem); kind < frameEnd; kind++ {
+		if !seen[kind] {
+			t.Errorf("fixture serialized no frame of kind %d", kind)
+		}
+	}
+}

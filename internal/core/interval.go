@@ -60,7 +60,7 @@ func validateCheckpointProcs(rec *Recording, progs []*isa.Program) error {
 // Stratified interval replay is not supported: stratum boundaries do not
 // generally align with checkpoint slots.
 func ReplayFromCheckpoint(rec *Recording, idx int, cfg sim.Config, progs []*isa.Program, opts ReplayOptions) (ReplayResult, error) {
-	if err := rec.EnsureCheckpoints(opts.ReplayParallel); err != nil {
+	if err := rec.Materialize(opts.ReplayParallel); err != nil {
 		return ReplayResult{}, err
 	}
 	if idx < 0 || idx >= len(rec.Checkpoints) {

@@ -13,17 +13,16 @@ import (
 // On-demand residency: IndexRecording splits loading into a cheap
 // index pass — parse and CRC-check every frame, retaining the compressed
 // payloads as zero-copy subslices of the container — and deferred
-// materialization (EnsureLogs / EnsureCheckpoints) that decodes a
-// section the first time a replay path needs it. ReleaseLogs drops the
-// decoded structures back to the retained frames, so a byte-budgeted
-// store can evict a resident recording to its canonical bytes and
-// rematerialize it later with a bit-identical result.
+// materialization (Materialize) that decodes every frame the first time
+// anything needs the recording's contents. An indexed recording is
+// either fully compressed or fully decoded. Release drops the decoded
+// structures back to the retained frames, so a byte-budgeted store can
+// evict a resident recording to its canonical bytes and rematerialize
+// it later with a bit-identical result.
 //
-// Locking: lzMu guards the log section's lazy state, ckMu the
-// checkpoint section's. The canonical acquisition order is lzMu -> ckMu
-// (EnsureLogs holds lzMu while Validate takes ckMu; ReleaseLogs takes
-// both). Replays share no other state: each rolls its own memory to the
-// checkpoint image it starts from.
+// Locking: mu guards the materialization state. Replays share no other
+// state: each rolls its own memory to the checkpoint image it starts
+// from.
 
 // lazyFrame is one retained v4 frame: header fields plus the encoded
 // payload, which aliases the container bytes handed to IndexRecording.
@@ -39,8 +38,9 @@ type lazyFrame struct {
 // IndexRecording parses a v4 container from data without decoding it:
 // the header is read, every frame header is validated and every payload
 // CRC-checked, but payloads stay compressed, retained as subslices of
-// data. The returned recording materializes sections on demand —
-// callers must not mutate data while the recording is alive.
+// data. The returned recording decodes them all on first use
+// (Materialize) — callers must not mutate data while the recording is
+// alive.
 //
 // This is the one place the frame-structure rules are enforced: known
 // kinds in canonical order, contiguous shards per kind, singleton kinds
@@ -54,7 +54,7 @@ func IndexRecording(data []byte) (*Recording, error) {
 	}
 	off := int(br.Size()) - br.Len()
 
-	var logFrames, ckFrames []lazyFrame
+	frames := []lazyFrame{}
 	var counts [frameEnd + 1]uint32
 	var lastKind uint8
 	var est int64
@@ -126,11 +126,7 @@ func IndexRecording(data []byte) (*Recording, error) {
 			break
 		}
 		est += int64(f.rawLen)
-		if f.kind == frameCheckpoint {
-			ckFrames = append(ckFrames, f)
-		} else {
-			logFrames = append(logFrames, f)
-		}
+		frames = append(frames, f)
 	}
 
 	// Section completeness: a malformed container fails at index time,
@@ -154,119 +150,60 @@ func IndexRecording(data []byte) (*Recording, error) {
 			counts[frameIntr], counts[frameIO], r.NProcs)
 	}
 
-	if logFrames == nil {
-		logFrames = []lazyFrame{}
-	}
-	if ckFrames == nil {
-		ckFrames = []lazyFrame{}
-	}
-	r.logLazy = logFrames
-	r.ckLazy = ckFrames
+	r.frames = frames
+	r.ckFrames = int(counts[frameCheckpoint])
 	r.sizeEst = est
 	return r, nil
 }
 
-// decodeLazyFrames decodes retained frame payloads, fanning the
-// CPU-heavy LZ77/CRC work across workers (0: host default, 1: inline).
-func decodeLazyFrames(frames []lazyFrame, workers int) ([][]byte, error) {
-	return runner.Map(workers, len(frames), func(i int) ([]byte, error) {
-		return decodeFramePayload(frames[i].enc, frames[i].crc, frames[i].body)
+// Materialize decodes every retained frame of an indexed recording,
+// fanning the CPU-heavy LZ77/CRC work across workers (0: host default,
+// 1: inline), applies the frames in stream order and validates the
+// result. It is a no-op on a freshly recorded recording or once
+// materialization succeeded; a decode failure is cached and returned to
+// every subsequent caller. Safe for concurrent use.
+func (r *Recording) Materialize(workers int) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.frames == nil || r.done {
+		return nil
+	}
+	if r.err != nil {
+		return r.err
+	}
+	if err := r.decodeFrames(workers); err != nil {
+		r.resetLocked()
+		r.err = err
+		return err
+	}
+	r.done = true
+	return nil
+}
+
+// decodeFrames decodes and applies every retained frame. The index pass
+// already checked the frame structure, so the frames arrive in
+// canonical order. Caller holds mu.
+func (r *Recording) decodeFrames(workers int) error {
+	raws, err := runner.Map(workers, len(r.frames), func(i int) ([]byte, error) {
+		f := &r.frames[i]
+		return decodeFramePayload(f.enc, f.crc, f.body)
 	})
-}
-
-// EnsureLogs materializes the log section (everything but checkpoints)
-// of a lazily indexed recording. It is a no-op on a freshly recorded
-// recording or once materialization succeeded; a decode failure is
-// cached and returned to every subsequent caller. Safe for concurrent
-// use.
-func (r *Recording) EnsureLogs(workers int) error {
-	r.lzMu.Lock()
-	defer r.lzMu.Unlock()
-	return r.ensureLogsLocked(workers)
-}
-
-func (r *Recording) ensureLogsLocked(workers int) error {
-	if r.logLazy == nil || r.logDone {
-		return nil
-	}
-	if r.logErr != nil {
-		return r.logErr
-	}
-	raws, err := decodeLazyFrames(r.logLazy, workers)
-	if err == nil {
-		// Apply in canonical order; the index pass already checked the
-		// frame structure.
-		for i, f := range r.logLazy {
-			if err = r.applyFrame(f.kind, f.shard, raws[i]); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			// The checkpoint gate in Validate skips the still-lazy
-			// checkpoint section; EnsureCheckpoints validates it on decode.
-			err = r.Validate()
-		}
-	}
 	if err != nil {
-		r.resetDecodedLogsLocked()
-		r.logErr = err
 		return err
 	}
-	r.logDone = true
-	return nil
+	r.Checkpoints = make([]IntervalCheckpoint, 0, r.ckFrames)
+	for i, f := range r.frames {
+		if err := r.applyFrame(f.kind, f.shard, raws[i]); err != nil {
+			return err
+		}
+	}
+	return r.Validate()
 }
 
-// EnsureCheckpoints materializes the checkpoint section (and,
-// transitively, the log section — checkpoint validation reads the I/O
-// logs). Same caching and concurrency contract as EnsureLogs.
-func (r *Recording) EnsureCheckpoints(workers int) error {
-	if err := r.EnsureLogs(workers); err != nil {
-		return err
-	}
-	r.ckMu.Lock()
-	defer r.ckMu.Unlock()
-	if r.ckLazy == nil || r.ckDone {
-		return nil
-	}
-	if r.ckErr != nil {
-		return r.ckErr
-	}
-	raws, err := decodeLazyFrames(r.ckLazy, workers)
-	if err == nil {
-		cps := make([]IntervalCheckpoint, 0, len(r.ckLazy))
-		for i, raw := range raws {
-			d := &reader{r: bytes.NewReader(raw)}
-			cp, cerr := r.readCheckpointBody(d, i)
-			if cerr != nil {
-				err = cerr
-				break
-			}
-			if d.err != nil {
-				err = corrupt("checkpoint frame %d truncated: %v", i, d.err)
-				break
-			}
-			cps = append(cps, cp)
-		}
-		if err == nil {
-			err = r.validateCheckpoints(cps)
-		}
-		if err == nil {
-			r.Checkpoints = cps
-		}
-	}
-	if err != nil {
-		r.Checkpoints = nil
-		r.ckErr = err
-		return err
-	}
-	r.ckDone = true
-	return nil
-}
-
-// resetDecodedLogsLocked drops every decoded log structure back to the
-// post-header state, so a failed or released materialization leaves no
-// partially applied section behind. Caller holds lzMu.
-func (r *Recording) resetDecodedLogsLocked() {
+// resetLocked drops every decoded structure back to the post-header
+// state, so a failed or released materialization leaves no partially
+// applied frame behind. Caller holds mu.
+func (r *Recording) resetLocked() {
 	r.InitialMem = nil
 	r.PI = nil
 	r.CS = nil
@@ -276,50 +213,40 @@ func (r *Recording) resetDecodedLogsLocked() {
 	r.IO = nil
 	r.DMA = &dlog.DMALog{}
 	r.Slots = &dlog.SlotLog{}
+	r.Checkpoints = nil
 }
 
-// ReleaseLogs evicts a lazily indexed recording's materialized state —
-// decoded logs and checkpoints — back to the retained compressed
-// frames; the next Ensure call rebuilds an identical recording. No-op
-// for freshly recorded recordings (there are no frames to fall back
-// to). The caller must guarantee no replay of this recording is in
-// flight (the server's residency manager only releases unpinned
-// entries).
-func (r *Recording) ReleaseLogs() {
-	r.lzMu.Lock()
-	defer r.lzMu.Unlock()
-	r.ckMu.Lock()
-	defer r.ckMu.Unlock()
-	if r.logLazy == nil {
+// Release evicts an indexed recording's decoded state back to the
+// retained compressed frames; the next Materialize rebuilds an
+// identical recording. No-op for freshly recorded recordings (there are
+// no frames to fall back to). The caller must guarantee no replay of
+// this recording is in flight (the server's residency manager only
+// releases unpinned entries).
+func (r *Recording) Release() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.frames == nil {
 		return
 	}
-	r.resetDecodedLogsLocked()
-	r.Checkpoints = nil
-	r.logDone, r.ckDone = false, false
-	r.logErr, r.ckErr = nil, nil
+	r.resetLocked()
+	r.done, r.err = false, nil
 }
 
 // CheckpointCount reports how many interval checkpoints the recording
-// carries without forcing the checkpoint section to decode.
+// carries without decoding an indexed recording.
 func (r *Recording) CheckpointCount() int {
-	r.ckMu.Lock()
-	defer r.ckMu.Unlock()
-	if r.ckLazy != nil && !r.ckDone {
-		return len(r.ckLazy)
+	if r.frames != nil {
+		return r.ckFrames
 	}
 	return len(r.Checkpoints)
 }
 
-// Materialized reports whether every section is decoded (always true
+// Materialized reports whether the recording is decoded (always true
 // for freshly recorded recordings).
 func (r *Recording) Materialized() bool {
-	r.lzMu.Lock()
-	logs := r.logLazy == nil || r.logDone
-	r.lzMu.Unlock()
-	r.ckMu.Lock()
-	cks := r.ckLazy == nil || r.ckDone
-	r.ckMu.Unlock()
-	return logs && cks
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.frames == nil || r.done
 }
 
 // MaterializedSizeEstimate returns the summed raw (decompressed) frame

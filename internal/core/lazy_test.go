@@ -73,7 +73,7 @@ func TestIndexRecordingReplayIdentity(t *testing.T) {
 			}
 
 			// Release and replay again: bit-identical rematerialization.
-			lazy.ReleaseLogs()
+			lazy.Release()
 			if lazy.Materialized() {
 				t.Fatal("released recording claims to be materialized")
 			}
@@ -99,8 +99,8 @@ func TestIndexRecordingReplayIdentity(t *testing.T) {
 }
 
 // TestIndexRecordingSegmented: segmented replay of an indexed recording
-// materializes the checkpoint section on demand and stays bit-identical
-// to the eager recording's segmented verdict.
+// materializes it on demand and stays bit-identical to the eager
+// recording's segmented verdict.
 func TestIndexRecordingSegmented(t *testing.T) {
 	data, eager, _, _ := indexFixture(t, OrderOnly)
 	_, cfg, progs := fullFatV4Recording(t, OrderOnly)
@@ -122,26 +122,26 @@ func TestIndexRecordingSegmented(t *testing.T) {
 	}
 }
 
-// TestIndexRecordingSequentialSkipsCheckpoints: the perf contract — a
-// sequential replay of an indexed recording never decodes the
-// checkpoint section.
-func TestIndexRecordingSequentialSkipsCheckpoints(t *testing.T) {
-	data, _, _, replay := indexFixture(t, OrderOnly)
+// TestIndexRecordingReplayMaterializesAll: an indexed recording is
+// either compressed or fully decoded — a sequential replay, which needs
+// no checkpoint, still leaves every checkpoint decoded.
+func TestIndexRecordingReplayMaterializesAll(t *testing.T) {
+	data, eager, _, replay := indexFixture(t, OrderOnly)
 	lazy, err := IndexRecording(data)
 	if err != nil {
 		t.Fatalf("IndexRecording: %v", err)
 	}
+	if len(lazy.Checkpoints) != 0 {
+		t.Fatalf("indexing decoded %d checkpoints", len(lazy.Checkpoints))
+	}
 	if _, err := replay(lazy); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	lazy.ckMu.Lock()
-	decoded := lazy.ckDone
-	lazy.ckMu.Unlock()
-	if decoded {
-		t.Fatal("sequential replay decoded the checkpoint section")
+	if !lazy.Materialized() {
+		t.Fatal("replayed recording is not materialized")
 	}
-	if len(lazy.Checkpoints) != 0 {
-		t.Fatalf("sequential replay populated %d checkpoints", len(lazy.Checkpoints))
+	if got, want := len(lazy.Checkpoints), len(eager.Checkpoints); got != want || want == 0 {
+		t.Fatalf("sequential replay decoded %d checkpoints, want %d (> 0)", got, want)
 	}
 }
 
@@ -179,8 +179,8 @@ func TestIndexRecordingCorruption(t *testing.T) {
 		// Sabotage a retained frame body after indexing, recomputing the
 		// CRC so only the decode can notice. Pick the largest LZ77 frame.
 		var victim *lazyFrame
-		for i := range lazy.logLazy {
-			f := &lazy.logLazy[i]
+		for i := range lazy.frames {
+			f := &lazy.frames[i]
 			if f.enc == encLZ77 && len(f.body) > 12 && (victim == nil || len(f.body) > len(victim.body)) {
 				victim = f
 			}
@@ -248,7 +248,7 @@ func TestIndexRecordingRejectsDecodedLengthBomb(t *testing.T) {
 	if err != nil {
 		t.Fatalf("IndexRecording at the bound: %v", err)
 	}
-	if err := lazy.EnsureCheckpoints(1); !errors.Is(err, ErrCorruptLog) {
+	if err := lazy.Materialize(1); !errors.Is(err, ErrCorruptLog) {
 		t.Fatalf("materializing a frame that cannot decode to its length = %v, want ErrCorruptLog", err)
 	}
 }
@@ -275,7 +275,7 @@ func TestIndexRecordingConcurrentMaterialize(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			if i%3 == 0 {
-				if err := lazy.EnsureCheckpoints(2); err != nil {
+				if err := lazy.Materialize(2); err != nil {
 					errs[i] = err
 					return
 				}

@@ -69,8 +69,8 @@ func (m Mode) String() string {
 // All exported fields are written once (by the recorder or the loader)
 // and read-only thereafter; replay never mutates them, and each replay
 // rolls its own memory to the checkpoint image it starts from. The only
-// mutable state, a loaded recording's lazily decoded sections, is
-// guarded by lzMu and ckMu (lazy.go). This is what makes concurrent
+// mutable state, an indexed recording's materialization, is guarded by
+// mu (lazy.go). This is what makes concurrent
 // replays of one Recording safe — the public API's concurrency contract
 // (delorean.Recording) rests on it.
 type Recording struct {
@@ -99,7 +99,7 @@ type Recording struct {
 
 	// Checkpoints are the periodic system checkpoints taken when
 	// recording with RecordOptions.CheckpointEvery (interval replay
-	// starting points). They are not serialized by WriteTo.
+	// starting points). WriteTo stores one frame per checkpoint.
 	Checkpoints []IntervalCheckpoint
 
 	// Fingerprint summarizes the architectural execution (per-processor
@@ -123,19 +123,16 @@ type Recording struct {
 
 	// Lazy-residency state (lazy.go). A recording loaded from a
 	// container (IndexRecording) retains its v4 frames compressed and
-	// decodes sections on first use; freshly recorded ones leave
-	// logLazy/ckLazy nil and every Ensure call is a no-op. lzMu guards
-	// the log section's state, ckMu the checkpoint section's;
-	// acquisition order is lzMu -> ckMu.
-	lzMu    sync.Mutex
-	logLazy []lazyFrame // retained non-checkpoint frames; nil when fresh
-	logDone bool
-	logErr  error
-	ckMu    sync.Mutex
-	ckLazy  []lazyFrame // retained checkpoint frames; nil when fresh
-	ckDone  bool
-	ckErr   error
-	sizeEst int64 // summed raw frame bytes (residency cost estimate)
+	// decodes them all on first use; a freshly recorded one leaves
+	// frames nil and Materialize is a no-op. mu serializes Materialize
+	// and Release and guards done and err; frames, ckFrames and sizeEst
+	// are fixed at index time.
+	mu       sync.Mutex
+	frames   []lazyFrame // retained frames in stream order; nil when fresh
+	ckFrames int         // checkpoint frames among them
+	done     bool
+	err      error
+	sizeEst  int64 // summed raw frame bytes (residency cost estimate)
 }
 
 // restoreImage loads memory with the image at checkpoint k (-1: the
@@ -151,7 +148,7 @@ func (r *Recording) restoreImage(memory *mem.Memory, k int) {
 // MemOrderingRawBits returns the uncompressed memory-ordering log size in
 // bits (PI + CS + Sizes; input logs excluded, as in the paper).
 func (r *Recording) MemOrderingRawBits() int {
-	_ = r.EnsureLogs(0) // best-effort: an unmaterialized recording reports 0
+	_ = r.Materialize(0) // best-effort: a recording that fails to decode reports 0
 	n := 0
 	if r.PI != nil {
 		n += r.PI.RawBits()
@@ -168,7 +165,7 @@ func (r *Recording) MemOrderingRawBits() int {
 // MemOrderingCompressedBits returns the LZ77-compressed memory-ordering
 // log size in bits.
 func (r *Recording) MemOrderingCompressedBits() int {
-	_ = r.EnsureLogs(0) // best-effort: an unmaterialized recording reports 0
+	_ = r.Materialize(0) // best-effort: a recording that fails to decode reports 0
 	n := 0
 	if r.PI != nil {
 		n += r.PI.CompressedBits()
@@ -185,7 +182,7 @@ func (r *Recording) MemOrderingCompressedBits() int {
 // PIRawBits and CSRawBits split the raw log for the figures' stacked
 // bars.
 func (r *Recording) PIRawBits() int {
-	_ = r.EnsureLogs(0) // best-effort: an unmaterialized recording reports 0
+	_ = r.Materialize(0) // best-effort: a recording that fails to decode reports 0
 	if r.PI == nil {
 		return 0
 	}
@@ -194,7 +191,7 @@ func (r *Recording) PIRawBits() int {
 
 // CSRawBits returns the total per-processor CS+size log bits.
 func (r *Recording) CSRawBits() int {
-	_ = r.EnsureLogs(0) // best-effort: an unmaterialized recording reports 0
+	_ = r.Materialize(0) // best-effort: a recording that fails to decode reports 0
 	n := 0
 	for _, cs := range r.CS {
 		n += cs.RawBits()
@@ -207,7 +204,7 @@ func (r *Recording) CSRawBits() int {
 
 // PICompressedBits returns the compressed PI log size.
 func (r *Recording) PICompressedBits() int {
-	_ = r.EnsureLogs(0) // best-effort: an unmaterialized recording reports 0
+	_ = r.Materialize(0) // best-effort: a recording that fails to decode reports 0
 	if r.PI == nil {
 		return 0
 	}
@@ -216,7 +213,7 @@ func (r *Recording) PICompressedBits() int {
 
 // CSCompressedBits returns the compressed CS (+size) log size.
 func (r *Recording) CSCompressedBits() int {
-	_ = r.EnsureLogs(0) // best-effort: an unmaterialized recording reports 0
+	_ = r.Materialize(0) // best-effort: a recording that fails to decode reports 0
 	n := 0
 	for _, cs := range r.CS {
 		n += cs.CompressedBits()

@@ -281,8 +281,8 @@ type ReplayOptions struct {
 	// (DivergenceError.Interval) deterministically. Recordings without
 	// checkpoints fall back to plain sequential replay. Incompatible
 	// with UseStratified (stratum boundaries do not align with
-	// checkpoint cuts). It also sizes the decode of a lazily indexed
-	// recording's sections (0: host default).
+	// checkpoint cuts). It also sizes the decode of an indexed
+	// recording (0: host default).
 	ReplayParallel int
 	// Trace, when non-nil, captures the replay's execution timeline into
 	// the sink (built for the recording's processor count), including a
@@ -312,7 +312,7 @@ type ReplayOptions struct {
 // builds all engine state per call, so concurrent replays of the same
 // recording are safe and produce identical verdicts.
 func Replay(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOptions) (ReplayResult, error) {
-	if err := rec.EnsureLogs(opts.ReplayParallel); err != nil {
+	if err := rec.Materialize(opts.ReplayParallel); err != nil {
 		return ReplayResult{}, err
 	}
 	if err := checkReplay(rec, cfg, progs); err != nil {
@@ -322,10 +322,7 @@ func Replay(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOpt
 		if opts.UseStratified {
 			return ReplayResult{}, fmt.Errorf("core: segmented replay cannot enforce a stratified log")
 		}
-		if rec.CheckpointCount() > 0 {
-			if err := rec.EnsureCheckpoints(opts.ReplayParallel); err != nil {
-				return ReplayResult{}, err
-			}
+		if len(rec.Checkpoints) > 0 {
 			return replaySegmented(rec, cfg, progs, opts)
 		}
 		// No checkpoints to partition at: plain sequential replay below.

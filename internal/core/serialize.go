@@ -363,7 +363,7 @@ func ReadRecordingParallel(src io.Reader, workers int) (*Recording, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.EnsureCheckpoints(workers); err != nil {
+	if err := r.Materialize(workers); err != nil {
 		return nil, err
 	}
 	return r, nil

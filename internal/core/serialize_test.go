@@ -270,10 +270,10 @@ func TestLoadersRejectUnsortedImages(t *testing.T) {
 		}
 		rec, err := IndexRecording(data)
 		if err == nil {
-			err = rec.EnsureCheckpoints(0)
+			err = rec.Materialize(0)
 		}
 		if !errors.Is(err, ErrCorruptLog) {
-			t.Errorf("%s: IndexRecording+EnsureCheckpoints: %v", name, err)
+			t.Errorf("%s: IndexRecording+Materialize: %v", name, err)
 		}
 	}
 }

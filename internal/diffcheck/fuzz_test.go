@@ -118,8 +118,8 @@ func FuzzRecordingDeserialize(f *testing.F) {
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatal("serialize→reload→serialize is not a fixed point")
 		}
-		rec.ReleaseLogs()
-		if err := rec.EnsureCheckpoints(2); err != nil {
+		rec.Release()
+		if err := rec.Materialize(2); err != nil {
 			t.Fatalf("rematerialize after release: %v", err)
 		}
 		var third bytes.Buffer

@@ -241,7 +241,7 @@ func lazyResidency(rep *Report, cfg sim.Config, mode core.Mode, progs []*isa.Pro
 			got.Stats.Insts == want.Stats.Insts && got.Stats.Cycles == want.Stats.Cycles,
 			"%v: lazy oracle: %s verdict differs from eager replay", mode, pass)
 		if pass == "indexed" {
-			lazy.ReleaseLogs() // evict back to canonical bytes, then replay again
+			lazy.Release() // evict back to canonical bytes, then replay again
 		}
 	}
 	if b := serialize(rep, mode, lazy); b != nil {
