@@ -1,8 +1,15 @@
 package delorean
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"sync"
 	"testing"
+
+	"delorean/internal/baseline"
+	"delorean/internal/mem"
+	"delorean/internal/sim"
 )
 
 // TestConcurrentReplaySameRecording locks in the Recording concurrency
@@ -86,6 +93,108 @@ func TestConcurrentReplaySameRecording(t *testing.T) {
 							g, res, ckRes)
 						return
 					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestConcurrentRunsShareFreeLists runs recordings, replays and
+// baseline-recorder runs at once. They share the free lists that carry
+// engine state from one run to the next: memories (mem.Get/Put),
+// per-processor chunk lists, line histories and cache hierarchies, at
+// two processor counts. Every concurrent result must equal the
+// sequential one. Run it under -race: the assertions catch state that
+// leaks from one run into another, the race detector catches unsafe
+// sharing.
+func TestConcurrentRunsShareFreeLists(t *testing.T) {
+	cfg := smallConfig()
+	cfg.CheckpointEvery = 25
+	small := smallConfig()
+	small.Processors = 2
+	type job struct {
+		name string
+		run  func() (string, error)
+	}
+	record := func(c Config, mode Mode, w *Workload) func() (string, error) {
+		return func() (string, error) {
+			rec, err := Record(c, mode, w)
+			if err != nil {
+				return "", err
+			}
+			var b bytes.Buffer
+			if err := rec.Save(&b); err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("%x %+v", sha256.Sum256(b.Bytes()), rec.Stats()), nil
+		}
+	}
+	w4 := NewWorkload("raytrace", 4, 12000, 3)
+	w2 := NewWorkload("barnes", 2, 9000, 5)
+	rec, err := Record(cfg, OrderOnly, w4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func(with ReplayWith) func() (string, error) {
+		return func() (string, error) {
+			res, err := rec.Replay(with)
+			if err == nil && !res.Deterministic {
+				err = fmt.Errorf("replay %+v diverged", with)
+			}
+			return fmt.Sprintf("%+v", res), err
+		}
+	}
+	recorders := func(w *Workload, procs int, model sim.Model) func() (string, error) {
+		return func() (string, error) {
+			c := small.machine()
+			c.NProcs = procs
+			recs := []baseline.Recorder{baseline.NewFDR(procs), baseline.NewRTR(procs), baseline.NewStrata(procs, false)}
+			if model == sim.TSO {
+				recs = []baseline.Recorder{baseline.NewAdvancedRTR(procs, 0)}
+			}
+			m := w.InitMem()
+			defer mem.Put(m)
+			st := baseline.RunModel(c, model, w.Progs, m, w.Devs, recs...)
+			out := fmt.Sprintf("%+v", st)
+			for _, r := range recs {
+				out += fmt.Sprintf(" %s:%x", r.Name(), sha256.Sum256(r.Log()))
+			}
+			return out, nil
+		}
+	}
+	jobs := []job{
+		{"record 4p", record(cfg, OrderOnly, w4)},
+		{"record 2p", record(small, PicoLog, w2)},
+		{"replay", replay(ReplayWith{PerturbSeed: 11})},
+		{"segmented replay", replay(ReplayWith{PerturbSeed: 7, Parallel: 2})},
+		{"recorders SC 4p", recorders(w4, 4, sim.SC)},
+		{"recorders SC 2p", recorders(w2, 2, sim.SC)},
+		{"recorders TSO 2p", recorders(w2, 2, sim.TSO)},
+	}
+	want := make([]string, len(jobs))
+	for i, j := range jobs {
+		if want[i], err = j.run(); err != nil {
+			t.Fatalf("sequential %s: %v", j.name, err)
+		}
+	}
+
+	const goroutines, iters = 4, 4
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; it < iters; it++ {
+				i := (g*iters + it) % len(jobs)
+				got, err := jobs[i].run()
+				if err != nil {
+					t.Errorf("goroutine %d: %s: %v", g, jobs[i].name, err)
+					return
+				}
+				if got != want[i] {
+					t.Errorf("goroutine %d: concurrent %s gave\n%s\nsequential\n%s", g, jobs[i].name, got, want[i])
+					return
 				}
 			}
 		}(g)

@@ -72,6 +72,13 @@ func coreMode(m Mode) core.Mode {
 	panic(fmt.Sprintf("delorean: unknown mode %d", int(m)))
 }
 
+// The largest machine a recording can describe: LoadRecording rejects a
+// recording of more processors, or of larger chunks, as corrupt.
+const (
+	MaxProcessors = core.MaxProcs
+	MaxChunkSize  = core.MaxChunkSize
+)
+
 // Config describes the simulated chip multiprocessor. The zero value is
 // not usable; start from DefaultConfig.
 type Config struct {
@@ -242,7 +249,9 @@ func record(ctx context.Context, cfg Config, mode Mode, w *Workload, sink *trace
 	if err := cfg.checkSimParallel(); err != nil {
 		return nil, err
 	}
-	rec, err := core.Record(cfg.machine(), coreMode(mode), w.Progs, w.InitMem(), w.Devs, core.RecordOptions{
+	memory := w.InitMem()
+	defer mem.Put(memory)
+	rec, err := core.Record(cfg.machine(), coreMode(mode), w.Progs, memory, w.Devs, core.RecordOptions{
 		StratifyMax:     cfg.Stratify,
 		CheckpointEvery: cfg.CheckpointEvery,
 		Trace:           sink,
@@ -421,7 +430,8 @@ func (r *Recording) RunUnordered(perturbArbiter bool) (bool, ExecStats, error) {
 	if perturbArbiter {
 		m = core.ReplayConfig(m) // different commit timing than recording
 	}
-	memory := mem.New()
+	memory := mem.Get()
+	defer mem.Put(memory)
 	memory.Restore(r.rec.InitialMem)
 	rec2, err := core.Record(m, r.rec.Mode, r.progs, memory, device.New(0), core.RecordOptions{})
 	if err != nil {

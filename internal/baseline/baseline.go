@@ -16,6 +16,7 @@ import (
 	"delorean/internal/flat"
 	"delorean/internal/isa"
 	"delorean/internal/mem"
+	"delorean/internal/runner"
 	"delorean/internal/sim"
 )
 
@@ -47,12 +48,12 @@ type Recorder interface {
 // line history, so one run feeds every baseline: each access costs one
 // history lookup whatever the number of recorders.
 type observer struct {
-	hist history
+	hist *history
 	recs []Recorder
 }
 
 func newObserver(nprocs int, recs []Recorder) *observer {
-	return &observer{hist: history{nprocs: nprocs}, recs: recs}
+	return &observer{hist: newHistory(nprocs), recs: recs}
 }
 
 // OnAccess implements sim.Observer: every recorder observes e against
@@ -76,8 +77,11 @@ func Run(cfg sim.Config, progs []*isa.Program, memory *mem.Memory, devs *device.
 // records on the TSO machine.
 func RunModel(cfg sim.Config, model sim.Model, progs []*isa.Program, memory *mem.Memory, devs *device.Devices, recs ...Recorder) sim.Stats {
 	m := sim.NewMachine(cfg, model, progs, memory, devs)
-	m.Obs = newObserver(cfg.NProcs, recs)
-	return m.Run()
+	obs := newObserver(cfg.NProcs, recs)
+	m.Obs = obs
+	st := m.Run()
+	histories.Put(obs.hist)
+	return st
 }
 
 // BitsPerProcPerKinst converts a log size to the paper's unit: bits per
@@ -122,11 +126,34 @@ const slabLines = 256
 // slice indexed through a flat table, and their reader slices are cut
 // from slabs, so a new line costs no allocation of its own. get may move
 // the states: no caller holds a *lineState across another get.
+//
+// Histories outlive runs (see histories). Past len(lines), up to its
+// capacity, lines keeps the states an earlier run used, each with a
+// reader slice of its own; a new line at such a position reuses that
+// slice when it has the run's processor count.
 type history struct {
 	nprocs int
 	index  flat.Table // line -> position in lines
 	lines  []lineState
 	slab   []uint64 // unused tail of the current readerInst slab
+}
+
+// histories carries line histories from finished runs to later ones, so
+// a run's index table, state slice and slabs start at the capacity an
+// earlier run grew instead of growing from empty.
+var histories runner.FreeList[*history]
+
+// newHistory returns an empty history for nprocs processors, recycling a
+// released one when there is one.
+func newHistory(nprocs int) *history {
+	h, ok := histories.Get()
+	if !ok {
+		return &history{nprocs: nprocs}
+	}
+	h.nprocs = nprocs
+	h.index.Reset()
+	h.lines = h.lines[:0]
+	return h
 }
 
 // get returns line's history and its position in first-access order.
@@ -135,12 +162,21 @@ func (h *history) get(line uint32) (*lineState, int) {
 	if !fresh {
 		return &h.lines[*i], int(*i)
 	}
-	*i = uint64(len(h.lines))
+	k := len(h.lines)
+	*i = uint64(k)
 	n := h.nprocs
-	if len(h.slab) < n {
-		h.slab = make([]uint64, n*slabLines)
+	var r []uint64
+	if k < cap(h.lines) {
+		r = h.lines[:k+1][k].readerInst // an earlier run's, or nil
 	}
-	h.lines = append(h.lines, lineState{writerProc: -1, readerInst: h.slab[:n:n]})
-	h.slab = h.slab[n:]
-	return &h.lines[len(h.lines)-1], len(h.lines) - 1
+	if len(r) == n {
+		clear(r)
+	} else {
+		if len(h.slab) < n {
+			h.slab = make([]uint64, n*slabLines)
+		}
+		r, h.slab = h.slab[:n:n], h.slab[n:]
+	}
+	h.lines = append(h.lines, lineState{writerProc: -1, readerInst: r})
+	return &h.lines[k], k
 }

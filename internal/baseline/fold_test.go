@@ -3,6 +3,7 @@ package baseline
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -170,6 +171,48 @@ func TestRecordersFoldCountedReads(t *testing.T) {
 			if a.Entries() == 0 {
 				t.Errorf("seed %d %s: empty log", seed, a.Name())
 			}
+		}
+	}
+}
+
+// TestHistoryRecycled feeds one access stream to every recorder over a
+// recycled line history and over a fresh one, at processor counts that
+// change from run to run: the logs must be identical, so a recycled
+// history reuses reader slices only at the run's processor count, and
+// cleared. Each run first touches more lines than the run before, so a
+// run reaches states that a run at another processor count left.
+func TestHistoryRecycled(t *testing.T) {
+	feed := func(h *history, nprocs int, seed uint64, fresh int) []string {
+		recs := []Recorder{NewFDR(nprocs), NewRTR(nprocs), NewStrata(nprocs, false),
+			NewStrata(nprocs, true), NewAdvancedRTR(nprocs, 0)}
+		o := &observer{hist: h, recs: recs}
+		evs := accessStream(seed, nprocs, 4000)
+		for k := 0; k < fresh; k++ {
+			line := uint32(1<<22 + k)
+			for i, p := range []int{k % nprocs, nprocs - 1, (k + 1) % nprocs} {
+				evs = append(evs, sim.AccessEvent{Proc: p, Time: uint64(1e6 + 3*k + i), Line: line,
+					Addr: line * isa.LineWords, Read: i < 2, Write: i == 2, MemOp: uint64(1e6 + k), Inst: uint64(1e6 + k), Count: 1})
+			}
+		}
+		for _, e := range evs {
+			o.OnAccess(e)
+		}
+		var logs []string
+		for _, r := range recs {
+			logs = append(logs, fmt.Sprintf("%s %d %x", r.Name(), r.Entries(), r.Log()))
+		}
+		return logs
+	}
+	h := newHistory(8)
+	for i, nprocs := range []int{8, 4, 8, 8, 3, 8} {
+		seed, fresh := uint64(i%2+1), 300*i
+		want := feed(&history{nprocs: nprocs}, nprocs, seed, fresh)
+		histories.Put(h)
+		if h = newHistory(nprocs); h.index.Len() != 0 || len(h.lines) != 0 {
+			t.Fatalf("run %d: recycled history holds %d lines", i, len(h.lines))
+		}
+		if got := feed(h, nprocs, seed, fresh); !slices.Equal(got, want) {
+			t.Fatalf("run %d (%d procs): recycled history gives logs\n%q\nfresh\n%q", i, nprocs, got, want)
 		}
 	}
 }

@@ -32,7 +32,9 @@ func BenchmarkChunkStartSquash(b *testing.B) {
 
 // BenchmarkEngineRun measures one whole Engine.Run on a 4-processor
 // ~20k-iteration mixed workload (contended lock, atomic counter, private
-// store stream) in `go test -bench`, without the experiment harness.
+// store stream) in `go test -bench`, without the experiment harness. Each
+// run takes its memory from mem.Get and hands it back, as every run site
+// does.
 func BenchmarkEngineRun(b *testing.B) {
 	bench := func(traced bool) func(*testing.B) {
 		return func(b *testing.B) {
@@ -48,7 +50,7 @@ func BenchmarkEngineRun(b *testing.B) {
 						atomicIncProgram(0x3000, 20000),
 						storeStream(0x8000, 20000),
 					},
-					Mem: mem.New(),
+					Mem: mem.Get(),
 				}
 				if traced {
 					e.Trace = trace.NewSink(cfg.NProcs)
@@ -56,6 +58,7 @@ func BenchmarkEngineRun(b *testing.B) {
 				if st := e.Run(); !st.Converged {
 					b.Fatalf("engine did not converge")
 				}
+				mem.Put(e.Mem)
 			}
 		}
 	}

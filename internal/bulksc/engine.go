@@ -9,6 +9,7 @@ import (
 	"delorean/internal/isa"
 	"delorean/internal/mem"
 	"delorean/internal/rng"
+	"delorean/internal/runner"
 	"delorean/internal/signature"
 	"delorean/internal/sim"
 	"delorean/internal/trace"
@@ -74,6 +75,9 @@ type Engine struct {
 	arb   *arbiter.Arbiter
 	ms    *sim.MemSys // from sim's free list; held only while Run executes
 	cores []*core
+	// spare holds spareChunks' per-processor lists while Run executes;
+	// the cores have taken theirs out.
+	spare [][]*chunk.Chunk
 	// events holds the global events only: DMA arrivals, commit-request
 	// submissions and arbiter wake-ups. Core wake-ups live in the cores'
 	// (wake, wakeOK) fields; step merges the two.
@@ -335,6 +339,36 @@ func (e *Engine) newChunk(co *core, seqID uint64, ckpt isa.ThreadState, target i
 	return chunk.New(co.proc, seqID, ckpt, target)
 }
 
+// spareChunks carries chunk objects from finished runs to later ones,
+// one list per processor: a run's cores start with the chunks earlier
+// runs built. Chunk.Reuse zeroes everything that reaches an output, so
+// no output depends on which run used a chunk before; a chunk keeps its
+// processor, so list p holds core p's chunks. The chunks are kept shed
+// of their buffers: kept, the buffers' many small allocations raised
+// peak RSS by about half a megabyte on the benchmark workloads
+// (EXPERIMENTS.md, "Engine state across runs") and saved no measurable
+// CPU, since a run regrows them within its first few chunks.
+var spareChunks runner.FreeList[[][]*chunk.Chunk]
+
+// keepChunks hands every chunk object of the run, free or left
+// uncommitted, to spareChunks, together with the lists of processors
+// the run did not have.
+func (e *Engine) keepChunks() {
+	spare := e.spare
+	for len(spare) < len(e.cores) {
+		spare = append(spare, nil)
+	}
+	for p, co := range e.cores {
+		spare[p] = append(co.free, co.chunks...)
+		for _, c := range spare[p] {
+			c.Shed()
+		}
+		co.free, co.chunks, co.cur = nil, nil, nil
+	}
+	e.spare = nil
+	spareChunks.Put(spare)
+}
+
 // releaseChunk hands a retired (committed, squashed or abandoned) chunk
 // to its core's free list. The next newChunk on that core may return it,
 // so the caller must be done reading it. Stale submit events may still
@@ -367,6 +401,7 @@ func (e *Engine) Run() Stats {
 	e.finishStats()
 	sim.ReleaseMemSys(e.ms)
 	e.ms = nil
+	e.keepChunks()
 	return e.stats
 }
 
@@ -449,6 +484,12 @@ func (e *Engine) begin() {
 		}
 		e.cores = append(e.cores, co)
 		co.wakeOK = !co.haltDone
+	}
+	e.spare, _ = spareChunks.Get()
+	for p, co := range e.cores {
+		if p < len(e.spare) {
+			co.free, e.spare[p] = e.spare[p], nil
+		}
 	}
 	if e.Replay == nil {
 		for i, tr := range e.Devs.DMA {

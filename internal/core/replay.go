@@ -346,11 +346,12 @@ func checkReplay(rec *Recording, cfg sim.Config, progs []*isa.Program) error {
 }
 
 // replayToEnd replays from checkpoint from (-1: the start of the
-// recording) to convergence on fresh memory and checks the run against
-// the recorded suffix. Sequential Replay and ReplayFromCheckpoint are
-// both this call.
+// recording) to convergence on a memory of its own, drawn from mem's
+// free list, and checks the run against the recorded suffix. Sequential
+// Replay and ReplayFromCheckpoint are both this call.
 func replayToEnd(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOptions, from int) (ReplayResult, error) {
-	memory := mem.New()
+	memory := mem.Get()
+	defer mem.Put(memory)
 	rec.restoreImage(memory, from)
 	obs, st, err := replayInterval(rec, cfg, progs, opts, newLogView(rec), memory, from, -1, opts.Trace)
 	if err != nil {

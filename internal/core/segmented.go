@@ -61,14 +61,15 @@ func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts 
 	view := newLogView(rec)
 
 	// Workers recycle the functional memory's backing table across
-	// intervals and across replays (each interval's engine draws its
-	// cache hierarchy from sim's free list): engine construction, not
-	// interval execution, otherwise dominates replay of finely
-	// checkpointed recordings. Reuse is observation-equivalent to fresh
-	// state (Memory.Restore). An interval takes scratch from this
-	// replay's own list first, where a scratch still knows which image of
-	// rec it holds; scratch returns to the shared list with that
-	// forgotten, so the shared list never keeps a recording alive.
+	// intervals, and take it from mem's free list across replays (each
+	// interval's engine draws its cache hierarchy from sim's free list):
+	// engine construction, not interval execution, otherwise dominates
+	// replay of finely checkpointed recordings. Reuse is
+	// observation-equivalent to fresh state (Memory.Restore). An
+	// interval takes scratch from this replay's own list first, where a
+	// scratch still knows which image of rec it holds; its memory goes
+	// back to mem's list when the replay ends, so no list keeps a
+	// recording alive.
 	var local runner.FreeList[*segScratch]
 	outs, _ := runner.Map(opts.ReplayParallel, k+1, func(i int) (segOut, error) {
 		// Queued intervals behind a cancellation return fast without
@@ -81,17 +82,14 @@ func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts 
 		}
 		s, ok := local.Get()
 		if !ok {
-			if s, ok = segScratches.Get(); !ok {
-				s = &segScratch{mem: mem.New()}
-			}
+			s = &segScratch{mem: mem.Get()}
 		}
 		out := replaySegment(rec, cfg, progs, opts, view, i, s)
 		local.Put(s)
 		return out, nil
 	})
 	for s, ok := local.Get(); ok; s, ok = local.Get() {
-		s.memRec = nil
-		segScratches.Put(s)
+		mem.Put(s.mem)
 	}
 
 	// Workers ran traceless; narrate the segment spans (and the earliest
@@ -158,8 +156,8 @@ func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts 
 	return ReplayResult{Stats: agg, Fingerprint: rec.Fingerprint, MemHash: rec.FinalMemHash}, nil
 }
 
-// segScratch is one worker's reusable engine state: the functional
-// memory, which outlives a single replay via segScratches.
+// segScratch is one worker's reusable engine state for one replay: the
+// functional memory, drawn from and handed back to mem's free list.
 //
 // memRec/memAt track what the scratch memory currently holds: image
 // memAt of recording memRec (-1 is the initial memory, segMemUnknown
@@ -178,10 +176,6 @@ type segScratch struct {
 
 // segMemUnknown marks scratch memory with no provable image identity.
 const segMemUnknown = -2
-
-// segScratches holds idle scratch between segmented replays, each with
-// memRec nil.
-var segScratches runner.FreeList[*segScratch]
 
 // replaySegment replays interval i, [cut_{i-1}, cut_i), on its own
 // engine and verifies it against the recording's interval targets. It

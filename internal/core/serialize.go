@@ -15,13 +15,19 @@ import (
 // replayed in another (or on another machine). WriteTo emits the framed
 // v4 container described in framev4.go; ReadRecording and IndexRecording
 // (lazy.go) load it. Earlier container versions are rejected as corrupt.
-const (
-	recMagic = "DLRN"
+const recMagic = "DLRN"
 
-	// maxChunkSize bounds the header's chunk size on load: large enough
-	// for any plausible configuration (the paper uses 2000), small
-	// enough that the CS/size log entry widths stay well-formed.
-	maxChunkSize = 1 << 20
+// The limits of a recording: the loader rejects a header beyond them as
+// corrupt, so a recording made beyond them cannot be loaded back. Request
+// parsers apply the same limits before they simulate.
+const (
+	// MaxProcs bounds the processor count (the header stores it in 16
+	// bits).
+	MaxProcs = 1024
+	// MaxChunkSize bounds the chunk size: large enough for any plausible
+	// configuration (the paper uses 2000), small enough that the CS/size
+	// log entry widths stay well-formed.
+	MaxChunkSize = 1 << 20
 )
 
 type countingWriter struct {
@@ -319,7 +325,7 @@ func readHeader(d *reader) (*Recording, error) {
 	}
 	r.NProcs = int(d.u16())
 	r.ChunkSize = int(d.u32())
-	if d.err == nil && (r.NProcs <= 0 || r.NProcs > 1024 || r.ChunkSize <= 0 || r.ChunkSize > maxChunkSize) {
+	if d.err == nil && (r.NProcs <= 0 || r.NProcs > MaxProcs || r.ChunkSize <= 0 || r.ChunkSize > MaxChunkSize) {
 		return nil, corrupt("implausible header (%d procs, chunk %d)", r.NProcs, r.ChunkSize)
 	}
 	if d.err == nil && (r.Mode < OrderSize || r.Mode > PicoLog) {

@@ -167,16 +167,21 @@ type workloadKey struct {
 
 // instance is one generated workload with its initial memory image, both
 // built once per Cache and shared by every run of the workload. Runs
-// share the programs and devices, which no run modifies.
+// share the programs, devices and image, which no run modifies.
 type instance struct {
 	*workload.Workload
-	image *mem.Memory
+	image mem.Image
 }
 
-// InitMem returns a run's own copy of the initial image, in place of
-// workload.Workload.InitMem, which would generate it again. It is safe
-// for concurrent use.
-func (in *instance) InitMem() *mem.Memory { return in.image.Clone() }
+// InitMem returns a run's own memory holding the initial image, in place
+// of workload.Workload.InitMem, which would generate it again. The
+// memory comes from mem's free list; the run hands it back with mem.Put
+// when done. It is safe for concurrent use.
+func (in *instance) InitMem() *mem.Memory {
+	m := mem.Get()
+	m.Restore(in.image)
+	return m
+}
 
 // Cache is the harness's single-flight memo store: each distinct RC/SC
 // classic run, Figure 12 PicoLog chunked run, recording, and verified
@@ -217,7 +222,9 @@ func (c Config) workload(name string) *instance {
 	p := c.params()
 	return c.cache().workloads.Do(workloadKey{name, p}, func() *instance {
 		w := workload.Get(name, p)
-		return &instance{Workload: w, image: w.InitMem()}
+		m := w.InitMem()
+		defer mem.Put(m)
+		return &instance{Workload: w, image: m.Snapshot()}
 	})
 }
 
@@ -243,7 +250,9 @@ func (c Config) recordWorkload(name string, mode core.Mode, chunkSize int, opts 
 		w := c.workload(name)
 		cfg := c.machine()
 		cfg.ChunkSize = chunkSize
-		rec, err := core.Record(cfg, mode, w.Progs, w.InitMem(), w.Devs, canon)
+		m := w.InitMem()
+		defer mem.Put(m)
+		rec, err := core.Record(cfg, mode, w.Progs, m, w.Devs, canon)
 		return recordResult{rec: rec, err: err}
 	})
 	return res.rec, res.err
@@ -255,14 +264,16 @@ func (c Config) runClassic(name string, model sim.Model) classicRun {
 	key := runKey{kind: "classic", workload: name, procs: c.Procs, scale: c.Scale, seed: c.Seed, model: model}
 	return c.cache().classic.Do(key, func() classicRun {
 		w := c.workload(name)
+		m := w.InitMem()
+		defer mem.Put(m)
 		if model != sim.SC {
-			return classicRun{Stats: sim.NewMachine(c.machine(), model, w.Progs, w.InitMem(), w.Devs).Run()}
+			return classicRun{Stats: sim.NewMachine(c.machine(), model, w.Progs, m, w.Devs).Run()}
 		}
 		fdr := baseline.NewFDR(c.Procs)
 		rtr := baseline.NewRTR(c.Procs)
 		str := baseline.NewStrata(c.Procs, false)
 		strNW := baseline.NewStrata(c.Procs, true)
-		st := baseline.Run(c.machine(), w.Progs, w.InitMem(), w.Devs, fdr, rtr, str, strNW)
+		st := baseline.Run(c.machine(), w.Progs, m, w.Devs, fdr, rtr, str, strNW)
 		return classicRun{
 			Stats:           st,
 			fdrBits:         fdr.CompressedBits(),
@@ -290,6 +301,7 @@ func (c Config) runChunked(name string, chunkSize, simul int) bulksc.Stats {
 		cfg.SimulChunks = simul
 		e := &bulksc.Engine{Cfg: cfg, Progs: w.Progs, Mem: w.InitMem(), Devs: w.Devs,
 			PicoLog: true, Policy: newRR(cfg.NProcs)}
+		defer mem.Put(e.Mem)
 		return e.Run()
 	})
 }

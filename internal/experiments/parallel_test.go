@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
+	"delorean/internal/mem"
 	"delorean/internal/workload"
 )
 
@@ -75,10 +77,11 @@ func TestMemoSharesRuns(t *testing.T) {
 // TestWorkloadBuiltOnce pins how runs share workloads: one Cache
 // generates each workload and its initial image once for Figure 10, the
 // TSO study and the baselines table together, the generation is not a run
-// (the 9-workload figures set stays at 45 runs), and every run gets an
-// initial image of its own: clones taken at once, as runner workers take
-// them, match a fresh build, and a store into one leaves the others, and
-// later clones, as they were.
+// (the 9-workload figures set stays at 45 runs), and every run gets a
+// memory of its own: the cached image equals a fresh build's snapshot,
+// memories restored from it at once, as runner workers take them, match
+// a fresh build, and a store into one (recycled afterwards) leaves the
+// others, the image and later memories as they were.
 func TestWorkloadBuiltOnce(t *testing.T) {
 	c := quick(t)
 	c.Workloads = []string{"barnes", "cholesky", "fmm", "ocean", "radiosity", "raytrace", "water-sp", "sjbb2k", "sweb2005"}
@@ -109,9 +112,13 @@ func TestWorkloadBuiltOnce(t *testing.T) {
 	}
 
 	w := built["barnes"]
-	want := workload.Get("barnes", c.params()).InitMem().Hash()
-	if w.image.Len() == 0 {
+	fresh := workload.Get("barnes", c.params()).InitMem()
+	want := fresh.Hash()
+	if len(w.image) == 0 {
 		t.Fatal("barnes has an empty initial image")
+	}
+	if !slices.Equal(w.image, fresh.Snapshot()) {
+		t.Fatal("the cached image differs from a fresh build")
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -119,19 +126,20 @@ func TestWorkloadBuiltOnce(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			m := w.InitMem()
+			defer mem.Put(m)
 			if m.Hash() != want {
-				t.Errorf("clone %d differs from a fresh build", g)
+				t.Errorf("memory %d differs from a fresh build", g)
 			}
 			w := m.Snapshot()[0]
 			m.Store(w.Addr, w.Val+1) // one word of the image
 			m.Store(0x7fff_fff0+uint32(g), 5)
 			if m.Hash() == want {
-				t.Errorf("stores did not change clone %d", g)
+				t.Errorf("stores did not change memory %d", g)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if w.image.Hash() != want || w.InitMem().Hash() != want {
-		t.Error("a store into one clone reached the image")
+	if !slices.Equal(w.image, fresh.Snapshot()) || w.InitMem().Hash() != want {
+		t.Error("a store into one run's memory reached the image")
 	}
 }

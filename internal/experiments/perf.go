@@ -6,6 +6,7 @@ import (
 	"delorean/internal/arbiter"
 	"delorean/internal/bulksc"
 	"delorean/internal/core"
+	"delorean/internal/mem"
 	"delorean/internal/metrics"
 	"delorean/internal/runner"
 	"delorean/internal/sim"
@@ -379,6 +380,7 @@ func Table6(c Config) ([]Table6Row, error) {
 		rr := arbiter.NewRoundRobin(cfg.NProcs)
 		e := &bulksc.Engine{Cfg: cfg, Progs: w.Progs, Mem: w.InitMem(), Devs: w.Devs, Policy: rr, PicoLog: true}
 		st := e.Run()
+		mem.Put(e.Mem)
 		if !st.Converged {
 			return Table6Row{}, fmt.Errorf("%s: PicoLog run did not converge", name)
 		}

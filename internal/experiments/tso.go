@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"delorean/internal/baseline"
+	"delorean/internal/mem"
 	"delorean/internal/metrics"
 	"delorean/internal/runner"
 	"delorean/internal/sim"
@@ -43,7 +44,9 @@ func TSOStudy(c Config) ([]TSORow, error) {
 
 		w := c.workload(name)
 		adv := baseline.NewAdvancedRTR(c.Procs, 0)
-		tso := baseline.RunModel(c.machine(), sim.TSO, w.Progs, w.InitMem(), w.Devs, adv)
+		m := w.InitMem()
+		tso := baseline.RunModel(c.machine(), sim.TSO, w.Progs, m, w.Devs, adv)
+		mem.Put(m)
 		if !tso.Converged {
 			return TSORow{}, fmt.Errorf("%s: TSO did not converge", name)
 		}

@@ -31,7 +31,7 @@ type slot struct {
 
 // Table maps uint32 keys to uint64 values. The zero value is an empty
 // table ready to use. A Table is not safe for concurrent mutation;
-// concurrent Get, Len, Each and Clone calls are safe.
+// concurrent Get, Len and Each calls are safe.
 //
 // Iteration order (Each) depends on the table's random hash key: it is
 // not key order and differs from run to run.
@@ -175,30 +175,25 @@ func (t *Table) Each(fn func(k uint32, v uint64)) {
 	}
 }
 
-// Clone returns a copy of t's entries in a table of the smallest
-// capacity that holds them at load factor one half, under a hash key of
-// its own: a table built from a clone of a hostile image is keyed afresh
-// like any other. A clone of a table that switched to mixed hashing
-// starts mixed.
-func (t *Table) Clone() Table {
-	if t.n == 0 {
-		return Table{}
+// Rekey empties the table like Reset and draws a fresh hash key, so a
+// recycled table places its next keys as a new table of its capacity
+// would: nothing an earlier user inserted, or learned of the old key,
+// carries over. A table that had switched to mixed hashing starts
+// unmixed again.
+func (t *Table) Rekey() {
+	t.Reset()
+	if t.slots != nil {
+		t.mul, t.add = newKey()
+		t.mixed = false
 	}
-	size := minSlots
-	for size < 2*t.n {
-		size *= 2
-	}
-	// rehash moves the live entries of the slots it finds into a fresh
-	// array, drawing the key of a table that has none: t's slots are
-	// only read.
-	c := Table{slots: t.slots, gen: t.gen, n: t.n, mixed: t.mixed}
-	c.rehash(size)
-	return c
 }
 
 // grow doubles the slot array (allocating the first one), keeping the
 // load factor at most one half.
 func (t *Table) grow() { t.rehash(max(2*len(t.slots), minSlots)) }
+
+// newKey draws a hash key: mul odd, add any.
+func newKey() (mul, add uint64) { return rand.Uint64() | 1, rand.Uint64() }
 
 // rehash moves the live entries into a fresh array of size slots,
 // drawing the hash key at the first allocation.
@@ -209,7 +204,7 @@ func (t *Table) rehash(size int) {
 	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 	t.gen = 1
 	if t.mul == 0 {
-		t.mul, t.add = rand.Uint64()|1, rand.Uint64()
+		t.mul, t.add = newKey()
 	}
 	for i := range old {
 		if s := old[i]; s.gen == gen {

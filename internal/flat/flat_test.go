@@ -2,7 +2,6 @@ package flat
 
 import (
 	"math"
-	"math/bits"
 	"testing"
 )
 
@@ -306,53 +305,44 @@ func TestTablesDrawTheirOwnKey(t *testing.T) {
 	}
 }
 
-// TestCloneRekeys checks that Clone copies every entry into the smallest
-// table that holds them at load factor one half, under a key of its own,
-// and that the clone and the original then change independently — also
-// for a table that switched to mixed hashing.
-func TestCloneRekeys(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 8, 9, 1000} {
-		src := &Table{}
-		ref := map[uint32]uint64{}
-		for i := 0; i < n; i++ {
-			k := uint32(i) * 0x10001
-			p, _ := src.Ptr(k)
-			*p = uint64(i) + 1
-			ref[k] = uint64(i) + 1
-		}
-		c := src.Clone()
-		check(t, &c, ref)
-		if n == 0 {
-			if c.slots != nil {
-				t.Fatal("clone of an empty table allocated")
-			}
-			continue
-		}
-		if len(c.slots) != max(minSlots, 1<<bits.Len(uint(2*n-1))) {
-			t.Fatalf("clone of %d entries has %d slots", n, len(c.slots))
-		}
-		if c.mul == src.mul || c.add == src.add {
-			t.Fatalf("clone kept the hash key (%#x, %#x)", c.mul, c.add)
-		}
-		p, _ := c.Ptr(0xdead)
-		*p = 1
-		c.Delete(0)
-		check(t, src, ref)
+// TestRekeyRenewsKey checks that Rekey empties a table, keeps its
+// capacity, draws a new key and clears mixed hashing, and that the table
+// then holds a fresh set of entries like a new one — also for a table
+// that had switched to mixed hashing.
+func TestRekeyRenewsKey(t *testing.T) {
+	var empty Table
+	empty.Rekey()
+	if empty.slots != nil || empty.mul != 0 {
+		t.Fatal("Rekey of an unallocated table allocated or drew a key")
 	}
 
 	src := testTable()
-	ref := map[uint32]uint64{}
 	for i := uint32(0); i < 2*maxProbe; i++ {
 		p, _ := src.Ptr(collider(i))
 		*p = uint64(i)
-		ref[collider(i)] = uint64(i)
 	}
 	if !src.mixed {
 		t.Fatal("colliding keys did not switch the table to mixed hashing")
 	}
-	c := src.Clone()
-	check(t, &c, ref)
-	if !c.mixed {
-		t.Error("clone of a mixed table hashes unmixed")
+	for round := 0; round < 3; round++ {
+		slots, mul, add := len(src.slots), src.mul, src.add
+		src.Rekey()
+		if src.Len() != 0 || len(src.slots) != slots {
+			t.Fatalf("round %d: Rekey left %d entries in %d slots, had %d slots", round, src.Len(), len(src.slots), slots)
+		}
+		if src.mul == mul || src.add == add || src.mul&1 == 0 {
+			t.Fatalf("round %d: Rekey kept or spoiled the hash key (%#x, %#x)", round, src.mul, src.add)
+		}
+		if src.mixed {
+			t.Fatalf("round %d: Rekey left the table mixed", round)
+		}
+		ref := map[uint32]uint64{}
+		for i := 0; i < 1000; i++ {
+			k := uint32(i*0x10001 + round)
+			p, _ := src.Ptr(k)
+			*p = uint64(i) + 1
+			ref[k] = uint64(i) + 1
+		}
+		check(t, src, ref)
 	}
 }

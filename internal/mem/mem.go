@@ -52,10 +52,29 @@ func (m *Memory) Store(addr uint32, v uint64) {
 // Len reports the number of nonzero words.
 func (m *Memory) Len() int { return m.words.Len() }
 
-// Clone returns a memory holding m's contents and no journal, under a
-// hash key of its own. Concurrent Clones of one memory are safe while
-// nothing stores to it.
-func (m *Memory) Clone() *Memory { return &Memory{words: m.words.Clone()} }
+// memories holds released memories for Get: a run's memory keeps the
+// table capacity its run grew, so the next run restores or writes into
+// it without regrowing the table from empty.
+var memories runner.FreeList[*Memory]
+
+// Get returns an empty memory, recycling one released by Put when there
+// is one. A recycled memory holds no words and no journal, has
+// journaling off and hashes under freshly drawn keys, so it behaves as
+// New's would: only the table capacity carries over.
+func Get() *Memory {
+	m, ok := memories.Get()
+	if !ok {
+		return New()
+	}
+	m.words.Rekey()
+	m.journal.Rekey()
+	m.journaling = false
+	return m
+}
+
+// Put hands a memory back for Get to reuse. The caller must not use m
+// afterwards.
+func Put(m *Memory) { memories.Put(m) }
 
 // Word is one memory word: an address and its value.
 type Word struct {
@@ -81,11 +100,14 @@ func (m *Memory) Snapshot() Image {
 // Restore replaces the memory contents with an image. Zero-valued
 // entries are dropped (the canonical form Store maintains), and the
 // existing table is reused rather than reallocated — replay workers
-// Restore once per checkpoint interval. Restore bypasses the write
-// journal; callers tracking writes against the restored state start a
-// fresh journal with BeginJournal after it.
+// Restore once per checkpoint interval. The emptied table draws a fresh
+// hash key first, so an image (which may come from an uploaded
+// recording) never lands under a key an earlier image could have
+// probed. Restore bypasses the write journal; callers tracking writes
+// against the restored state start a fresh journal with BeginJournal
+// after it.
 func (m *Memory) Restore(img Image) {
-	m.words.Reset()
+	m.words.Rekey()
 	m.ApplyDelta(img)
 }
 

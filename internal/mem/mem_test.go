@@ -2,9 +2,12 @@ package mem
 
 import (
 	"maps"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"delorean/internal/flat"
 	"delorean/internal/rng"
 )
 
@@ -174,5 +177,114 @@ func TestQuickSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// tableKey reads a table's hash key and mixed flag, which flat does not
+// export: the recycling tests check that a reused table is rekeyed.
+func tableKey(tab *flat.Table) (mul, add uint64, mixed bool) {
+	v := reflect.ValueOf(tab).Elem()
+	return v.FieldByName("mul").Uint(), v.FieldByName("add").Uint(), v.FieldByName("mixed").Bool()
+}
+
+// homeKeys returns n addresses whose home slot in a table of 128 or
+// fewer slots under key (mul, add) is slot 0, so storing them forces
+// the table into mixed hashing.
+func homeKeys(mul, add uint64, n int) []uint32 {
+	var keys []uint32
+	for k := uint32(1 << 20); len(keys) < n; k++ {
+		if (uint64(k)*mul+add)>>57 == 0 {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// mixedMemory returns a memory whose word table switched to mixed
+// hashing under a colliding address set.
+func mixedMemory(t *testing.T) *Memory {
+	t.Helper()
+	m := New()
+	m.Store(1, 1) // allocates the table and draws its key
+	mul, add, _ := tableKey(&m.words)
+	for i, a := range homeKeys(mul, add, 40) {
+		m.Store(a, uint64(i)+2)
+	}
+	if _, _, mixed := tableKey(&m.words); !mixed {
+		t.Fatal("colliding addresses did not switch the table to mixed hashing")
+	}
+	return m
+}
+
+// A memory handed back by Put comes out of Get empty, with no journal,
+// journaling off and both tables under new keys; Restore draws a new
+// key every time as well.
+func TestGetRecycledMemory(t *testing.T) {
+	m := mixedMemory(t)
+	m.BeginJournal()
+	m.Store(7, 7)
+	m.Store(1, 0)
+	for round := 0; round < 3; round++ {
+		wmul, wadd, _ := tableKey(&m.words)
+		jmul, jadd, _ := tableKey(&m.journal)
+		Put(m)
+		r := Get()
+		if r != m {
+			t.Fatal("Get did not hand back the memory just put")
+		}
+		if r.Len() != 0 || r.journal.Len() != 0 || r.journaling {
+			t.Fatalf("round %d: recycled memory has %d words, %d journal entries, journaling %v",
+				round, r.Len(), r.journal.Len(), r.journaling)
+		}
+		if mul, add, mixed := tableKey(&r.words); mul == wmul || add == wadd || mixed {
+			t.Fatalf("round %d: recycled word table kept its key or mixed hashing", round)
+		}
+		if mul, add, _ := tableKey(&r.journal); mul == jmul || add == jadd {
+			t.Fatalf("round %d: recycled journal kept its key", round)
+		}
+		r.Store(9, 9)
+		if w := r.Written(); len(w) != 0 {
+			t.Fatalf("round %d: recycled memory journals without BeginJournal: %v", round, w)
+		}
+		r.BeginJournal()
+		r.Store(uint32(round)+10, 1)
+		m = r
+	}
+	img := m.Snapshot()
+	for i := 0; i < 3; i++ {
+		mul, add, _ := tableKey(&m.words)
+		m.Restore(img)
+		if nmul, nadd, _ := tableKey(&m.words); nmul == mul || nadd == add {
+			t.Fatalf("Restore %d kept the hash key", i)
+		}
+	}
+}
+
+// Restoring an image into a recycled memory, one whose table grew and
+// went mixed under a colliding image first, gives the memory a fresh
+// memory restored from the same image has: the same Hash and Snapshot.
+func TestRestoreRecycledMatchesFresh(t *testing.T) {
+	s := rng.New(5)
+	hostile := mixedMemory(t)
+	images := []Image{hostile.Snapshot(), {}}
+	for i := 0; i < 12; i++ {
+		words := map[uint32]uint64{}
+		for n := int(s.Uint64() % 3000); len(words) < n; {
+			words[uint32(s.Uint64())&0xFFFFF] = s.Uint64() | 1
+		}
+		images = append(images, imageOf(words))
+	}
+	images = append(images, images[0])
+	Put(hostile)
+	for i, img := range images {
+		m := Get()
+		m.Store(uint32(i), 3) // Restore must drop whatever is there
+		m.Restore(img)
+		fresh := New()
+		fresh.Restore(img)
+		if m.Hash() != fresh.Hash() || !slices.Equal(m.Snapshot(), fresh.Snapshot()) {
+			t.Fatalf("image %d (%d words): recycled memory differs from a fresh one", i, len(img))
+		}
+		Put(m)
 	}
 }

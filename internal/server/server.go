@@ -687,6 +687,11 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
+	if rs.ChunkSize > delorean.MaxChunkSize {
+		s.fail(w, errf(http.StatusBadRequest, "bad_request",
+			"chunk_size %d exceeds the limit of %d instructions", rs.ChunkSize, delorean.MaxChunkSize))
+		return
+	}
 	if rs.SimParallel != 0 && rs.SimParallel != 1 {
 		s.fail(w, errf(http.StatusBadRequest, "bad_request",
 			"sim_parallel must be 0 or 1 (the simulator has one scheduler), got %d", rs.SimParallel))

@@ -440,6 +440,51 @@ func TestRecordSimParallel(t *testing.T) {
 	}
 }
 
+// TestRecordLimits: a record request beyond the limits a recording can
+// hold (delorean.MaxProcessors, delorean.MaxChunkSize) is refused with
+// 400 bad_request before any simulation runs, and so is an upload that
+// claims too many processors. The pool is parked and its queue full, so
+// a request that got as far as the pool would answer 429 instead; one
+// at the limits does.
+func TestRecordLimits(t *testing.T) {
+	s, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	block := make(chan struct{})
+	defer close(block)
+	started := make(chan struct{})
+	if !s.pool.TrySubmit(func() { close(started); <-block }) {
+		t.Fatal("could not park the worker")
+	}
+	<-started
+	if !s.pool.TrySubmit(func() {}) {
+		t.Fatal("could not fill the queue")
+	}
+
+	spec := func(procs, chunk int) map[string]any {
+		return map[string]any{"workload": "barnes", "procs": procs, "scale": 40,
+			"chunk_size": chunk, "max_instructions": 1000}
+	}
+	for _, sp := range []map[string]any{
+		spec(delorean.MaxProcessors+1, 100),
+		spec(2, delorean.MaxChunkSize+1),
+	} {
+		resp, body := doJSON(t, "POST", hs.URL+"/v1/recordings", sp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("spec %v: status %d: %s", sp, resp.StatusCode, body)
+		}
+		if code := errCode(t, body); code != "bad_request" {
+			t.Fatalf("spec %v: code %q", sp, code)
+		}
+	}
+	resp, body := upload(t, hs.URL, fmt.Sprintf("workload=syskernel&procs=%d&scale=130", delorean.MaxProcessors+1), nil)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("upload: status %d: %s", resp.StatusCode, body)
+	}
+	resp, body = doJSON(t, "POST", hs.URL+"/v1/recordings", spec(delorean.MaxProcessors, delorean.MaxChunkSize))
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("spec at the limits: status %d, want 429 from the full pool: %s", resp.StatusCode, body)
+	}
+}
+
 // TestQueueFull: with every pool worker parked and the queue packed, a
 // replay request is refused with 429 instead of queueing unboundedly.
 // White-box: the test occupies the pool directly.

@@ -34,14 +34,18 @@ func (s Spec) String() string {
 	return fmt.Sprintf("%s procs=%d scale=%d seed=%d", s.Workload, s.Procs, s.Scale, s.Seed)
 }
 
-// validate rejects specs Get would panic on, plus unknown names, before
-// any workload generation runs.
+// validate rejects specs Get would panic on, unknown names, and
+// processor counts no recording can hold, before any workload
+// generation runs.
 func (s Spec) validate() error {
 	if !workload.Known(s.Workload) {
 		return fmt.Errorf("unknown workload %q", s.Workload)
 	}
 	if s.Procs <= 0 || s.Scale <= 0 {
 		return fmt.Errorf("workload params must be positive: procs=%d scale=%d", s.Procs, s.Scale)
+	}
+	if s.Procs > delorean.MaxProcessors {
+		return fmt.Errorf("procs=%d exceeds the limit of %d processors", s.Procs, delorean.MaxProcessors)
 	}
 	return nil
 }

@@ -47,8 +47,10 @@ type Workload struct {
 }
 
 // InitMem returns a memory populated with the workload's initial data.
+// The memory comes from mem's free list (mem.Get); a caller done with it
+// may hand it back with mem.Put.
 func (w *Workload) InitMem() *mem.Memory {
-	m := mem.New()
+	m := mem.Get()
 	if w.Init != nil {
 		w.Init(m)
 	}
