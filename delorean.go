@@ -74,9 +74,12 @@ func coreMode(m Mode) core.Mode {
 
 // The largest machine a recording can describe: LoadRecording rejects a
 // recording of more processors, or of larger chunks, as corrupt.
+// MaxStratify bounds Config.Stratify: a recording stratified more
+// coarsely cannot be saved without truncating its strata.
 const (
 	MaxProcessors = core.MaxProcs
 	MaxChunkSize  = core.MaxChunkSize
+	MaxStratify   = core.MaxStratify
 )
 
 // Config describes the simulated chip multiprocessor. The zero value is
@@ -492,6 +495,10 @@ func LoadRecording(src io.Reader, cfg Config, w *Workload) (*Recording, error) {
 // it so callers can distinguish "wrong workload parameters" — a caller
 // mistake — from a corrupt or truncated container.
 var ErrWorkloadMismatch = errors.New("workload does not match recording")
+
+// ErrNotConverged reports that Record hit the instruction budget
+// (Config.MaxInstructions) before every thread halted.
+var ErrNotConverged = core.ErrNotConverged
 
 // LoadRecordingParallel is LoadRecording with an explicit decode worker
 // count (0: host default, 1: fully sequential).

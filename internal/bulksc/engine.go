@@ -9,7 +9,6 @@ import (
 	"delorean/internal/isa"
 	"delorean/internal/mem"
 	"delorean/internal/rng"
-	"delorean/internal/runner"
 	"delorean/internal/signature"
 	"delorean/internal/sim"
 	"delorean/internal/trace"
@@ -75,9 +74,6 @@ type Engine struct {
 	arb   *arbiter.Arbiter
 	ms    *sim.MemSys // from sim's free list; held only while Run executes
 	cores []*core
-	// spare holds spareChunks' per-processor lists while Run executes;
-	// the cores have taken theirs out.
-	spare [][]*chunk.Chunk
 	// events holds the global events only: DMA arrivals, commit-request
 	// submissions and arbiter wake-ups. Core wake-ups live in the cores'
 	// (wake, wakeOK) fields; step merges the two.
@@ -339,36 +335,6 @@ func (e *Engine) newChunk(co *core, seqID uint64, ckpt isa.ThreadState, target i
 	return chunk.New(co.proc, seqID, ckpt, target)
 }
 
-// spareChunks carries chunk objects from finished runs to later ones,
-// one list per processor: a run's cores start with the chunks earlier
-// runs built. Chunk.Reuse zeroes everything that reaches an output, so
-// no output depends on which run used a chunk before; a chunk keeps its
-// processor, so list p holds core p's chunks. The chunks are kept shed
-// of their buffers: kept, the buffers' many small allocations raised
-// peak RSS by about half a megabyte on the benchmark workloads
-// (EXPERIMENTS.md, "Engine state across runs") and saved no measurable
-// CPU, since a run regrows them within its first few chunks.
-var spareChunks runner.FreeList[[][]*chunk.Chunk]
-
-// keepChunks hands every chunk object of the run, free or left
-// uncommitted, to spareChunks, together with the lists of processors
-// the run did not have.
-func (e *Engine) keepChunks() {
-	spare := e.spare
-	for len(spare) < len(e.cores) {
-		spare = append(spare, nil)
-	}
-	for p, co := range e.cores {
-		spare[p] = append(co.free, co.chunks...)
-		for _, c := range spare[p] {
-			c.Shed()
-		}
-		co.free, co.chunks, co.cur = nil, nil, nil
-	}
-	e.spare = nil
-	spareChunks.Put(spare)
-}
-
 // releaseChunk hands a retired (committed, squashed or abandoned) chunk
 // to its core's free list. The next newChunk on that core may return it,
 // so the caller must be done reading it. Stale submit events may still
@@ -401,7 +367,6 @@ func (e *Engine) Run() Stats {
 	e.finishStats()
 	sim.ReleaseMemSys(e.ms)
 	e.ms = nil
-	e.keepChunks()
 	return e.stats
 }
 
@@ -485,22 +450,13 @@ func (e *Engine) begin() {
 		e.cores = append(e.cores, co)
 		co.wakeOK = !co.haltDone
 	}
-	e.spare, _ = spareChunks.Get()
-	for p, co := range e.cores {
-		if p < len(e.spare) {
-			co.free, e.spare[p] = e.spare[p], nil
-		}
-	}
 	if e.Replay == nil {
 		for i, tr := range e.Devs.DMA {
 			e.push(event{time: tr.Time, kind: evDMA, id: i})
 		}
 	}
 
-	e.budget = e.Cfg.MaxInsts
-	if e.budget == 0 {
-		e.budget = 100_000_000
-	}
+	e.budget = e.Cfg.MaxInstsOrDefault()
 	e.watchSpins = e.Perturb == nil || e.Perturb.FlipProb == 0
 }
 
@@ -1304,28 +1260,35 @@ type dmaPayload struct {
 	data []uint64
 }
 
-func (e *Engine) recordDMAArrival(i int) {
-	tr := e.Devs.DMA[i]
+// dmaRequest builds the urgent commit request of a DMA transfer of data
+// to addr, arriving at the arbiter at arrive: its write signature and
+// line list cover every line the transfer touches.
+func (e *Engine) dmaRequest(addr uint32, data []uint64, arrive uint64) *arbiter.Request {
 	var w signature.Sig
 	var lines []uint32
 	last := uint32(0xffffffff)
-	for k := range tr.Data {
-		l := isa.LineOf(tr.Addr + uint32(k))
+	for k := range data {
+		l := isa.LineOf(addr + uint32(k))
 		if l != last {
 			w.Insert(l)
 			lines = append(lines, l)
 			last = l
 		}
 	}
-	req := &arbiter.Request{
+	return &arbiter.Request{
 		Proc:   DMAProc(e.Cfg.NProcs),
-		Arrive: e.now + e.Cfg.ArbLat,
+		Arrive: arrive,
 		Ready:  e.now,
 		WSig:   &w,
 		WLines: lines,
 		Urgent: true,
-		Tag:    dmaPayload{addr: tr.Addr, data: tr.Data},
+		Tag:    dmaPayload{addr: addr, data: data},
 	}
+}
+
+func (e *Engine) recordDMAArrival(i int) {
+	tr := e.Devs.DMA[i]
+	req := e.dmaRequest(tr.Addr, tr.Data, e.now+e.Cfg.ArbLat)
 	e.push(event{time: req.Arrive, kind: evSubmit, id: DMAProc(e.Cfg.NProcs), req: req})
 }
 
@@ -1347,27 +1310,8 @@ func (e *Engine) maybeReplayDMA() bool {
 		e.inputStarved = true
 		return false
 	}
-	var w signature.Sig
-	var lines []uint32
-	last := uint32(0xffffffff)
-	for k := range data {
-		l := isa.LineOf(addr + uint32(k))
-		if l != last {
-			w.Insert(l)
-			lines = append(lines, l)
-			last = l
-		}
-	}
 	e.replayDMAOpen = true
-	e.arb.Submit(e.now, &arbiter.Request{
-		Proc:   DMAProc(e.Cfg.NProcs),
-		Arrive: e.now,
-		Ready:  e.now,
-		WSig:   &w,
-		WLines: lines,
-		Urgent: true,
-		Tag:    dmaPayload{addr: addr, data: data},
-	})
+	e.arb.Submit(e.now, e.dmaRequest(addr, data, e.now))
 	return true
 }
 

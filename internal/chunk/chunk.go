@@ -155,15 +155,6 @@ func (c *Chunk) Reuse(seqID uint64, ckpt isa.ThreadState, target int) {
 	}
 }
 
-// Shed drops the chunk's buffers (write buffer, line footprint,
-// written-line list and fill journal) and keeps the object. A chunk
-// kept between runs holds only its fixed-size state this way; Reuse
-// regrows the buffers as a new chunk grows them.
-func (c *Chunk) Shed() {
-	c.writes, c.lines = flat.Table{}, flat.Table{}
-	c.writeOrder, c.wLines, c.fills = nil, nil, nil
-}
-
 // Life returns how many times the chunk object has been reused.
 func (c *Chunk) Life() uint32 { return c.life }
 

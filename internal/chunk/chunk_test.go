@@ -138,55 +138,50 @@ func TestTruncReasonStrings(t *testing.T) {
 }
 
 // TestReuseForgetsFootprint reuses a chunk as the engine's free lists
-// do, within a run and, after Shed, in a later run: the reused chunk
-// must report nothing the old one buffered, read or wrote, must rebuild
-// its own footprint from scratch, and must carry a new life count.
+// do: the reused chunk must report nothing the old one buffered, read or
+// wrote, must rebuild its own footprint from scratch, and must carry a
+// new life count.
 func TestReuseForgetsFootprint(t *testing.T) {
-	for _, shed := range []bool{false, true} {
-		c := New(3, 0, isa.ThreadState{}, 2000)
-		var addrs []uint32
-		for i := uint32(0); i < 200; i++ {
-			a := i*37 + i*i*4099
-			addrs = append(addrs, a)
-			c.Write(a, uint64(i)+1)
-			c.NoteRead(isa.LineOf(a) + 1)
-			c.NoteFill(isa.LineOf(a), 1)
+	c := New(3, 0, isa.ThreadState{}, 2000)
+	var addrs []uint32
+	for i := uint32(0); i < 200; i++ {
+		a := i*37 + i*i*4099
+		addrs = append(addrs, a)
+		c.Write(a, uint64(i)+1)
+		c.NoteRead(isa.LineOf(a) + 1)
+		c.NoteFill(isa.LineOf(a), 1)
+	}
+	c.Completed, c.Restarts, c.Urgent = true, 4, true
+	life := c.Life()
+	var st isa.ThreadState
+	st.Reg[2] = 7
+	c.Reuse(1, st, 500)
+	if c.Life() != life+1 {
+		t.Fatalf("Life = %d after reuse, want %d", c.Life(), life+1)
+	}
+	fresh := New(3, 1, st, 500)
+	if c.Proc != fresh.Proc || c.SeqID != fresh.SeqID || c.Checkpoint != fresh.Checkpoint ||
+		c.Target != fresh.Target || c.Completed || c.Restarts != 0 || c.Urgent ||
+		c.RSig != fresh.RSig || c.WSig != fresh.WSig {
+		t.Fatalf("reused chunk keeps old state: %+v", *c)
+	}
+	for _, a := range addrs {
+		line := isa.LineOf(a)
+		if _, ok := c.Load(a); ok {
+			t.Fatalf("recycled chunk buffers a value for %#x", a)
 		}
-		c.Completed, c.Restarts, c.Urgent = true, 4, true
-		life := c.Life()
-		if shed {
-			c.Shed()
+		if c.WroteLine(line) || c.ReadLine(line) || c.ReadLine(line+1) {
+			t.Fatalf("recycled chunk reports line %#x in its footprint", line)
 		}
-		var st isa.ThreadState
-		st.Reg[2] = 7
-		c.Reuse(1, st, 500)
-		if c.Life() != life+1 {
-			t.Fatalf("shed %v: Life = %d after reuse, want %d", shed, c.Life(), life+1)
-		}
-		fresh := New(3, 1, st, 500)
-		if c.Proc != fresh.Proc || c.SeqID != fresh.SeqID || c.Checkpoint != fresh.Checkpoint ||
-			c.Target != fresh.Target || c.Completed || c.Restarts != 0 || c.Urgent ||
-			c.RSig != fresh.RSig || c.WSig != fresh.WSig {
-			t.Fatalf("shed %v: reused chunk keeps old state: %+v", shed, *c)
-		}
-		for _, a := range addrs {
-			line := isa.LineOf(a)
-			if _, ok := c.Load(a); ok {
-				t.Fatalf("shed %v: recycled chunk buffers a value for %#x", shed, a)
-			}
-			if c.WroteLine(line) || c.ReadLine(line) || c.ReadLine(line+1) {
-				t.Fatalf("shed %v: recycled chunk reports line %#x in its footprint", shed, line)
-			}
-		}
-		if c.StoreCount() != 0 || c.NumWLines() != 0 || len(c.Fills()) != 0 {
-			t.Fatalf("shed %v: recycled chunk starts with %d stores, %d lines, %d fills",
-				shed, c.StoreCount(), c.NumWLines(), len(c.Fills()))
-		}
-		if !c.Write(addrs[3], 9) || !c.WroteLine(isa.LineOf(addrs[3])) {
-			t.Fatalf("shed %v: recycled chunk lost a fresh write", shed)
-		}
-		if v, ok := c.Load(addrs[3]); !ok || v != 9 {
-			t.Fatalf("shed %v: recycled chunk Load = %d,%v, want 9,true", shed, v, ok)
-		}
+	}
+	if c.StoreCount() != 0 || c.NumWLines() != 0 || len(c.Fills()) != 0 {
+		t.Fatalf("recycled chunk starts with %d stores, %d lines, %d fills",
+			c.StoreCount(), c.NumWLines(), len(c.Fills()))
+	}
+	if !c.Write(addrs[3], 9) || !c.WroteLine(isa.LineOf(addrs[3])) {
+		t.Fatal("recycled chunk lost a fresh write")
+	}
+	if v, ok := c.Load(addrs[3]); !ok || v != 9 {
+		t.Fatalf("recycled chunk Load = %d,%v, want 9,true", v, ok)
 	}
 }

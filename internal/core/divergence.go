@@ -17,6 +17,10 @@ var ErrCorruptLog = errors.New("corrupt recording log")
 // to test for it.
 var ErrCheckpointRange = errors.New("checkpoint index out of range")
 
+// ErrNotConverged reports that a recorded run hit its instruction budget
+// before all threads halted. Use errors.Is to test for it.
+var ErrNotConverged = errors.New("core: execution did not converge within the instruction budget")
+
 // checkpointRange builds an ErrCheckpointRange-wrapped error.
 func checkpointRange(idx, n int) error {
 	return fmt.Errorf("core: %w: checkpoint %d, recording has %d", ErrCheckpointRange, idx, n)

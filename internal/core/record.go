@@ -249,7 +249,7 @@ func Record(cfg sim.Config, mode Mode, progs []*isa.Program, memory *mem.Memory,
 		return nil, cancelledErr("record", opts.Ctx)
 	}
 	if !rec.Stats.Converged {
-		return rec, errNotConverged
+		return rec, ErrNotConverged
 	}
 	if r.strat != nil {
 		rec.Stratified = r.strat.Finish()
@@ -263,14 +263,6 @@ func Record(cfg sim.Config, mode Mode, progs []*isa.Program, memory *mem.Memory,
 	rec.FinalMemHash = memory.Hash()
 	return rec, nil
 }
-
-type recErr string
-
-func (e recErr) Error() string { return string(e) }
-
-// errNotConverged reports that the run hit its instruction budget before
-// all threads halted.
-const errNotConverged = recErr("core: execution did not converge within the instruction budget")
 
 // cancelledErr wraps a done context's error for a run the engine
 // abandoned on its Cancel channel, so callers observe

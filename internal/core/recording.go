@@ -147,36 +147,12 @@ func (r *Recording) restoreImage(memory *mem.Memory, k int) {
 
 // MemOrderingRawBits returns the uncompressed memory-ordering log size in
 // bits (PI + CS + Sizes; input logs excluded, as in the paper).
-func (r *Recording) MemOrderingRawBits() int {
-	_ = r.Materialize(0) // best-effort: a recording that fails to decode reports 0
-	n := 0
-	if r.PI != nil {
-		n += r.PI.RawBits()
-	}
-	for _, cs := range r.CS {
-		n += cs.RawBits()
-	}
-	for _, sl := range r.Sizes {
-		n += sl.RawBits()
-	}
-	return n
-}
+func (r *Recording) MemOrderingRawBits() int { return r.PIRawBits() + r.CSRawBits() }
 
 // MemOrderingCompressedBits returns the LZ77-compressed memory-ordering
 // log size in bits.
 func (r *Recording) MemOrderingCompressedBits() int {
-	_ = r.Materialize(0) // best-effort: a recording that fails to decode reports 0
-	n := 0
-	if r.PI != nil {
-		n += r.PI.CompressedBits()
-	}
-	for _, cs := range r.CS {
-		n += cs.CompressedBits()
-	}
-	for _, sl := range r.Sizes {
-		n += sl.CompressedBits()
-	}
-	return n
+	return r.PICompressedBits() + r.CSCompressedBits()
 }
 
 // PIRawBits and CSRawBits split the raw log for the figures' stacked

@@ -18,8 +18,9 @@ import (
 const recMagic = "DLRN"
 
 // The limits of a recording: the loader rejects a header beyond them as
-// corrupt, so a recording made beyond them cannot be loaded back. Request
-// parsers apply the same limits before they simulate.
+// corrupt, so a recording made beyond them cannot be loaded back (or, for
+// MaxStratify, is saved truncated). Request parsers apply the same limits
+// before they simulate.
 const (
 	// MaxProcs bounds the processor count (the header stores it in 16
 	// bits).
@@ -28,6 +29,9 @@ const (
 	// configuration (the paper uses 2000), small enough that the CS/size
 	// log entry widths stay well-formed.
 	MaxChunkSize = 1 << 20
+	// MaxStratify bounds the chunks per processor per stratum: the
+	// container stores the stratum counters and their maximum in 16 bits.
+	MaxStratify = 1<<16 - 1
 )
 
 type countingWriter struct {

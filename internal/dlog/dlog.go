@@ -18,8 +18,10 @@
 // The input logs (Interrupt, I/O, DMA) are also defined here. Following
 // the paper, they are not counted in the memory-ordering log size metric.
 //
-// All logs report raw bit sizes and LZ77-compressed bit sizes, mirroring
-// the paper's compression hardware.
+// The memory-ordering logs report raw bit sizes and LZ77-compressed bit
+// sizes, mirroring the paper's compression hardware. The input logs are
+// priced by nothing; only the interrupt log reports its raw size, which
+// the recorder's trace samples show as log growth.
 package dlog
 
 import (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"delorean/internal/bitio"
-	"delorean/internal/lz77"
 )
 
 // IntrEntry is one interrupt delivery: the handler started as chunk
@@ -21,8 +20,8 @@ type IntrEntry struct {
 // increasing SeqID order and encoded as (varint seq delta, 1-bit urgent,
 // varint type, varint data).
 type IntrLog struct {
-	entries      []IntrEntry
-	rmemo, cmemo sizeMemo
+	entries []IntrEntry
+	rmemo   sizeMemo
 }
 
 // Append records a delivery.
@@ -74,14 +73,6 @@ func (l *IntrLog) RawBits() int {
 	})
 }
 
-// CompressedBits returns the LZ77-compressed size in bits (memoized).
-func (l *IntrLog) CompressedBits() int {
-	return l.cmemo.get(len(l.entries), func() int {
-		b, _ := l.Pack()
-		return lz77.CompressedBits(b)
-	})
-}
-
 // UnpackIntrLog decodes n entries.
 func UnpackIntrLog(packed []byte, nbits, n int) (*IntrLog, error) {
 	r := bitio.NewReader(packed, nbits)
@@ -118,7 +109,6 @@ func UnpackIntrLog(packed []byte, nbits, n int) (*IntrLog, error) {
 // loads, in program order.
 type IOLog struct {
 	values []uint64
-	cmemo  sizeMemo
 }
 
 // Append records one I/O load value.
@@ -129,26 +119,6 @@ func (l *IOLog) Values() []uint64 { return l.values }
 
 // Len returns the value count.
 func (l *IOLog) Len() int { return len(l.values) }
-
-// RawBits returns the uncompressed size in bits (64 per value).
-func (l *IOLog) RawBits() int { return 64 * len(l.values) }
-
-// Pack returns the bit-packed log.
-func (l *IOLog) Pack() ([]byte, int) {
-	var w bitio.Writer
-	for _, v := range l.values {
-		w.WriteBits(v, 64)
-	}
-	return w.Bytes(), w.Len()
-}
-
-// CompressedBits returns the LZ77-compressed size in bits (memoized).
-func (l *IOLog) CompressedBits() int {
-	return l.cmemo.get(len(l.values), func() int {
-		b, _ := l.Pack()
-		return lz77.CompressedBits(b)
-	})
-}
 
 // DMAEntry is one DMA transfer in commit order: the data written, its
 // target address, and — in PicoLog, where there is no PI log — the
@@ -161,8 +131,7 @@ type DMAEntry struct {
 
 // DMALog records DMA transfers in commit order.
 type DMALog struct {
-	entries      []DMAEntry
-	rmemo, cmemo sizeMemo
+	entries []DMAEntry
 }
 
 // Append records one transfer.
@@ -173,14 +142,6 @@ func (l *DMALog) Entries() []DMAEntry { return l.entries }
 
 // Len returns the transfer count.
 func (l *DMALog) Len() int { return len(l.entries) }
-
-// RawBits returns the uncompressed size in bits (memoized).
-func (l *DMALog) RawBits() int {
-	return l.rmemo.get(len(l.entries), func() int {
-		_, n := l.Pack()
-		return n
-	})
-}
 
 // Pack returns the bit-packed log: (varint slot, 32-bit addr, varint
 // word count, words).
@@ -195,14 +156,6 @@ func (l *DMALog) Pack() ([]byte, int) {
 		}
 	}
 	return w.Bytes(), w.Len()
-}
-
-// CompressedBits returns the LZ77-compressed size in bits (memoized).
-func (l *DMALog) CompressedBits() int {
-	return l.cmemo.get(len(l.entries), func() int {
-		b, _ := l.Pack()
-		return lz77.CompressedBits(b)
-	})
 }
 
 // UnpackDMALog decodes n entries.
@@ -251,7 +204,6 @@ type SlotEntry struct {
 // SlotLog records out-of-turn commit slots in slot order.
 type SlotLog struct {
 	entries []SlotEntry
-	rmemo   sizeMemo
 }
 
 // Append records one out-of-turn commit.
@@ -267,27 +219,3 @@ func (l *SlotLog) Entries() []SlotEntry { return l.entries }
 
 // Len returns the entry count.
 func (l *SlotLog) Len() int { return len(l.entries) }
-
-// RawBits returns the uncompressed size in bits (memoized).
-func (l *SlotLog) RawBits() int {
-	return l.rmemo.get(len(l.entries), func() int {
-		_, n := l.Pack()
-		return n
-	})
-}
-
-// Pack returns the bit-packed log: (varint slot delta, 4-bit proc).
-func (l *SlotLog) Pack() ([]byte, int) {
-	var w bitio.Writer
-	var prev uint64
-	for i, e := range l.entries {
-		d := e.Slot
-		if i > 0 {
-			d = e.Slot - prev
-		}
-		prev = e.Slot
-		w.WriteUvarint(d)
-		w.WriteBits(uint64(e.Proc), 4)
-	}
-	return w.Bytes(), w.Len()
-}

@@ -51,12 +51,6 @@ type Config struct {
 	Cache *Cache
 }
 
-// Default returns the paper-shaped configuration at a laptop-friendly
-// scale.
-func Default() Config {
-	return Config{Procs: 8, Scale: 60_000, Seed: 1, ReplayRuns: 5}
-}
-
 // Quick returns a fast configuration for tests and smoke runs.
 func Quick() Config {
 	return Config{Procs: 4, Scale: 8_000, Seed: 1, ReplayRuns: 2}

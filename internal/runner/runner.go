@@ -81,15 +81,6 @@ func Map[T any](workers, n int, f func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// Go runs each task under the same bounded-pool discipline as Map. It is
-// Map for heterogeneous task lists where only side effects matter.
-func Go(workers int, tasks ...func()) {
-	Map(workers, len(tasks), func(i int) (struct{}, error) {
-		tasks[i]()
-		return struct{}{}, nil
-	})
-}
-
 // Memo is a keyed single-flight memo cache: for each key, compute runs
 // exactly once per Memo even under concurrent Do calls; later (and
 // concurrent) callers get the stored result. The zero value is ready to

@@ -71,14 +71,6 @@ func TestMapBound(t *testing.T) {
 	}
 }
 
-func TestGo(t *testing.T) {
-	var a, b atomic.Int64
-	Go(4, func() { a.Store(1) }, func() { b.Store(2) })
-	if a.Load() != 1 || b.Load() != 2 {
-		t.Fatal("Go did not run all tasks")
-	}
-}
-
 // TestMemoSingleFlight hammers one key from many goroutines and checks
 // compute ran exactly once and everyone saw its value.
 func TestMemoSingleFlight(t *testing.T) {

@@ -399,6 +399,19 @@ func TestErrorTaxonomy(t *testing.T) {
 		}
 	})
 
+	t.Run("exhausted instruction budget is 422 budget_exhausted", func(t *testing.T) {
+		// The run needs far more than 1000 instructions: the recorder stops
+		// at the budget and the spec, not the server, is at fault.
+		resp, body := doJSON(t, "POST", hs.URL+"/v1/recordings", map[string]any{
+			"workload": goldenWorkload, "procs": 2, "scale": 200, "max_instructions": 1000})
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		if code := errCode(t, body); code != "budget_exhausted" {
+			t.Fatalf("code %q", code)
+		}
+	})
+
 	t.Run("wrong processor count is 400 bad_request", func(t *testing.T) {
 		// The golden fixture was recorded with 4 processors; claiming 8 in
 		// the spec is a client mistake caught at upload time (via
@@ -441,9 +454,9 @@ func TestRecordSimParallel(t *testing.T) {
 }
 
 // TestRecordLimits: a record request beyond the limits a recording can
-// hold (delorean.MaxProcessors, delorean.MaxChunkSize) is refused with
-// 400 bad_request before any simulation runs, and so is an upload that
-// claims too many processors. The pool is parked and its queue full, so
+// hold (delorean.MaxProcessors, delorean.MaxChunkSize,
+// delorean.MaxStratify) is refused with 400 bad_request before any
+// simulation runs, and so is an upload that claims too many processors. The pool is parked and its queue full, so
 // a request that got as far as the pool would answer 429 instead; one
 // at the limits does.
 func TestRecordLimits(t *testing.T) {
@@ -459,13 +472,14 @@ func TestRecordLimits(t *testing.T) {
 		t.Fatal("could not fill the queue")
 	}
 
-	spec := func(procs, chunk int) map[string]any {
+	spec := func(procs, chunk, stratify int) map[string]any {
 		return map[string]any{"workload": "barnes", "procs": procs, "scale": 40,
-			"chunk_size": chunk, "max_instructions": 1000}
+			"chunk_size": chunk, "stratify": stratify, "max_instructions": 1000}
 	}
 	for _, sp := range []map[string]any{
-		spec(delorean.MaxProcessors+1, 100),
-		spec(2, delorean.MaxChunkSize+1),
+		spec(delorean.MaxProcessors+1, 100, 0),
+		spec(2, delorean.MaxChunkSize+1, 0),
+		spec(2, 100, delorean.MaxStratify+1),
 	} {
 		resp, body := doJSON(t, "POST", hs.URL+"/v1/recordings", sp)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -479,7 +493,8 @@ func TestRecordLimits(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("upload: status %d: %s", resp.StatusCode, body)
 	}
-	resp, body = doJSON(t, "POST", hs.URL+"/v1/recordings", spec(delorean.MaxProcessors, delorean.MaxChunkSize))
+	resp, body = doJSON(t, "POST", hs.URL+"/v1/recordings",
+		spec(delorean.MaxProcessors, delorean.MaxChunkSize, delorean.MaxStratify))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("spec at the limits: status %d, want 429 from the full pool: %s", resp.StatusCode, body)
 	}

@@ -51,11 +51,9 @@ func (s Spec) validate() error {
 }
 
 // instantiate regenerates the spec's programs (and device schedules).
-func (s Spec) instantiate() (*delorean.Workload, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	return delorean.NewWorkload(s.Workload, s.Procs, s.Scale, s.Seed), nil
+// The spec must have passed validate.
+func (s Spec) instantiate() *delorean.Workload {
+	return delorean.NewWorkload(s.Workload, s.Procs, s.Scale, s.Seed)
 }
 
 // entry is one stored recording. rec is an index-only recording over the
@@ -313,7 +311,7 @@ func recordingID(spec Spec, canonical []byte) string {
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
-// put stores the recording, reporting its id, whether it was new, and
+// put stores the recording, reporting its entry, whether it was new, and
 // any write-through persist failure. rec should be an index-only
 // recording over canonical (see delorean.IndexRecording) so a stored
 // entry starts cold. The in-memory insert is authoritative: a persist
@@ -323,8 +321,8 @@ func recordingID(spec Spec, canonical []byte) string {
 // disk write. The disk write happens outside the store lock under the
 // entry's persistMu, so concurrent puts of identical content write the
 // files exactly once.
-func (st *store) put(rec *delorean.Recording, spec Spec, canonical []byte) (id string, created bool, persistErr error) {
-	id = recordingID(spec, canonical)
+func (st *store) put(rec *delorean.Recording, spec Spec, canonical []byte) (e *entry, created bool, persistErr error) {
+	id := recordingID(spec, canonical)
 	st.mu.Lock()
 	e, exists := st.m[id]
 	if !exists {
@@ -333,19 +331,19 @@ func (st *store) put(rec *delorean.Recording, spec Spec, canonical []byte) (id s
 	}
 	st.mu.Unlock()
 	if st.dir == "" || e.persisted.Load() {
-		return id, !exists, nil
+		return e, !exists, nil
 	}
 	e.persistMu.Lock()
 	defer e.persistMu.Unlock()
 	if e.persisted.Load() { // a racing put persisted it first
-		return id, !exists, nil
+		return e, !exists, nil
 	}
 	st.persistAttempts.Add(1)
 	if err := st.persist(id, spec, canonical); err != nil {
-		return id, !exists, err
+		return e, !exists, err
 	}
 	e.persisted.Store(true)
-	return id, !exists, nil
+	return e, !exists, nil
 }
 
 // persist writes the spec sidecar and then the container atomically and
@@ -485,8 +483,7 @@ func (st *store) loadOne(id string) error {
 	if err := json.Unmarshal(sp, &spec); err != nil {
 		return fmt.Errorf("spec sidecar: %w", err)
 	}
-	w, err := spec.instantiate()
-	if err != nil {
+	if err := spec.validate(); err != nil {
 		return err
 	}
 	data, err := os.ReadFile(filepath.Join(st.dir, id+dataExt))
@@ -496,7 +493,7 @@ func (st *store) loadOne(id string) error {
 	if got := recordingID(spec, data); got != id {
 		return fmt.Errorf("content hash %s does not match filename", got)
 	}
-	rec, err := delorean.IndexRecording(data, delorean.Config{}, w)
+	rec, err := delorean.IndexRecording(data, delorean.Config{}, spec.instantiate())
 	if err != nil {
 		return err
 	}

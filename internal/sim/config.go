@@ -90,18 +90,9 @@ func (c Config) WithChunkSize(n int) Config {
 	return c
 }
 
-// WithSimulChunks returns a copy of c with the given number of
-// simultaneous chunks per processor.
-func (c Config) WithSimulChunks(n int) Config {
-	c.SimulChunks = n
-	return c
-}
-
 // MaxInstsOrDefault returns the effective instruction budget: MaxInsts,
 // or the 100M default when zero.
-func (c Config) MaxInstsOrDefault() uint64 { return c.maxInsts() }
-
-func (c Config) maxInsts() uint64 {
+func (c Config) MaxInstsOrDefault() uint64 {
 	if c.MaxInsts == 0 {
 		return 100_000_000
 	}

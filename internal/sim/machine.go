@@ -156,7 +156,7 @@ func (m *Machine) nextCore() int {
 func (m *Machine) Run() Stats {
 	m.ms = AcquireMemSys(&m.Cfg)
 	dmaIdx := 0
-	budget := m.Cfg.maxInsts()
+	budget := m.Cfg.MaxInstsOrDefault()
 	var total uint64
 
 	for {

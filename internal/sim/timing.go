@@ -210,10 +210,6 @@ func (c *CoreTiming) RegReady() *[16]uint64 { return &c.regReady }
 // external event (a commit grant, a chunk slot) resumes.
 func (c *CoreTiming) AdvanceTo(t uint64) { c.advanceAs(t, &c.ExtStallCycles) }
 
-// SetRegReady records that register r becomes available at t (chunk
-// engine loads).
-func (c *CoreTiming) SetRegReady(r uint8, t uint64) { c.regReady[r] = t }
-
 // LoadOp issues a load with the given memory latency; the value becomes
 // available (and register rd ready) at the returned completion time. The
 // core does not stall unless the ROB fills. isHit selects the hit path,

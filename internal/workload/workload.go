@@ -32,10 +32,6 @@ type Params struct {
 	Seed uint64
 }
 
-// DefaultParams returns an 8-processor configuration at a laptop-friendly
-// scale.
-func DefaultParams() Params { return Params{NProcs: 8, Scale: 100_000, Seed: 1} }
-
 // Workload is a generated benchmark instance.
 type Workload struct {
 	Name  string
