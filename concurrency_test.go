@@ -102,9 +102,8 @@ func TestConcurrentReplaySameRecording(t *testing.T) {
 
 // TestConcurrentRunsShareFreeLists runs recordings, replays and
 // baseline-recorder runs at once. They share the free lists that carry
-// engine state from one run to the next: memories (mem.Get/Put),
-// per-processor chunk lists, line histories and cache hierarchies, at
-// two processor counts. Every concurrent result must equal the
+// engine state from one run to the next: memories (mem.Get/Put), line
+// histories and cache hierarchies, at two processor counts. Every concurrent result must equal the
 // sequential one. Run it under -race: the assertions catch state that
 // leaks from one run into another, the race detector catches unsafe
 // sharing.
