@@ -34,7 +34,6 @@ import (
 	"delorean/internal/core"
 	"delorean/internal/device"
 	"delorean/internal/isa"
-	"delorean/internal/mem"
 	"delorean/internal/sim"
 	"delorean/internal/trace"
 	"delorean/internal/workload"
@@ -252,9 +251,7 @@ func record(ctx context.Context, cfg Config, mode Mode, w *Workload, sink *trace
 	if err := cfg.checkSimParallel(); err != nil {
 		return nil, err
 	}
-	memory := w.InitMem()
-	defer mem.Put(memory)
-	rec, err := core.Record(cfg.machine(), coreMode(mode), w.Progs, memory, w.Devs, core.RecordOptions{
+	rec, err := core.Record(cfg.machine(), coreMode(mode), w.Progs, w.InitImage(), w.Devs, core.RecordOptions{
 		StratifyMax:     cfg.Stratify,
 		CheckpointEvery: cfg.CheckpointEvery,
 		Trace:           sink,
@@ -433,10 +430,7 @@ func (r *Recording) RunUnordered(perturbArbiter bool) (bool, ExecStats, error) {
 	if perturbArbiter {
 		m = core.ReplayConfig(m) // different commit timing than recording
 	}
-	memory := mem.Get()
-	defer mem.Put(memory)
-	memory.Restore(r.rec.InitialMem)
-	rec2, err := core.Record(m, r.rec.Mode, r.progs, memory, device.New(0), core.RecordOptions{})
+	rec2, err := core.Record(m, r.rec.Mode, r.progs, r.rec.InitialMem, device.New(0), core.RecordOptions{})
 	if err != nil {
 		return false, ExecStats{}, fmt.Errorf("delorean: unordered run: %w", err)
 	}

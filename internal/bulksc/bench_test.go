@@ -7,6 +7,7 @@ import (
 	"delorean/internal/mem"
 	"delorean/internal/sim"
 	"delorean/internal/trace"
+	"delorean/internal/workload"
 )
 
 // BenchmarkChunkStartSquash measures the chunk lifecycle hot path: start
@@ -66,4 +67,19 @@ func BenchmarkEngineRun(b *testing.B) {
 	// seq-traced bounds the observability layer's enabled cost; seq is
 	// the <2%-overhead-when-disabled reference.
 	b.Run("seq-traced", bench(true))
+	// barrier is the quick-scale ocean kernel, barrier-bound: most of its
+	// scheduler steps are spin-waits, which the engine parks.
+	b.Run("barrier", func(b *testing.B) {
+		w := workload.Get("ocean", workload.Params{NProcs: 4, Scale: 8_000, Seed: 1})
+		cfg := sim.Default8()
+		cfg.NProcs = 4
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e := &Engine{Cfg: cfg, Progs: w.Progs, Mem: w.InitMem(), Devs: w.Devs}
+			if st := e.Run(); !st.Converged {
+				b.Fatalf("engine did not converge")
+			}
+			mem.Put(e.Mem)
+		}
+	})
 }

@@ -88,11 +88,15 @@ type Engine struct {
 	// engine-wide emission sites pay one nil check when disabled.
 	gtr *trace.Stream
 
-	doneCores      int
-	exec, chunks   uint64        // executed instructions and committed chunks, over all cores
-	budget         uint64        // bound on both
-	watchSpins     bool          // cores' Spins observe their iterations (see skipSpins)
-	runs           []sim.SpinRun // skipSpins' scratch
+	doneCores    int
+	exec, chunks uint64 // executed instructions and committed chunks, over all cores
+	budget       uint64 // bound on both
+	watchSpins   bool   // cores' Spins observe their iterations (see park)
+	// owed is the instructions parked cores still owe (two per
+	// iteration); lastProc is the processor of the last step taken, -1
+	// for a global event. Together with now they place a catch-up.
+	owed           uint64
+	lastProc       int
 	lastCkptAt     uint64
 	tokenTrack     int  // PicoLog: token holder after the APPLIED commits
 	replayDMAOpen  bool // replay: a DMA request is queued at the arbiter
@@ -229,6 +233,10 @@ type core struct {
 	// heap; rescheduling overwrites it.
 	wake   uint64
 	wakeOK bool
+	// parked is the number of steady spin iterations the core owes (see
+	// park): they start at tm.Clock, one every spin.Period() cycles, and
+	// wake is the step after them.
+	parked uint64
 
 	// tr is this core's trace stream (nil when tracing is off).
 	tr *trace.Stream
@@ -359,7 +367,15 @@ func (e *Engine) Run() Stats {
 		if !e.step() {
 			break // no pending event and no runnable core
 		}
+		// The budget may run out inside the parked cores' iterations:
+		// apply those that come before the step just taken, so the loop
+		// sees the count stepping would have reached, and let the cores
+		// step the rest one at a time (park refuses them).
+		if e.exec+e.owed >= e.budget {
+			e.catchUp(e.lastStep())
+		}
 	}
+	e.catchUp(e.lastStep())
 
 	if e.checkpointing() {
 		e.Mem.EndJournal()
@@ -480,10 +496,14 @@ func (e *Engine) step() bool {
 		}
 	}
 	if next != nil && (e.events.Len() == 0 || next.wake < e.events[0].time) {
-		if next.spin.Steady(next.ts.PC) && e.skipSpins() {
+		if next.parked > 0 {
+			// Its owed iterations all come before this step.
+			e.unpark(next, next.parked)
+		} else if next.spin.Steady(next.ts.PC) && e.park(next) {
 			return true
 		}
 		e.advance(next.wake)
+		e.lastProc = next.proc
 		next.wakeOK = false
 		e.stepCore(next) // re-arms wakeOK via reschedule unless the core blocked
 		return true
@@ -491,8 +511,13 @@ func (e *Engine) step() bool {
 	if e.events.Len() == 0 {
 		return false
 	}
+	// A global event may change what a parked core's load reads, hits or
+	// holds: apply the iterations that come before it, and let the cores
+	// step on from there.
+	e.catchUp(sim.Horizon{T: e.events[0].time, Proc: -1})
 	ev := e.events.pop()
 	e.advance(ev.time)
+	e.lastProc = -1
 	switch ev.kind {
 	case evDMA:
 		e.recordDMAArrival(ev.id)
@@ -768,79 +793,83 @@ func (co *core) lookupBuffers(addr uint32) (uint64, bool) {
 	return 0, false
 }
 
-// skipSpins advances every core waiting in a steady spin loop past the
-// iterations it runs before the next action of anything else, in one
-// scheduler step, and reports whether it skipped any. That action is
-// the earliest, in step's order (time; global events before cores; then
-// processor), of: the next global event, a step by any other runnable
-// core, and each waiting core's own next step that is not a plain
-// iteration — the one that fills its chunk, or, recording, the
-// high-priority interrupt that squashes it. Stepping would run the
-// skipped iterations in that order and nothing else, and none of them
-// touches state another core or an observer sees: each repeats a load
-// that hits in its own L1 and already is in its chunk's read set. Only
-// timing, the instruction, memory-op and L1-hit counts and the clock
-// advance.
+// park defers the steady spin iterations co is about to run, up to its
+// own next step that is not a plain iteration — the one that fills its
+// chunk, or, recording, the high-priority interrupt that squashes it —
+// and reports whether it deferred any. co's wake moves to that step, so
+// it keeps its place in step's (wake, processor) order, and the owed
+// iterations are applied later (unpark), at the latest when that step
+// comes up.
 //
-// Skipping is off under hit/miss flips, which draw from the core's
-// random stream on every load (no core is watched, so none is ever
-// steady), and while a stop target drains, when step runs only the
-// cores that owe split continuations.
-func (e *Engine) skipSpins() bool {
-	if e.stopPending {
+// Deferring is exact because chunks run in isolation: another core's
+// stores and shared-cache fills become visible only when its chunk
+// commits, so between two global events no other core's step changes
+// what co's load reads or whether it hits, and co's iterations, which
+// repeat a load that hits in its own L1 and already is in its chunk's
+// read set, change nothing another core or an observer sees. Only co's
+// timing, the instruction, memory-op and L1-hit counts and the budget
+// move, so the engine catches parked cores up before every global event,
+// when the budget could end the run among their iterations, and when the
+// run ends (catchUp).
+//
+// Parking is off under hit/miss flips, which draw from the core's random
+// stream on every load (no core is watched, so none is ever steady), and
+// while a stop target drains, when step runs only the cores that owe
+// split continuations.
+func (e *Engine) park(co *core) bool {
+	if e.stopPending || !e.spinning(co) {
 		return false
 	}
-	h := sim.NoHorizon()
-	if e.events.Len() > 0 {
-		h.Min(e.events[0].time, -1)
+	// Iteration j starts with 2j more instructions in the chunk; the
+	// first to bring it to its target completes it.
+	d := co.spin.Period()
+	n := uint64(co.cur.Target-co.cur.Insts-1) / 2
+	if t, ok := e.urgentInterrupt(co); ok {
+		n = min(n, sim.Horizon{T: t, Proc: -1}.Iters(co.wake, d, co.proc))
 	}
-	runs := e.runs[:0]
+	if n == 0 || e.exec+e.owed+2*n >= e.budget {
+		return false
+	}
+	co.parked = n
+	co.wake += n * d
+	e.owed += 2 * n
+	return true
+}
+
+// unpark applies the first k of co's owed iterations, exactly as stepping
+// them would, and drops the rest: co's next step is the iteration after
+// the k-th. It leaves the engine clock alone; every caller stands at or
+// moves it to a step no earlier than the applied iterations.
+func (e *Engine) unpark(co *core, k uint64) {
+	if k > 0 {
+		co.spin.Skip(co.tm, k)
+		co.cur.Insts += 2 * int(k)
+		e.exec += 2 * k
+		co.memOps += k
+		e.ms.L1Hits += k
+	}
+	e.owed -= 2 * co.parked
+	co.parked = 0
+	co.wake = co.tm.Clock
+}
+
+// catchUp unparks every parked core, applying its iterations that come
+// before h in step's order.
+func (e *Engine) catchUp(h sim.Horizon) {
+	if e.owed == 0 {
+		return
+	}
 	for _, co := range e.cores {
-		if !co.wakeOK || co.blocked != notBlocked || co.haltDone {
-			continue
+		if co.parked > 0 {
+			e.unpark(co, min(co.parked, h.Iters(co.tm.Clock, co.spin.Period(), co.proc)))
 		}
-		if !e.spinning(co) {
-			h.Min(co.wake, co.proc)
-			continue
-		}
-		// Iteration j starts with 2j more instructions in the chunk; the
-		// first to bring it to its target completes it.
-		d := co.spin.Period()
-		fill := uint64(co.cur.Target-co.cur.Insts-1) / 2
-		h.Min(co.wake+fill*d, co.proc)
-		if t, ok := e.urgentInterrupt(co); ok {
-			h.Min(t, -1)
-		}
-		runs = append(runs, sim.SpinRun{Proc: co.proc, T: co.wake, D: d})
 	}
-	for i := range runs {
-		r := &runs[i]
-		r.N = h.Iters(r.T, r.D, r.Proc)
-	}
-	// Each iteration executes two instructions, and the run stops once
-	// the budget is reached: at most ceil(left/2) more iterations run.
-	sim.LimitSpins(runs, (e.budget-e.exec+1)/2)
-	var last uint64
-	skipped := false
-	for _, r := range runs {
-		if r.N == 0 {
-			continue
-		}
-		co := e.cores[r.Proc]
-		co.spin.Skip(co.tm, r.N)
-		co.cur.Insts += 2 * int(r.N)
-		e.exec += 2 * r.N
-		co.memOps += r.N
-		e.ms.L1Hits += r.N
-		co.wake = co.tm.Clock
-		last = max(last, r.T+(r.N-1)*r.D)
-		skipped = true
-	}
-	e.runs = runs[:0]
-	if skipped {
-		e.advance(last) // the last skipped iteration's step time
-	}
-	return skipped
+}
+
+// lastStep is the last step taken as a horizon: stepping would have run
+// every iteration before it and none after.
+func (e *Engine) lastStep() sim.Horizon {
+	return sim.Horizon{T: e.now, Proc: e.lastProc}
 }
 
 // spinning reports whether core co is about to repeat a steady spin

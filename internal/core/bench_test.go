@@ -8,7 +8,6 @@ import (
 
 	"delorean/internal/device"
 	"delorean/internal/isa"
-	"delorean/internal/mem"
 	"delorean/internal/rng"
 )
 
@@ -33,7 +32,7 @@ func benchRecording(b *testing.B) (*Recording, []byte) {
 		devs := device.New(21)
 		devs.GenerateInterrupts(rng.New(8), 4, 4_000, 8_000_000, 0.3)
 		devs.GenerateDMA(rng.New(9), 0x900, 4, 8, 6_000, 8_000_000)
-		rec, err := Record(cfg, OrderOnly, progs, mem.New(), devs,
+		rec, err := Record(cfg, OrderOnly, progs, nil, devs,
 			RecordOptions{CheckpointEvery: 50, StratifyMax: 3})
 		if err != nil {
 			return

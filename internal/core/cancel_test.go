@@ -6,8 +6,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"delorean/internal/mem"
 )
 
 // TestRecordCancelPreArmed: a context already cancelled before Record
@@ -18,7 +16,7 @@ func TestRecordCancelPreArmed(t *testing.T) {
 	cancel()
 	progs := replicateProgs(systemProgram(5_000), 4)
 	start := time.Now()
-	rec, err := Record(testConfig(4, 300), OrderOnly, progs, mem.New(), nil, RecordOptions{Ctx: ctx})
+	rec, err := Record(testConfig(4, 300), OrderOnly, progs, nil, nil, RecordOptions{Ctx: ctx})
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("pre-cancelled record took %v", elapsed)
 	}
@@ -36,7 +34,7 @@ func TestRecordCancelMidRun(t *testing.T) {
 	time.AfterFunc(5*time.Millisecond, cancel)
 	progs := replicateProgs(systemProgram(90_000), 4)
 	start := time.Now()
-	rec, err := Record(testConfig(4, 300), OrderOnly, progs, mem.New(), nil, RecordOptions{Ctx: ctx})
+	rec, err := Record(testConfig(4, 300), OrderOnly, progs, nil, nil, RecordOptions{Ctx: ctx})
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancelled record took %v — engine ignored the cancel", elapsed)
 	}
@@ -55,7 +53,7 @@ func TestRecordCancelMidRun(t *testing.T) {
 func TestReplayCancelSequential(t *testing.T) {
 	cfg := testConfig(4, 300)
 	progs := replicateProgs(systemProgram(400), 4)
-	rec, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{})
+	rec := record(t, cfg, OrderOnly, progs, nil, RecordOptions{})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -77,7 +75,7 @@ func TestReplayCancelSequential(t *testing.T) {
 func TestReplayCancelSegmented(t *testing.T) {
 	cfg := testConfig(4, 250)
 	progs := replicateProgs(systemProgram(400), 4)
-	rec, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{CheckpointEvery: 25})
+	rec := record(t, cfg, OrderOnly, progs, nil, RecordOptions{CheckpointEvery: 25})
 	if len(rec.Checkpoints) == 0 {
 		t.Fatal("workload took no checkpoints; segmented replay not exercised")
 	}
@@ -114,7 +112,7 @@ func TestReplayCancelSegmented(t *testing.T) {
 
 	// Re-recording the same workload from scratch (the record path shares
 	// the engine machinery the cancel interrupted) is also byte-identical.
-	rec2, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{CheckpointEvery: 25})
+	rec2 := record(t, cfg, OrderOnly, progs, nil, RecordOptions{CheckpointEvery: 25})
 	var again bytes.Buffer
 	if _, err := rec2.WriteTo(&again); err != nil {
 		t.Fatal(err)
@@ -128,7 +126,7 @@ func TestReplayCancelSegmented(t *testing.T) {
 func TestIntervalReplayCancel(t *testing.T) {
 	cfg := testConfig(4, 250)
 	progs := replicateProgs(systemProgram(400), 4)
-	rec, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{CheckpointEvery: 25})
+	rec := record(t, cfg, OrderOnly, progs, nil, RecordOptions{CheckpointEvery: 25})
 	if len(rec.Checkpoints) == 0 {
 		t.Fatal("no checkpoints")
 	}

@@ -6,7 +6,6 @@ import (
 	"delorean/internal/bulksc"
 	"delorean/internal/device"
 	"delorean/internal/isa"
-	"delorean/internal/mem"
 	"delorean/internal/rng"
 	"delorean/internal/sim"
 	"delorean/internal/workload"
@@ -68,14 +67,13 @@ func systemProgram(iters int) *isa.Program {
 	return workload.SysKernelProgram(iters)
 }
 
-func record(t *testing.T, cfg sim.Config, mode Mode, progs []*isa.Program, devs *device.Devices, opts RecordOptions) (*Recording, *mem.Memory) {
+func record(t *testing.T, cfg sim.Config, mode Mode, progs []*isa.Program, devs *device.Devices, opts RecordOptions) *Recording {
 	t.Helper()
-	memory := mem.New()
-	rec, err := Record(cfg, mode, progs, memory, devs, opts)
+	rec, err := Record(cfg, mode, progs, nil, devs, opts)
 	if err != nil {
 		t.Fatalf("Record(%v): %v", mode, err)
 	}
-	return rec, memory
+	return rec
 }
 
 func replayMatches(t *testing.T, rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOptions) ReplayResult {
@@ -95,7 +93,7 @@ func TestRecordReplayAllModesCleanTiming(t *testing.T) {
 	for _, mode := range []Mode{OrderSize, OrderOnly, PicoLog} {
 		cfg := testConfig(4, 300)
 		progs := racyProgs(4, 120)
-		rec, _ := record(t, cfg, mode, progs, nil, RecordOptions{})
+		rec := record(t, cfg, mode, progs, nil, RecordOptions{})
 		if rec.Stats.Insts == 0 || rec.Stats.Chunks == 0 {
 			t.Fatalf("%v: empty recording", mode)
 		}
@@ -109,7 +107,7 @@ func TestRecordReplayPerturbedFiveRuns(t *testing.T) {
 	for _, mode := range []Mode{OrderSize, OrderOnly, PicoLog} {
 		cfg := testConfig(4, 300)
 		progs := racyProgs(4, 100)
-		rec, _ := record(t, cfg, mode, progs, nil, RecordOptions{})
+		rec := record(t, cfg, mode, progs, nil, RecordOptions{})
 		for run := 0; run < 5; run++ {
 			replayMatches(t, rec, cfg, progs, ReplayOptions{
 				Perturb: bulksc.DefaultPerturb(uint64(1000*run + 7)),
@@ -124,11 +122,9 @@ func TestRacyOutcomeActuallyTimingSensitive(t *testing.T) {
 	// size should (with overwhelming probability) end in different racy
 	// states — otherwise the determinism tests above prove nothing.
 	progs := racyProgs(4, 120)
-	recA, memA := record(t, testConfig(4, 300), OrderOnly, progs, nil, RecordOptions{})
-	recB, memB := record(t, testConfig(4, 290), OrderOnly, progs, nil, RecordOptions{})
-	_ = recA
-	_ = recB
-	if memA.Hash() == memB.Hash() {
+	recA := record(t, testConfig(4, 300), OrderOnly, progs, nil, RecordOptions{})
+	recB := record(t, testConfig(4, 290), OrderOnly, progs, nil, RecordOptions{})
+	if recA.FinalMemHash == recB.FinalMemHash {
 		t.Fatal("racy workload produced identical final state under different timing — not actually racy")
 	}
 }
@@ -139,14 +135,13 @@ func TestReplayDivergesWithoutOrderEnforcement(t *testing.T) {
 	// determinism comes from the logs, not from the simulator.
 	progs := racyProgs(4, 120)
 	cfg := testConfig(4, 300)
-	rec, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{})
+	rec := record(t, cfg, OrderOnly, progs, nil, RecordOptions{})
 
 	// "Replay" without order: record again on a perturbed machine.
 	cfg2 := cfg
 	cfg2.ArbLat = 50
 	cfg2.MaxConcurCommits = 1
-	memory := mem.New()
-	rec2, err := Record(cfg2, OrderOnly, progs, memory, nil, RecordOptions{})
+	rec2, err := Record(cfg2, OrderOnly, progs, nil, nil, RecordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +163,7 @@ func TestRecordReplayWithSystemEvents(t *testing.T) {
 		devs.GenerateInterrupts(rng.New(1), 4, 4_000, 2_000_000, 0.3)
 		devs.GenerateDMA(rng.New(2), 0x900, 4, 8, 6_000, 2_000_000)
 
-		rec, _ := record(t, cfg, mode, progs, devs, RecordOptions{})
+		rec := record(t, cfg, mode, progs, devs, RecordOptions{})
 		if rec.Stats.Interrupts == 0 {
 			t.Fatalf("%v: no interrupts delivered", mode)
 		}
@@ -214,7 +209,7 @@ func TestRecordReplayWithOverflowTruncations(t *testing.T) {
 		return a.Assemble()
 	}
 	progs := []*isa.Program{mkProg(0x100000), mkProg(0x200000)}
-	rec, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{})
+	rec := record(t, cfg, OrderOnly, progs, nil, RecordOptions{})
 	csEntries := 0
 	for _, cs := range rec.CS {
 		csEntries += cs.Len()
@@ -230,7 +225,7 @@ func TestRecordReplayWithOverflowTruncations(t *testing.T) {
 func TestStratifiedRecordAndReplay(t *testing.T) {
 	cfg := testConfig(4, 300)
 	progs := racyProgs(4, 100)
-	rec, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{StratifyMax: 1})
+	rec := record(t, cfg, OrderOnly, progs, nil, RecordOptions{StratifyMax: 1})
 	if rec.Stratified == nil || rec.Stratified.Len() == 0 {
 		t.Fatal("no stratified log built")
 	}
@@ -263,7 +258,7 @@ func TestStratifiedSmallerThanPI(t *testing.T) {
 		a.Halt()
 		progs[p] = a.Assemble()
 	}
-	rec, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{StratifyMax: 3})
+	rec := record(t, cfg, OrderOnly, progs, nil, RecordOptions{StratifyMax: 3})
 	if rec.Stratified.RawBits() >= rec.PI.RawBits() {
 		t.Fatalf("stratified %d bits >= PI %d bits on conflict-free run",
 			rec.Stratified.RawBits(), rec.PI.RawBits())
@@ -273,7 +268,7 @@ func TestStratifiedSmallerThanPI(t *testing.T) {
 func TestPicoLogHasNoPILog(t *testing.T) {
 	cfg := testConfig(4, 300)
 	progs := racyProgs(4, 60)
-	rec, _ := record(t, cfg, PicoLog, progs, nil, RecordOptions{})
+	rec := record(t, cfg, PicoLog, progs, nil, RecordOptions{})
 	if rec.PI != nil {
 		t.Fatal("PicoLog recording has a PI log")
 	}
@@ -306,8 +301,8 @@ func TestOrderOnlyLogMuchSmallerThanOrderSize(t *testing.T) {
 		progs[p] = a.Assemble()
 	}
 	cfg := testConfig(4, 300)
-	recOO, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{})
-	recOS, _ := record(t, cfg, OrderSize, progs, nil, RecordOptions{})
+	recOO := record(t, cfg, OrderOnly, progs, nil, RecordOptions{})
+	recOS := record(t, cfg, OrderSize, progs, nil, RecordOptions{})
 	if recOO.MemOrderingRawBits() >= recOS.MemOrderingRawBits() {
 		t.Fatalf("OrderOnly %d bits >= Order&Size %d bits",
 			recOO.MemOrderingRawBits(), recOS.MemOrderingRawBits())
@@ -330,7 +325,7 @@ func TestReplayConfigAdjustments(t *testing.T) {
 func TestRecordingString(t *testing.T) {
 	cfg := testConfig(2, 300)
 	progs := racyProgs(2, 30)
-	rec, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{})
+	rec := record(t, cfg, OrderOnly, progs, nil, RecordOptions{})
 	if rec.String() == "" {
 		t.Fatal("empty description")
 	}

@@ -15,14 +15,13 @@ import (
 	"delorean/internal/diffcheck"
 	"delorean/internal/dlog"
 	"delorean/internal/isa"
-	"delorean/internal/mem"
 )
 
 func recordRacy(t *testing.T, mode core.Mode) (*core.Recording, []*isa.Program) {
 	t.Helper()
 	cfg := fuzzConfig(4, 200)
 	progs := diffcheck.GenPrograms(7, 4, diffcheck.DefaultGen())
-	rec, err := core.Record(cfg, mode, progs, mem.New(), nil, core.RecordOptions{TruncSeed: 7})
+	rec, err := core.Record(cfg, mode, progs, nil, nil, core.RecordOptions{TruncSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +177,7 @@ func TestDivergenceLocalizedToCorruptedProc(t *testing.T) {
 	}
 	for _, mode := range []core.Mode{core.OrderSize, core.OrderOnly, core.PicoLog} {
 		t.Run(fmt.Sprint(mode), func(t *testing.T) {
-			rec, err := core.Record(cfg, mode, progs, mem.New(), device.New(11), core.RecordOptions{})
+			rec, err := core.Record(cfg, mode, progs, nil, device.New(11), core.RecordOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +211,7 @@ func TestDivergenceStallOnExhaustedInputLogs(t *testing.T) {
 		for p := range progs {
 			progs[p] = privProg(p == ioProc, 50)
 		}
-		rec, err := core.Record(cfg, core.OrderOnly, progs, mem.New(), device.New(11), core.RecordOptions{})
+		rec, err := core.Record(cfg, core.OrderOnly, progs, nil, device.New(11), core.RecordOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +240,7 @@ func TestDivergenceStallOnExhaustedInputLogs(t *testing.T) {
 		gen.DMAPeriod = 2_000
 		progs := diffcheck.GenPrograms(9, 4, gen)
 		devs := diffcheck.GenDevices(9, 4, gen)
-		rec, err := core.Record(cfg, core.OrderOnly, progs, mem.New(), devs, core.RecordOptions{TruncSeed: 9})
+		rec, err := core.Record(cfg, core.OrderOnly, progs, nil, devs, core.RecordOptions{TruncSeed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}

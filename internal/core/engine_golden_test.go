@@ -154,10 +154,10 @@ func devicesEngine(mode Mode) *bulksc.Engine {
 
 // recordDigests records progs in mode and pins the serialized recording,
 // its Stats and final memory, then replays it under timing perturbation.
-func recordDigests(t *testing.T, cfg sim.Config, mode Mode, progs []*isa.Program, memory *mem.Memory,
+func recordDigests(t *testing.T, cfg sim.Config, mode Mode, progs []*isa.Program, init mem.Image,
 	devs *device.Devices, opts RecordOptions) (*Recording, []digest) {
 	t.Helper()
-	rec, err := Record(cfg, mode, progs, memory, devs, opts)
+	rec, err := Record(cfg, mode, progs, init, devs, opts)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -220,10 +220,10 @@ func engineGoldenCases() []engineCase {
 			cfg := testConfig(4, 300)
 			w := workload.Get("sjbb2k", workload.Params{NProcs: 4, Scale: 8000, Seed: 11})
 			opts := RecordOptions{TruncSeed: 99, CheckpointEvery: 60}
-			_, plain := recordDigests(t, cfg, mode, w.Progs, w.InitMem(), w.Devs, opts)
+			_, plain := recordDigests(t, cfg, mode, w.Progs, w.InitImage(), w.Devs, opts)
 			sink := trace.NewSink(4)
 			opts.Trace = sink
-			_, traced := recordDigests(t, cfg, mode, w.Progs, w.InitMem(), w.Devs, opts)
+			_, traced := recordDigests(t, cfg, mode, w.Progs, w.InitImage(), w.Devs, opts)
 			if fmt.Sprint(plain) != fmt.Sprint(traced) {
 				t.Errorf("tracing changed the recording:\nplain:  %v\ntraced: %v", plain, traced)
 			}
@@ -252,7 +252,7 @@ func checkpointGoldenCases() []engineCase {
 		cases = append(cases, engineCase{"checkpoints7-" + name, func(t *testing.T) []digest {
 			cfg := testConfig(4, 150)
 			progs := racyProgs(4, 80)
-			rec, ds := recordDigests(t, cfg, mode, progs, mem.New(), nil,
+			rec, ds := recordDigests(t, cfg, mode, progs, nil, nil,
 				RecordOptions{TruncSeed: 5, CheckpointEvery: 7})
 			if len(rec.Checkpoints) < 3 {
 				t.Fatalf("only %d checkpoints", len(rec.Checkpoints))

@@ -26,7 +26,7 @@ func fullFatV4Recording(t *testing.T, mode Mode) (*Recording, sim.Config, []*isa
 	devs := device.New(42)
 	devs.GenerateInterrupts(rng.New(1), 4, 4_000, 2_000_000, 0.3)
 	devs.GenerateDMA(rng.New(2), 0x900, 4, 8, 6_000, 2_000_000)
-	rec, _ := record(t, cfg, mode, prog4, devs, RecordOptions{
+	rec := record(t, cfg, mode, prog4, devs, RecordOptions{
 		CheckpointEvery: 25,
 		StratifyMax:     3,
 	})

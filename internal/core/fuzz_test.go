@@ -11,7 +11,6 @@ import (
 	"delorean/internal/bulksc"
 	"delorean/internal/core"
 	"delorean/internal/diffcheck"
-	"delorean/internal/mem"
 	"delorean/internal/sim"
 )
 
@@ -36,8 +35,7 @@ func TestFuzzRecordReplay(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d_%v", seed, mode), func(t *testing.T) {
 			progs := diffcheck.GenPrograms(uint64(seed), 4, diffcheck.DefaultGen())
 			cfg := fuzzConfig(4, 150+50*(seed%4))
-			memory := mem.New()
-			rec, err := core.Record(cfg, mode, progs, memory, nil, core.RecordOptions{TruncSeed: uint64(seed)})
+			rec, err := core.Record(cfg, mode, progs, nil, nil, core.RecordOptions{TruncSeed: uint64(seed)})
 			if err != nil {
 				t.Fatalf("record: %v", err)
 			}

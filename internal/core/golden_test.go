@@ -121,7 +121,7 @@ func goldenRecording(t *testing.T) (*Recording, []*isa.Program, sim.Config) {
 	devs := device.New(17)
 	devs.GenerateInterrupts(rng.New(3), 4, 4_000, 2_000_000, 0.3)
 	devs.GenerateDMA(rng.New(6), 0x900, 4, 8, 6_000, 2_000_000)
-	rec, _ := record(t, cfg, OrderOnly, progs, devs, RecordOptions{
+	rec := record(t, cfg, OrderOnly, progs, devs, RecordOptions{
 		CheckpointEvery: 30,
 		StratifyMax:     3,
 	})

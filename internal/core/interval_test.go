@@ -22,8 +22,7 @@ func TestIntervalReplayRacy(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := testConfig(4, 300)
 			progs := racyProgs(4, 120)
-			memory := newMem()
-			rec, err := Record(cfg, mode, progs, memory, nil, RecordOptions{
+			rec, err := Record(cfg, mode, progs, nil, nil, RecordOptions{
 				CheckpointEvery: 15,
 			})
 			if err != nil {
@@ -63,7 +62,7 @@ func TestIntervalReplayWithSystemEvents(t *testing.T) {
 			devs.GenerateInterrupts(rng.New(1), 4, 4_000, 2_000_000, 0.3)
 			devs.GenerateDMA(rng.New(2), 0x900, 4, 8, 6_000, 2_000_000)
 
-			rec, err := Record(cfg, mode, progs, newMem(), devs, RecordOptions{
+			rec, err := Record(cfg, mode, progs, nil, devs, RecordOptions{
 				CheckpointEvery: 40,
 			})
 			if err != nil {
@@ -102,7 +101,7 @@ func TestPicoLogUrgentCommitTokens(t *testing.T) {
 	progs := replicateProgs(systemProgram(60), 4)
 	devs := device.New(42)
 	devs.GenerateInterrupts(rng.New(1), 4, 4_000, 2_000_000, 0.3)
-	rec, err := Record(cfg, PicoLog, progs, newMem(), devs, RecordOptions{CheckpointEvery: 2})
+	rec, err := Record(cfg, PicoLog, progs, nil, devs, RecordOptions{CheckpointEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +126,7 @@ func TestIntervalReplayWorkloads(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			w := workload.Get(name, workload.Params{NProcs: 4, Scale: 10000, Seed: 5})
 			cfg := testConfig(4, 400)
-			rec, err := Record(cfg, OrderOnly, w.Progs, w.InitMem(), w.Devs, RecordOptions{
+			rec, err := Record(cfg, OrderOnly, w.Progs, w.InitImage(), w.Devs, RecordOptions{
 				CheckpointEvery: 30,
 			})
 			if err != nil {
@@ -158,7 +157,7 @@ func TestIntervalReplayWorkloads(t *testing.T) {
 func TestIntervalReplayBounds(t *testing.T) {
 	cfg := testConfig(2, 300)
 	progs := racyProgs(2, 40)
-	rec, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{CheckpointEvery: 10})
+	rec := record(t, cfg, OrderOnly, progs, nil, RecordOptions{CheckpointEvery: 10})
 	if _, err := ReplayFromCheckpoint(rec, len(rec.Checkpoints), ReplayConfig(cfg), progs, ReplayOptions{}); err == nil {
 		t.Fatal("out-of-range checkpoint accepted")
 	}

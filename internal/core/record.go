@@ -178,15 +178,21 @@ func (r *recorder) OnDMACommit(slot uint64, addr uint32, data []uint64) {
 var _ bulksc.Observer = (*recorder)(nil)
 
 // Record executes progs on the chunked machine in the given mode,
-// capturing a Recording. memory provides the initial state (the system
-// checkpoint); it is mutated by the run. devs supplies interrupts, I/O
-// values and DMA traffic (nil for none).
-func Record(cfg sim.Config, mode Mode, progs []*isa.Program, memory *mem.Memory, devs *device.Devices, opts RecordOptions) (*Recording, error) {
+// capturing a Recording. init is the initial memory (the system
+// checkpoint; nil for an empty one). It must be canonical, as
+// mem.Memory.Snapshot returns it: nonzero words at strictly increasing
+// addresses. The recording keeps init as its InitialMem, which nothing
+// modifies; the run executes on a memory of its own. devs supplies
+// interrupts, I/O values and DMA traffic (nil for none).
+func Record(cfg sim.Config, mode Mode, progs []*isa.Program, init mem.Image, devs *device.Devices, opts RecordOptions) (*Recording, error) {
+	memory := mem.Get()
+	defer mem.Put(memory)
+	memory.Restore(init)
 	rec := &Recording{
 		Mode:       mode,
 		NProcs:     cfg.NProcs,
 		ChunkSize:  cfg.ChunkSize,
-		InitialMem: memory.Snapshot(),
+		InitialMem: init,
 		DMA:        &dlog.DMALog{},
 		Slots:      &dlog.SlotLog{},
 	}

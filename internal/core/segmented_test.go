@@ -25,7 +25,7 @@ func TestSegmentedReplayMatchesSequential(t *testing.T) {
 			devs := device.New(42)
 			devs.GenerateInterrupts(rng.New(1), nprocs, 4_000, 2_000_000, 0.3)
 			devs.GenerateDMA(rng.New(2), 0x900, 4, 8, 6_000, 2_000_000)
-			rec, _ := record(t, cfg, mode, progs, devs, RecordOptions{CheckpointEvery: 25})
+			rec := record(t, cfg, mode, progs, devs, RecordOptions{CheckpointEvery: 25})
 			if len(rec.Checkpoints) < 2 {
 				t.Fatalf("setup: only %d checkpoints", len(rec.Checkpoints))
 			}
@@ -70,7 +70,7 @@ func TestSegmentedReplayMatchesSequential(t *testing.T) {
 func TestSegmentedReplayNoCheckpoints(t *testing.T) {
 	cfg := testConfig(2, 300)
 	progs := racyProgs(2, 60)
-	rec, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{})
+	rec := record(t, cfg, OrderOnly, progs, nil, RecordOptions{})
 	seq := replayMatches(t, rec, cfg, progs, ReplayOptions{})
 	res, err := Replay(rec, ReplayConfig(cfg), progs, ReplayOptions{ReplayParallel: 4})
 	if err != nil {
@@ -86,7 +86,7 @@ func TestSegmentedReplayNoCheckpoints(t *testing.T) {
 func TestSegmentedReplayStratifiedRejected(t *testing.T) {
 	cfg := testConfig(2, 300)
 	progs := racyProgs(2, 40)
-	rec, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{CheckpointEvery: 10, StratifyMax: 3})
+	rec := record(t, cfg, OrderOnly, progs, nil, RecordOptions{CheckpointEvery: 10, StratifyMax: 3})
 	if _, err := Replay(rec, ReplayConfig(cfg), progs, ReplayOptions{ReplayParallel: 2, UseStratified: true}); err == nil {
 		t.Fatal("segmented stratified replay accepted")
 	}
@@ -107,7 +107,7 @@ func TestSegmentedReplayDivergenceInterval(t *testing.T) {
 			devs := device.New(42)
 			devs.GenerateInterrupts(rng.New(1), nprocs, 4_000, 2_000_000, 0.3)
 			devs.GenerateDMA(rng.New(2), 0x900, 4, 8, 6_000, 2_000_000)
-			rec, _ := record(t, cfg, mode, progs, devs, RecordOptions{CheckpointEvery: 25})
+			rec := record(t, cfg, mode, progs, devs, RecordOptions{CheckpointEvery: 25})
 			k := len(rec.Checkpoints)
 			if k < 2 {
 				t.Fatalf("setup: only %d checkpoints", k)
@@ -188,7 +188,7 @@ func TestCheckpointCutPastPILog(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := testConfig(4, 250)
 			progs := replicateProgs(systemProgram(150), 4)
-			rec, _ := record(t, cfg, mode, progs, nil, RecordOptions{CheckpointEvery: 25})
+			rec := record(t, cfg, mode, progs, nil, RecordOptions{CheckpointEvery: 25})
 			last := len(rec.Checkpoints) - 1
 			if last < 0 {
 				t.Fatal("setup: no checkpoints")
@@ -232,7 +232,7 @@ func TestSegmentedReplayCheckpointValueCorruption(t *testing.T) {
 	devs := device.New(42)
 	devs.GenerateInterrupts(rng.New(1), 4, 4_000, 2_000_000, 0.3)
 	devs.GenerateDMA(rng.New(2), 0x900, 4, 8, 6_000, 2_000_000)
-	rec, _ := record(t, cfg, OrderOnly, progs, devs, RecordOptions{CheckpointEvery: 40})
+	rec := record(t, cfg, OrderOnly, progs, devs, RecordOptions{CheckpointEvery: 40})
 	if len(rec.Checkpoints) < 2 {
 		t.Fatalf("setup: only %d checkpoints", len(rec.Checkpoints))
 	}
@@ -252,7 +252,7 @@ func TestSegmentedReplayCheckpointValueCorruption(t *testing.T) {
 func TestIntervalMatchDiagnosis(t *testing.T) {
 	cfg := testConfig(4, 300)
 	progs := racyProgs(4, 120)
-	rec, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{CheckpointEvery: 15})
+	rec := record(t, cfg, OrderOnly, progs, nil, RecordOptions{CheckpointEvery: 15})
 	if len(rec.Checkpoints) == 0 {
 		t.Fatal("no checkpoints")
 	}

@@ -38,7 +38,7 @@ func TestSerializeRoundTripAllModes(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := testConfig(4, 300)
 			progs := racyProgs(4, 80)
-			rec, _ := record(t, cfg, mode, progs, nil, RecordOptions{})
+			rec := record(t, cfg, mode, progs, nil, RecordOptions{})
 			got := roundTripRecording(t, rec)
 
 			if got.Mode != rec.Mode || got.NProcs != rec.NProcs || got.ChunkSize != rec.ChunkSize {
@@ -84,7 +84,7 @@ func TestSerializeWithSystemEventsAndStratified(t *testing.T) {
 	devs.GenerateInterrupts(rng.New(1), 4, 4_000, 2_000_000, 0.3)
 	devs.GenerateDMA(rng.New(2), 0x900, 4, 8, 6_000, 2_000_000)
 
-	rec, _ := record(t, cfg, OrderOnly, prog4, devs, RecordOptions{StratifyMax: 3})
+	rec := record(t, cfg, OrderOnly, prog4, devs, RecordOptions{StratifyMax: 3})
 	if rec.Stats.Interrupts == 0 || rec.Stats.IOOps == 0 || rec.Stats.DMAs == 0 {
 		t.Fatal("setup: system events missing")
 	}
@@ -127,7 +127,7 @@ func TestSerializePicoLogWithSlots(t *testing.T) {
 	devs.GenerateInterrupts(rng.New(4), 4, 3_000, 2_000_000, 0.8) // mostly urgent
 	devs.GenerateDMA(rng.New(5), 0x900, 4, 8, 6_000, 2_000_000)
 
-	rec, _ := record(t, cfg, PicoLog, prog4, devs, RecordOptions{})
+	rec := record(t, cfg, PicoLog, prog4, devs, RecordOptions{})
 	got := roundTripRecording(t, rec)
 	if got.Slots.Len() != rec.Slots.Len() {
 		t.Fatalf("slot log: %d vs %d", got.Slots.Len(), rec.Slots.Len())
@@ -152,7 +152,7 @@ func TestSerializeCheckpoints(t *testing.T) {
 	devs := device.New(42)
 	devs.GenerateInterrupts(rng.New(1), 4, 4_000, 2_000_000, 0.3)
 	devs.GenerateDMA(rng.New(2), 0x900, 4, 8, 6_000, 2_000_000)
-	rec, _ := record(t, cfg, OrderOnly, prog4, devs, RecordOptions{CheckpointEvery: 25})
+	rec := record(t, cfg, OrderOnly, prog4, devs, RecordOptions{CheckpointEvery: 25})
 	if len(rec.Checkpoints) < 2 {
 		t.Fatalf("setup: only %d checkpoints", len(rec.Checkpoints))
 	}
@@ -224,7 +224,7 @@ func streamProgram(iters int) *isa.Program {
 func TestSerializeDeltaSmallerThanFullImages(t *testing.T) {
 	cfg := testConfig(4, 250)
 	progs := replicateProgs(streamProgram(1000), 4)
-	rec, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{CheckpointEvery: 20})
+	rec := record(t, cfg, OrderOnly, progs, nil, RecordOptions{CheckpointEvery: 20})
 	if len(rec.Checkpoints) < 3 {
 		t.Fatalf("setup: only %d checkpoints", len(rec.Checkpoints))
 	}
@@ -288,7 +288,7 @@ func unsortedImageContainers(t *testing.T) map[string][]byte {
 	memory := mem.New()
 	memory.Store(0x100, 1)
 	memory.Store(0x200, 2)
-	rec, err := Record(cfg, OrderOnly, progs, memory, nil, RecordOptions{CheckpointEvery: 4})
+	rec, err := Record(cfg, OrderOnly, progs, memory.Snapshot(), nil, RecordOptions{CheckpointEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestReadRecordingRejectsGarbage(t *testing.T) {
 	}
 	// An otherwise valid container that declares a pre-v4 version is
 	// rejected as corrupt: v4 is the only format.
-	rec, _ := record(t, testConfig(2, 300), OrderOnly, racyProgs(2, 40), nil, RecordOptions{})
+	rec := record(t, testConfig(2, 300), OrderOnly, racyProgs(2, 40), nil, RecordOptions{})
 	var buf bytes.Buffer
 	if _, err := rec.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -344,7 +344,7 @@ func TestReadRecordingRejectsGarbage(t *testing.T) {
 func TestReadRecordingRejectsTruncation(t *testing.T) {
 	cfg := testConfig(2, 300)
 	progs := racyProgs(2, 40)
-	rec, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{})
+	rec := record(t, cfg, OrderOnly, progs, nil, RecordOptions{})
 	var buf bytes.Buffer
 	if _, err := rec.WriteTo(&buf); err != nil {
 		t.Fatal(err)

@@ -58,8 +58,7 @@ func TestReplaySplitsOnUnexpectedOverflow(t *testing.T) {
 	}
 	progs := []*isa.Program{mkProg(0x100000), mkProg(0x300000)}
 
-	memory := mem.New()
-	rec, err := Record(cfg, OrderOnly, progs, memory, nil, RecordOptions{})
+	rec, err := Record(cfg, OrderOnly, progs, nil, nil, RecordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestGenProgramTerminates(t *testing.T) {
 	cfg.MaxInsts = 30_000_000
 	for seed := uint64(0); seed < 4; seed++ {
 		progs := GenPrograms(seed, 2, DefaultGen())
-		rec, err := core.Record(cfg, core.OrderOnly, progs, mem.New(), nil, core.RecordOptions{})
+		rec, err := core.Record(cfg, core.OrderOnly, progs, nil, nil, core.RecordOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -96,7 +96,7 @@ func TestBaselineRecordersDifferential(t *testing.T) {
 		}
 
 		for _, mode := range []core.Mode{core.OrderSize, core.OrderOnly, core.PicoLog} {
-			rec, err := core.Record(cfg, mode, progs, mem.New(), nil, core.RecordOptions{})
+			rec, err := core.Record(cfg, mode, progs, nil, nil, core.RecordOptions{})
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, mode, err)
 			}

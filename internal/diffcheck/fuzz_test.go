@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"delorean/internal/core"
-	"delorean/internal/mem"
 	"delorean/internal/sim"
 )
 
@@ -29,7 +28,7 @@ func seedRecordingBytes(f *testing.F) [][]byte {
 			{TruncSeed: 3, CheckpointEvery: 4},
 			{TruncSeed: 3, StratifyMax: 3},
 		} {
-			rec, err := core.Record(cfg, mode, progs, mem.New(), nil, opts)
+			rec, err := core.Record(cfg, mode, progs, nil, nil, opts)
 			if err != nil {
 				f.Fatalf("seed recording (%v): %v", mode, err)
 			}

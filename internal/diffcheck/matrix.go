@@ -123,7 +123,7 @@ func crossModel(rep *Report, seed uint64, opts Options, cfg sim.Config) {
 	rep.check(sc == rc, "cross-model: SC %x != RC %x on race-free program", sc, rc)
 
 	for _, mode := range modes {
-		rec, err := core.Record(cfg, mode, progs, mem.New(), nil, core.RecordOptions{})
+		rec, err := core.Record(cfg, mode, progs, nil, nil, core.RecordOptions{})
 		if err != nil {
 			rep.failf("cross-model: %v record: %v", mode, err)
 			continue
@@ -138,7 +138,7 @@ func crossModel(rep *Report, seed uint64, opts Options, cfg sim.Config) {
 // fault injection.
 func checkMode(rep *Report, seed uint64, opts Options, cfg sim.Config, mode core.Mode, progs []*isa.Program) {
 	record := func(every uint64) (*core.Recording, error) {
-		return core.Record(cfg, mode, progs, mem.New(), GenDevices(seed, opts.NProcs, opts.Gen),
+		return core.Record(cfg, mode, progs, nil, GenDevices(seed, opts.NProcs, opts.Gen),
 			core.RecordOptions{TruncSeed: seed, CheckpointEvery: every})
 	}
 

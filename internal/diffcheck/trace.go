@@ -6,7 +6,6 @@ import (
 
 	"delorean/internal/bulksc"
 	"delorean/internal/core"
-	"delorean/internal/mem"
 	"delorean/internal/trace"
 )
 
@@ -24,7 +23,7 @@ func CheckTracing(seed uint64, opts Options) Report {
 
 	for _, mode := range modes {
 		record := func(sink *trace.Sink) (*core.Recording, error) {
-			return core.Record(cfg, mode, progs, mem.New(), GenDevices(seed, opts.NProcs, opts.Gen),
+			return core.Record(cfg, mode, progs, nil, GenDevices(seed, opts.NProcs, opts.Gen),
 				core.RecordOptions{TruncSeed: seed, Trace: sink})
 		}
 

@@ -216,9 +216,7 @@ func (c Config) workload(name string) *instance {
 	p := c.params()
 	return c.cache().workloads.Do(workloadKey{name, p}, func() *instance {
 		w := workload.Get(name, p)
-		m := w.InitMem()
-		defer mem.Put(m)
-		return &instance{Workload: w, image: m.Snapshot()}
+		return &instance{Workload: w, image: w.InitImage()}
 	})
 }
 
@@ -244,9 +242,7 @@ func (c Config) recordWorkload(name string, mode core.Mode, chunkSize int, opts 
 		w := c.workload(name)
 		cfg := c.machine()
 		cfg.ChunkSize = chunkSize
-		m := w.InitMem()
-		defer mem.Put(m)
-		rec, err := core.Record(cfg, mode, w.Progs, m, w.Devs, canon)
+		rec, err := core.Record(cfg, mode, w.Progs, w.image, w.Devs, canon)
 		return recordResult{rec: rec, err: err}
 	})
 	return res.rec, res.err

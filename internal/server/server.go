@@ -683,9 +683,9 @@ func parseRecord(_ http.ResponseWriter, r *http.Request) (Spec, string, decodeFu
 // The work runs on the pool. The deadline is checked before decoding
 // and after each stage, so an expired request stops at the next stage
 // boundary, and a stage that fails after the deadline passed reports
-// the deadline, not its own error.
+// the deadline, not its own error. The workload is generated on the
+// pool too, so a request the pool refuses costs no generation.
 func (s *Server) create(w http.ResponseWriter, r *http.Request, spec Spec, counter string, decode decodeFunc) {
-	wl := spec.instantiate()
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
 	var e *entry
@@ -702,6 +702,7 @@ func (s *Server) create(w http.ResponseWriter, r *http.Request, spec Spec, count
 		if halt(nil) {
 			return
 		}
+		wl := spec.instantiate()
 		rec, derr := decode(ctx, wl)
 		if halt(derr) {
 			return

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -497,6 +498,20 @@ func TestRecordLimits(t *testing.T) {
 		spec(delorean.MaxProcessors, delorean.MaxChunkSize, delorean.MaxStratify))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("spec at the limits: status %d, want 429 from the full pool: %s", resp.StatusCode, body)
+	}
+	// The workload is generated on the pool, so a refused request does
+	// not pay for it: syskernel at the processor limit allocates tens of
+	// megabytes.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, body = doJSON(t, "POST", hs.URL+"/v1/recordings",
+		map[string]any{"workload": "syskernel", "procs": delorean.MaxProcessors, "scale": 130})
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("syskernel at the limit: status %d, want 429 from the full pool: %s", resp.StatusCode, body)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Fatalf("a refused syskernel request allocated %d bytes: the workload was generated before the pool accepted it", grew)
 	}
 }
 

@@ -13,13 +13,15 @@ import (
 // kernels, yet once a waiting core has settled, each iteration repeats the
 // last one exactly: the load hits in L1 at the same address, reads the same
 // value, and leaves the core's timing state as it found it, moved forward
-// by the same number of cycles. Both machines (Machine here, and
-// bulksc.Engine) then advance every waiting core to the next action of
-// anything else — a non-waiting core, a device, the instruction budget —
-// in one step, with the same final state as stepping.
+// by the same number of cycles. Machine here then advances every waiting
+// core to the next action of anything else — a non-waiting core, a
+// device, the instruction budget — in one step, with the same final state
+// as stepping. bulksc.Engine, whose chunks hide each core's stores and
+// fills from the others until commit, parks a waiting core and applies
+// its iterations lazily, up to the next global event.
 //
-// Spin decides when a core has settled; Horizon and LimitSpins decide how
-// far the waiting cores may go.
+// Spin decides when a core has settled; Horizon, and on Machine
+// LimitSpins, decide how far the waiting cores may go.
 
 // stepSpins turns skipping off in both machines, so that every iteration
 // is simulated one by one. It is the reference the differential tests

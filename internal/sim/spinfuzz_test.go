@@ -150,20 +150,22 @@ func (c spinCase) runEngine() engineRun {
 // FuzzSpinSkip checks skipping against stepping on small spin-wait
 // machines, on the classic machine with every prior-work recorder
 // attached and on the chunked engine: Stats, logs or observer streams,
-// and final memory must be identical.
+// final memory and, on the engine, the trace and its end-of-run counters
+// must be identical.
 func FuzzSpinSkip(f *testing.F) {
 	for _, seed := range [][]byte{
-		{0, 0, 5, 0, 0, 10, 20, 0, 0, 0, 0, 0},       // store release
-		{1, 1, 30, 0, 1, 3, 90, 1, 0, 1, 1, 2},       // DMA release, lock
-		{2, 2, 50, 1, 0, 7, 7, 7, 0, 0, 2, 0, 3},     // urgent interrupt release
-		{1, 2, 70, 0, 1, 1, 2, 3, 0, 2, 1, 5},        // plain interrupt release
-		{0, 3, 0, 0, 0, 4, 4, 1, 37, 0, 0, 1},        // never released, budget ends mid-spin
-		{2, 1, 200, 0, 0, 40, 0, 9, 1, 12, 2, 0, 4},  // DMA release, budget ends mid-spin
-		{1, 0, 255, 1, 1, 100, 3, 1, 250, 1, 1, 7},   // store release, budget ends mid-spin
-		{2, 3, 9, 0, 1, 0, 0, 0, 0, 0, 0, 2, 6},      // never released, free-running waits
-		{0, 2, 12, 1, 1, 255, 1, 1, 99, 2, 0, 1},     // urgent interrupt, budget ends mid-spin
-		{1, 1, 3, 0, 0, 0, 255, 0, 0, 2, 2, 3},       // early DMA
-		{2, 0, 120, 0, 1, 12, 80, 160, 1, 200, 1, 2}, // lock contention, store release
+		{0, 0, 5, 0, 0, 10, 20, 0, 0, 0, 0, 0},        // store release
+		{1, 1, 30, 0, 1, 3, 90, 1, 0, 1, 1, 2},        // DMA release, lock
+		{2, 2, 50, 1, 0, 7, 7, 7, 0, 0, 2, 0, 3},      // urgent interrupt release
+		{1, 2, 70, 0, 1, 1, 2, 3, 0, 2, 1, 5},         // plain interrupt release
+		{0, 3, 0, 0, 0, 4, 4, 1, 37, 0, 0, 1},         // never released, budget ends mid-spin
+		{2, 1, 200, 0, 0, 40, 0, 9, 1, 12, 2, 0, 4},   // DMA release, budget ends mid-spin
+		{1, 0, 255, 1, 1, 100, 3, 1, 250, 1, 1, 7},    // store release, budget ends mid-spin
+		{2, 3, 9, 0, 1, 0, 0, 0, 0, 0, 0, 2, 6},       // never released, free-running waits
+		{0, 2, 12, 1, 1, 255, 1, 1, 99, 2, 0, 1},      // urgent interrupt, budget ends mid-spin
+		{1, 1, 3, 0, 0, 0, 255, 0, 0, 2, 2, 3},        // early DMA
+		{2, 0, 120, 0, 1, 12, 80, 160, 1, 200, 1, 2},  // lock contention, store release
+		{49, 48, 1, 48, 49, 0, 88, 1, 49, 30, 48, 50}, // budget ends with two cores parked, one stepping
 	} {
 		f.Add(seed)
 	}

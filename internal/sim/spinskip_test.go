@@ -10,7 +10,9 @@ import (
 	"delorean/internal/baseline"
 	"delorean/internal/bulksc"
 	"delorean/internal/core"
+	"delorean/internal/metrics"
 	"delorean/internal/sim"
+	"delorean/internal/trace"
 	"delorean/internal/workload"
 )
 
@@ -92,7 +94,7 @@ type recordingOf struct {
 
 func record(t *testing.T, cfg sim.Config, mode core.Mode, w *workload.Workload, opts core.RecordOptions) (recordingOf, *core.Recording) {
 	t.Helper()
-	rec, err := core.Record(cfg, mode, w.Progs, w.InitMem(), w.Devs, opts)
+	rec, err := core.Record(cfg, mode, w.Progs, w.InitImage(), w.Devs, opts)
 	if err != nil {
 		t.Fatalf("%s/%v: %v", w.Name, mode, err)
 	}
@@ -147,18 +149,29 @@ func (c *commitLog) OnDMACommit(slot uint64, addr uint32, data []uint64) {
 	c.Events = append(c.Events, fmt.Sprint("dma", slot, addr, data))
 }
 
-// engineRun is everything a bare engine run produces.
+// engineRun is everything a bare engine run produces, its trace and
+// end-of-run counters included.
 type engineRun struct {
-	Stats   bulksc.Stats
-	Stream  commitLog
-	MemHash uint64
+	Stats    bulksc.Stats
+	Stream   commitLog
+	MemHash  uint64
+	Trace    []byte
+	Counters []metrics.Counter
 }
 
+// runEngine runs e with an observer and a trace sink attached.
 func runEngine(e *bulksc.Engine) engineRun {
 	var out engineRun
 	e.Obs = &out.Stream
+	e.Trace = trace.NewSink(e.Cfg.NProcs)
 	out.Stats = e.Run()
 	out.MemHash = e.Mem.Hash()
+	var buf bytes.Buffer
+	if err := e.Trace.WriteTraceEvent(&buf); err != nil {
+		panic(err)
+	}
+	out.Trace = buf.Bytes()
+	out.Counters = e.Trace.Counters.Snapshot()
 	return out
 }
 

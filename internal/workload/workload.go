@@ -53,6 +53,14 @@ func (w *Workload) InitMem() *mem.Memory {
 	return m
 }
 
+// InitImage returns the workload's initial data as a memory image, the
+// form core.Record takes.
+func (w *Workload) InitImage() mem.Image {
+	m := w.InitMem()
+	defer mem.Put(m)
+	return m.Snapshot()
+}
+
 // Shared address map (word addresses). Layout matters to the Bulk
 // signatures: synchronization globals (barrier generation and flags,
 // locks, the task-queue head) each live on their own cache line at a
