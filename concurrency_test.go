@@ -103,10 +103,11 @@ func TestConcurrentReplaySameRecording(t *testing.T) {
 // TestConcurrentRunsShareFreeLists runs recordings, replays and
 // baseline-recorder runs at once. They share the free lists that carry
 // engine state from one run to the next: memories (mem.Get/Put), line
-// histories and cache hierarchies, at two processor counts. Every concurrent result must equal the
-// sequential one. Run it under -race: the assertions catch state that
-// leaks from one run into another, the race detector catches unsafe
-// sharing.
+// histories, cache hierarchies, the chunked engine's cores with their
+// chunk objects, and container frame-encoding buffers, at two processor
+// counts. Every concurrent result must equal the sequential one. Run it
+// under -race: the assertions catch state that leaks from one run into
+// another, the race detector catches unsafe sharing.
 func TestConcurrentRunsShareFreeLists(t *testing.T) {
 	cfg := smallConfig()
 	cfg.CheckpointEvery = 25

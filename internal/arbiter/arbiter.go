@@ -365,6 +365,18 @@ type Stats struct {
 	Grants uint64
 }
 
+// Release brings the statistics integrals up to now and drops every
+// queued request, for an owner that is about to reuse the requests: a
+// StatsAt at now afterwards reads what it would have before, and no
+// later call reads a request.
+func (a *Arbiter) Release(now uint64) {
+	if now > a.lastSample {
+		a.sample(now)
+	}
+	clear(a.queue)
+	a.queue = a.queue[:0]
+}
+
 // StatsAt finalizes and returns the integrals at time now.
 func (a *Arbiter) StatsAt(now uint64) Stats {
 	a.sample(now)

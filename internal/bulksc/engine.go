@@ -2,6 +2,7 @@ package bulksc
 
 import (
 	"fmt"
+	"slices"
 
 	"delorean/internal/arbiter"
 	"delorean/internal/chunk"
@@ -9,6 +10,7 @@ import (
 	"delorean/internal/isa"
 	"delorean/internal/mem"
 	"delorean/internal/rng"
+	"delorean/internal/runner"
 	"delorean/internal/signature"
 	"delorean/internal/sim"
 	"delorean/internal/trace"
@@ -74,6 +76,9 @@ type Engine struct {
 	arb   *arbiter.Arbiter
 	ms    *sim.MemSys // from sim's free list; held only while Run executes
 	cores []*core
+	// built counts, per processor, the chunk objects the run
+	// constructed rather than reused.
+	built []int
 	// events holds the global events only: DMA arrivals, commit-request
 	// submissions and arbiter wake-ups. Core wake-ups live in the cores'
 	// (wake, wakeOK) fields; step merges the two.
@@ -220,10 +225,9 @@ type core struct {
 	// list of retired chunks and the perturbation and random-truncation
 	// streams (seeded per processor, so a core's draw sequence is a
 	// function of its own steps).
-	free  []*chunk.Chunk
-	built int // chunk objects constructed rather than reused
-	prng  *rng.Source
-	trng  *rng.Source
+	free []*chunk.Chunk
+	prng *rng.Source
+	trng *rng.Source
 
 	spinLoads []bool // prog.SpinLoads()
 	spin      sim.Spin
@@ -262,7 +266,7 @@ type event struct {
 	kind uint8
 	// life is an evSubmit's chunk's Life at submission: the chunk object
 	// may be retired and reused under a new identity before the event
-	// pops.
+	// pops, and req (the chunk's Req) refilled by the new life.
 	life uint32
 	id   int
 	req  *arbiter.Request
@@ -339,8 +343,44 @@ func (e *Engine) newChunk(co *core, seqID uint64, ckpt isa.ThreadState, target i
 		c.Reuse(seqID, ckpt, target)
 		return c
 	}
-	co.built++
+	e.built[co.proc]++
 	return chunk.New(co.proc, seqID, ckpt, target)
+}
+
+// spareCores carries cores from finished runs to later ones, one list
+// per run, indexed by processor: core p of a run is restarted from core
+// p of an earlier run (takeCore). A core keeps its buffers: its chunk
+// objects with their write and line tables, written-line lists and fill
+// journals, its chunk and interrupt lists and its timing model's
+// queues, so a run does not regrow them from empty. Chunk.Reuse and
+// takeCore zero everything that reaches an output, so no output depends
+// on which run used a core before. A list holds only the cores of the
+// last run that used it: a run on fewer processors drops the rest, so a
+// many-processor run's cores do not outlive the next smaller run.
+var spareCores runner.FreeList[[]*core]
+
+// takeCore returns a zero core for processor p but for its buffers:
+// spare's core p, or a new one.
+func (e *Engine) takeCore(spare []*core, p int) *core {
+	if p >= len(spare) {
+		return &core{tm: sim.NewCoreTiming(&e.Cfg)}
+	}
+	co := spare[p]
+	co.tm.Restart(&e.Cfg)
+	*co = core{tm: co.tm, free: co.free, chunks: co.chunks[:0], tent: co.tent[:0]}
+	return co
+}
+
+// keepCores hands the run's cores to spareCores, with every chunk
+// object, free or left uncommitted, on its core's free list. The engine
+// keeps no core: a later run may be using them.
+func (e *Engine) keepCores() {
+	for _, co := range e.cores {
+		co.free = append(co.free, co.chunks...)
+		co.chunks, co.cur = co.chunks[:0], nil
+	}
+	spareCores.Put(e.cores)
+	e.cores = nil
 }
 
 // releaseChunk hands a retired (committed, squashed or abandoned) chunk
@@ -383,6 +423,10 @@ func (e *Engine) Run() Stats {
 	e.finishStats()
 	sim.ReleaseMemSys(e.ms)
 	e.ms = nil
+	// The arbiter outlives the run (Arbiter), but the requests still
+	// queued in it are embedded in chunk objects the next run may reuse.
+	e.arb.Release(e.stats.Cycles)
+	e.keepCores()
 	return e.stats
 }
 
@@ -392,7 +436,7 @@ func (e *Engine) begin() {
 	if len(e.Progs) != e.Cfg.NProcs {
 		panic(fmt.Sprintf("bulksc: %d programs for %d processors", len(e.Progs), e.Cfg.NProcs))
 	}
-	if e.cores != nil {
+	if e.arb != nil {
 		panic("bulksc: Engine.Run called twice; an engine runs once")
 	}
 	if e.Devs == nil {
@@ -434,8 +478,11 @@ func (e *Engine) begin() {
 		e.stopPending, e.stopped = true, true
 		e.gate.closed = true
 	}
+	spare, _ := spareCores.Get()
+	e.built = make([]int, e.Cfg.NProcs)
 	for p := 0; p < e.Cfg.NProcs; p++ {
-		co := &core{proc: p, prog: e.Progs[p], tm: sim.NewCoreTiming(&e.Cfg), spinLoads: e.Progs[p].SpinLoads()}
+		co := e.takeCore(spare, p)
+		co.proc, co.prog, co.spinLoads = p, e.Progs[p], e.Progs[p].SpinLoads()
 		co.tr = e.Trace.Proc(p)
 		co.ts.Reg[15] = int64(p)
 		co.ts.Reg[14] = int64(e.Cfg.NProcs)
@@ -1072,7 +1119,7 @@ func (e *Engine) completeChunk(co *core, reason chunk.TruncReason) {
 		co.tr.Emit(trace.Event{Time: arrive, Proc: int32(co.proc), Kind: trace.ChunkSubmit,
 			Seq: c.SeqID, A: uint64(c.Insts)})
 	}
-	req := &arbiter.Request{
+	c.Req = arbiter.Request{
 		Proc:   co.proc,
 		Arrive: arrive,
 		Ready:  ready,
@@ -1083,7 +1130,7 @@ func (e *Engine) completeChunk(co *core, reason chunk.TruncReason) {
 		Split:  c.SplitPiece,
 		Tag:    c,
 	}
-	e.push(event{time: arrive, kind: evSubmit, life: c.Life(), id: co.proc, req: req})
+	e.push(event{time: arrive, kind: evSubmit, life: c.Life(), id: co.proc, req: &c.Req})
 }
 
 // ---- chunk lifecycle ----
@@ -1372,7 +1419,7 @@ func (e *Engine) applyCommit(g *arbiter.Request) {
 	if len(co.chunks) == 0 || co.chunks[0] != c {
 		panic("bulksc: commit grant out of per-processor order")
 	}
-	co.chunks = co.chunks[1:]
+	co.chunks = slices.Delete(co.chunks, 0, 1)
 
 	// FNV-1a over (addr, value) little-endian, inlined: hash/fnv would
 	// allocate a hash.Hash64 per commit.
@@ -1406,7 +1453,7 @@ func (e *Engine) applyCommit(g *arbiter.Request) {
 	// architectural: finalize it (log + stats).
 	for len(co.tent) > 0 && co.tent[0].seq <= c.SeqID {
 		ti := co.tent[0]
-		co.tent = co.tent[1:]
+		co.tent = slices.Delete(co.tent, 0, 1)
 		e.stats.Interrupts++
 		e.Obs.OnInterrupt(co.proc, ti.seq, ti.typ, ti.data, ti.urgent)
 	}
@@ -1658,7 +1705,9 @@ func (e *Engine) chunkAlive(c *chunk.Chunk) bool {
 
 // DebugState renders the engine's per-core state — a diagnostic for
 // replay-divergence investigations (which core is blocked on what, how
-// far each chunk sequence has progressed).
+// far each chunk sequence has progressed). The per-core lines exist
+// only while Run executes (an observer may call it); after Run the
+// cores belong to later runs and only the global line remains.
 func (e *Engine) DebugState() string {
 	s := fmt.Sprintf("t=%d commits=%d pending=%d inflight=%d exec=%d\n",
 		e.now, e.arb.GlobalCommits(), e.arb.Pending(), e.arb.InFlight(), e.exec)

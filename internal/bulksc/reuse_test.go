@@ -2,8 +2,10 @@ package bulksc
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
+	"delorean/internal/arbiter"
 	"delorean/internal/chunk"
 	"delorean/internal/isa"
 	"delorean/internal/mem"
@@ -151,16 +153,18 @@ func TestEnginePooledHierarchyMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestStaleSubmitAfterChunkReuse: a chunk squashed while its commit
-// request is still on the way to the arbiter is reused by its core as
-// the squash's restart, so the request's chunk pointer is live again.
-// The request must still be recognised as stale and dropped: the
-// restarted chunk has not completed, and granting it would commit it.
-func TestStaleSubmitAfterChunkReuse(t *testing.T) {
+// staleSubmitEngine starts a two-core engine whose core 0 has completed
+// one chunk, writing 1 to 0x1000, and then had it squashed while its
+// commit request was still on the way to the arbiter, as a conflicting
+// commit by core 1 would. It returns the engine, core 0 and the chunk,
+// which the squash's restart reused: the pending request's chunk pointer
+// is live again.
+func staleSubmitEngine(t *testing.T) (*Engine, *core, *chunk.Chunk) {
+	t.Helper()
 	e := &Engine{Cfg: testConfig(2), Mem: mem.New(),
 		Progs: []*isa.Program{storeStream(0x1000, 100), storeStream(0x9000, 100)}}
 	e.begin()
-	defer sim.ReleaseMemSys(e.ms)
+	t.Cleanup(func() { sim.ReleaseMemSys(e.ms) })
 	co := e.cores[0]
 	if !e.startChunk(co) {
 		t.Fatal("core 0 did not start a chunk")
@@ -171,36 +175,178 @@ func TestStaleSubmitAfterChunkReuse(t *testing.T) {
 	if e.events.Len() != 1 || e.events[0].kind != evSubmit {
 		t.Fatalf("want one pending submit event, have %d events", e.events.Len())
 	}
-	e.squashFrom(co, 0, 1) // as a conflicting commit by core 1 would
+	e.squashFrom(co, 0, 1)
 	if co.cur != c || c.Completed {
 		t.Fatal("the squash's restart did not reuse the squashed chunk")
 	}
-	// Pop the pending events alone.
+	return e, co, c
+}
+
+// popEvents runs e's pending global events alone, no core steps.
+func popEvents(e *Engine) {
 	for _, d := range e.cores {
 		d.wakeOK = false
 	}
 	for i := 0; i < 100 && e.step(); i++ {
 	}
-	if n, q := e.arb.GlobalCommits(), e.arb.Pending(); n != 0 || q != 0 {
-		t.Fatalf("the squashed chunk's request reached the arbiter: %d commits, %d queued", n, q)
+}
+
+// TestStaleSubmitAfterChunkReuse: a request whose chunk was squashed
+// and reused must be recognised as stale and dropped. While the
+// restarted chunk runs, granting the request would commit it
+// unfinished. Once the restarted chunk completes too, its new request
+// overwrites the one the stale event points at (a chunk embeds its
+// request), and only the new event may deliver it: the chunk commits
+// once, with the restarted life's write.
+func TestStaleSubmitAfterChunkReuse(t *testing.T) {
+	t.Run("running", func(t *testing.T) {
+		e, _, _ := staleSubmitEngine(t)
+		popEvents(e)
+		if n, q := e.arb.GlobalCommits(), e.arb.Pending(); n != 0 || q != 0 {
+			t.Fatalf("the squashed chunk's request reached the arbiter: %d commits, %d queued", n, q)
+		}
+	})
+	t.Run("completed", func(t *testing.T) {
+		e, co, c := staleSubmitEngine(t)
+		c.Write(0x1000, 2)
+		e.completeChunk(co, chunk.SizeLimit)
+		if e.events.Len() != 2 || e.events[0].req != e.events[1].req {
+			t.Fatalf("want the stale and the new submit event on one request, have %d events", e.events.Len())
+		}
+		popEvents(e)
+		if n, q := e.arb.GlobalCommits(), e.arb.Pending(); n != 1 || q != 0 {
+			t.Fatalf("%d commits, %d queued; want the restarted chunk committed once", n, q)
+		}
+		if v := e.Mem.Load(0x1000); v != 2 {
+			t.Fatalf("memory holds %d at 0x1000, want the restarted life's 2", v)
+		}
+	})
+}
+
+// emptySpareCores drops every core list earlier runs in this process
+// left, so the next run starts from new cores.
+func emptySpareCores() {
+	for ok := true; ok; _, ok = spareCores.Get() {
 	}
 }
 
 // TestChunkObjectsRecycled bounds fresh chunk constructions: a core
 // never holds more than SimulChunks chunks at once, and retired chunks
 // are reused, so a run committing hundreds of chunks, squashes included,
-// builds no more than that many per core.
+// builds no more than that many per core. Chunks outlive the run: a
+// second run right after it starts from the first run's chunks and
+// builds none, with identical results.
 func TestChunkObjectsRecycled(t *testing.T) {
-	e := &Engine{Cfg: testConfig(4), Progs: reuseProgs()}
-	e.Cfg.ChunkSize = 50
-	st := runEngine(t, e)
+	emptySpareCores()
+	run := func() (*Engine, Stats) {
+		e := &Engine{Cfg: testConfig(4), Progs: reuseProgs()}
+		e.Cfg.ChunkSize = 50
+		return e, runEngine(t, e)
+	}
+	e, st := run()
 	if st.Chunks < 200 || st.Squashes == 0 {
 		t.Fatalf("run too small to test recycling: %d chunks, %d squashes", st.Chunks, st.Squashes)
 	}
 	for p, n := range chunksBuilt(e) {
-		if n > e.Cfg.SimulChunks {
-			t.Errorf("core %d built %d chunk objects for %d chunks; at most %d are live at once",
-				p, n, st.PerProc[p].Chunks, e.Cfg.SimulChunks)
+		if n == 0 || n > e.Cfg.SimulChunks {
+			t.Errorf("core %d built %d chunk objects for %d chunks; want 1 to %d", p, n, st.PerProc[p].Chunks, e.Cfg.SimulChunks)
 		}
+	}
+	warm, again := run()
+	for p, n := range chunksBuilt(warm) {
+		if n != 0 {
+			t.Errorf("core %d built %d chunk objects on a warm core", p, n)
+		}
+	}
+	if !reflect.DeepEqual(again, st) {
+		t.Errorf("run on recycled cores differs:\n got %+v\nwant %+v", again, st)
+	}
+}
+
+// The spare core list keeps only the last run's cores: a run on fewer
+// processors than the one before drops the cores it has no processor
+// for, with their chunk tables, rather than carrying them on.
+func TestSpareCoresKeepOnlyLastRun(t *testing.T) {
+	emptySpareCores()
+	big := &Engine{Cfg: testConfig(8), Progs: append(reuseProgs(), reuseProgs()...)}
+	runEngine(t, big)
+	small := &Engine{Cfg: testConfig(2), Progs: reuseProgs()[:2]}
+	runEngine(t, small)
+	spare, ok := spareCores.Get()
+	if !ok || len(spare) != 2 {
+		t.Fatalf("spare list holds %d cores after a 2-processor run, want 2", len(spare))
+	}
+	if _, more := spareCores.Get(); more {
+		t.Fatal("the 8-processor run's core list is still on the free list")
+	}
+}
+
+// An engine's arbiter stays readable after Run (Table 6 reads it), but
+// the requests left queued when a run stops early (here, waiting for
+// the round-robin token) are embedded in chunk objects the next run
+// reuses. Run drops them: reading the arbiter's statistics while
+// another run goes on must not touch that run's chunks (the race
+// detector checks), and must read the same as when no run follows.
+func TestArbiterAfterRunSharesNoRequests(t *testing.T) {
+	stopped := func() (*Engine, Stats) {
+		e := &Engine{Cfg: testConfig(4), Progs: reuseProgs(), Mem: mem.New(),
+			Policy: arbiter.NewRoundRobin(4), PicoLog: true}
+		e.Cfg.ChunkSize = 50
+		e.Cfg.MaxInsts = 1500
+		return e, e.Run()
+	}
+	want, st := stopped()
+	if st.Converged || st.Chunks == 0 {
+		t.Fatalf("want a run stopped by its budget after some commits: %+v", st)
+	}
+	if n := want.Arbiter().Pending(); n != 0 {
+		t.Fatalf("arbiter still queues %d requests after Run", n)
+	}
+	wantStats := want.Arbiter().StatsAt(st.Cycles)
+
+	e, st := stopped()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 3; i++ {
+			stopped()
+		}
+	}()
+	got := e.Arbiter().StatsAt(st.Cycles)
+	<-done
+	if got != wantStats {
+		t.Fatalf("arbiter statistics %+v, want %+v", got, wantStats)
+	}
+}
+
+// warmRunBudget bounds what a run allocates once the free lists hold
+// what it needs: the engine, its arbiter and stats, and now and then a
+// 64 KB rehash of the recycled memory's word table, whose fresh hash key
+// can meet a clustered run of addresses (flat.Table's switch to mixed
+// hashing). Chunk tables, cores, cache hierarchies and memories all come
+// back from earlier runs; regrowing the chunk tables alone took about
+// 240 KB on this workload.
+const warmRunBudget = 128 << 10
+
+// A warm second run of the same workload allocates under warmRunBudget.
+// The first run starts from new cores: which chunk object takes which
+// role follows the free lists' order, so cores other runs left behind
+// could still grow tables in the second run.
+func TestWarmRunAllocBudget(t *testing.T) {
+	emptySpareCores()
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e := &Engine{Cfg: testConfig(4), Progs: reuseProgs(), Mem: mem.Get()}
+		runEngine(t, e)
+		mem.Put(e.Mem)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	cold := run()
+	warm := run()
+	t.Logf("cold run %d bytes, warm run %d bytes", cold, warm)
+	if warm >= warmRunBudget {
+		t.Fatalf("warm run allocated %d bytes (cold: %d), budget %d", warm, cold, warmRunBudget)
 	}
 }

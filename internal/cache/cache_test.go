@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"delorean/internal/isa"
 	"delorean/internal/rng"
 )
 
@@ -27,12 +28,19 @@ func TestGeometry(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(96, 2) // 3 sets: not a power of two
+	for _, g := range []struct{ bytes, ways int }{
+		{96, 2},                          // 3 sets: not a power of two
+		{2 * maxSets * isa.LineBytes, 1}, // more sets than a 16-bit index numbers
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d, %d) did not panic", g.bytes, g.ways)
+				}
+			}()
+			New(g.bytes, g.ways)
+		}()
+	}
 }
 
 func TestMissThenHit(t *testing.T) {
@@ -169,5 +177,145 @@ func BenchmarkAccessHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(1)
+	}
+}
+
+// model is the reference the tag store is checked against: each set's
+// lines in MRU-first order, in a map.
+type model struct {
+	ways, numSets int
+	sets          map[int][]uint32
+}
+
+func (m *model) find(line uint32) (set []uint32, s, i int) {
+	s = int(line) & (m.numSets - 1)
+	set = m.sets[s]
+	for i, l := range set {
+		if l == line {
+			return set, s, i
+		}
+	}
+	return set, s, -1
+}
+
+func (m *model) access(line uint32) bool {
+	set, s, i := m.find(line)
+	if i < 0 {
+		return false
+	}
+	m.sets[s] = append([]uint32{line}, append(set[:i:i], set[i+1:]...)...)
+	return true
+}
+
+func (m *model) install(line uint32) (uint32, bool) {
+	if m.access(line) {
+		return 0, false
+	}
+	set, s, _ := m.find(line)
+	var evicted uint32
+	did := len(set) == m.ways
+	if did {
+		evicted = set[len(set)-1]
+		set = set[:len(set)-1]
+	}
+	m.sets[s] = append([]uint32{line}, set...)
+	return evicted, did
+}
+
+func (m *model) invalidate(line uint32) bool {
+	set, s, i := m.find(line)
+	if i < 0 {
+		return false
+	}
+	m.sets[s] = append(set[:i:i], set[i+1:]...)
+	return true
+}
+
+// runModel applies ops, decoded from data two bytes at a time (an
+// opcode byte, a line byte), to a cache of sets sets and ways ways
+// (taken from the first byte) and to the reference model, checking
+// every result and, after each operation, every line's presence.
+// Lines range over four times the cache's capacity, so full sets and
+// evictions are common.
+func runModel(t *testing.T, data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	ways := 1 + int(data[0]&7)
+	numSets := 1 << (data[0] >> 3 & 3)
+	data = data[1:]
+	c := New(numSets*ways*isa.LineBytes, ways)
+	m := &model{ways: ways, numSets: numSets, sets: map[int][]uint32{}}
+	span := uint32(4 * numSets * ways)
+	for ; len(data) >= 2; data = data[2:] {
+		op, line := data[0], uint32(data[1])%span
+		switch op % 8 {
+		case 0, 1:
+			if got, want := c.Access(line), m.access(line); got != want {
+				t.Fatalf("Access(%d) = %v, want %v", line, got, want)
+			}
+		case 2, 3, 4:
+			ge, gd := c.Install(line)
+			we, wd := m.install(line)
+			if ge != we || gd != wd {
+				t.Fatalf("Install(%d) = %d,%v, want %d,%v", line, ge, gd, we, wd)
+			}
+		case 5:
+			if got, want := c.Invalidate(line), m.invalidate(line); got != want {
+				t.Fatalf("Invalidate(%d) = %v, want %v", line, got, want)
+			}
+		case 6:
+			_, _, i := m.find(line)
+			if got := c.Contains(line); got != (i >= 0) {
+				t.Fatalf("Contains(%d) = %v, want %v", line, got, i >= 0)
+			}
+		case 7:
+			c.Flush()
+			clear(m.sets)
+		}
+		for l := uint32(0); l < span; l++ {
+			if _, _, i := m.find(l); c.Contains(l) != (i >= 0) {
+				t.Fatalf("after op %d on line %d: Contains(%d) = %v, model %v", op%8, line, l, !(i >= 0), i >= 0)
+			}
+		}
+		if sets, _ := c.Storage(); sets > numSets {
+			t.Fatalf("%d blocks for %d sets", sets, numSets)
+		}
+	}
+}
+
+func FuzzCache(f *testing.F) {
+	f.Add([]byte{0x09, 2, 0, 2, 2, 2, 4, 2, 6, 0, 0, 7, 0, 2, 6, 5, 2, 6, 2})
+	f.Add([]byte{0x1f, 2, 1, 2, 9, 2, 17, 2, 25, 2, 33, 2, 41, 2, 49, 2, 57, 2, 65, 0, 9, 5, 33, 7, 0, 2, 3})
+	f.Add([]byte{0x00, 2, 0, 2, 1, 0, 0, 6, 1, 7, 0, 2, 1, 6, 1})
+	f.Fuzz(runModel)
+}
+
+// Sets that never hold a line take no block, and Flush hands every
+// block back for reuse.
+func TestStorageFollowsTouchedSets(t *testing.T) {
+	c := New(8*1024*1024, 8) // paper L2: 32 768 sets
+	dense := c.NumSets() * (c.Ways() + 1) * 4
+	for line := uint32(0); line < 3000; line++ {
+		c.Install(line * 7)
+		c.Contains(line*7 + 1) // a probe takes no block
+	}
+	sets, bytes := c.Storage()
+	if sets != 3000 {
+		t.Fatalf("%d sets hold blocks, want 3000", sets)
+	}
+	if bytes > dense/4 {
+		t.Fatalf("tag store holds %d bytes for 3000 of %d sets (dense: %d)", bytes, c.NumSets(), dense)
+	}
+	c.Flush()
+	c.Install(5)
+	if sets, again := c.Storage(); sets != 1 || again != bytes {
+		t.Fatalf("after Flush: %d sets, %d bytes; want 1 set in the same %d bytes", sets, again, bytes)
+	}
+	for line := uint32(0); line < uint32(c.NumSets()); line++ {
+		c.Install(line)
+	}
+	if _, full := c.Storage(); full != dense+2*c.NumSets()+(c.Ways()+1)*4 {
+		t.Fatalf("every set touched: %d bytes, want the dense %d plus the index and the empty block", full, dense)
 	}
 }

@@ -9,6 +9,7 @@
 package chunk
 
 import (
+	"delorean/internal/arbiter"
 	"delorean/internal/flat"
 	"delorean/internal/isa"
 	"delorean/internal/signature"
@@ -125,6 +126,10 @@ type Chunk struct {
 	// bookkeeping.
 	IOAtStart int
 
+	// Req is the chunk's commit request, filled in by the engine when the
+	// chunk completes. Req.Tag is always the chunk itself.
+	Req arbiter.Request
+
 	// life counts the chunk object's reuses (see Reuse).
 	life uint32
 }
@@ -132,7 +137,9 @@ type Chunk struct {
 // New starts a chunk for proc with the given sequence number, register
 // checkpoint and instruction budget.
 func New(proc int, seqID uint64, ckpt isa.ThreadState, target int) *Chunk {
-	return &Chunk{Proc: proc, SeqID: seqID, Checkpoint: ckpt, Target: target}
+	c := &Chunk{Proc: proc, SeqID: seqID, Checkpoint: ckpt, Target: target}
+	c.Req.Tag = c
+	return c
 }
 
 // Reuse restarts a retired (committed, squashed or abandoned) chunk as a
@@ -141,8 +148,8 @@ func New(proc int, seqID uint64, ckpt isa.ThreadState, target int) *Chunk {
 // fill journal. Chunks start and die millions of times per run, and
 // reuse removes the per-chunk allocation. It advances the chunk's life
 // count, so anything that recorded Life before the reuse (an engine
-// event naming the old chunk) can tell the old chunk from the new one
-// that shares its pointer.
+// event naming the old chunk or its Req) can tell the old chunk from
+// the new one that shares its pointer.
 func (c *Chunk) Reuse(seqID uint64, ckpt isa.ThreadState, target int) {
 	c.writes.Reset()
 	c.lines.Reset()
@@ -151,6 +158,7 @@ func (c *Chunk) Reuse(seqID uint64, ckpt isa.ThreadState, target int) {
 		writes: c.writes, writeOrder: c.writeOrder[:0],
 		lines: c.lines, wLines: c.wLines[:0],
 		fills: c.fills[:0],
+		Req:   arbiter.Request{Tag: c},
 		life:  c.life + 1,
 	}
 }

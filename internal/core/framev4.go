@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"delorean/internal/bitio"
 	"delorean/internal/dlog"
 	"delorean/internal/lz77"
 	"delorean/internal/runner"
@@ -82,11 +83,11 @@ func singletonFrame(kind uint8) bool {
 }
 
 // frameSpec names one frame of the canonical sequence: its kind, shard
-// index, and a builder that produces the raw (pre-compression) payload.
+// index, and a builder that writes the raw (pre-compression) payload.
 type frameSpec struct {
 	kind  uint8
 	shard uint32
-	build func() []byte
+	build func(p *payload)
 }
 
 // payload is a convenience writer for frame payload construction: a
@@ -96,34 +97,68 @@ type payload struct {
 	buf bytes.Buffer
 }
 
-func newPayload() *payload {
-	p := &payload{}
-	p.countingWriter.w = &p.buf
-	return p
+func (p *payload) bytes() []byte { return p.buf.Bytes() }
+
+// frameScratch is one encoder's buffers, reused from frame to frame and
+// from one serialization to the next: the raw payload and the LZ77 token
+// stream. Only the finished frame is allocated per frame.
+type frameScratch struct {
+	p  payload
+	lz bitio.Writer
 }
 
-func (p *payload) bytes() []byte { return p.buf.Bytes() }
+// frameScratches holds released scratches. One that grew past
+// maxKeptScratch, for an unusually large recording, is dropped instead,
+// so the list does not pin that much memory between serializations.
+var frameScratches runner.FreeList[*frameScratch]
+
+const maxKeptScratch = 1 << 20
+
+func getFrameScratch() *frameScratch {
+	if sc, ok := frameScratches.Get(); ok {
+		return sc
+	}
+	sc := &frameScratch{}
+	sc.p.w = &sc.p.buf
+	return sc
+}
+
+func putFrameScratch(sc *frameScratch) {
+	if sc.p.buf.Cap()+cap(sc.lz.Bytes()) <= maxKeptScratch {
+		frameScratches.Put(sc)
+	}
+}
 
 // encodeFrame turns a spec into its wire bytes: build the raw payload,
 // compress it if that is a net win, and prepend the frame header.
-func encodeFrame(s frameSpec) []byte {
-	raw := s.build()
+func encodeFrame(s frameSpec, sc *frameScratch) []byte {
+	sc.p.buf.Reset()
+	s.build(&sc.p)
+	raw := sc.p.bytes()
+	lz77.CompressInto(&sc.lz, raw)
+	bits := sc.lz.Len()
+	packed := sc.lz.Bytes()[:(bits+7)/8]
 	enc := uint8(encRaw)
-	body := raw
-	if packed, bits := lz77.Compress(raw); 8+len(packed[:(bits+7)/8]) < len(raw) {
+	bodyLen := len(raw)
+	if 8+len(packed) < len(raw) {
 		enc = encLZ77
-		lz := make([]byte, 8, 8+(bits+7)/8)
-		binary.LittleEndian.PutUint32(lz[0:4], uint32(len(raw)))
-		binary.LittleEndian.PutUint32(lz[4:8], uint32(bits))
-		body = append(lz, packed[:(bits+7)/8]...)
+		bodyLen = 8 + len(packed)
 	}
-	frame := make([]byte, frameHeaderLen, frameHeaderLen+len(body))
+	frame := make([]byte, frameHeaderLen+bodyLen)
+	body := frame[frameHeaderLen:]
+	if enc == encLZ77 {
+		binary.LittleEndian.PutUint32(body[0:4], uint32(len(raw)))
+		binary.LittleEndian.PutUint32(body[4:8], uint32(bits))
+		copy(body[8:], packed)
+	} else {
+		copy(body, raw)
+	}
 	frame[0] = s.kind
 	binary.LittleEndian.PutUint32(frame[1:5], s.shard)
 	frame[5] = enc
-	binary.LittleEndian.PutUint32(frame[6:10], uint32(len(body)))
+	binary.LittleEndian.PutUint32(frame[6:10], uint32(bodyLen))
 	binary.LittleEndian.PutUint32(frame[10:14], crc32.ChecksumIEEE(body))
-	return append(frame, body...)
+	return frame
 }
 
 // decodeFramePayload verifies the CRC and undoes the payload encoding.
@@ -162,96 +197,77 @@ func decodeFramePayload(enc uint8, crc uint32, body []byte) ([]byte, error) {
 // builders only read the recording, so they are safe to run concurrently.
 func (r *Recording) frameSpecs() []frameSpec {
 	var specs []frameSpec
-	specs = append(specs, frameSpec{kind: frameInitMem, build: func() []byte {
-		p := newPayload()
+	specs = append(specs, frameSpec{kind: frameInitMem, build: func(p *payload) {
 		p.u32(uint32(len(r.InitialMem)))
 		for _, w := range r.InitialMem {
 			p.u32(w.Addr)
 			p.u64(w.Val)
 		}
-		return p.bytes()
 	}})
 	if r.PI != nil {
-		specs = append(specs, frameSpec{kind: framePI, build: func() []byte {
-			p := newPayload()
+		specs = append(specs, frameSpec{kind: framePI, build: func(p *payload) {
 			p.u32(uint32(r.PI.Len()))
 			buf, bits := r.PI.Pack()
 			p.packed(buf, bits)
-			return p.bytes()
 		}})
 	}
 	for i := 0; i < r.NProcs; i++ {
 		proc := i
-		specs = append(specs, frameSpec{kind: frameCS, shard: uint32(proc), build: func() []byte {
-			p := newPayload()
+		specs = append(specs, frameSpec{kind: frameCS, shard: uint32(proc), build: func(p *payload) {
 			p.u32(uint32(r.CS[proc].Len()))
 			buf, bits := r.CS[proc].Pack()
 			p.packed(buf, bits)
-			return p.bytes()
 		}})
 	}
 	if r.Mode == OrderSize {
 		for i := 0; i < r.NProcs; i++ {
 			proc := i
-			specs = append(specs, frameSpec{kind: frameSizes, shard: uint32(proc), build: func() []byte {
-				p := newPayload()
+			specs = append(specs, frameSpec{kind: frameSizes, shard: uint32(proc), build: func(p *payload) {
 				p.u32(uint32(r.Sizes[proc].Len()))
 				buf, bits := r.Sizes[proc].Pack()
 				p.packed(buf, bits)
-				return p.bytes()
 			}})
 		}
 	}
 	for i := 0; i < r.NProcs; i++ {
 		proc := i
-		specs = append(specs, frameSpec{kind: frameIntr, shard: uint32(proc), build: func() []byte {
-			p := newPayload()
+		specs = append(specs, frameSpec{kind: frameIntr, shard: uint32(proc), build: func(p *payload) {
 			p.u32(uint32(r.Intr[proc].Len()))
 			buf, bits := r.Intr[proc].Pack()
 			p.packed(buf, bits)
-			return p.bytes()
 		}})
 	}
 	for i := 0; i < r.NProcs; i++ {
 		proc := i
-		specs = append(specs, frameSpec{kind: frameIO, shard: uint32(proc), build: func() []byte {
-			p := newPayload()
+		specs = append(specs, frameSpec{kind: frameIO, shard: uint32(proc), build: func(p *payload) {
 			vals := r.IO[proc].Values()
 			p.u32(uint32(len(vals)))
 			for _, v := range vals {
 				p.u64(v)
 			}
-			return p.bytes()
 		}})
 	}
-	specs = append(specs, frameSpec{kind: frameDMA, build: func() []byte {
-		p := newPayload()
+	specs = append(specs, frameSpec{kind: frameDMA, build: func(p *payload) {
 		p.u32(uint32(r.DMA.Len()))
 		buf, bits := r.DMA.Pack()
 		p.packed(buf, bits)
-		return p.bytes()
 	}})
-	specs = append(specs, frameSpec{kind: frameSlots, build: func() []byte {
-		p := newPayload()
+	specs = append(specs, frameSpec{kind: frameSlots, build: func(p *payload) {
 		slots := r.Slots.Entries()
 		p.u32(uint32(len(slots)))
 		for _, e := range slots {
 			p.u64(e.Slot)
 			p.u16(uint16(e.Proc))
 		}
-		return p.bytes()
 	}})
 	for i := range r.Checkpoints {
 		idx := i
-		specs = append(specs, frameSpec{kind: frameCheckpoint, shard: uint32(idx), build: func() []byte {
-			p := newPayload()
+		specs = append(specs, frameSpec{kind: frameCheckpoint, shard: uint32(idx), build: func(p *payload) {
 			r.writeCheckpointBody(&p.countingWriter, &r.Checkpoints[idx])
-			return p.bytes()
 		}})
 	}
 	if r.Stratified != nil {
-		specs = append(specs, frameSpec{kind: frameStratified, build: func() []byte {
-			p := newPayload()
+		specs = append(specs, frameSpec{kind: frameStratified, build: func(p *payload) {
 			p.u32(uint32(r.Stratified.Len()))
 			p.u16(uint16(1)<<uint(r.Stratified.CounterBits()) - 1)
 			for _, row := range r.Stratified.Strata() {
@@ -259,10 +275,9 @@ func (r *Recording) frameSpecs() []frameSpec {
 					p.u16(uint16(v))
 				}
 			}
-			return p.bytes()
 		}})
 	}
-	specs = append(specs, frameSpec{kind: frameEnd, build: func() []byte { return nil }})
+	specs = append(specs, frameSpec{kind: frameEnd, build: func(*payload) {}})
 	return specs
 }
 
@@ -300,12 +315,14 @@ func (r *Recording) WriteToParallel(w io.Writer, workers int) (int64, error) {
 	nw := runner.Workers(workers)
 	if workers == 1 || nw == 1 || len(specs) <= 1 {
 		// Inline: one frame in memory at a time.
+		sc := getFrameScratch()
 		for _, s := range specs {
-			c.write(encodeFrame(s))
+			c.write(encodeFrame(s, sc))
 			if c.err != nil {
 				break
 			}
 		}
+		putFrameScratch(sc)
 	} else {
 		// Bounded ordered pipeline: workers encode frames concurrently,
 		// the semaphore caps frames in flight, and emission follows spec
@@ -319,7 +336,9 @@ func (r *Recording) WriteToParallel(w io.Writer, workers int) (int64, error) {
 				sem <- struct{}{}
 				go func(s frameSpec, ch chan<- []byte) {
 					defer func() { <-sem }()
-					ch <- encodeFrame(s)
+					sc := getFrameScratch()
+					ch <- encodeFrame(s, sc)
+					putFrameScratch(sc)
 				}(s, ch)
 			}
 			close(futures)

@@ -38,6 +38,10 @@ type countingWriter struct {
 	w   io.Writer
 	n   int64
 	err error
+	// scratch holds one fixed-width value on its way to w: a slice of a
+	// local array would escape through the io.Writer call and cost an
+	// allocation per value.
+	scratch [8]byte
 }
 
 func (c *countingWriter) write(p []byte) {
@@ -49,21 +53,21 @@ func (c *countingWriter) write(p []byte) {
 	c.err = err
 }
 
-func (c *countingWriter) u8(v uint8) { c.write([]byte{v}) }
+func (c *countingWriter) u8(v uint8) {
+	c.scratch[0] = v
+	c.write(c.scratch[:1])
+}
 func (c *countingWriter) u16(v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	c.write(b[:])
+	binary.LittleEndian.PutUint16(c.scratch[:], v)
+	c.write(c.scratch[:2])
 }
 func (c *countingWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	c.write(b[:])
+	binary.LittleEndian.PutUint32(c.scratch[:], v)
+	c.write(c.scratch[:4])
 }
 func (c *countingWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	c.write(b[:])
+	binary.LittleEndian.PutUint64(c.scratch[:], v)
+	c.write(c.scratch[:8])
 }
 
 func (c *countingWriter) packed(buf []byte, bits int) {

@@ -82,7 +82,7 @@ func TestReplaySplitsOnUnexpectedOverflow(t *testing.T) {
 	}
 	st := eng.Run()
 	if !st.Converged {
-		t.Fatalf("replay did not converge\n%s", eng.DebugState())
+		t.Fatalf("replay did not converge\n%s%+v", eng.DebugState(), st.PerProc)
 	}
 	if obs.splits == 0 {
 		t.Skip("no unexpected overflow occurred under this configuration — split path not exercised")

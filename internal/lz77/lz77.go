@@ -307,13 +307,22 @@ func findMatch(src []byte, head, prev []int32, base int32, i int, h uint32, c3 i
 // The bit length, not the padded byte length, is the honest measure of a
 // hardware log buffer's occupancy.
 func Compress(src []byte) (packed []byte, bits int) {
-	m := getMatcher()
-	defer matchers.Put(m)
-	return m.compress(src)
+	var w bitio.Writer
+	CompressInto(&w, src)
+	return w.Bytes(), w.Len()
 }
 
-func (m *matcher) compress(src []byte) (packed []byte, bits int) {
-	var w bitio.Writer
+// CompressInto is Compress writing the token stream into w, which it
+// resets first, so a caller compressing many buffers can reuse one
+// writer's allocation.
+func CompressInto(w *bitio.Writer, src []byte) {
+	m := getMatcher()
+	defer matchers.Put(m)
+	m.compress(w, src)
+}
+
+func (m *matcher) compress(w *bitio.Writer, src []byte) {
+	w.Reset()
 	scan(src, m,
 		func(b byte) {
 			w.WriteBits(0, 1)
@@ -324,7 +333,6 @@ func (m *matcher) compress(src []byte) (packed []byte, bits int) {
 			w.WriteBits(uint64(dist-1), windowBits)
 			w.WriteBits(uint64(length-minLen), lenBits)
 		})
-	return w.Bytes(), w.Len()
 }
 
 // matchLen returns the length of the common prefix of a and b, capped at

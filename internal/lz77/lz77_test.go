@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"delorean/internal/bitio"
 	"delorean/internal/rng"
 )
 
@@ -414,12 +415,14 @@ func TestMaxDecodedLen(t *testing.T) {
 // TestMatcherReuse: a reused matcher keeps its tables between scans and
 // only moves base past the positions it stored, so entries left by
 // earlier inputs must read as empty. One matcher reused over a seeded
-// sequence of inputs, across a forced wrap of base, must produce the
-// same tokens as a fresh matcher for every input. The small alphabet
+// sequence of inputs, across a forced wrap of base, writing into one
+// reused writer, must produce the same tokens as a fresh matcher for
+// every input. The small alphabet
 // makes each input share hashes with the ones before it.
 func TestMatcherReuse(t *testing.T) {
 	s := rng.New(23)
 	reused := newMatcher()
+	var out bitio.Writer
 	wrapped := false
 	for k := 0; k < 300; k++ {
 		if k == 150 {
@@ -435,8 +438,11 @@ func TestMatcherReuse(t *testing.T) {
 			src[i] = byte(s.Intn(4))
 		}
 		before := reused.next
-		wantPacked, wantBits := newMatcher().compress(src)
-		gotPacked, gotBits := reused.compress(src)
+		var want bitio.Writer
+		newMatcher().compress(&want, src)
+		reused.compress(&out, src) // out also carries the last input's stream
+		wantPacked, wantBits := want.Bytes(), want.Len()
+		gotPacked, gotBits := out.Bytes(), out.Len()
 		if gotBits != wantBits || !bytes.Equal(gotPacked, wantPacked) {
 			t.Fatalf("input %d (%d bytes): reused matcher gave %d bits, fresh %d", k, n, gotBits, wantBits)
 		}

@@ -43,45 +43,61 @@ type cachedVerdict struct {
 // verdictCache is an LRU-bounded map from cacheKey to rendered
 // responses, with a single-flight joiner for in-flight computations.
 // Bounded twice: by entry count and by summed body bytes (trace bodies
-// dwarf verdict bodies).
+// dwarf verdict bodies). The entries form a ring in access order, so a
+// hit refreshes its entry in constant time without allocating.
 type verdictCache struct {
 	maxEntries int
 	maxBytes   int64
 
-	mu    sync.Mutex
-	m     map[cacheKey]cachedVerdict
-	order []cacheKey // access order, least recent first
+	mu sync.Mutex
+	m  map[cacheKey]*cacheEntry
+	// lru is the ring's sentinel: lru.next is the least recently used
+	// entry, lru.prev the most recently used.
+	lru   cacheEntry
 	bytes int64
 
 	flight runner.Flight[cacheKey, cachedVerdict]
 }
 
+// cacheEntry is one cached response and its place in the access order.
+type cacheEntry struct {
+	key        cacheKey
+	v          cachedVerdict
+	prev, next *cacheEntry
+}
+
 func newVerdictCache(maxEntries int, maxBytes int64) *verdictCache {
-	return &verdictCache{
+	c := &verdictCache{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
-		m:          make(map[cacheKey]cachedVerdict),
+		m:          make(map[cacheKey]*cacheEntry),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
+}
+
+// unlink takes e out of the access order.
+func (e *cacheEntry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// useLocked makes e the most recently used entry.
+func (c *verdictCache) useLocked(e *cacheEntry) {
+	e.prev, e.next = c.lru.prev, &c.lru
+	e.prev.next, c.lru.prev = e, e
 }
 
 // get returns the cached response for key, refreshing its recency.
 func (c *verdictCache) get(key cacheKey) (cachedVerdict, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.m[key]
-	if ok {
-		c.touchLocked(key)
+	e, ok := c.m[key]
+	if !ok {
+		return cachedVerdict{}, false
 	}
-	return v, ok
-}
-
-func (c *verdictCache) touchLocked(key cacheKey) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(append(c.order[:i:i], c.order[i+1:]...), key)
-			return
-		}
-	}
+	e.unlink()
+	c.useLocked(e)
+	return e.v, true
 }
 
 // put stores a rendered response and evicts least-recently-used entries
@@ -94,25 +110,33 @@ func (c *verdictCache) put(key cacheKey, v cachedVerdict) (evicted int) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.m[key]; ok {
-		c.bytes -= int64(len(old.body))
-		c.touchLocked(key)
+	e, ok := c.m[key]
+	if ok {
+		c.bytes -= int64(len(e.v.body))
+		e.unlink()
 	} else {
-		c.order = append(c.order, key)
+		e = &cacheEntry{key: key}
+		c.m[key] = e
 	}
-	c.m[key] = v
+	e.v = v
+	c.useLocked(e)
 	c.bytes += int64(len(v.body))
-	for len(c.order) > 1 && (len(c.order) > c.maxEntries || c.bytes > c.maxBytes) {
-		oldest := c.order[0]
-		if oldest == key {
+	for len(c.m) > 1 && (len(c.m) > c.maxEntries || c.bytes > c.maxBytes) {
+		oldest := c.lru.next
+		if oldest == e {
 			break // never evict the entry just inserted
 		}
-		c.order = c.order[1:]
-		c.bytes -= int64(len(c.m[oldest].body))
-		delete(c.m, oldest)
+		c.removeLocked(oldest)
 		evicted++
 	}
 	return evicted
+}
+
+// removeLocked drops e from the cache.
+func (c *verdictCache) removeLocked(e *cacheEntry) {
+	e.unlink()
+	c.bytes -= int64(len(e.v.body))
+	delete(c.m, e.key)
 }
 
 // invalidate drops every cached response for the recording id (admin
@@ -121,17 +145,14 @@ func (c *verdictCache) invalidate(id string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	keep := c.order[:0]
-	for _, k := range c.order {
-		if k.id == id {
-			c.bytes -= int64(len(c.m[k].body))
-			delete(c.m, k)
+	for e := c.lru.next; e != &c.lru; {
+		next := e.next
+		if e.key.id == id {
+			c.removeLocked(e)
 			n++
-		} else {
-			keep = append(keep, k)
 		}
+		e = next
 	}
-	c.order = keep
 	return n
 }
 
@@ -140,8 +161,8 @@ func (c *verdictCache) clear() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := len(c.m)
-	c.m = make(map[cacheKey]cachedVerdict)
-	c.order = nil
+	c.m = make(map[cacheKey]*cacheEntry)
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	c.bytes = 0
 	return n
 }

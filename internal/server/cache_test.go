@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -315,4 +316,70 @@ func TestConcurrentDuplicateUploads(t *testing.T) {
 	}
 	wantMetric(t, hs.URL, "store.recordings 1")
 	wantMetric(t, hs.URL, "store.persist_attempts 1")
+}
+
+// keysInOrder lists c's keys' seeds, least recently used first.
+func keysInOrder(c *verdictCache) []uint64 {
+	var seeds []uint64
+	for e := c.lru.next; e != &c.lru; e = e.next {
+		seeds = append(seeds, e.key.seed)
+	}
+	return seeds
+}
+
+// The verdict cache evicts least recently used first, where a get or a
+// re-put counts as a use, never evicts the entry being put, and honours
+// the byte bound as well as the entry bound.
+func TestVerdictCacheLRUOrder(t *testing.T) {
+	c := newVerdictCache(3, 100)
+	key := func(seed uint64) cacheKey { return cacheKey{id: "r", kind: "replay", seed: seed} }
+	body := func(n int) cachedVerdict { return cachedVerdict{body: make([]byte, n)} }
+	for s := uint64(1); s <= 3; s++ {
+		if ev := c.put(key(s), body(10)); ev != 0 {
+			t.Fatalf("put %d evicted %d", s, ev)
+		}
+	}
+	c.get(key(1))           // order 2 3 1
+	c.put(key(2), body(10)) // order 3 1 2
+	if ev := c.put(key(4), body(10)); ev != 1 {
+		t.Fatalf("put over the entry bound evicted %d, want 1", ev)
+	}
+	if got := keysInOrder(c); !slices.Equal(got, []uint64{1, 2, 4}) {
+		t.Fatalf("order %v, want [1 2 4]", got)
+	}
+	if ev := c.put(key(5), body(85)); ev != 2 { // 10+10+85 > 100: evict 1, then 2
+		t.Fatalf("put over the byte bound evicted %d, want 2", ev)
+	}
+	if got := keysInOrder(c); !slices.Equal(got, []uint64{4, 5}) {
+		t.Fatalf("order %v, want [4 5]", got)
+	}
+	if n, b := c.stats(); n != 2 || b != 95 {
+		t.Fatalf("stats %d entries, %d bytes; want 2, 95", n, b)
+	}
+	c.put(cacheKey{id: "other", seed: 6}, body(1))
+	if n := c.invalidate("r"); n != 2 || len(keysInOrder(c)) != 1 {
+		t.Fatalf("invalidate removed %d, left %v", n, keysInOrder(c))
+	}
+	if n := c.clear(); n != 1 || len(keysInOrder(c)) != 0 {
+		t.Fatalf("clear removed %d, left %v", n, keysInOrder(c))
+	}
+}
+
+// A hit on a full cache allocates nothing, whichever entry it refreshes.
+func TestVerdictCacheHitAllocs(t *testing.T) {
+	const n = 256
+	c := newVerdictCache(n, 1<<20)
+	for s := uint64(0); s < n; s++ {
+		c.put(cacheKey{id: "r", kind: "replay", seed: s}, cachedVerdict{body: []byte("{}")})
+	}
+	s := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, ok := c.get(cacheKey{id: "r", kind: "replay", seed: s % n}); !ok {
+			t.Fatal("miss on a cached key")
+		}
+		s += 7
+	})
+	if allocs != 0 {
+		t.Fatalf("a hit allocated %v times", allocs)
+	}
 }

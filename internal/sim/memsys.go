@@ -91,15 +91,17 @@ func geometryOf(cfg *Config) geometry {
 var hierarchies runner.FreeList[*MemSys]
 
 // AcquireMemSys returns a cold hierarchy for cfg, reusing the most
-// recently released one when it has cfg's geometry. Building a hierarchy
-// allocates and zeroes the full L2 tag array (~600 KB at the default
-// 8 MB, 8-way geometry), which dominated short simulations; reuse is
-// observation-equivalent to newMemSys (see reset). A released hierarchy
-// of another geometry is dropped, so the free list holds at most
-// GOMAXPROCS hierarchies whatever mix of geometries a process runs.
-// Every simulation (Machine.Run, bulksc.Engine.Run) acquires one per run
-// and hands it back with ReleaseMemSys when the run ends, so no
-// hierarchy outlives its run. Safe for concurrent use.
+// recently released one when it has cfg's geometry. A new hierarchy
+// holds only its caches' set indexes (64 KB for the L2 at the default
+// 8 MB, 8-way geometry) and grows tag storage as runs touch sets, up to
+// the dense array's 1 MB of tags plus 128 KB of counts; a reused one
+// keeps the storage its earlier runs grew. Reuse is observation-
+// equivalent to newMemSys (see reset). A released hierarchy of another
+// geometry is dropped, so the free list holds at most GOMAXPROCS
+// hierarchies whatever mix of geometries a process runs. Every
+// simulation (Machine.Run, bulksc.Engine.Run) acquires one per run and
+// hands it back with ReleaseMemSys when the run ends, so no hierarchy
+// outlives its run. Safe for concurrent use.
 func AcquireMemSys(cfg *Config) *MemSys {
 	if ms, ok := hierarchies.Get(); ok && ms.geom == geometryOf(cfg) {
 		ms.reset(cfg)

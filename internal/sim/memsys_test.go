@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"delorean/internal/workload"
+)
 
 func msCfg(n int) Config {
 	c := Default8()
@@ -181,4 +185,40 @@ func TestSpecCountersPerProcessor(t *testing.T) {
 	if got := ms.L1Hits; got != 1 {
 		t.Fatalf("L1Hits = %d, want 1", got)
 	}
+}
+
+// A released hierarchy holds tag storage for the sets its run touched,
+// not for every set: after a quick-scale run at the paper's geometry,
+// each cache's block pool is at most twice its touched sets' blocks and
+// the empty block (or the pool's 64-block start), and the L2, of which
+// the run touches a fraction, holds far less than a dense tag array.
+func TestReleasedHierarchyTagStorage(t *testing.T) {
+	cfg := msCfg(4)
+	cfg.L2Bytes = 4 << 20 // a geometry no other test uses: the run builds a fresh hierarchy
+	w := workload.Get("barnes", workload.Params{NProcs: 4, Scale: 8_000, Seed: 1})
+	m := NewMachine(cfg, RC, w.Progs, w.InitMem(), w.Devs)
+	if st := m.Run(); !st.Converged {
+		t.Fatalf("run did not converge: %+v", st)
+	}
+	ms, ok := hierarchies.Get()
+	if !ok || ms.geom != geometryOf(&cfg) {
+		t.Fatal("the run's hierarchy is not on the free list")
+	}
+	defer ReleaseMemSys(ms)
+	uses := ms.tagUses()
+	for i, u := range uses {
+		block := 4 * (u.ways + 1)
+		index := 2 * u.numSets
+		if u.sets == 0 || u.sets > u.numSets {
+			t.Fatalf("cache %d: %d of %d sets hold storage", i, u.sets, u.numSets)
+		}
+		if limit := index + block*min(max(2*(u.sets+1), 64), u.numSets+1); u.bytes > limit {
+			t.Errorf("cache %d: %d bytes for %d touched sets, want at most %d", i, u.bytes, u.sets, limit)
+		}
+	}
+	l2 := uses[len(uses)-1]
+	if dense := 4 * (l2.ways + 1) * l2.numSets; l2.bytes > dense/4 {
+		t.Errorf("L2 holds %d bytes for %d of %d sets; a dense store is %d", l2.bytes, l2.sets, l2.numSets, dense)
+	}
+	t.Logf("L2: %d of %d sets, %d bytes", l2.sets, l2.numSets, l2.bytes)
 }

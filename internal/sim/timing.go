@@ -100,6 +100,13 @@ func NewCoreTiming(cfg *Config) *CoreTiming {
 	return &CoreTiming{cfg: cfg}
 }
 
+// Restart returns c to NewCoreTiming(cfg)'s state, keeping its queues'
+// buffers.
+func (c *CoreTiming) Restart(cfg *Config) {
+	c.Reset()
+	*c = CoreTiming{cfg: cfg, pend: c.pend, stores: c.stores, mshr: c.mshr}
+}
+
 func maxu(a, b uint64) uint64 {
 	if a > b {
 		return a

@@ -124,7 +124,7 @@ func TestAllWorkloadsRunChunked(t *testing.T) {
 			e := &bulksc.Engine{Cfg: cfg, Progs: w.Progs, Mem: w.InitMem(), Devs: w.Devs}
 			st := e.Run()
 			if !st.Converged {
-				t.Fatalf("did not converge: %d insts, %d wasted\n%s", st.Insts, st.WastedInsts, e.DebugState())
+				t.Fatalf("did not converge: %d insts, %d wasted\n%s%+v", st.Insts, st.WastedInsts, e.DebugState(), st.PerProc)
 			}
 			if st.Chunks == 0 {
 				t.Fatal("no chunks committed")
