@@ -356,13 +356,18 @@ func (e *Engine) newChunk(co *core, seqID uint64, ckpt isa.ThreadState, target i
 // takeCore zero everything that reaches an output, so no output depends
 // on which run used a core before. A list holds only the cores of the
 // last run that used it: a run on fewer processors drops the rest, so a
-// many-processor run's cores do not outlive the next smaller run.
+// many-processor run's cores do not outlive the next smaller run. A
+// core whose chunk buffers grew past maxKeptCore, in a run at an
+// unusually large chunk size, is dropped rather than kept (a nil entry),
+// so the list does not pin that much memory between runs.
 var spareCores runner.FreeList[[]*core]
+
+const maxKeptCore = 1 << 20
 
 // takeCore returns a zero core for processor p but for its buffers:
 // spare's core p, or a new one.
 func (e *Engine) takeCore(spare []*core, p int) *core {
-	if p >= len(spare) {
+	if p >= len(spare) || spare[p] == nil {
 		return &core{tm: sim.NewCoreTiming(&e.Cfg)}
 	}
 	co := spare[p]
@@ -372,15 +377,29 @@ func (e *Engine) takeCore(spare []*core, p int) *core {
 }
 
 // keepCores hands the run's cores to spareCores, with every chunk
-// object, free or left uncommitted, on its core's free list. The engine
-// keeps no core: a later run may be using them.
+// object, free or left uncommitted, on its core's free list, but for
+// cores past maxKeptCore. The engine keeps no core: a later run may be
+// using them.
 func (e *Engine) keepCores() {
-	for _, co := range e.cores {
+	for p, co := range e.cores {
 		co.free = append(co.free, co.chunks...)
 		co.chunks, co.cur = co.chunks[:0], nil
+		if co.chunkBytes() > maxKeptCore {
+			e.cores[p] = nil
+		}
 	}
 	spareCores.Put(e.cores)
 	e.cores = nil
+}
+
+// chunkBytes is the size of the buffers a kept core's chunk objects
+// hold (keepCores has put every chunk on the free list).
+func (co *core) chunkBytes() int {
+	n := 0
+	for _, c := range co.free {
+		n += c.Bytes()
+	}
+	return n
 }
 
 // releaseChunk hands a retired (committed, squashed or abandoned) chunk

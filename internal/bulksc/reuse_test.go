@@ -281,6 +281,49 @@ func TestSpareCoresKeepOnlyLastRun(t *testing.T) {
 	}
 }
 
+// A core whose chunk buffers outgrew maxKeptCore — here one chunk of
+// 16 384 stores to distinct lines, in an L1 large enough that it never
+// overflows — is not kept: the spare list holds no core over the bound,
+// and a small run after it reads the same as one on new cores.
+func TestSpareCoresBounded(t *testing.T) {
+	small := func() Stats {
+		e := &Engine{Cfg: testConfig(2), Progs: reuseProgs()[:2]}
+		e.Cfg.ChunkSize = 50
+		return runEngine(t, e)
+	}
+	emptySpareCores()
+	want := small()
+
+	big := &Engine{Cfg: testConfig(2), Progs: []*isa.Program{
+		storeStream(0x100000, 16384), storeStream(0x400000, 16384)}}
+	big.Cfg.ChunkSize = 1 << 17
+	big.Cfg.L1Bytes = 2 << 20
+	big.Cfg.L1Ways = 8
+	if st := runEngine(t, big); st.Chunks > 4 {
+		t.Fatalf("setup: the stores took %d chunks, want one per core", st.Chunks)
+	}
+	spare, ok := spareCores.Get()
+	if !ok || len(spare) != 2 {
+		t.Fatalf("spare list holds %d cores after a 2-processor run, want 2", len(spare))
+	}
+	for p, co := range spare {
+		if co != nil {
+			t.Errorf("core %d kept with %d bytes of chunk buffers, bound %d", p, co.chunkBytes(), maxKeptCore)
+		}
+	}
+	spareCores.Put(spare)
+
+	if got := small(); !reflect.DeepEqual(got, want) {
+		t.Errorf("run after a dropped core differs:\n got %+v\nwant %+v", got, want)
+	}
+	spare, _ = spareCores.Get()
+	for p, co := range spare {
+		if co == nil || co.chunkBytes() > maxKeptCore {
+			t.Errorf("core %d of the small run not kept", p)
+		}
+	}
+}
+
 // An engine's arbiter stays readable after Run (Table 6 reads it), but
 // the requests left queued when a run stops early (here, waiting for
 // the round-robin token) are embedded in chunk objects the next run

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"hash/crc32"
 
 	"delorean/internal/dlog"
@@ -47,12 +45,12 @@ type lazyFrame struct {
 // at most once, every required section present, an empty end frame,
 // and nothing after it. Materialization only decodes payloads.
 func IndexRecording(data []byte) (*Recording, error) {
-	br := bytes.NewReader(data)
-	r, err := readHeader(&reader{r: br})
+	d := &dec{b: data}
+	r, err := readHeader(d)
 	if err != nil {
 		return nil, err
 	}
-	off := int(br.Size()) - br.Len()
+	off := len(data) - len(d.b)
 
 	frames := []lazyFrame{}
 	var counts [frameEnd + 1]uint32
@@ -64,11 +62,11 @@ func IndexRecording(data []byte) (*Recording, error) {
 		}
 		f := lazyFrame{
 			kind:  data[off],
-			shard: binary.LittleEndian.Uint32(data[off+1 : off+5]),
+			shard: le.Uint32(data[off+1 : off+5]),
 			enc:   data[off+5],
-			crc:   binary.LittleEndian.Uint32(data[off+10 : off+14]),
+			crc:   le.Uint32(data[off+10 : off+14]),
 		}
-		n := binary.LittleEndian.Uint32(data[off+6 : off+10])
+		n := le.Uint32(data[off+6 : off+10])
 		off += frameHeaderLen
 		if n > maxFramePayload {
 			return nil, corrupt("frame claims %d payload bytes", n)
@@ -102,11 +100,11 @@ func IndexRecording(data []byte) (*Recording, error) {
 			if len(f.body) < 8 {
 				return nil, corrupt("LZ77 frame too short for its header")
 			}
-			f.rawLen = int(binary.LittleEndian.Uint32(f.body[0:4]))
+			f.rawLen = int(le.Uint32(f.body[0:4]))
 			// The declared length feeds the residency estimate before
 			// anything is decoded, so it must be one the payload could
 			// actually produce.
-			bits := int(binary.LittleEndian.Uint32(f.body[4:8]))
+			bits := int(le.Uint32(f.body[4:8]))
 			if bits > 8*(len(f.body)-8) {
 				return nil, corrupt("LZ77 frame claims %d bits in %d payload bytes", bits, len(f.body)-8)
 			}

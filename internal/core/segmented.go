@@ -51,14 +51,13 @@ type segOut struct {
 // has already validated the recording and matched cfg/progs against it.
 //
 // Safe under concurrent replaySegmented calls on the same recording:
-// each scratch is exclusively owned while checked out, and the log view
-// holds per-call cursors over the read-only logs.
+// each scratch is exclusively owned while checked out, and each interval
+// reads the read-only logs through cursors of its own.
 func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOptions) (ReplayResult, error) {
 	k := len(rec.Checkpoints)
 	if err := validateCheckpointProcs(rec, progs); err != nil {
 		return ReplayResult{}, err
 	}
-	view := newLogView(rec)
 
 	// Workers recycle the functional memory's backing table across
 	// intervals, and take it from mem's free list across replays (each
@@ -84,7 +83,7 @@ func replaySegmented(rec *Recording, cfg sim.Config, progs []*isa.Program, opts 
 		if !ok {
 			s = &segScratch{mem: mem.Get()}
 		}
-		out := replaySegment(rec, cfg, progs, opts, view, i, s)
+		out := replaySegment(rec, cfg, progs, opts, i, s)
 		local.Put(s)
 		return out, nil
 	})
@@ -182,7 +181,7 @@ const segMemUnknown = -2
 // never shares mutable state with other intervals; scratch is owned by
 // the calling worker for the duration of the call.
 func replaySegment(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOptions,
-	view *logView, i int, s *segScratch) segOut {
+	i int, s *segScratch) segOut {
 	k := len(rec.Checkpoints)
 	from, to := i-1, i
 	if i == k {
@@ -219,7 +218,7 @@ func replaySegment(rec *Recording, cfg sim.Config, progs []*isa.Program, opts Re
 		memory.EndJournal()
 	}
 
-	obs, st, err := replayInterval(rec, cfg, progs, opts, view, memory, from, to, nil)
+	obs, st, err := replayInterval(rec, cfg, progs, opts, memory, from, to, nil)
 	if err != nil {
 		out.err = err
 		return out
@@ -239,7 +238,7 @@ func replaySegment(rec *Recording, cfg sim.Config, progs []*isa.Program, opts Re
 	res := ReplayResult{Stats: st, Fingerprint: obs.fp.sum()}
 	if to < 0 {
 		res.MemHash = memory.Hash()
-		out.end = startSlot + uint64(len(obs.stream))
+		out.end = obs.slot()
 	}
 	out.res = res
 
@@ -249,7 +248,7 @@ func replaySegment(rec *Recording, cfg sim.Config, progs []*isa.Program, opts Re
 		return out
 	}
 	if to < 0 {
-		if d := rec.checkEnd(obs, res, cfg.MaxInstsOrDefault(), from, true); d != nil {
+		if d := rec.checkEnd(obs, res, cfg.MaxInstsOrDefault(), from); d != nil {
 			return fail(d)
 		}
 		return out
@@ -257,17 +256,17 @@ func replaySegment(rec *Recording, cfg sim.Config, progs []*isa.Program, opts Re
 	cp := &rec.Checkpoints[to]
 	if !st.Stopped {
 		if !st.Converged {
-			return fail(rec.stallError(obs, st, cfg.MaxInstsOrDefault(), startSlot))
+			return fail(rec.stallError(obs, st, cfg.MaxInstsOrDefault()))
 		}
 		// The machine halted before reaching the cut: fewer commits
 		// than the recording demands of this interval.
-		if d := rec.divergence(obs, res, startSlot, cp.IntervalFingerprint, cp.IntervalChains, res.MemHash, true); d != nil {
+		if d := rec.divergence(obs, res, cp.IntervalFingerprint, cp.IntervalChains, res.MemHash); d != nil {
 			return fail(d)
 		}
 		return fail(&DivergenceError{Kind: "stall", Mode: rec.Mode,
-			Slot: int64(startSlot) + int64(len(obs.stream)), Proc: -1, SeqID: -1,
+			Slot: int64(obs.slot()), Proc: -1, SeqID: -1,
 			Detail: fmt.Sprintf("interval replay halted after %d commits, before the checkpoint cut at %d",
-				startSlot+uint64(len(obs.stream)), cp.Slot)})
+				obs.slot(), cp.Slot)})
 	}
 	if res.Fingerprint == cp.IntervalFingerprint && memory.EqualDelta(cp.MemDelta) {
 		// The passed check proves memory == image i exactly; record
@@ -281,7 +280,7 @@ func replaySegment(rec *Recording, cfg sim.Config, progs []*isa.Program, opts Re
 	rec.restoreImage(want, i)
 	res.MemHash = memory.Hash()
 	out.res = res
-	if d := rec.divergence(obs, res, startSlot, cp.IntervalFingerprint, cp.IntervalChains, want.Hash(), true); d != nil {
+	if d := rec.divergence(obs, res, cp.IntervalFingerprint, cp.IntervalChains, want.Hash()); d != nil {
 		return fail(d)
 	}
 	return out

@@ -38,15 +38,6 @@ func (l *IntrLog) Entries() []IntrEntry { return l.entries }
 // Len returns the entry count.
 func (l *IntrLog) Len() int { return len(l.entries) }
 
-// Lookup builds the seqID→entry map replay consumes.
-func (l *IntrLog) Lookup() map[uint64]IntrEntry {
-	m := make(map[uint64]IntrEntry, len(l.entries))
-	for _, e := range l.entries {
-		m[e.SeqID] = e
-	}
-	return m
-}
-
 // Pack returns the bit-packed log.
 func (l *IntrLog) Pack() ([]byte, int) {
 	var w bitio.Writer
@@ -110,6 +101,9 @@ func UnpackIntrLog(packed []byte, nbits, n int) (*IntrLog, error) {
 type IOLog struct {
 	values []uint64
 }
+
+// NewIOLog returns a log holding values (not copied).
+func NewIOLog(values []uint64) *IOLog { return &IOLog{values: values} }
 
 // Append records one I/O load value.
 func (l *IOLog) Append(v uint64) { l.values = append(l.values, v) }

@@ -19,6 +19,7 @@ package flat
 import (
 	"math/bits"
 	"math/rand/v2"
+	"unsafe"
 )
 
 // slot is one table entry. It is live iff gen equals the table's
@@ -162,6 +163,9 @@ func (t *Table) Reset() {
 		t.gen = 1
 	}
 }
+
+// Bytes returns the size of the table's slot array.
+func (t *Table) Bytes() int { return len(t.slots) * int(unsafe.Sizeof(slot{})) }
 
 // Each calls fn for every entry. fn must not modify t.
 func (t *Table) Each(fn func(k uint32, v uint64)) {

@@ -2,10 +2,11 @@ package isa
 
 import "fmt"
 
-// RunToMemOp executes instructions starting at st.PC until it reaches one
-// that requires external interaction — a cached memory access, an uncached
-// I/O access, a FENCE, or HALT — or until limit instructions have
-// executed. ALU, control flow, TRAPNZ and IRET are handled internally.
+// RunToMemOpTimed executes instructions starting at st.PC until it
+// reaches one that requires external interaction — a cached memory
+// access, an uncached I/O access, a FENCE, or HALT — or until limit
+// instructions have executed. ALU, control flow, TRAPNZ and IRET are
+// handled internally. It is the one interpreter entry point.
 //
 // It returns the number of instructions executed and the pending
 // instruction, if any. The pending instruction has NOT been executed;
@@ -16,25 +17,18 @@ import "fmt"
 //
 // A nil pending with n == limit means the budget ran out mid-computation;
 // a nil pending with st.Halted means the thread hit HALT previously.
-func RunToMemOp(st *ThreadState, p *Program, limit int) (n int, pending *Inst) {
-	return RunToMemOpTimed(st, p, limit, nil)
-}
-
-// RunToMemOpTimed is RunToMemOp with register-readiness propagation: if
-// ready is non-nil, ready[r] holds the cycle at which register r's value
-// becomes available, and ALU instructions propagate the maximum of their
-// sources to their destination. This lets the timing model see
-// load→ALU→address dependence chains: a memory op whose address was
-// computed from a pending load's result stalls until that load completes.
+//
+// ready[r] holds the cycle at which register r's value becomes
+// available, and ALU instructions propagate the maximum of their sources
+// to their destination. This lets the timing model see load→ALU→address
+// dependence chains: a memory op whose address was computed from a
+// pending load's result stalls until that load completes.
 // Immediate-producing instructions (LDI, JAL, TRAPNZ's link) mark their
-// destination ready immediately.
+// destination ready immediately. A caller without a timing model passes
+// an array of its own and ignores it.
 func RunToMemOpTimed(st *ThreadState, p *Program, limit int, ready *[NumRegs]uint64) (n int, pending *Inst) {
 	if st.Halted {
 		return 0, nil
-	}
-	if ready == nil {
-		var dummy [NumRegs]uint64
-		ready = &dummy
 	}
 	insts := p.Insts
 	ff := p.fastForwardTable()

@@ -199,7 +199,8 @@ func TestFastForwardTableConcurrentBuild(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			got[g].Reg = regsWith(3, 90)
-			RunToMemOp(&got[g], p, 1000)
+			var ready [NumRegs]uint64
+			RunToMemOpTimed(&got[g], p, 1000, &ready)
 		}()
 	}
 	wg.Wait()

@@ -10,7 +10,7 @@ import (
 
 // interpSchedule is one workload's interleaving, recorded once so the
 // timed loop spends no time on memory: the workload's programs run round
-// robin, one RunToMemOp call per turn, and loaded holds the value each
+// robin, one RunToMemOpTimed call per turn, and loaded holds the value each
 // pending memory or I/O instruction completed with, in completion order.
 type interpSchedule struct {
 	progs  []*isa.Program
@@ -27,7 +27,7 @@ const (
 // non-nil it performs every memory op sequentially consistently against
 // it and appends the value each pending instruction completes with to
 // *loaded; otherwise it completes them from *loaded in order. It returns
-// the number of instructions RunToMemOp retired.
+// the number of instructions RunToMemOpTimed retired.
 func interleave(progs []*isa.Program, m *mem.Memory, loaded *[]uint64) int {
 	sts := make([]isa.ThreadState, len(progs))
 	for p := range sts {
@@ -35,13 +35,14 @@ func interleave(progs []*isa.Program, m *mem.Memory, loaded *[]uint64) int {
 		sts[p].Reg[14] = int64(len(progs))
 	}
 	retired, next := 0, 0
+	var ready [isa.NumRegs]uint64
 	for live := len(progs); live > 0; {
 		for p := range sts {
 			st := &sts[p]
 			if st.Halted {
 				continue
 			}
-			n, i := isa.RunToMemOp(st, progs[p], interpBudget)
+			n, i := isa.RunToMemOpTimed(st, progs[p], interpBudget, &ready)
 			retired += n
 			switch {
 			case i == nil:
@@ -72,7 +73,7 @@ func interleave(progs []*isa.Program, m *mem.Memory, loaded *[]uint64) int {
 
 // BenchmarkInterpreter measures the instruction interpreter alone on the
 // real workload programs: every workload at 4 processors and scale 120k,
-// interleaved through RunToMemOp with a 2000-instruction budget. Memory
+// interleaved through RunToMemOpTimed with a 2000-instruction budget. Memory
 // ops are not simulated in the timed loop; they complete from values
 // recorded in an untimed sequentially consistent run. It reports
 // nanoseconds per retired instruction.

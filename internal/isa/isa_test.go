@@ -6,13 +6,14 @@ import (
 )
 
 // miniRun interprets prog to completion against a map-backed memory,
-// exercising the same RunToMemOp/MemAddr/NewValue/Complete contract the
+// exercising the same RunToMemOpTimed/MemAddr/NewValue/Complete contract the
 // simulator uses. maxInsts guards against runaway programs.
 func miniRun(t *testing.T, prog *Program, st *ThreadState, mem map[uint32]uint64, maxInsts int) int {
 	t.Helper()
 	total := 0
+	var ready [NumRegs]uint64
 	for total < maxInsts {
-		n, pend := RunToMemOp(st, prog, maxInsts-total)
+		n, pend := RunToMemOpTimed(st, prog, maxInsts-total, &ready)
 		total += n
 		if pend == nil {
 			if st.Halted {
@@ -198,7 +199,8 @@ func TestInterruptShadowBank(t *testing.T) {
 
 	st := &ThreadState{}
 	// Execute first instruction, then deliver an interrupt.
-	n, pend := RunToMemOp(st, prog, 1)
+	var ready [NumRegs]uint64
+	n, pend := RunToMemOpTimed(st, prog, 1, &ready)
 	if n != 1 || pend != nil {
 		t.Fatalf("setup: n=%d pend=%v", n, pend)
 	}
@@ -259,11 +261,12 @@ func TestRunToMemOpLimit(t *testing.T) {
 	a.Halt()
 	st := &ThreadState{}
 	prog := a.Assemble()
-	n, pend := RunToMemOp(st, prog, 4)
+	var ready [NumRegs]uint64
+	n, pend := RunToMemOpTimed(st, prog, 4, &ready)
 	if n != 4 || pend != nil {
 		t.Fatalf("n=%d pend=%v, want 4, nil", n, pend)
 	}
-	n, pend = RunToMemOp(st, prog, 100)
+	n, pend = RunToMemOpTimed(st, prog, 100, &ready)
 	if n != 6 || pend == nil || pend.Op != HALT {
 		t.Fatalf("n=%d pend=%v, want 6, HALT", n, pend)
 	}
@@ -271,7 +274,8 @@ func TestRunToMemOpLimit(t *testing.T) {
 
 func TestRunToMemOpHaltedThread(t *testing.T) {
 	st := &ThreadState{Halted: true}
-	n, pend := RunToMemOp(st, &Program{Insts: []Inst{{Op: HALT}}}, 10)
+	var ready [NumRegs]uint64
+	n, pend := RunToMemOpTimed(st, &Program{Insts: []Inst{{Op: HALT}}}, 10, &ready)
 	if n != 0 || pend != nil {
 		t.Fatalf("halted thread executed: n=%d pend=%v", n, pend)
 	}

@@ -24,7 +24,8 @@ func TestQuickALUSemantics(t *testing.T) {
 		a.Shr(0, 1, 2)
 		a.Halt()
 		st := &ThreadState{}
-		RunToMemOp(st, a.Assemble(), 100)
+		var ready [NumRegs]uint64
+		RunToMemOpTimed(st, a.Assemble(), 100, &ready)
 		sh := uint(y & 63)
 		return st.Reg[3] == x+y &&
 			st.Reg[4] == x-y &&
@@ -40,7 +41,7 @@ func TestQuickALUSemantics(t *testing.T) {
 	}
 }
 
-// Property: RunToMemOp is insensitive to batch size — executing a
+// Property: RunToMemOpTimed is insensitive to batch size — executing a
 // program in many small steps produces exactly the same architectural
 // state as one big step.
 func TestQuickBatchSizeInvariance(t *testing.T) {
@@ -60,12 +61,13 @@ func TestQuickBatchSizeInvariance(t *testing.T) {
 		prog := a.Assemble()
 
 		big := &ThreadState{}
-		RunToMemOp(big, prog, 1_000_000)
+		var ready [NumRegs]uint64
+		RunToMemOpTimed(big, prog, 1_000_000, &ready)
 
 		small := &ThreadState{}
 		step := 1 + int(chunk%7)
 		for i := 0; i < 1_000_000; i++ {
-			n, pend := RunToMemOp(small, prog, step)
+			n, pend := RunToMemOpTimed(small, prog, step, &ready)
 			if pend != nil {
 				break // HALT reached
 			}

@@ -370,10 +370,11 @@ var ErrCorrupt = errors.New("lz77: corrupt stream")
 // Compress. limit caps the output length: a stream that would decode to
 // more than limit bytes fails with ErrCorrupt as soon as it crosses the
 // cap, so a hostile stream cannot expand unboundedly before a caller's
-// length check runs.
+// length check runs. The output is allocated once, at the smaller of
+// limit and what the stream could decode to.
 func Decompress(packed []byte, bits, limit int) ([]byte, error) {
 	r := bitio.NewReader(packed, bits)
-	var out []byte
+	out := make([]byte, 0, min(limit, MaxDecodedLen(bits)))
 	for r.Remaining() >= 9 {
 		isMatch, err := r.ReadBool()
 		if err != nil {

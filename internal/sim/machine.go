@@ -98,7 +98,7 @@ type Machine struct {
 	cores []*classicCore
 	ms    *MemSys // pooled; held only while Run executes
 	stats Stats
-	runs  []SpinRun // skipSpins' scratch
+	runs  []spinRun // skipSpins' scratch
 }
 
 type classicCore struct {
@@ -391,7 +391,7 @@ func (m *Machine) memAccess(p int, cc *classicCore, in *isa.Inst, spin bool) {
 // and nothing else, and none of them touches state another core reads:
 // each repeats a load that hits in its own L1.
 func (m *Machine) skipSpins(left uint64, dmaIdx int) uint64 {
-	h := NoHorizon()
+	h := noHorizon()
 	if dmaIdx < len(m.Devs.DMA) {
 		h.Min(m.Devs.DMA[dmaIdx].Time, -1)
 	}
@@ -407,7 +407,7 @@ func (m *Machine) skipSpins(left uint64, dmaIdx int) uint64 {
 		if t, ok := m.nextInterrupt(q, cc); ok {
 			h.Min(t, -1)
 		}
-		runs = append(runs, SpinRun{Proc: q, T: cc.tm.Clock, D: cc.spin.Period()})
+		runs = append(runs, spinRun{Proc: q, T: cc.tm.Clock, D: cc.spin.Period()})
 	}
 	for i := range runs {
 		r := &runs[i]
@@ -415,7 +415,7 @@ func (m *Machine) skipSpins(left uint64, dmaIdx int) uint64 {
 	}
 	// Each iteration retires two instructions, and stepping stops once
 	// the budget is reached: at most ceil(left/2) more iterations run.
-	LimitSpins(runs, (left+1)/2)
+	limitSpins(runs, (left+1)/2)
 	var k uint64
 	for _, r := range runs {
 		if r.N == 0 {
@@ -461,9 +461,9 @@ func (m *Machine) nextInterrupt(q int, cc *classicCore) (uint64, bool) {
 
 // emitSpins hands the observer one counted event per skipped run, in
 // (Time, Proc) order.
-func (m *Machine) emitSpins(runs []SpinRun) {
-	clock := func(r SpinRun) uint64 { return m.cores[r.Proc].tm.Clock }
-	slices.SortFunc(runs, func(a, b SpinRun) int {
+func (m *Machine) emitSpins(runs []spinRun) {
+	clock := func(r spinRun) uint64 { return m.cores[r.Proc].tm.Clock }
+	slices.SortFunc(runs, func(a, b spinRun) int {
 		if c := cmp.Compare(clock(a), clock(b)); c != 0 {
 			return c
 		}

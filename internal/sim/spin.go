@@ -20,8 +20,10 @@ import (
 // fills from the others until commit, parks a waiting core and applies
 // its iterations lazily, up to the next global event.
 //
-// Spin decides when a core has settled; Horizon, and on Machine
-// LimitSpins, decide how far the waiting cores may go.
+// Spin decides when a core has settled. Horizon bounds how far a waiting
+// core may go: Machine skips up to the next action of any other core or
+// device, and limitSpins keeps a skip within the instruction budget;
+// bulksc.Engine catches parked cores up to its next global event.
 
 // stepSpins turns skipping off in both machines, so that every iteration
 // is simulated one by one. It is the reference the differential tests
@@ -204,8 +206,8 @@ type Horizon struct {
 	Proc int
 }
 
-// NoHorizon is a horizon nothing reaches.
-func NoHorizon() Horizon { return Horizon{T: math.MaxUint64, Proc: math.MaxInt} }
+// noHorizon is a horizon nothing reaches.
+func noHorizon() Horizon { return Horizon{T: math.MaxUint64, Proc: math.MaxInt} }
 
 // Min lowers h to (t, proc) if that comes first.
 func (h *Horizon) Min(t uint64, proc int) {
@@ -234,19 +236,19 @@ func (h Horizon) Iters(t, d uint64, proc int) uint64 {
 	return n
 }
 
-// SpinRun is one core's share of a skip: its next iteration starts at
+// spinRun is one core's share of a skip: its next iteration starts at
 // time T, each takes D cycles, and N of them are skipped.
-type SpinRun struct {
+type spinRun struct {
 	Proc    int
 	T, D, N uint64
 }
 
-// LimitSpins lowers the runs' N so that at most m iterations are skipped
+// limitSpins lowers the runs' N so that at most m iterations are skipped
 // in all. Stepping runs the iterations in (time, processor) order and an
 // instruction budget stops it after the m-th, so the runs keep the
 // iterations that start before the latest time T at which no more than m
 // do; the few that start at T itself are left to stepping.
-func LimitSpins(runs []SpinRun, m uint64) {
+func limitSpins(runs []spinRun, m uint64) {
 	var total, hi uint64
 	lo := uint64(math.MaxUint64)
 	for i := range runs {
