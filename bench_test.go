@@ -256,7 +256,7 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 			cfg := sim.Default8()
 			cfg.ChunkSize = cs
 			cfg.MaxInsts = 2_000_000_000
-			rec, err := core.Record(cfg, core.OrderOnly, w.Progs, w.InitImage(), w.Devs, core.RecordOptions{})
+			rec, err := core.Record(cfg, core.OrderOnly, w.Progs, w.Image, w.Devs, core.RecordOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -251,7 +251,7 @@ func record(ctx context.Context, cfg Config, mode Mode, w *Workload, sink *trace
 	if err := cfg.checkSimParallel(); err != nil {
 		return nil, err
 	}
-	rec, err := core.Record(cfg.machine(), coreMode(mode), w.Progs, w.InitImage(), w.Devs, core.RecordOptions{
+	rec, err := core.Record(cfg.machine(), coreMode(mode), w.Progs, w.Image, w.Devs, core.RecordOptions{
 		StratifyMax:     cfg.Stratify,
 		CheckpointEvery: cfg.CheckpointEvery,
 		Trace:           sink,

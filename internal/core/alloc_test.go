@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"runtime"
 	"testing"
 
@@ -105,5 +106,32 @@ func TestWarmReplayAllocsFlatInLength(t *testing.T) {
 	if long > short+replayGrowthBudget {
 		t.Fatalf("replay of %d chunks allocated %d bytes more than of %d (budget %d)",
 			longChunks, long-short, shortChunks, replayGrowthBudget)
+	}
+}
+
+// A save allocates what encoding its frames in memory does — the frame
+// list, each payload and one buffer per frame — plus the header, and
+// nothing more: the header and every frame are whole buffers already, so
+// the writer needs no buffer of its own.
+func TestWriteToParallelAllocsPerFrame(t *testing.T) {
+	cfg := testConfig(4, 200)
+	rec := record(t, cfg, OrderOnly, racyProgs(4, 200), nil, RecordOptions{CheckpointEvery: 8})
+	frames := len(rec.frameSpecs())
+	encode := testing.AllocsPerRun(5, func() {
+		sc := getFrameScratch()
+		for _, s := range rec.frameSpecs() {
+			encodeFrame(s, sc)
+		}
+		putFrameScratch(sc)
+	})
+	save := testing.AllocsPerRun(5, func() {
+		if _, err := rec.WriteToParallel(io.Discard, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d frames: %.1f allocations to encode them, %.1f to save", frames, encode, save)
+	if save > encode+1 {
+		t.Fatalf("a save of %d frames made %.1f allocations, %.1f more than encoding its frames (want at most 1, the header)",
+			frames, save, save-encode)
 	}
 }

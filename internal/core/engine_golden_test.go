@@ -220,10 +220,10 @@ func engineGoldenCases() []engineCase {
 			cfg := testConfig(4, 300)
 			w := workload.Get("sjbb2k", workload.Params{NProcs: 4, Scale: 8000, Seed: 11})
 			opts := RecordOptions{TruncSeed: 99, CheckpointEvery: 60}
-			_, plain := recordDigests(t, cfg, mode, w.Progs, w.InitImage(), w.Devs, opts)
+			_, plain := recordDigests(t, cfg, mode, w.Progs, w.Image, w.Devs, opts)
 			sink := trace.NewSink(4)
 			opts.Trace = sink
-			_, traced := recordDigests(t, cfg, mode, w.Progs, w.InitImage(), w.Devs, opts)
+			_, traced := recordDigests(t, cfg, mode, w.Progs, w.Image, w.Devs, opts)
 			if fmt.Sprint(plain) != fmt.Sprint(traced) {
 				t.Errorf("tracing changed the recording:\nplain:  %v\ntraced: %v", plain, traced)
 			}

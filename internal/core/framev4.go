@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"hash/crc32"
 	"io"
 	"slices"
@@ -288,13 +287,14 @@ func (r *Recording) WriteToParallel(w io.Writer, workers int) (int64, error) {
 	hdr = le.AppendUint64(hdr, r.Stats.Chunks)
 	hdr = le.AppendUint64(hdr, r.Stats.Cycles)
 
-	bw := bufio.NewWriter(w)
+	// The header and every frame are whole buffers, so they go straight
+	// to w; the first error stops the stream.
 	var n int64
 	var err error
 	write := func(p []byte) {
 		if err == nil {
 			var m int
-			m, err = bw.Write(p)
+			m, err = w.Write(p)
 			n += int64(m)
 		}
 	}
@@ -335,10 +335,6 @@ func (r *Recording) WriteToParallel(w io.Writer, workers int) (int64, error) {
 		for ch := range futures {
 			write(<-ch)
 		}
-	}
-
-	if err == nil {
-		err = bw.Flush()
 	}
 	return n, err
 }

@@ -17,7 +17,7 @@ func TestAllWorkloadsRecordReplay(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			w := workload.Get(name, workload.Params{NProcs: 4, Scale: 8000, Seed: 3})
 			cfg := testConfig(4, 400)
-			rec, err := Record(cfg, OrderOnly, w.Progs, w.InitImage(), w.Devs, RecordOptions{})
+			rec, err := Record(cfg, OrderOnly, w.Progs, w.Image, w.Devs, RecordOptions{})
 			if err != nil {
 				t.Fatalf("record: %v", err)
 			}
@@ -43,7 +43,7 @@ func TestWorkloadsPicoLogRecordReplay(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			w := workload.Get(name, workload.Params{NProcs: 4, Scale: 8000, Seed: 5})
 			cfg := testConfig(4, 300)
-			rec, err := Record(cfg, PicoLog, w.Progs, w.InitImage(), w.Devs, RecordOptions{})
+			rec, err := Record(cfg, PicoLog, w.Progs, w.Image, w.Devs, RecordOptions{})
 			if err != nil {
 				t.Fatalf("record: %v", err)
 			}
@@ -68,7 +68,7 @@ func TestWorkloadsOrderSizeRecordReplay(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			w := workload.Get(name, workload.Params{NProcs: 4, Scale: 8000, Seed: 9})
 			cfg := testConfig(4, 350)
-			rec, err := Record(cfg, OrderSize, w.Progs, w.InitImage(), w.Devs, RecordOptions{})
+			rec, err := Record(cfg, OrderSize, w.Progs, w.Image, w.Devs, RecordOptions{})
 			if err != nil {
 				t.Fatalf("record: %v", err)
 			}
@@ -90,7 +90,7 @@ func TestWorkloadsOrderSizeRecordReplay(t *testing.T) {
 func TestStratifiedWorkloadReplay(t *testing.T) {
 	w := workload.Get("lu", workload.Params{NProcs: 4, Scale: 10000, Seed: 2})
 	cfg := testConfig(4, 400)
-	rec, err := Record(cfg, OrderOnly, w.Progs, w.InitImage(), w.Devs, RecordOptions{StratifyMax: 3})
+	rec, err := Record(cfg, OrderOnly, w.Progs, w.Image, w.Devs, RecordOptions{StratifyMax: 3})
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}

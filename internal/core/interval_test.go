@@ -126,7 +126,7 @@ func TestIntervalReplayWorkloads(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			w := workload.Get(name, workload.Params{NProcs: 4, Scale: 10000, Seed: 5})
 			cfg := testConfig(4, 400)
-			rec, err := Record(cfg, OrderOnly, w.Progs, w.InitImage(), w.Devs, RecordOptions{
+			rec, err := Record(cfg, OrderOnly, w.Progs, w.Image, w.Devs, RecordOptions{
 				CheckpointEvery: 30,
 			})
 			if err != nil {

@@ -49,14 +49,14 @@ type recorder struct {
 	rec   *Recording
 	strat *stratifier.Stratifier
 	// fps[0] fingerprints the whole run; each checkpoint spawns another
-	// that accumulates only the interval after its cut.
-	fps []*fingerprint
-	// ivfp fingerprints only the current bounded interval — since the
-	// last cut (or the run's start). Each checkpoint seals it into
-	// IntervalFingerprint/IntervalChains and starts a fresh one; the
-	// trailing partial interval is discarded (the final interval is
-	// checked with the last checkpoint's suffix fingerprint instead).
-	ivfp   *fingerprint
+	// that accumulates only the interval after its cut, so the newest
+	// covers exactly the current interval and the next checkpoint seals
+	// it into IntervalFingerprint/IntervalChains. The trailing partial
+	// interval is never sealed (the final interval is checked with the
+	// last checkpoint's suffix fingerprint instead). Sealing flushes the
+	// pending commit early, which changes nothing: a recording run never
+	// splits a chunk, so the next commit would flush it anyway.
+	fps    []*fingerprint
 	nprocs int
 
 	// tr, when non-nil, receives a LogSample event per commit showing
@@ -74,17 +74,16 @@ func (r *recorder) eachFP(f func(*fingerprint)) {
 	for _, fp := range r.fps {
 		f(fp)
 	}
-	f(r.ivfp)
 }
 
 func (r *recorder) onCheckpoint(cp bulksc.Checkpoint) {
+	iv := r.fps[len(r.fps)-1]
 	r.rec.Checkpoints = append(r.rec.Checkpoints, IntervalCheckpoint{
 		Checkpoint:          cp,
-		IntervalFingerprint: r.ivfp.sum(),
-		IntervalChains:      r.ivfp.procDigests(),
+		IntervalFingerprint: iv.sum(),
+		IntervalChains:      iv.procDigests(),
 	})
 	r.fps = append(r.fps, newFingerprint(r.nprocs))
-	r.ivfp = newFingerprint(r.nprocs)
 }
 
 func (r *recorder) OnCommit(ev bulksc.CommitEvent) {
@@ -208,8 +207,7 @@ func Record(cfg sim.Config, mode Mode, progs []*isa.Program, init mem.Image, dev
 		}
 	}
 
-	r := &recorder{rec: rec, fps: []*fingerprint{newFingerprint(cfg.NProcs)},
-		ivfp: newFingerprint(cfg.NProcs), nprocs: cfg.NProcs}
+	r := &recorder{rec: rec, fps: []*fingerprint{newFingerprint(cfg.NProcs)}, nprocs: cfg.NProcs}
 	if opts.StratifyMax > 0 && mode != PicoLog {
 		r.strat = stratifier.New(cfg.NProcs, opts.StratifyMax)
 	}

@@ -269,7 +269,7 @@ func CheckpointFaults() []RecordingFault {
 		}},
 		// Flip a bit in one checkpoint's interval fingerprint: the
 		// interval's replay can no longer match it.
-		{Name: "corrupt-ckpt-ivfp", Mutate: func(s *rng.Source, rec *core.Recording) bool {
+		{Name: "corrupt-ckpt-intervalfp", Mutate: func(s *rng.Source, rec *core.Recording) bool {
 			if len(rec.Checkpoints) == 0 {
 				return false
 			}

@@ -74,10 +74,6 @@ func (c Config) machine() sim.Config {
 	return m
 }
 
-// groupNames returns the figure x-axis groups: the SPLASH-2 geometric
-// mean plus each commercial workload individually, as in the paper.
-func groupNames() []string { return []string{"SP2-G.M.", "sjbb2k", "sweb2005"} }
-
 // splashIn reports whether name is one of the SPLASH-2 kernels.
 func splashIn(name string) bool {
 	for _, n := range workload.SplashNames() {
@@ -159,24 +155,6 @@ type workloadKey struct {
 	p    workload.Params
 }
 
-// instance is one generated workload with its initial memory image, both
-// built once per Cache and shared by every run of the workload. Runs
-// share the programs, devices and image, which no run modifies.
-type instance struct {
-	*workload.Workload
-	image mem.Image
-}
-
-// InitMem returns a run's own memory holding the initial image, in place
-// of workload.Workload.InitMem, which would generate it again. The
-// memory comes from mem's free list; the run hands it back with mem.Put
-// when done. It is safe for concurrent use.
-func (in *instance) InitMem() *mem.Memory {
-	m := mem.Get()
-	m.Restore(in.image)
-	return m
-}
-
 // Cache is the harness's single-flight memo store: each distinct RC/SC
 // classic run, Figure 12 PicoLog chunked run, recording, and verified
 // perturbed replay executes exactly once per Cache no matter how many
@@ -192,7 +170,7 @@ type Cache struct {
 	chunked   runner.Memo[runKey, bulksc.Stats]
 	records   runner.Memo[runKey, recordResult]
 	replays   runner.Memo[runKey, replayResult]
-	workloads runner.Memo[workloadKey, *instance]
+	workloads runner.Memo[workloadKey, *workload.Workload]
 }
 
 // Runs reports how many distinct simulations the cache has executed.
@@ -211,12 +189,11 @@ func (c Config) cache() *Cache {
 }
 
 // workload returns the named workload at c's parameters, generated once
-// per Cache with its initial image.
-func (c Config) workload(name string) *instance {
+// per Cache.
+func (c Config) workload(name string) *workload.Workload {
 	p := c.params()
-	return c.cache().workloads.Do(workloadKey{name, p}, func() *instance {
-		w := workload.Get(name, p)
-		return &instance{Workload: w, image: w.InitImage()}
+	return c.cache().workloads.Do(workloadKey{name, p}, func() *workload.Workload {
+		return workload.Get(name, p)
 	})
 }
 
@@ -242,7 +219,7 @@ func (c Config) recordWorkload(name string, mode core.Mode, chunkSize int, opts 
 		w := c.workload(name)
 		cfg := c.machine()
 		cfg.ChunkSize = chunkSize
-		rec, err := core.Record(cfg, mode, w.Progs, w.image, w.Devs, canon)
+		rec, err := core.Record(cfg, mode, w.Progs, w.Image, w.Devs, canon)
 		return recordResult{rec: rec, err: err}
 	})
 	return res.rec, res.err

@@ -366,7 +366,7 @@ func TestDeLoreanRecorderIsPassive(t *testing.T) {
 				e.Policy = newRR(cfg.NProcs)
 			}
 			plain := e.Run()
-			rec, err := core.Record(cfg, tc.mode, w.Progs, w.InitImage(), w.Devs, tc.opts)
+			rec, err := core.Record(cfg, tc.mode, w.Progs, w.Image, w.Devs, tc.opts)
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, tc.mode, err)
 			}

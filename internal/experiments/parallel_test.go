@@ -86,7 +86,7 @@ func TestWorkloadBuiltOnce(t *testing.T) {
 	c := quick(t)
 	c.Workloads = []string{"barnes", "cholesky", "fmm", "ocean", "radiosity", "raytrace", "water-sp", "sjbb2k", "sweb2005"}
 	c.Cache = &Cache{}
-	built := map[string]*instance{}
+	built := map[string]*workload.Workload{}
 	for _, name := range c.Workloads {
 		built[name] = c.workload(name)
 	}
@@ -114,10 +114,10 @@ func TestWorkloadBuiltOnce(t *testing.T) {
 	w := built["barnes"]
 	fresh := workload.Get("barnes", c.params()).InitMem()
 	want := fresh.Hash()
-	if len(w.image) == 0 {
+	if len(w.Image) == 0 {
 		t.Fatal("barnes has an empty initial image")
 	}
-	if !slices.Equal(w.image, fresh.Snapshot()) {
+	if !slices.Equal(w.Image, fresh.Snapshot()) {
 		t.Fatal("the cached image differs from a fresh build")
 	}
 	var wg sync.WaitGroup
@@ -139,7 +139,7 @@ func TestWorkloadBuiltOnce(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if !slices.Equal(w.image, fresh.Snapshot()) || w.InitMem().Hash() != want {
+	if !slices.Equal(w.Image, fresh.Snapshot()) || w.InitMem().Hash() != want {
 		t.Error("a store into one run's memory reached the image")
 	}
 }

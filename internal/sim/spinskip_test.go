@@ -94,7 +94,7 @@ type recordingOf struct {
 
 func record(t *testing.T, cfg sim.Config, mode core.Mode, w *workload.Workload, opts core.RecordOptions) (recordingOf, *core.Recording) {
 	t.Helper()
-	rec, err := core.Record(cfg, mode, w.Progs, w.InitImage(), w.Devs, opts)
+	rec, err := core.Record(cfg, mode, w.Progs, w.Image, w.Devs, opts)
 	if err != nil {
 		t.Fatalf("%s/%v: %v", w.Name, mode, err)
 	}

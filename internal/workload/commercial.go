@@ -3,7 +3,6 @@ package workload
 import (
 	"delorean/internal/device"
 	"delorean/internal/isa"
-	"delorean/internal/mem"
 )
 
 // genSJBB models SPECjbb2000 with one warehouse per processor:
@@ -121,10 +120,8 @@ func genSJBB(p Params) *Workload {
 	devs.GenerateInterrupts(k.rng.Fork(), p.NProcs, uint64(p.Scale/3)+512, horizon, 0.2)
 	devs.GenerateDMA(k.rng.Fork(), addrDMARing, 2, 16, uint64(p.Scale/2)+512, horizon)
 
-	init := func(m *mem.Memory) {
-		sharedInit(p.Seed^0x5BB, 64*isa.LineWords)(m)
-	}
-	return &Workload{Name: "sjbb2k", Progs: replicate(p, prog), Devs: devs, Init: init}
+	return &Workload{Name: "sjbb2k", Progs: replicate(p, prog), Devs: devs,
+		Image: fill(nil, addrShared, p.Seed^0x5BB, 64*isa.LineWords)}
 }
 
 // genSWeb models SPECweb2005's e-commerce workload: request processing
@@ -200,6 +197,6 @@ func genSWeb(p Params) *Workload {
 		Name:  "sweb2005",
 		Progs: replicate(p, prog),
 		Devs:  devs,
-		Init:  sharedInit(p.Seed^0x53B, cacheSlots*isa.LineWords),
+		Image: fill(nil, addrShared, p.Seed^0x53B, cacheSlots*isa.LineWords),
 	}
 }

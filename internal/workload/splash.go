@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"slices"
+
 	"delorean/internal/isa"
 	"delorean/internal/mem"
 )
@@ -22,16 +24,17 @@ func replicate(p Params, prog *isa.Program) []*isa.Program {
 	return ps
 }
 
-// sharedInit fills the shared region [addrShared, addrShared+n) with
-// deterministic nonzero data (scene geometry, matrices, ...).
-func sharedInit(seed uint64, n int) func(*mem.Memory) {
-	return func(m *mem.Memory) {
-		v := seed | 1
-		for i := 0; i < n; i++ {
-			v = v*6364136223846793005 + 1442695040888963407
-			m.Store(addrShared+uint32(i), v|1)
-		}
+// fill appends the words [base, base+n) to img, holding deterministic
+// nonzero data (scene geometry, matrices, ...) drawn from seed. Callers
+// append regions in address order, so the image stays canonical.
+func fill(img mem.Image, base uint32, seed uint64, n int) mem.Image {
+	img = slices.Grow(img, n)
+	v := seed | 1
+	for i := 0; i < n; i++ {
+		v = v*6364136223846793005 + 1442695040888963407
+		img = append(img, mem.Word{Addr: base + uint32(i), Val: v | 1})
 	}
+	return img
 }
 
 // finalReduction emits one guaranteed lock-protected global accumulation
@@ -97,7 +100,7 @@ func genBarnes(p Params) *Workload {
 	return &Workload{
 		Name:  "barnes",
 		Progs: replicate(p, k.Assemble()),
-		Init:  sharedInit(p.Seed^0xBA53, nodes*isa.LineWords),
+		Image: fill(nil, addrShared, p.Seed^0xBA53, nodes*isa.LineWords),
 	}
 }
 
@@ -140,7 +143,7 @@ func genFMM(p Params) *Workload {
 	return &Workload{
 		Name:  "fmm",
 		Progs: replicate(p, k.Assemble()),
-		Init:  sharedInit(p.Seed^0xF33, cells*isa.LineWords),
+		Image: fill(nil, addrShared, p.Seed^0xF33, cells*isa.LineWords),
 	}
 }
 
@@ -206,7 +209,7 @@ func genFFT(p Params) *Workload {
 	return &Workload{
 		Name:  "fft",
 		Progs: replicate(p, k.Assemble()),
-		Init:  sharedInit(p.Seed^0xFF7, p.NProcs*chunk),
+		Image: fill(nil, addrShared, p.Seed^0xFF7, p.NProcs*chunk),
 	}
 }
 
@@ -276,15 +279,9 @@ func genLU(p Params) *Workload {
 	k.Addi(7, 7, 1)
 	k.Blt(7, 5, "step")
 	k.Halt()
-	init := func(m *mem.Memory) {
-		sharedInit(p.Seed^0x111, 64)(m)
-		v := p.Seed ^ 0x222 | 1
-		for i := 0; i < 8*blockWords; i++ {
-			v = v*6364136223846793005 + 1442695040888963407
-			m.Store(addrShared2+uint32(i), v|1)
-		}
-	}
-	return &Workload{Name: "lu", Progs: replicate(p, k.Assemble()), Init: init}
+	img := fill(nil, addrShared, p.Seed^0x111, 64)
+	img = fill(img, addrShared2, p.Seed^0x222, 8*blockWords)
+	return &Workload{Name: "lu", Progs: replicate(p, k.Assemble()), Image: img}
 }
 
 // genOcean models the ocean grid solver: each processor sweeps its own
@@ -346,7 +343,7 @@ func genOcean(p Params) *Workload {
 	return &Workload{
 		Name:  "ocean",
 		Progs: replicate(p, k.Assemble()),
-		Init:  sharedInit(p.Seed^0x0CEA, p.NProcs*rowsPerProc*rowWords),
+		Image: fill(nil, addrShared, p.Seed^0x0CEA, p.NProcs*rowsPerProc*rowWords),
 	}
 }
 
@@ -402,7 +399,7 @@ func genCholesky(p Params) *Workload {
 	return &Workload{
 		Name:  "cholesky",
 		Progs: replicate(p, k.Assemble()),
-		Init:  sharedInit(p.Seed^0xC40, cols*colWords),
+		Image: fill(nil, addrShared, p.Seed^0xC40, cols*colWords),
 	}
 }
 
@@ -439,7 +436,7 @@ func genRadiosity(p Params) *Workload {
 	return &Workload{
 		Name:  "radiosity",
 		Progs: replicate(p, k.Assemble()),
-		Init:  sharedInit(p.Seed^0x3AD, patches*isa.LineWords),
+		Image: fill(nil, addrShared, p.Seed^0x3AD, patches*isa.LineWords),
 	}
 }
 
@@ -512,7 +509,7 @@ func genRadix(p Params) *Workload {
 	return &Workload{
 		Name:  "radix",
 		Progs: replicate(p, k.Assemble()),
-		Init:  sharedInit(p.Seed^0x3AD1C, scatterWords),
+		Image: fill(nil, addrShared, p.Seed^0x3AD1C, scatterWords),
 	}
 }
 
@@ -556,7 +553,7 @@ func genRaytrace(p Params) *Workload {
 	return &Workload{
 		Name:  "raytrace",
 		Progs: replicate(p, k.Assemble()),
-		Init:  sharedInit(p.Seed^0x3A7, scene),
+		Image: fill(nil, addrShared, p.Seed^0x3A7, scene),
 	}
 }
 

@@ -38,27 +38,19 @@ type Workload struct {
 	Progs []*isa.Program
 	// Devs is non-nil for the full-system workloads.
 	Devs *device.Devices
-	// Init seeds initial memory contents (the system checkpoint state).
-	Init func(*mem.Memory)
+	// Image is the initial memory contents (the system checkpoint state)
+	// in canonical form: nonzero words at strictly increasing addresses.
+	// Every run of the workload starts from it and none modifies it.
+	Image mem.Image
 }
 
-// InitMem returns a memory populated with the workload's initial data.
-// The memory comes from mem's free list (mem.Get); a caller done with it
-// may hand it back with mem.Put.
+// InitMem returns a memory holding the workload's initial image. The
+// memory comes from mem's free list (mem.Get); a caller done with it may
+// hand it back with mem.Put. It is safe for concurrent use.
 func (w *Workload) InitMem() *mem.Memory {
 	m := mem.Get()
-	if w.Init != nil {
-		w.Init(m)
-	}
+	m.Restore(w.Image)
 	return m
-}
-
-// InitImage returns the workload's initial data as a memory image, the
-// form core.Record takes.
-func (w *Workload) InitImage() mem.Image {
-	m := w.InitMem()
-	defer mem.Put(m)
-	return m.Snapshot()
 }
 
 // Shared address map (word addresses). Layout matters to the Bulk

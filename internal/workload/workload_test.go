@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"delorean/internal/bulksc"
+	"delorean/internal/mem"
 	"delorean/internal/sim"
 )
 
@@ -78,6 +80,30 @@ func TestSysKernelPinned(t *testing.T) {
 	for i := range other.Progs[0].Insts {
 		if other.Progs[0].Insts[i] != ref.Insts[i] {
 			t.Fatalf("Seed changed instruction %d — programs must not depend on Seed", i)
+		}
+	}
+}
+
+// TestWorkloadImagesCanonical: every generator builds its initial image
+// in the canonical form recordings store — nonzero words at strictly
+// increasing addresses — and a run's memory holds exactly that image.
+func TestWorkloadImagesCanonical(t *testing.T) {
+	for _, p := range []Params{{4, 8000, 1}, {8, 100000, 7}} {
+		for _, name := range All() {
+			w := Get(name, p)
+			for i, wd := range w.Image {
+				if wd.Val == 0 {
+					t.Fatalf("%s %+v: word %d at %#x is zero", name, p, i, wd.Addr)
+				}
+				if i > 0 && wd.Addr <= w.Image[i-1].Addr {
+					t.Fatalf("%s %+v: word %d at %#x does not follow %#x", name, p, i, wd.Addr, w.Image[i-1].Addr)
+				}
+			}
+			m := w.InitMem()
+			if !slices.Equal(m.Snapshot(), w.Image) {
+				t.Fatalf("%s %+v: the initial memory differs from the image", name, p)
+			}
+			mem.Put(m)
 		}
 	}
 }
