@@ -41,6 +41,10 @@ func main() {
 		execTr   = flag.String("exectrace", "", "write a runtime/trace execution trace to this file")
 	)
 	flag.Parse()
+	if *procs > sim.MaxProcs {
+		fmt.Fprintf(os.Stderr, "-procs %d: the simulator models at most %d processors\n", *procs, sim.MaxProcs)
+		os.Exit(2)
+	}
 
 	cfg := experiments.Config{
 		Procs: *procs, Scale: *scale, Seed: *seed, ReplayRuns: *replays,

@@ -23,6 +23,7 @@ import (
 
 	"delorean/internal/diffcheck"
 	"delorean/internal/runner"
+	"delorean/internal/sim"
 )
 
 func main() {
@@ -37,6 +38,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if *procs > sim.MaxProcs {
+		fmt.Fprintf(os.Stderr, "-procs %d: the simulator models at most %d processors\n", *procs, sim.MaxProcs)
+		os.Exit(2)
+	}
 	opts := diffcheck.DefaultOptions()
 	if *procs > 0 {
 		opts.NProcs = *procs

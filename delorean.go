@@ -71,8 +71,10 @@ func coreMode(m Mode) core.Mode {
 	panic(fmt.Sprintf("delorean: unknown mode %d", int(m)))
 }
 
-// The largest machine a recording can describe: LoadRecording rejects a
-// recording of more processors, or of larger chunks, as corrupt.
+// The largest machine a recording can describe: the simulator models at
+// most MaxProcessors processors, so Record refuses a larger Config
+// before it simulates, and LoadRecording rejects a recording of more
+// processors, or of larger chunks, as corrupt.
 // MaxStratify bounds Config.Stratify: a recording stratified more
 // coarsely cannot be saved without truncating its strata.
 const (
@@ -342,9 +344,11 @@ type ReplayResult struct {
 type DivergenceInfo struct {
 	// Kind classifies the divergence: "stall" (replay starved or ran out
 	// of budget before reproducing the log), "order" (a processor
-	// committed out of the logged sequence), "size" (a chunk committed
-	// the wrong instruction count), or "state" (streams matched but a
-	// per-core digest, the fingerprint or final memory differs).
+	// committed out of the logged sequence; a backstop that replays do
+	// not reach, since the replay arbiter grants only the processor the
+	// log names next), "size" (a chunk committed the wrong instruction
+	// count), or "state" (streams matched but a per-core digest, the
+	// fingerprint or final memory differs).
 	Kind string
 	// Slot is the global commit slot of the divergence (-1 if it could
 	// not be narrowed to a slot).
@@ -467,7 +471,7 @@ func (r *Recording) Save(w io.Writer) error {
 
 // SaveParallel is Save with an explicit compression worker count
 // (0: host default, 1: fully sequential). The output is byte-identical
-// regardless of workers; only wall clock and peak memory differ.
+// regardless of workers; only wall clock differs.
 func (r *Recording) SaveParallel(w io.Writer, workers int) error {
 	_, err := r.rec.WriteToParallel(w, workers)
 	return err

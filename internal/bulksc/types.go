@@ -45,8 +45,10 @@ type CommitEvent struct {
 	// Split marks a replay-only continuation piece that shares its PI
 	// log entry with the preceding piece.
 	Split bool
-	// StoreHash is a hash over the chunk's (address, value) store set —
-	// fingerprint material for determinism checking.
+	// StoreHash is a hash over the chunk's (address, value) store set.
+	// The determinism fingerprint leaves it out (a split piece's store
+	// set differs from its whole chunk's); only the engine goldens'
+	// observer streams read it.
 	StoreHash uint64
 	// RSig/WSig are the chunk's footprint signatures, valid only for the
 	// duration of the callback (the PI-log stratifier consumes them).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"delorean/internal/bulksc"
@@ -262,6 +263,23 @@ func TestStratifiedSmallerThanPI(t *testing.T) {
 	if rec.Stratified.RawBits() >= rec.PI.RawBits() {
 		t.Fatalf("stratified %d bits >= PI %d bits on conflict-free run",
 			rec.Stratified.RawBits(), rec.PI.RawBits())
+	}
+}
+
+// TestRecordProcessorLimit: Record runs a machine of MaxProcs
+// processors, whose recording loads back, and refuses one more before
+// it simulates.
+func TestRecordProcessorLimit(t *testing.T) {
+	rec := record(t, testConfig(MaxProcs, 200), OrderOnly, racyProgs(MaxProcs, 10), nil, RecordOptions{})
+	var buf bytes.Buffer
+	if _, err := rec.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadRecording(&buf); err != nil {
+		t.Fatalf("a recording of %d processors does not load: %v", MaxProcs, err)
+	}
+	if _, err := Record(testConfig(MaxProcs+1, 200), OrderOnly, racyProgs(MaxProcs+1, 10), nil, nil, RecordOptions{}); err == nil {
+		t.Fatalf("Record at %d processors returned no error", MaxProcs+1)
 	}
 }
 

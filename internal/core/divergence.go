@@ -37,6 +37,11 @@ func checkpointRange(idx, n int) error {
 //     end — the processor the log names next never produced a
 //     committable chunk (typical of a reordered or truncated PI log).
 //   - "order": a committed chunk's processor disagrees with the PI log.
+//     A backstop that a real replay does not reach: the replay arbiter
+//     grants only the processor the PI log names next
+//     (arbiter.LogOrder), so a reordered log shows as "stall" or
+//     "state". The check stays so that a commit-order fault in the
+//     engine would still fail the replay.
 //   - "size": a committed chunk's size disagrees with the size/CS log.
 //   - "state": the commit order was followed but the execution's
 //     per-processor chunk/input streams or the final memory state

@@ -3,6 +3,7 @@ package core
 import (
 	"hash/crc32"
 	"io"
+	"math"
 	"slices"
 
 	"delorean/internal/bitio"
@@ -38,13 +39,14 @@ import (
 //	checkpoint  one frame per interval checkpoint (writeCheckpointBody)
 //	stratified  optional
 //
-// Framing each shard independently is what makes the save pipeline
-// parallel: workers build and compress frames concurrently while the
-// writer goroutine emits them in canonical shard order, so the output is
-// byte-identical at any worker count and peak memory is bounded by the
-// frames in flight, not the recording. Loading indexes the frames
-// (IndexRecording, which enforces the frame-structure rules) and decodes
-// payloads on a worker pool when a section is first needed.
+// The encoder mirrors the decoder: appendPayload builds what applyFrame
+// parses, and frameCount's rule lists the frames for both. A save
+// encodes its frames on runner.Map's workers, then writes the header and
+// the frames in canonical order, so the output is byte-identical at any
+// worker count; it holds its encoded frames, about one container's size,
+// next to the decoded recording it already holds. Loading indexes the
+// frames (IndexRecording, which enforces the frame-structure rules) and
+// decodes them on a worker pool when the recording is first needed.
 const (
 	recVersionV4 = 4
 
@@ -69,24 +71,51 @@ const (
 	maxFramePayload = 1 << 31
 )
 
-// singletonFrame reports whether a container carries at most one frame
-// of the kind (every other kind has one frame per processor or per
-// checkpoint).
-func singletonFrame(kind uint8) bool {
-	switch kind {
-	case frameCS, frameSizes, frameIntr, frameIO, frameCheckpoint:
-		return false
+// frameCount is the count rule: how many frames of a kind a container
+// of the mode and processor count holds. Checkpoint and stratified
+// frames vary with the recording (exact is false): a container holds at
+// most n of them. It drives the encoder's frame list (frameIDs) and the
+// index pass's structure checks alike.
+func frameCount(kind uint8, mode Mode, nprocs int) (n int, exact bool) {
+	switch {
+	case kind == framePI && mode == PicoLog, kind == frameSizes && mode != OrderSize:
+		return 0, true
+	case kind == frameCS || kind == frameSizes || kind == frameIntr || kind == frameIO:
+		return nprocs, true
+	case kind == frameCheckpoint:
+		return math.MaxInt, false
+	case kind == frameStratified:
+		return 1, false
 	}
-	return true
+	return 1, true
 }
 
-// frameSpec names one frame of the canonical sequence: its kind, shard
-// index, and a builder that appends the raw (pre-compression) payload
-// to b.
-type frameSpec struct {
+// frameID names one frame of the canonical sequence.
+type frameID struct {
 	kind  uint8
 	shard uint32
-	build func(b []byte) []byte
+}
+
+// frameIDs lists the recording's frames in canonical order: frameCount
+// of each kind, and of the kinds that vary, as many as the recording
+// carries.
+func (r *Recording) frameIDs() []frameID {
+	ids := make([]frameID, 0, 6+4*r.NProcs+len(r.Checkpoints))
+	for kind := uint8(frameInitMem); kind <= frameEnd; kind++ {
+		n, _ := frameCount(kind, r.Mode, r.NProcs)
+		switch kind {
+		case frameCheckpoint:
+			n = len(r.Checkpoints)
+		case frameStratified:
+			if r.Stratified == nil {
+				n = 0
+			}
+		}
+		for shard := 0; shard < n; shard++ {
+			ids = append(ids, frameID{kind, uint32(shard)})
+		}
+	}
+	return ids
 }
 
 // frameScratch is one encoder's buffers, reused from frame to frame and
@@ -104,23 +133,10 @@ var frameScratches runner.FreeList[*frameScratch]
 
 const maxKeptScratch = 1 << 20
 
-func getFrameScratch() *frameScratch {
-	if sc, ok := frameScratches.Get(); ok {
-		return sc
-	}
-	return &frameScratch{}
-}
-
-func putFrameScratch(sc *frameScratch) {
-	if cap(sc.raw)+cap(sc.lz.Bytes()) <= maxKeptScratch {
-		frameScratches.Put(sc)
-	}
-}
-
-// encodeFrame turns a spec into its wire bytes: build the raw payload,
+// encodeFrame turns a frame into its wire bytes: build the raw payload,
 // compress it if that is a net win, and prepend the frame header.
-func encodeFrame(s frameSpec, sc *frameScratch) []byte {
-	raw := s.build(sc.raw[:0])
+func (r *Recording) encodeFrame(id frameID, sc *frameScratch) []byte {
+	raw := r.appendPayload(sc.raw[:0], id)
 	sc.raw = raw
 	lz77.CompressInto(&sc.lz, raw)
 	bits := sc.lz.Len()
@@ -139,12 +155,33 @@ func encodeFrame(s frameSpec, sc *frameScratch) []byte {
 	} else {
 		frame = append(frame, raw...)
 	}
-	frame[0] = s.kind
-	le.PutUint32(frame[1:5], s.shard)
+	frame[0] = id.kind
+	le.PutUint32(frame[1:5], id.shard)
 	frame[5] = enc
 	le.PutUint32(frame[6:10], uint32(bodyLen))
 	le.PutUint32(frame[10:14], crc32.ChecksumIEEE(frame[frameHeaderLen:]))
 	return frame
+}
+
+// lz77Header parses and bounds an LZ77 frame body's header: the declared
+// raw length and the token stream's bit length. The bits must fill the
+// packed bytes after the header exactly, and the raw length must be one
+// that many bits could decode to, so the index pass can trust it for the
+// residency estimate before anything is decoded.
+func lz77Header(body []byte) (rawLen, bits int, packed []byte, err error) {
+	d := &dec{b: body}
+	declared, nbits := d.u32(), d.u32()
+	if d.err != nil {
+		return 0, 0, nil, corrupt("LZ77 frame too short for its header")
+	}
+	if (uint64(nbits)+7)/8 != uint64(len(d.b)) {
+		return 0, 0, nil, corrupt("LZ77 frame bit length %d does not match %d payload bytes", nbits, len(d.b))
+	}
+	rawLen, bits = int(declared), int(nbits)
+	if rawLen > lz77.MaxDecodedLen(bits) {
+		return 0, 0, nil, corrupt("LZ77 frame declares %d bytes, more than %d bits can decode to", rawLen, bits)
+	}
+	return rawLen, bits, d.b, nil
 }
 
 // decodeFramePayload verifies the CRC and undoes the payload encoding.
@@ -156,21 +193,17 @@ func decodeFramePayload(enc uint8, crc uint32, body []byte) ([]byte, error) {
 	case encRaw:
 		return body, nil
 	case encLZ77:
-		if len(body) < 8 {
-			return nil, corrupt("LZ77 frame too short for its header")
-		}
-		rawLen := le.Uint32(body[0:4])
-		bits := le.Uint32(body[4:8])
-		if bits > maxFramePayload || int((bits+7)/8) != len(body)-8 {
-			return nil, corrupt("LZ77 frame bit length %d does not match %d payload bytes", bits, len(body)-8)
+		rawLen, bits, packed, err := lz77Header(body)
+		if err != nil {
+			return nil, err
 		}
 		// The declared length caps the output, so a crafted token stream
 		// is rejected before it can expand past it.
-		raw, err := lz77.Decompress(body[8:], int(bits), int(rawLen))
+		raw, err := lz77.Decompress(packed, bits, rawLen)
 		if err != nil {
 			return nil, corrupt("LZ77 frame: %v", err)
 		}
-		if len(raw) != int(rawLen) {
+		if len(raw) != rawLen {
 			return nil, corrupt("LZ77 frame decodes to %d bytes, declared %d", len(raw), rawLen)
 		}
 		return raw, nil
@@ -179,164 +212,116 @@ func decodeFramePayload(enc uint8, crc uint32, body []byte) ([]byte, error) {
 	}
 }
 
-// packedLog is a log stored bit-packed.
-type packedLog interface {
-	Len() int
-	Pack() ([]byte, int)
+// WriteToParallel serializes the recording in the v4 format, encoding
+// frames on up to workers goroutines (0 sizes the pool to the host, 1
+// runs inline). Output bytes are identical at any worker count; only
+// wall-clock differs.
+func (r *Recording) WriteToParallel(w io.Writer, workers int) (int64, error) {
+	// An indexed recording materializes before serialization walks it.
+	if err := r.Materialize(workers); err != nil {
+		return 0, err
+	}
+	ids := r.frameIDs()
+	frames, _ := runner.Map(workers, len(ids), func(i int) ([]byte, error) {
+		sc, ok := frameScratches.Get()
+		if !ok {
+			sc = &frameScratch{}
+		}
+		frame := r.encodeFrame(ids[i], sc)
+		if cap(sc.raw)+cap(sc.lz.Bytes()) <= maxKeptScratch {
+			frameScratches.Put(sc)
+		}
+		return frame, nil
+	})
+	// The header and every frame are whole buffers, so they go straight
+	// to w; the first error stops the stream.
+	m, err := w.Write(r.appendHeader(make([]byte, 0, 4+2+1+2+4+8+8+8*r.NProcs+3*8)))
+	n := int64(m)
+	for _, f := range frames {
+		if err != nil {
+			break
+		}
+		m, err = w.Write(f)
+		n += int64(m)
+	}
+	return n, err
 }
 
-// frameSpecs enumerates the recording's frames in canonical order. The
-// builders only read the recording, so they are safe to run concurrently.
-func (r *Recording) frameSpecs() []frameSpec {
-	var specs []frameSpec
-	add := func(kind uint8, shard int, build func(b []byte) []byte) {
-		specs = append(specs, frameSpec{kind: kind, shard: uint32(shard), build: build})
-	}
-	// packed builds a bit-packed log's payload: entry count, bit
-	// length, bytes.
-	packed := func(l packedLog) func(b []byte) []byte {
-		return func(b []byte) []byte {
-			buf, bits := l.Pack()
-			b = le.AppendUint32(le.AppendUint32(b, uint32(l.Len())), uint32(bits))
-			return append(b, buf[:(bits+7)/8]...)
-		}
-	}
-	add(frameInitMem, 0, func(b []byte) []byte {
-		return appendImage(le.AppendUint32(b, uint32(len(r.InitialMem))), r.InitialMem)
-	})
-	if r.PI != nil {
-		add(framePI, 0, packed(r.PI))
-	}
-	for p, l := range r.CS {
-		add(frameCS, p, packed(l))
-	}
-	if r.Mode == OrderSize {
-		for p, l := range r.Sizes {
-			add(frameSizes, p, packed(l))
-		}
-	}
-	for p, l := range r.Intr {
-		add(frameIntr, p, packed(l))
-	}
+// appendHeader appends the container header; readHeader mirrors it.
+func (r *Recording) appendHeader(b []byte) []byte {
+	b = append(b, recMagic...)
+	b = le.AppendUint16(b, recVersionV4)
+	b = append(b, uint8(r.Mode))
+	b = le.AppendUint16(b, uint16(r.NProcs))
+	b = le.AppendUint32(b, uint32(r.ChunkSize))
+	b = le.AppendUint64(b, r.Fingerprint)
+	b = le.AppendUint64(b, r.FinalMemHash)
 	for p := 0; p < r.NProcs; p++ {
-		add(frameIO, p, func(b []byte) []byte {
-			vals := r.IO[p].Values()
-			b = le.AppendUint32(b, uint32(len(vals)))
-			for _, v := range vals {
-				b = le.AppendUint64(b, v)
-			}
-			return b
-		})
+		var ch uint64
+		if p < len(r.ProcChains) {
+			ch = r.ProcChains[p]
+		}
+		b = le.AppendUint64(b, ch)
 	}
-	add(frameDMA, 0, packed(r.DMA))
-	add(frameSlots, 0, func(b []byte) []byte {
+	b = le.AppendUint64(b, r.Stats.Insts)
+	b = le.AppendUint64(b, r.Stats.Chunks)
+	return le.AppendUint64(b, r.Stats.Cycles)
+}
+
+// appendPacked appends a bit-packed log's payload: entry count, bit
+// length, bytes. dec.packed reads the last two back.
+func appendPacked(b []byte, count int, buf []byte, bits int) []byte {
+	b = le.AppendUint32(le.AppendUint32(b, uint32(count)), uint32(bits))
+	return append(b, buf[:(bits+7)/8]...)
+}
+
+// appendPayload appends frame id's raw (pre-compression) payload to b.
+// It mirrors applyFrame case for case. It only reads the recording, so
+// frames encode concurrently.
+func (r *Recording) appendPayload(b []byte, id frameID) []byte {
+	switch id.kind {
+	case frameInitMem:
+		b = appendImage(le.AppendUint32(b, uint32(len(r.InitialMem))), r.InitialMem)
+	case framePI:
+		buf, bits := r.PI.Pack()
+		b = appendPacked(b, r.PI.Len(), buf, bits)
+	case frameCS:
+		buf, bits := r.CS[id.shard].Pack()
+		b = appendPacked(b, r.CS[id.shard].Len(), buf, bits)
+	case frameSizes:
+		buf, bits := r.Sizes[id.shard].Pack()
+		b = appendPacked(b, r.Sizes[id.shard].Len(), buf, bits)
+	case frameIntr:
+		buf, bits := r.Intr[id.shard].Pack()
+		b = appendPacked(b, r.Intr[id.shard].Len(), buf, bits)
+	case frameIO:
+		vals := r.IO[id.shard].Values()
+		b = le.AppendUint32(b, uint32(len(vals)))
+		for _, v := range vals {
+			b = le.AppendUint64(b, v)
+		}
+	case frameDMA:
+		buf, bits := r.DMA.Pack()
+		b = appendPacked(b, r.DMA.Len(), buf, bits)
+	case frameSlots:
 		slots := r.Slots.Entries()
 		b = le.AppendUint32(b, uint32(len(slots)))
 		for _, e := range slots {
 			b = le.AppendUint64(b, e.Slot)
 			b = le.AppendUint16(b, uint16(e.Proc))
 		}
-		return b
-	})
-	for i := range r.Checkpoints {
-		add(frameCheckpoint, i, func(b []byte) []byte {
-			return r.writeCheckpointBody(b, &r.Checkpoints[i])
-		})
-	}
-	if r.Stratified != nil {
-		add(frameStratified, 0, func(b []byte) []byte {
-			b = le.AppendUint32(b, uint32(r.Stratified.Len()))
-			b = le.AppendUint16(b, uint16(1)<<uint(r.Stratified.CounterBits())-1)
-			for _, row := range r.Stratified.Strata() {
-				for _, v := range row {
-					b = le.AppendUint16(b, uint16(v))
-				}
-			}
-			return b
-		})
-	}
-	add(frameEnd, 0, func(b []byte) []byte { return b })
-	return specs
-}
-
-// WriteToParallel serializes the recording in the v4 format, compressing
-// frames on up to workers goroutines (0 sizes the pool to the host, 1
-// runs fully inline). Output bytes are identical at any worker count;
-// only wall-clock and peak memory differ.
-func (r *Recording) WriteToParallel(w io.Writer, workers int) (int64, error) {
-	// An indexed recording materializes before serialization walks it.
-	if err := r.Materialize(workers); err != nil {
-		return 0, err
-	}
-	hdr := make([]byte, 0, 4+2+1+2+4+8+8+8*r.NProcs+3*8)
-	hdr = append(hdr, recMagic...)
-	hdr = le.AppendUint16(hdr, recVersionV4)
-	hdr = append(hdr, uint8(r.Mode))
-	hdr = le.AppendUint16(hdr, uint16(r.NProcs))
-	hdr = le.AppendUint32(hdr, uint32(r.ChunkSize))
-	hdr = le.AppendUint64(hdr, r.Fingerprint)
-	hdr = le.AppendUint64(hdr, r.FinalMemHash)
-	for p := 0; p < r.NProcs; p++ {
-		var ch uint64
-		if p < len(r.ProcChains) {
-			ch = r.ProcChains[p]
-		}
-		hdr = le.AppendUint64(hdr, ch)
-	}
-	hdr = le.AppendUint64(hdr, r.Stats.Insts)
-	hdr = le.AppendUint64(hdr, r.Stats.Chunks)
-	hdr = le.AppendUint64(hdr, r.Stats.Cycles)
-
-	// The header and every frame are whole buffers, so they go straight
-	// to w; the first error stops the stream.
-	var n int64
-	var err error
-	write := func(p []byte) {
-		if err == nil {
-			var m int
-			m, err = w.Write(p)
-			n += int64(m)
-		}
-	}
-	write(hdr)
-
-	specs := r.frameSpecs()
-	nw := runner.Workers(workers)
-	if workers == 1 || nw == 1 || len(specs) <= 1 {
-		// Inline: one frame in memory at a time.
-		sc := getFrameScratch()
-		for _, s := range specs {
-			write(encodeFrame(s, sc))
-			if err != nil {
-				break
+	case frameCheckpoint:
+		b = r.writeCheckpointBody(b, &r.Checkpoints[id.shard])
+	case frameStratified:
+		b = le.AppendUint32(b, uint32(r.Stratified.Len()))
+		b = le.AppendUint16(b, uint16(1)<<uint(r.Stratified.CounterBits())-1)
+		for _, row := range r.Stratified.Strata() {
+			for _, v := range row {
+				b = le.AppendUint16(b, uint16(v))
 			}
 		}
-		putFrameScratch(sc)
-	} else {
-		// Bounded ordered pipeline: workers encode frames concurrently,
-		// the semaphore caps frames in flight, and emission follows spec
-		// order so the stream is deterministic.
-		futures := make(chan chan []byte, nw)
-		go func() {
-			sem := make(chan struct{}, nw)
-			for _, s := range specs {
-				ch := make(chan []byte, 1)
-				futures <- ch
-				sem <- struct{}{}
-				go func(s frameSpec, ch chan<- []byte) {
-					defer func() { <-sem }()
-					sc := getFrameScratch()
-					ch <- encodeFrame(s, sc)
-					putFrameScratch(sc)
-				}(s, ch)
-			}
-			close(futures)
-		}()
-		for ch := range futures {
-			write(<-ch)
-		}
 	}
-	return n, err
+	return b // frameEnd: empty
 }
 
 // applyFrame parses one frame's raw (already decoded) payload into the

@@ -4,7 +4,6 @@ import (
 	"hash/crc32"
 
 	"delorean/internal/dlog"
-	"delorean/internal/lz77"
 	"delorean/internal/runner"
 )
 
@@ -25,12 +24,11 @@ import (
 // lazyFrame is one retained v4 frame: header fields plus the encoded
 // payload, which aliases the container bytes handed to IndexRecording.
 type lazyFrame struct {
-	kind   uint8
-	shard  uint32
-	enc    uint8
-	crc    uint32
-	body   []byte
-	rawLen int
+	kind  uint8
+	shard uint32
+	enc   uint8
+	crc   uint32
+	body  []byte
 }
 
 // IndexRecording parses a v4 container from data without decoding it:
@@ -41,41 +39,34 @@ type lazyFrame struct {
 // alive.
 //
 // This is the one place the frame-structure rules are enforced: known
-// kinds in canonical order, contiguous shards per kind, singleton kinds
-// at most once, every required section present, an empty end frame,
-// and nothing after it. Materialization only decodes payloads.
+// kinds in canonical order, contiguous shards per kind, as many frames
+// of each kind as frameCount gives for the header's mode and processor
+// count, LZ77 headers that lz77Header accepts, an empty end frame, and
+// nothing after it. Materialization only decodes payloads.
 func IndexRecording(data []byte) (*Recording, error) {
 	d := &dec{b: data}
 	r, err := readHeader(d)
 	if err != nil {
 		return nil, err
 	}
-	off := len(data) - len(d.b)
 
 	frames := []lazyFrame{}
 	var counts [frameEnd + 1]uint32
 	var lastKind uint8
 	var est int64
 	for {
-		if off+frameHeaderLen > len(data) {
-			return nil, corrupt("truncated frame header at offset %d", off)
+		f := lazyFrame{kind: d.u8(), shard: d.u32(), enc: d.u8()}
+		n := d.u32()
+		f.crc = d.u32()
+		if d.err != nil {
+			return nil, corrupt("truncated frame header")
 		}
-		f := lazyFrame{
-			kind:  data[off],
-			shard: le.Uint32(data[off+1 : off+5]),
-			enc:   data[off+5],
-			crc:   le.Uint32(data[off+10 : off+14]),
-		}
-		n := le.Uint32(data[off+6 : off+10])
-		off += frameHeaderLen
 		if n > maxFramePayload {
 			return nil, corrupt("frame claims %d payload bytes", n)
 		}
-		if off+int(n) > len(data) {
-			return nil, corrupt("truncated frame payload at offset %d", off)
+		if f.body = d.bytes(int(n)); d.err != nil {
+			return nil, corrupt("truncated frame payload")
 		}
-		f.body = data[off : off+int(n) : off+int(n)]
-		off += int(n)
 		if crc32.ChecksumIEEE(f.body) != f.crc {
 			return nil, corrupt("frame payload CRC mismatch")
 		}
@@ -89,63 +80,43 @@ func IndexRecording(data []byte) (*Recording, error) {
 		if f.shard != counts[f.kind] {
 			return nil, corrupt("frame kind %d shard %d arrived with %d indexed", f.kind, f.shard, counts[f.kind])
 		}
-		if f.shard > 0 && singletonFrame(f.kind) {
-			return nil, corrupt("duplicate frame of singleton kind %d", f.kind)
+		if most, _ := frameCount(f.kind, r.Mode, r.NProcs); int(f.shard) >= most {
+			return nil, corrupt("frame kind %d shard %d: a %s container of %d processors holds %d",
+				f.kind, f.shard, r.Mode, r.NProcs, most)
 		}
 		counts[f.kind]++
+		rawLen := len(f.body)
 		switch f.enc {
 		case encRaw:
-			f.rawLen = len(f.body)
 		case encLZ77:
-			if len(f.body) < 8 {
-				return nil, corrupt("LZ77 frame too short for its header")
-			}
-			f.rawLen = int(le.Uint32(f.body[0:4]))
 			// The declared length feeds the residency estimate before
-			// anything is decoded, so it must be one the payload could
-			// actually produce.
-			bits := int(le.Uint32(f.body[4:8]))
-			if bits > 8*(len(f.body)-8) {
-				return nil, corrupt("LZ77 frame claims %d bits in %d payload bytes", bits, len(f.body)-8)
-			}
-			if f.rawLen > lz77.MaxDecodedLen(bits) {
-				return nil, corrupt("LZ77 frame declares %d bytes, more than %d bits can decode to", f.rawLen, bits)
+			// anything is decoded, so lz77Header bounds it.
+			if rawLen, _, _, err = lz77Header(f.body); err != nil {
+				return nil, err
 			}
 		default:
 			return nil, corrupt("unknown frame encoding %d", f.enc)
 		}
 		if f.kind == frameEnd {
-			if len(f.body) != 0 || f.rawLen != 0 {
+			if len(f.body) != 0 {
 				return nil, corrupt("end frame carries %d payload bytes", len(f.body))
 			}
-			if off != len(data) {
+			if len(d.b) != 0 {
 				return nil, corrupt("trailing data after end frame")
 			}
 			break
 		}
-		est += int64(f.rawLen)
+		est += int64(rawLen)
 		frames = append(frames, f)
 	}
 
 	// Section completeness: a malformed container fails at index time,
 	// not mid-replay.
-	if counts[frameInitMem] != 1 || counts[frameDMA] != 1 || counts[frameSlots] != 1 {
-		return nil, corrupt("recording missing a singleton frame (init-mem %d, DMA %d, slots %d)",
-			counts[frameInitMem], counts[frameDMA], counts[frameSlots])
-	}
-	if int(counts[frameCS]) != r.NProcs {
-		return nil, corrupt("recording has %d CS logs for %d processors", counts[frameCS], r.NProcs)
-	}
-	wantSizes := 0
-	if r.Mode == OrderSize {
-		wantSizes = r.NProcs
-	}
-	if int(counts[frameSizes]) != wantSizes {
-		return nil, corrupt("recording has %d size logs for %d expected", counts[frameSizes], wantSizes)
-	}
-	if int(counts[frameIntr]) != r.NProcs || int(counts[frameIO]) != r.NProcs {
-		return nil, corrupt("recording has %d interrupt and %d IO logs for %d processors",
-			counts[frameIntr], counts[frameIO], r.NProcs)
+	for kind := uint8(frameInitMem); kind < frameEnd; kind++ {
+		if want, exact := frameCount(kind, r.Mode, r.NProcs); exact && int(counts[kind]) != want {
+			return nil, corrupt("recording has %d frames of kind %d, want %d in a %s container of %d processors",
+				counts[kind], kind, want, r.Mode, r.NProcs)
+		}
 	}
 
 	r.frames = frames

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"slices"
 	"sync"
 	"testing"
 
@@ -146,10 +147,12 @@ func TestIndexRecordingReplayMaterializesAll(t *testing.T) {
 }
 
 // TestIndexRecordingCorruption: the index pass catches flipped bytes
-// (every payload is CRC-checked) and truncation; corruption that only
-// manifests on decode is caught, and cached, by materialization.
+// (every payload is CRC-checked), truncation, an LZ77 header whose bit
+// length does not fill its payload and a PI frame that contradicts the
+// mode; corruption that only manifests on decode is caught, and cached,
+// by materialization.
 func TestIndexRecordingCorruption(t *testing.T) {
-	data, _, _, replay := indexFixture(t, OrderOnly)
+	data, rec, _, replay := indexFixture(t, OrderOnly)
 
 	t.Run("flipped payload byte", func(t *testing.T) {
 		bad := bytes.Clone(data)
@@ -167,6 +170,43 @@ func TestIndexRecordingCorruption(t *testing.T) {
 		bad := append(bytes.Clone(data), 0xAB)
 		if _, err := IndexRecording(bad); !errors.Is(err, ErrCorruptLog) {
 			t.Fatalf("IndexRecording(trailing) = %v, want ErrCorruptLog", err)
+		}
+	})
+	t.Run("LZ77 bit length short of its payload", func(t *testing.T) {
+		_, frames := parseV4Frames(t, data, rec.NProcs)
+		for _, f := range frames {
+			if f.raw[5] == encLZ77 {
+				// One byte more than the declared bits occupy.
+				body := append(bytes.Clone(f.raw[frameHeaderLen:]), 0)
+				if _, err := IndexRecording(withLZ77Body(t, data, rec.NProcs, body)); !errors.Is(err, ErrCorruptLog) {
+					t.Fatalf("IndexRecording(padded LZ77 payload) = %v, want ErrCorruptLog", err)
+				}
+				return
+			}
+		}
+		t.Fatal("container has no LZ77 frame")
+	})
+	t.Run("PI frame missing in OrderOnly", func(t *testing.T) {
+		header, frames := parseV4Frames(t, data, rec.NProcs)
+		kept := slices.DeleteFunc(slices.Clone(frames), func(f v4Frame) bool { return f.kind == framePI })
+		if len(kept) != len(frames)-1 {
+			t.Fatalf("container has %d PI frames, want 1", len(frames)-len(kept))
+		}
+		if _, err := IndexRecording(spliceV4(header, kept)); !errors.Is(err, ErrCorruptLog) {
+			t.Fatalf("IndexRecording(OrderOnly without PI) = %v, want ErrCorruptLog", err)
+		}
+	})
+	t.Run("PI frame present in PicoLog", func(t *testing.T) {
+		_, orderOnly := parseV4Frames(t, data, rec.NProcs)
+		pico, _, _, _ := indexFixture(t, PicoLog)
+		header, frames := parseV4Frames(t, pico, rec.NProcs)
+		i := slices.IndexFunc(orderOnly, func(f v4Frame) bool { return f.kind == framePI })
+		if i < 0 || frames[0].kind != frameInitMem {
+			t.Fatal("fixtures do not have the expected frames")
+		}
+		withPI := slices.Insert(slices.Clone(frames), 1, orderOnly[i])
+		if _, err := IndexRecording(spliceV4(header, withPI)); !errors.Is(err, ErrCorruptLog) {
+			t.Fatalf("IndexRecording(PicoLog with PI) = %v, want ErrCorruptLog", err)
 		}
 	})
 	t.Run("decode error is cached", func(t *testing.T) {

@@ -182,8 +182,12 @@ var _ bulksc.Observer = (*recorder)(nil)
 // mem.Memory.Snapshot returns it: nonzero words at strictly increasing
 // addresses. The recording keeps init as its InitialMem, which nothing
 // modifies; the run executes on a memory of its own. devs supplies
-// interrupts, I/O values and DMA traffic (nil for none).
+// interrupts, I/O values and DMA traffic (nil for none). A machine of
+// more than MaxProcs processors is refused before anything runs.
 func Record(cfg sim.Config, mode Mode, progs []*isa.Program, init mem.Image, devs *device.Devices, opts RecordOptions) (*Recording, error) {
+	if cfg.NProcs > MaxProcs {
+		return nil, fmt.Errorf("core: %d processors exceed the limit of %d", cfg.NProcs, MaxProcs)
+	}
 	memory := mem.Get()
 	defer mem.Put(memory)
 	memory.Restore(init)

@@ -10,6 +10,7 @@ import (
 	"delorean/internal/dlog"
 	"delorean/internal/isa"
 	"delorean/internal/mem"
+	"delorean/internal/sim"
 )
 
 // Recording serialization: a recording written during one session can be
@@ -23,9 +24,10 @@ const recMagic = "DLRN"
 // MaxStratify, is saved truncated). Request parsers apply the same limits
 // before they simulate.
 const (
-	// MaxProcs bounds the processor count (the header stores it in 16
-	// bits).
-	MaxProcs = 1024
+	// MaxProcs bounds the processor count: the simulator's coherence
+	// directory tracks at most sim.MaxProcs sharers. Record refuses a
+	// larger machine before it simulates.
+	MaxProcs = sim.MaxProcs
 	// MaxChunkSize bounds the chunk size: large enough for any plausible
 	// configuration (the paper uses 2000), small enough that the CS/size
 	// log entry widths stay well-formed.

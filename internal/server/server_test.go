@@ -500,8 +500,8 @@ func TestRecordLimits(t *testing.T) {
 		t.Fatalf("spec at the limits: status %d, want 429 from the full pool: %s", resp.StatusCode, body)
 	}
 	// The workload is generated on the pool, so a refused request does
-	// not pay for it: syskernel at the processor limit allocates tens of
-	// megabytes.
+	// not pay for it: syskernel at the processor limit allocates about
+	// 3.2 MB, a refused request about 12 KB.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	resp, body = doJSON(t, "POST", hs.URL+"/v1/recordings",
@@ -510,7 +510,7 @@ func TestRecordLimits(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("syskernel at the limit: status %d, want 429 from the full pool: %s", resp.StatusCode, body)
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 		t.Fatalf("a refused syskernel request allocated %d bytes: the workload was generated before the pool accepted it", grew)
 	}
 }

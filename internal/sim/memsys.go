@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"delorean/internal/cache"
 	"delorean/internal/flat"
 	"delorean/internal/runner"
@@ -34,14 +36,19 @@ type MemSys struct {
 	l2   *cache.Cache
 
 	// dir is the directory, one entry per line: the low 32 bits are the
-	// bitmask of processors whose L1 may hold the line, the high bits the
-	// processor holding it exclusively plus one (0 if none). An entry
-	// vanishes when both parts are empty.
+	// bitmask of processors whose L1 may hold the line (so a machine has
+	// at most MaxProcs processors), the high bits the processor holding
+	// it exclusively plus one (0 if none). An entry vanishes when both
+	// parts are empty.
 	dir flat.Table
 
 	// Access counters, summed over both path families.
 	L1Hits, L2Hits, MemAccesses, C2CTransfers, Upgrades uint64
 }
+
+// MaxProcs is the largest machine the simulator models: the width of
+// the directory's sharer mask.
+const MaxProcs = 32
 
 // FillKind classifies the shared-state transition a speculative access
 // performs, deferred to commit time via ApplyFill. The access itself only
@@ -66,6 +73,9 @@ const (
 // newMemSys builds a cold hierarchy for cfg. Simulations get theirs
 // through AcquireMemSys.
 func newMemSys(cfg *Config) *MemSys {
+	if cfg.NProcs > MaxProcs {
+		panic(fmt.Sprintf("sim: %d processors, but the directory tracks at most %d", cfg.NProcs, MaxProcs))
+	}
 	ms := &MemSys{
 		cfg:  cfg,
 		geom: geometryOf(cfg),

@@ -39,6 +39,47 @@ func TestStoreInvalidatesSharers(t *testing.T) {
 	}
 }
 
+// TestDirectoryAtTheProcessorLimit: the highest processor's sharer bit
+// stays out of the owner field, so a remote store invalidates its copy
+// and each access leaves the right owner; one more processor is refused.
+func TestDirectoryAtTheProcessorLimit(t *testing.T) {
+	cfg := msCfg(MaxProcs)
+	ms := newMemSys(&cfg)
+	const line, top = 100, MaxProcs - 1
+	wantOwner := func(step string, want int) {
+		t.Helper()
+		o, ok := ms.owner(line)
+		if !ok {
+			o = -1
+		}
+		if o != want {
+			t.Fatalf("after %s the owner is %d, want %d", step, o, want)
+		}
+	}
+	ms.Load(top, line)
+	wantOwner("a load by the top processor", -1)
+	ms.Store(0, line)
+	wantOwner("a store by processor 0", 0)
+	if ms.l1[top].Contains(line) {
+		t.Fatal("a store by processor 0 left the top processor's copy valid")
+	}
+	ms.Store(top, line)
+	wantOwner("a store by the top processor", top)
+	if ms.l1[0].Contains(line) {
+		t.Fatal("a store by the top processor left processor 0's copy valid")
+	}
+	ms.Load(1, line)
+	wantOwner("a load by processor 1", -1)
+
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("a hierarchy of %d processors was built", MaxProcs+1)
+		}
+	}()
+	big := msCfg(MaxProcs + 1)
+	newMemSys(&big)
+}
+
 func TestDirtyForwardingCacheToCache(t *testing.T) {
 	cfg := msCfg(2)
 	ms := newMemSys(&cfg)
