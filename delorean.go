@@ -77,10 +77,14 @@ func coreMode(m Mode) core.Mode {
 // processors, or of larger chunks, as corrupt.
 // MaxStratify bounds Config.Stratify: a recording stratified more
 // coarsely cannot be saved without truncating its strata.
+// MaxInstructionBudget is the instruction budget of a Config that sets
+// no MaxInstructions, and the largest a server record request may ask
+// for.
 const (
-	MaxProcessors = core.MaxProcs
-	MaxChunkSize  = core.MaxChunkSize
-	MaxStratify   = core.MaxStratify
+	MaxProcessors        = core.MaxProcs
+	MaxChunkSize         = core.MaxChunkSize
+	MaxStratify          = core.MaxStratify
+	MaxInstructionBudget = 2_000_000_000
 )
 
 // Config describes the simulated chip multiprocessor. The zero value is
@@ -101,8 +105,9 @@ type Config struct {
 	// many chunk commits during recording; ReplayFromCheckpoint can then
 	// replay any interval (continuous-recording use).
 	CheckpointEvery uint64
-	// MaxInstructions bounds a run (0: a large default); runs exceeding
-	// it report an error instead of hanging on a livelocked program.
+	// MaxInstructions bounds a run (0: MaxInstructionBudget); runs
+	// exceeding it report an error instead of hanging on a livelocked
+	// program.
 	MaxInstructions uint64
 	// SimParallel must be 0 or 1; Record rejects any other value. Each
 	// simulation runs on one goroutine.
@@ -141,7 +146,7 @@ func (c Config) machine() sim.Config {
 	if c.MaxInstructions > 0 {
 		m.MaxInsts = c.MaxInstructions
 	} else {
-		m.MaxInsts = 2_000_000_000
+		m.MaxInsts = MaxInstructionBudget
 	}
 	return m
 }

@@ -20,6 +20,11 @@ type Writer struct {
 	nbit int // total bits written
 }
 
+// AppendWriter returns a Writer whose stream starts after b's bytes:
+// Bytes returns b followed by the packed stream, and Len counts only
+// the bits written. A log packs straight into a frame buffer this way.
+func AppendWriter(b []byte) Writer { return Writer{buf: b} }
+
 // WriteBits appends the low n bits of v to the stream. n must be in
 // [0, 64].
 func (w *Writer) WriteBits(v uint64, n int) {

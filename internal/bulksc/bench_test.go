@@ -17,7 +17,10 @@ import (
 // nothing.
 func BenchmarkChunkStartSquash(b *testing.B) {
 	e := &Engine{Cfg: sim.Default8()}
-	co := &core{proc: 0}
+	e.ms = sim.AcquireMemSys(&e.Cfg)
+	defer sim.ReleaseMemSys(e.ms)
+	l1 := e.ms.L1(0)
+	co := &core{proc: 0, specInSet: make([]int32, l1.NumSets())}
 	e.cores = []*core{co}
 	var ckpt isa.ThreadState
 	b.ReportAllocs()
@@ -25,9 +28,11 @@ func BenchmarkChunkStartSquash(b *testing.B) {
 		c := e.newChunk(co, uint64(i), ckpt, 2000)
 		for a := uint32(0); a < 64; a++ {
 			c.NoteRead(a)
-			c.Write(a<<5, uint64(a))
+			if c.Write(a<<5, uint64(a)) {
+				co.specInSet[l1.SetOf(isa.LineOf(a<<5))]++
+			}
 		}
-		e.releaseChunk(c)
+		e.releaseChunk(co, c)
 	}
 }
 

@@ -3,6 +3,7 @@ package bulksc
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"delorean/internal/arbiter"
 	"delorean/internal/chunk"
@@ -108,6 +109,11 @@ type Engine struct {
 	inputStarved   bool // replay: an input log ran dry mid-run (corrupt log)
 	lastCommitTime uint64
 
+	// order holds the runnable cores' wakes in step order, as pick last
+	// left it; ordered is false when the next pick must rebuild it.
+	order   []wakeAt
+	ordered bool
+
 	// policy is the effective commit-ordering policy: e.Policy, wrapped in
 	// the stop gate when StopAtCommit is set. All engine-side policy calls
 	// go through it.
@@ -195,6 +201,11 @@ type core struct {
 
 	chunks []*chunk.Chunk // uncommitted, oldest first; cur is last when running
 	cur    *chunk.Chunk
+	// specInSet[s] counts the lines the chunks in chunks wrote that map
+	// to L1 set s, a line written by two chunks twice: the speculative
+	// lines the set must hold. A chunk's lines join when it first writes
+	// each and leave when it leaves chunks (releaseChunk).
+	specInSet []int32
 
 	nextSeq    uint64
 	blocked    blockReason
@@ -372,7 +383,7 @@ func (e *Engine) takeCore(spare []*core, p int) *core {
 	}
 	co := spare[p]
 	co.tm.Restart(&e.Cfg)
-	*co = core{tm: co.tm, free: co.free, chunks: co.chunks[:0], tent: co.tent[:0]}
+	*co = core{tm: co.tm, free: co.free, chunks: co.chunks[:0], tent: co.tent[:0], specInSet: co.specInSet}
 	return co
 }
 
@@ -402,12 +413,17 @@ func (co *core) chunkBytes() int {
 	return n
 }
 
-// releaseChunk hands a retired (committed, squashed or abandoned) chunk
-// to its core's free list. The next newChunk on that core may return it,
-// so the caller must be done reading it. Stale submit events may still
-// point at it; they carry the Life it had, which its reuse advances.
-func (e *Engine) releaseChunk(c *chunk.Chunk) {
-	co := e.cores[c.Proc]
+// releaseChunk hands a retired (committed, squashed or abandoned) chunk,
+// which the caller has taken out of co.chunks, to co's free list, and
+// takes its written lines out of co's per-set counts. The next newChunk
+// on co may return it, so the caller must be done reading it. Stale
+// submit events may still point at it; they carry the Life it had,
+// which its reuse advances.
+func (e *Engine) releaseChunk(co *core, c *chunk.Chunk) {
+	l1 := e.ms.L1(co.proc)
+	for _, l := range c.WLines() {
+		co.specInSet[l1.SetOf(l)]--
+	}
 	co.free = append(co.free, c)
 }
 
@@ -502,6 +518,9 @@ func (e *Engine) begin() {
 	for p := 0; p < e.Cfg.NProcs; p++ {
 		co := e.takeCore(spare, p)
 		co.proc, co.prog, co.spinLoads = p, e.Progs[p], e.Progs[p].SpinLoads()
+		sets := e.ms.L1(p).NumSets()
+		co.specInSet = slices.Grow(co.specInSet[:0], sets)[:sets]
+		clear(co.specInSet)
 		co.tr = e.Trace.Proc(p)
 		co.ts.Reg[15] = int64(p)
 		co.ts.Reg[14] = int64(e.Cfg.NProcs)
@@ -546,21 +565,7 @@ func (e *Engine) begin() {
 // the heap's global events first, then core steps by processor. It
 // reports false when nothing is pending.
 func (e *Engine) step() bool {
-	var next *core
-	for _, co := range e.cores {
-		if !co.wakeOK || co.blocked != notBlocked || co.haltDone {
-			continue
-		}
-		// Past the stop target only cores owing split continuations keep
-		// executing; stepping anyone else would consume replay inputs that
-		// belong beyond the boundary.
-		if e.stopPending && !co.owesContinuation() {
-			continue
-		}
-		if next == nil || co.wake < next.wake {
-			next = co
-		}
-	}
+	next := e.pick()
 	if next != nil && (e.events.Len() == 0 || next.wake < e.events[0].time) {
 		if next.parked > 0 {
 			// Its owed iterations all come before this step.
@@ -581,6 +586,7 @@ func (e *Engine) step() bool {
 	// holds: apply the iterations that come before it, and let the cores
 	// step on from there.
 	e.catchUp(sim.Horizon{T: e.events[0].time, Proc: -1})
+	e.ordered = false // the event may wake, block or squash any core
 	ev := e.events.pop()
 	e.advance(ev.time)
 	e.lastProc = -1
@@ -605,6 +611,87 @@ func (e *Engine) step() bool {
 	}
 	return true
 }
+
+// runnable reports whether step may step co now.
+func (e *Engine) runnable(co *core) bool {
+	if !co.wakeOK || co.blocked != notBlocked || co.haltDone {
+		return false
+	}
+	// Past the stop target only cores owing split continuations keep
+	// executing; stepping anyone else would consume replay inputs that
+	// belong beyond the boundary.
+	return !e.stopPending || co.owesContinuation()
+}
+
+// wakeAt is a runnable core's place in step order: its wake, then its
+// processor on a tie.
+type wakeAt struct {
+	t    uint64
+	proc int
+}
+
+func (a wakeAt) before(b wakeAt) bool { return a.t < b.t || a.t == b.t && a.proc < b.proc }
+
+// pick returns the runnable core that steps first, nil for none. It
+// keeps the runnable cores' wakes in step order. Stepping or parking a
+// core changes no other core's wake or runnability (chunks run in
+// isolation; only global events and catch-ups reach other cores, and
+// both make pick rebuild the order), so between rebuilds only the core
+// pick returned last, the first in the order, can have moved: pick
+// moves it back to its place, or drops it if it is no longer runnable,
+// instead of scanning every core.
+func (e *Engine) pick() *core {
+	if !e.ordered {
+		e.order = e.sortRunnable(e.order[:0])
+		e.ordered = true
+	} else if len(e.order) > 0 {
+		if h := e.cores[e.order[0].proc]; e.runnable(h) {
+			w := wakeAt{h.wake, h.proc}
+			i := 0
+			for ; i+1 < len(e.order) && e.order[i+1].before(w); i++ {
+				e.order[i] = e.order[i+1]
+			}
+			e.order[i] = w
+		} else {
+			e.order = append(e.order[:0], e.order[1:]...)
+		}
+		if checkPicks.Load() {
+			checkedPicks.Add(1)
+			if want := e.sortRunnable(nil); !slices.Equal(e.order, want) {
+				panic(fmt.Sprintf("bulksc: pick keeps cores %v in step order, a scan finds %v", e.order, want))
+			}
+		}
+	}
+	if len(e.order) == 0 {
+		return nil
+	}
+	return e.cores[e.order[0].proc]
+}
+
+// sortRunnable appends the runnable cores' wakes to dst in step order.
+func (e *Engine) sortRunnable(dst []wakeAt) []wakeAt {
+	for _, co := range e.cores {
+		if !e.runnable(co) {
+			continue
+		}
+		w := wakeAt{co.wake, co.proc}
+		i := len(dst)
+		dst = append(dst, w)
+		for ; i > 0 && w.before(dst[i-1]); i-- {
+			dst[i] = dst[i-1]
+		}
+		dst[i] = w
+	}
+	return dst
+}
+
+// checkPicks makes pick check the order it keeps without a scan
+// against a scan at every pick, panicking on a difference, and count
+// the checks in checkedPicks. Tests turn it on.
+var (
+	checkPicks   atomic.Bool
+	checkedPicks atomic.Uint64
+)
 
 // advance moves the engine clock to the next event's time; events never
 // run backwards.
@@ -826,7 +913,7 @@ func (e *Engine) stepCore(co *core) {
 			co.cur = nil
 			co.chunks = co.chunks[:len(co.chunks)-1]
 			co.nextSeqRollback(c)
-			e.releaseChunk(c)
+			e.releaseChunk(co, c)
 		} else {
 			e.completeChunk(co, chunk.Uncached)
 		}
@@ -849,10 +936,17 @@ func (e *Engine) stepCore(co *core) {
 }
 
 // lookupBuffers searches the processor's uncommitted chunks, newest
-// first, for a buffered value.
+// first, for a buffered value. A chunk that buffered addr wrote its
+// line, and a signature has no false negatives, so a chunk whose write
+// signature rules the line out, or that wrote nothing, is not probed.
 func (co *core) lookupBuffers(addr uint32) (uint64, bool) {
+	line := isa.LineOf(addr)
 	for i := len(co.chunks) - 1; i >= 0; i-- {
-		if v, ok := co.chunks[i].Load(addr); ok {
+		c := co.chunks[i]
+		if c.StoreCount() == 0 || !c.WSig.MayContain(line) {
+			continue
+		}
+		if v, ok := c.Load(addr); ok {
 			return v, true
 		}
 	}
@@ -925,6 +1019,7 @@ func (e *Engine) catchUp(h sim.Horizon) {
 	if e.owed == 0 {
 		return
 	}
+	e.ordered = false // unparking moves wakes
 	for _, co := range e.cores {
 		if co.parked > 0 {
 			e.unpark(co, min(co.parked, h.Iters(co.tm.Clock, co.spin.Period(), co.proc)))
@@ -1018,10 +1113,10 @@ func (e *Engine) chunkStore(co *core, in *isa.Inst) bool {
 	line := isa.LineOf(addr)
 	c := co.cur
 
+	l1 := e.ms.L1(co.proc)
+	set := l1.SetOf(line)
 	if !c.WroteLine(line) {
-		l1 := e.ms.L1(co.proc)
-		set := l1.SetOf(line)
-		if co.specLinesInSet(set, l1) >= l1.Ways() {
+		if int(co.specInSet[set]) >= l1.Ways() {
 			if c.Insts == 0 {
 				// The set is saturated by older uncommitted chunks; wait
 				// for a commit to free it. (Truncating an empty chunk
@@ -1032,7 +1127,7 @@ func (e *Engine) chunkStore(co *core, in *isa.Inst) bool {
 				co.cur = nil
 				co.chunks = co.chunks[:len(co.chunks)-1]
 				co.nextSeqRollback(c)
-				e.releaseChunk(c)
+				e.releaseChunk(co, c)
 				e.block(co, waitOverflow)
 				return false
 			}
@@ -1054,7 +1149,9 @@ func (e *Engine) chunkStore(co *core, in *isa.Inst) bool {
 		}
 		c.NoteRead(line)
 	}
-	c.Write(addr, in.NewValue(&co.ts, old))
+	if c.Write(addr, in.NewValue(&co.ts, old)) {
+		co.specInSet[set]++
+	}
 
 	specLat, fill := e.ms.SpecStore(co.proc, line)
 	if fill != sim.FillNone {
@@ -1071,20 +1168,6 @@ func (e *Engine) chunkStore(co *core, in *isa.Inst) bool {
 	co.memOps++
 	e.exec++
 	return true
-}
-
-// specLinesInSet counts speculative lines in an L1 set across the
-// processor's uncommitted chunks.
-func (co *core) specLinesInSet(set int, l1 interface{ SetOf(uint32) int }) int {
-	n := 0
-	for _, c := range co.chunks {
-		for _, l := range c.WLines() {
-			if l1.SetOf(l) == set {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // nextSeqRollback undoes the sequence-number allocation of a chunk that
@@ -1184,7 +1267,7 @@ func (e *Engine) squashSelfForInterrupt(co *core) {
 	co.tm.Clock += e.Cfg.SquashPenalty
 	co.spin.Reset()
 	co.nextSeqRollback(c)
-	e.releaseChunk(c)
+	e.releaseChunk(co, c)
 }
 
 // startChunk prepares the next chunk (running pending I/O and delivering
@@ -1505,7 +1588,7 @@ func (e *Engine) applyCommit(g *arbiter.Request) {
 	}
 	// The arbiter's in-flight window holds copies of the write set, so
 	// the chunk is free for reuse once this commit is done reading it.
-	e.releaseChunk(c)
+	e.releaseChunk(co, c)
 	if co.ts.Halted && co.cur == nil && len(co.chunks) == 0 && co.pendingIO == nil {
 		co.haltDone = true
 		e.policy.MarkDone(co.proc)
@@ -1648,7 +1731,7 @@ func (e *Engine) squashFrom(co *core, idx int, committer int) {
 			e.gtr.Emit(trace.Event{Time: e.now, Proc: int32(co.proc), Kind: trace.ChunkSquash,
 				Seq: d.SeqID, A: uint64(d.Insts), B: uint64(by)})
 		}
-		e.releaseChunk(d)
+		e.releaseChunk(co, d)
 	}
 	co.chunks = co.chunks[:idx]
 	co.cur = nil

@@ -363,13 +363,13 @@ func TestArbiterAfterRunSharesNoRequests(t *testing.T) {
 }
 
 // warmRunBudget bounds what a run allocates once the free lists hold
-// what it needs: the engine, its arbiter and stats, and now and then a
-// 64 KB rehash of the recycled memory's word table, whose fresh hash key
-// can meet a clustered run of addresses (flat.Table's switch to mixed
-// hashing). Chunk tables, cores, cache hierarchies and memories all come
-// back from earlier runs; regrowing the chunk tables alone took about
-// 240 KB on this workload.
-const warmRunBudget = 128 << 10
+// what it needs: the engine, its arbiter and stats, about 36 KB. Chunk
+// tables, cores, cache hierarchies and memories all come back from
+// earlier runs; regrowing the chunk tables alone took about 240 KB on
+// this workload. A recycled memory's word table whose fresh hash key
+// meets a clustered run of addresses switches to mixed hashing within
+// its own slot array, so that costs nothing either.
+const warmRunBudget = 64 << 10
 
 // A warm second run of the same workload allocates under warmRunBudget.
 // The first run starts from new cores: which chunk object takes which

@@ -92,6 +92,10 @@ type Chunk struct {
 	RSig, WSig signature.Sig
 	lines      flat.Table
 	wLines     []uint32 // insertion order; deduplicated
+	// readHint and wroteHint are a line known read and a line known
+	// written, plus one (0: none yet). Accesses repeat lines, so they
+	// spare most footprint updates and queries their lines probe.
+	readHint, wroteHint uint32
 
 	// fills journals the shared-state transitions (L2 installs, directory
 	// updates) the chunk's speculative cache fills deferred; the engine
@@ -200,6 +204,10 @@ func (c *Chunk) Fills() []Fill { return c.fills }
 
 // NoteRead records a load from line.
 func (c *Chunk) NoteRead(line uint32) {
+	if c.readHint == line+1 {
+		return
+	}
+	c.readHint = line + 1
 	if b, _ := c.lines.Ptr(line); *b&lineRead == 0 {
 		*b |= lineRead
 		c.RSig.Insert(line)
@@ -215,6 +223,10 @@ func (c *Chunk) Write(addr uint32, v uint64) (newLine bool) {
 	}
 	*p = v
 	line := isa.LineOf(addr)
+	if c.wroteHint == line+1 {
+		return false
+	}
+	c.wroteHint = line + 1
 	if b, _ := c.lines.Ptr(line); *b&lineWritten == 0 {
 		*b |= lineWritten
 		c.wLines = append(c.wLines, line)
@@ -230,8 +242,15 @@ func (c *Chunk) Load(addr uint32) (uint64, bool) { return c.writes.Get(addr) }
 // WroteLine reports whether the chunk wrote to line (exact, not
 // signature-based).
 func (c *Chunk) WroteLine(line uint32) bool {
+	if c.wroteHint == line+1 {
+		return true
+	}
 	b, _ := c.lines.Get(line)
-	return b&lineWritten != 0
+	if b&lineWritten == 0 {
+		return false
+	}
+	c.wroteHint = line + 1
+	return true
 }
 
 // ReadLine reports whether the chunk read line (exact).

@@ -269,10 +269,15 @@ func (r *Recording) appendHeader(b []byte) []byte {
 }
 
 // appendPacked appends a bit-packed log's payload: entry count, bit
-// length, bytes. dec.packed reads the last two back.
-func appendPacked(b []byte, count int, buf []byte, bits int) []byte {
-	b = le.AppendUint32(le.AppendUint32(b, uint32(count)), uint32(bits))
-	return append(b, buf[:(bits+7)/8]...)
+// length, bytes. pack is the log's AppendPack, which packs straight into
+// b behind the bit length it then fills in. dec.packed reads the last
+// two back.
+func appendPacked(b []byte, count int, pack func([]byte) ([]byte, int)) []byte {
+	b = le.AppendUint32(b, uint32(count))
+	at := len(b)
+	b, bits := pack(le.AppendUint32(b, 0))
+	le.PutUint32(b[at:], uint32(bits))
+	return b
 }
 
 // appendPayload appends frame id's raw (pre-compression) payload to b.
@@ -283,17 +288,13 @@ func (r *Recording) appendPayload(b []byte, id frameID) []byte {
 	case frameInitMem:
 		b = appendImage(le.AppendUint32(b, uint32(len(r.InitialMem))), r.InitialMem)
 	case framePI:
-		buf, bits := r.PI.Pack()
-		b = appendPacked(b, r.PI.Len(), buf, bits)
+		b = appendPacked(b, r.PI.Len(), r.PI.AppendPack)
 	case frameCS:
-		buf, bits := r.CS[id.shard].Pack()
-		b = appendPacked(b, r.CS[id.shard].Len(), buf, bits)
+		b = appendPacked(b, r.CS[id.shard].Len(), r.CS[id.shard].AppendPack)
 	case frameSizes:
-		buf, bits := r.Sizes[id.shard].Pack()
-		b = appendPacked(b, r.Sizes[id.shard].Len(), buf, bits)
+		b = appendPacked(b, r.Sizes[id.shard].Len(), r.Sizes[id.shard].AppendPack)
 	case frameIntr:
-		buf, bits := r.Intr[id.shard].Pack()
-		b = appendPacked(b, r.Intr[id.shard].Len(), buf, bits)
+		b = appendPacked(b, r.Intr[id.shard].Len(), r.Intr[id.shard].AppendPack)
 	case frameIO:
 		vals := r.IO[id.shard].Values()
 		b = le.AppendUint32(b, uint32(len(vals)))
@@ -301,8 +302,7 @@ func (r *Recording) appendPayload(b []byte, id frameID) []byte {
 			b = le.AppendUint64(b, v)
 		}
 	case frameDMA:
-		buf, bits := r.DMA.Pack()
-		b = appendPacked(b, r.DMA.Len(), buf, bits)
+		b = appendPacked(b, r.DMA.Len(), r.DMA.AppendPack)
 	case frameSlots:
 		slots := r.Slots.Entries()
 		b = le.AppendUint32(b, uint32(len(slots)))

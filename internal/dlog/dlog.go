@@ -95,8 +95,12 @@ func (l *PILog) EntryBits() int { return procBits(l.nprocs) }
 func (l *PILog) RawBits() int { return len(l.entries) * l.EntryBits() }
 
 // Pack returns the bit-packed log.
-func (l *PILog) Pack() ([]byte, int) {
-	var w bitio.Writer
+func (l *PILog) Pack() ([]byte, int) { return l.AppendPack(nil) }
+
+// AppendPack appends the bit-packed log to b, returning the extended
+// buffer and the log's length in bits.
+func (l *PILog) AppendPack(b []byte) ([]byte, int) {
+	w := bitio.AppendWriter(b)
 	eb := l.EntryBits()
 	for _, p := range l.entries {
 		w.WriteBits(uint64(p), eb)
@@ -186,13 +190,18 @@ func (l *CSLog) Len() int { return len(l.entries) }
 // (memoized).
 func (l *CSLog) RawBits() int {
 	return l.rmemo.get(len(l.entries), func() int {
-		_, n := l.pack()
+		_, n := l.Pack()
 		return n
 	})
 }
 
-func (l *CSLog) pack() ([]byte, int) {
-	var w bitio.Writer
+// Pack returns the bit-packed log.
+func (l *CSLog) Pack() ([]byte, int) { return l.AppendPack(nil) }
+
+// AppendPack appends the bit-packed log to b, returning the extended
+// buffer and the log's length in bits.
+func (l *CSLog) AppendPack(b []byte) ([]byte, int) {
+	w := bitio.AppendWriter(b)
 	maxDist := uint64(1)<<uint(l.distBits) - 1
 	prev := uint64(0)
 	first := true
@@ -217,13 +226,10 @@ func (l *CSLog) pack() ([]byte, int) {
 	return w.Bytes(), w.Len()
 }
 
-// Pack returns the bit-packed log.
-func (l *CSLog) Pack() ([]byte, int) { return l.pack() }
-
 // CompressedBits returns the LZ77-compressed size in bits (memoized).
 func (l *CSLog) CompressedBits() int {
 	return l.cmemo.get(len(l.entries), func() int {
-		b, _ := l.pack()
+		b, _ := l.Pack()
 		return lz77.CompressedBits(b)
 	})
 }
@@ -317,8 +323,12 @@ func (l *SizeLog) RawBits() int {
 }
 
 // Pack returns the bit-packed log.
-func (l *SizeLog) Pack() ([]byte, int) {
-	var w bitio.Writer
+func (l *SizeLog) Pack() ([]byte, int) { return l.AppendPack(nil) }
+
+// AppendPack appends the bit-packed log to b, returning the extended
+// buffer and the log's length in bits.
+func (l *SizeLog) AppendPack(b []byte) ([]byte, int) {
+	w := bitio.AppendWriter(b)
 	for _, s := range l.sizes {
 		if s == l.maxSize {
 			w.WriteBool(true)

@@ -39,8 +39,12 @@ func (l *IntrLog) Entries() []IntrEntry { return l.entries }
 func (l *IntrLog) Len() int { return len(l.entries) }
 
 // Pack returns the bit-packed log.
-func (l *IntrLog) Pack() ([]byte, int) {
-	var w bitio.Writer
+func (l *IntrLog) Pack() ([]byte, int) { return l.AppendPack(nil) }
+
+// AppendPack appends the bit-packed log to b, returning the extended
+// buffer and the log's length in bits.
+func (l *IntrLog) AppendPack(b []byte) ([]byte, int) {
+	w := bitio.AppendWriter(b)
 	var prev uint64
 	for i, e := range l.entries {
 		d := e.SeqID
@@ -139,8 +143,12 @@ func (l *DMALog) Len() int { return len(l.entries) }
 
 // Pack returns the bit-packed log: (varint slot, 32-bit addr, varint
 // word count, words).
-func (l *DMALog) Pack() ([]byte, int) {
-	var w bitio.Writer
+func (l *DMALog) Pack() ([]byte, int) { return l.AppendPack(nil) }
+
+// AppendPack appends the bit-packed log to b, returning the extended
+// buffer and the log's length in bits.
+func (l *DMALog) AppendPack(b []byte) ([]byte, int) {
+	w := bitio.AppendWriter(b)
 	for _, e := range l.entries {
 		w.WriteUvarint(e.Slot)
 		w.WriteBits(uint64(e.Addr), 32)

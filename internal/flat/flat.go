@@ -106,7 +106,7 @@ func (t *Table) Ptr(k uint32) (v *uint64, inserted bool) {
 		if s.gen != t.gen {
 			if d > maxProbe && !t.mixed {
 				t.mixed = true
-				t.rehash(len(t.slots))
+				t.remix()
 				return t.Ptr(k)
 			}
 			*s = slot{key: k, gen: t.gen}
@@ -198,6 +198,46 @@ func (t *Table) grow() { t.rehash(max(2*len(t.slots), minSlots)) }
 
 // newKey draws a hash key: mul odd, add any.
 func newKey() (mul, add uint64) { return rand.Uint64() | 1, rand.Uint64() }
+
+// remix moves the live entries to their homes under the current hash
+// (mixed since the caller's switch) within the slot array, allocating
+// nothing. It stamps moved entries with the next generation: entries
+// still stamped with the current one are yet to move. Slot by slot,
+// each such entry is lifted out and reinserted from its new home; an
+// insert probes past moved entries and stops at the first slot that is
+// empty or holds an entry yet to move, which it takes, lifting that
+// entry in turn. Every probe run then holds moved entries only, as a
+// fresh insert of each would leave it.
+func (t *Table) remix() {
+	old := t.gen
+	if old+1 == 0 {
+		// The next stamp would be the empty one: take a fresh array,
+		// which restarts the stamps.
+		t.rehash(len(t.slots))
+		return
+	}
+	t.gen = old + 1
+	for i := range t.slots {
+		if t.slots[i].gen != old {
+			continue
+		}
+		cur := t.slots[i]
+		t.slots[i].gen = 0
+		for j := t.home(cur.key); ; j = (j + 1) & t.mask {
+			s := &t.slots[j]
+			if s.gen == t.gen {
+				continue
+			}
+			lifted := *s
+			*s = slot{key: cur.key, gen: t.gen, val: cur.val}
+			if lifted.gen != old {
+				break
+			}
+			cur = lifted
+			j = t.home(cur.key) - 1 // the loop step brings it to the home
+		}
+	}
+}
 
 // rehash moves the live entries into a fresh array of size slots,
 // drawing the hash key at the first allocation.

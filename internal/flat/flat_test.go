@@ -2,6 +2,7 @@ package flat
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -37,7 +38,8 @@ func check(t *testing.T, tab *Table, ref map[uint32]uint64) {
 // byte, a four-byte key), to a Table and a reference map, checking the
 // two agree after every operation. Keys are folded into a small range
 // or a single probe run often enough that collisions, backward shifts
-// and growth all happen on short inputs.
+// and growth all happen on short inputs, and the run of colliders is
+// long enough to switch the table to mixed hashing.
 func run(t *testing.T, tab *Table, data []byte) {
 	ref := make(map[uint32]uint64)
 	check(t, tab, ref)
@@ -49,7 +51,7 @@ func run(t *testing.T, tab *Table, data []byte) {
 		case 0:
 			k &= 0x3f
 		case 1:
-			k = collider(k & 0xf)
+			k = collider(k % numColliders)
 		}
 		switch op % 8 {
 		case 0, 1, 2:
@@ -94,25 +96,38 @@ const testMul = 0x9E3779B97F4A7C15
 // testTable returns an empty table whose hash key is testMul.
 func testTable() *Table { return &Table{mul: testMul} }
 
-// collider returns the i-th key whose home slot in a 16-slot
-// testTable is slot 0, so small tables see long probe runs.
-func collider(i uint32) uint32 {
+// numColliders is how many colliders run draws on: twice maxProbe, so
+// a table holding most of them places one past maxProbe.
+const numColliders = 2 * maxProbe
+
+// colliders holds the keys whose home slot in a 16-slot testTable is
+// slot 0, in increasing order, so small tables see long probe runs.
+var colliders = func() []uint32 {
 	probe := testTable()
 	probe.grow()
-	for k, n := uint32(0), uint32(0); ; k++ {
+	var keys []uint32
+	for k := uint32(0); len(keys) < numColliders; k++ {
 		if probe.home(k) == 0 {
-			if n == i {
-				return k
-			}
-			n++
+			keys = append(keys, k)
 		}
 	}
-}
+	return keys
+}()
+
+// collider returns the i-th collider.
+func collider(i uint32) uint32 { return colliders[i] }
 
 func FuzzTable(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 5, 1, 0, 0, 0, 7, 0, 0, 0, 0})
 	f.Add([]byte{0x40, 0, 0, 0, 0, 0x40, 1, 0, 0, 0, 0x40, 2, 0, 0, 0, 0x45, 0, 0, 0, 0, 0x43, 2, 0, 0, 0})
 	f.Add([]byte{0x80, 0xff, 0xff, 0xff, 0xff, 0x80, 0, 0, 0, 0, 0xa7, 0, 0, 0, 0, 0x83, 0xff, 0xff, 0xff, 0xff})
+	// Every collider, then a delete and a check: the table switches to
+	// mixed hashing on the way.
+	var all []byte
+	for i := byte(0); i < numColliders; i++ {
+		all = append(all, 0x40, i, 0, 0, 0)
+	}
+	f.Add(append(all, 0x45, 3, 0, 0, 0, 0x47, 0, 0, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		run(t, testTable(), data)
 	})
@@ -266,7 +281,8 @@ func TestHostileKeysSpread(t *testing.T) {
 // TestLongProbeSwitchesToMixedHash inserts keys that all share a home
 // under a known key: the insert that lands more than maxProbe slots
 // past its home must switch the table to mixed hashing, which spreads
-// the run, and every entry must stay reachable.
+// the run within the table's own slot array, and every entry must stay
+// reachable.
 func TestLongProbeSwitchesToMixedHash(t *testing.T) {
 	tab := testTable()
 	tab.rehash(1 << 12)
@@ -277,12 +293,18 @@ func TestLongProbeSwitchesToMixedHash(t *testing.T) {
 		}
 	}
 	i := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for k, v := range ref {
 		p, _ := tab.Ptr(k)
 		*p = v
 		if i++; tab.mixed != (i > maxProbe+1) {
 			t.Fatalf("after %d colliding inserts mixed = %v", i, tab.mixed)
 		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("switching to mixed hashing made %d allocations, want none", n)
 	}
 	check(t, tab, ref)
 	if d := meanDisplacement(tab, nil); d > 1 {

@@ -604,6 +604,8 @@ func (rs recordSpec) config() (delorean.Config, delorean.Mode, error) {
 		return bad("chunk_size %d exceeds the limit of %d instructions", rs.ChunkSize, delorean.MaxChunkSize)
 	case rs.Stratify > delorean.MaxStratify:
 		return bad("stratify %d exceeds the limit of %d chunks per stratum", rs.Stratify, delorean.MaxStratify)
+	case rs.MaxInstructions > delorean.MaxInstructionBudget:
+		return bad("max_instructions %d exceeds the limit of %d", rs.MaxInstructions, uint64(delorean.MaxInstructionBudget))
 	case rs.SimParallel != 0 && rs.SimParallel != 1:
 		return bad("sim_parallel must be 0 or 1 (the simulator has one scheduler), got %d", rs.SimParallel)
 	}

@@ -477,10 +477,13 @@ func TestRecordLimits(t *testing.T) {
 		return map[string]any{"workload": "barnes", "procs": procs, "scale": 40,
 			"chunk_size": chunk, "stratify": stratify, "max_instructions": 1000}
 	}
+	overBudget := spec(2, 100, 0)
+	overBudget["max_instructions"] = delorean.MaxInstructionBudget + 1
 	for _, sp := range []map[string]any{
 		spec(delorean.MaxProcessors+1, 100, 0),
 		spec(2, delorean.MaxChunkSize+1, 0),
 		spec(2, 100, delorean.MaxStratify+1),
+		overBudget,
 	} {
 		resp, body := doJSON(t, "POST", hs.URL+"/v1/recordings", sp)
 		if resp.StatusCode != http.StatusBadRequest {

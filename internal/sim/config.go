@@ -21,7 +21,8 @@ type Config struct {
 	StoreBuf   int // store-buffer entries (RC)
 	MSHRs      int // outstanding L1 misses per core
 
-	// Memory hierarchy (latencies are round trips in cycles).
+	// Memory hierarchy (latencies are round trips in cycles, each at least
+	// one).
 	L1Bytes, L1Ways int
 	L2Bytes, L2Ways int
 	L1Lat           uint64

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"delorean/internal/cache"
 	"delorean/internal/flat"
@@ -113,11 +114,23 @@ var hierarchies runner.FreeList[*MemSys]
 // hands it back with ReleaseMemSys when the run ends, so no hierarchy
 // outlives its run. Safe for concurrent use.
 func AcquireMemSys(cfg *Config) *MemSys {
+	checkLatencies(cfg)
 	if ms, ok := hierarchies.Get(); ok && ms.geom == geometryOf(cfg) {
 		ms.reset(cfg)
 		return ms
 	}
 	return newMemSys(cfg)
+}
+
+// checkLatencies panics unless every memory latency of cfg is at least
+// one cycle: a memory operation then always completes after the cycle
+// it issues in, which CoreTiming.reap relies on. The latencies an
+// access is charged are a hierarchy's (AcquireMemSys checks them).
+func checkLatencies(cfg *Config) {
+	if cfg.L1Lat == 0 || cfg.L2Lat == 0 || cfg.MemLat == 0 {
+		panic(fmt.Sprintf("sim: memory latencies %d/%d/%d; each must be at least one cycle",
+			cfg.L1Lat, cfg.L2Lat, cfg.MemLat))
+	}
 }
 
 // ReleaseMemSys hands ms back for reuse. The caller must not use ms
@@ -323,11 +336,21 @@ func (ms *MemSys) ApplyFill(p int, line uint32, k FillKind) {
 // CommitLine makes processor p's speculative write to line globally
 // visible: all other sharers are invalidated and p becomes owner. The
 // latency is folded into the commit operation, not charged per line.
+//
+// It reads and writes line's directory entry once: with every other
+// sharer invalidated, the entry ends as p the owner and sole sharer,
+// whatever it held. The victim p's L1 may evict is another line, whose
+// entry is updated after line's is written.
 func (ms *MemSys) CommitLine(p int, line uint32) {
-	ms.invalidateOthers(p, line)
-	ms.setOwner(line, p)
+	e, _ := ms.dir.Ptr(line)
+	for others := uint32(*e) &^ (1 << uint(p)); others != 0; others &= others - 1 {
+		ms.l1[bits.TrailingZeros32(others)].Invalidate(line)
+	}
+	*e = uint64(p+1)<<32 | 1<<uint(p)
 	ms.l2.Install(line)
-	ms.installL1(p, line)
+	if evicted, did := ms.l1[p].Install(line); did {
+		ms.dropSharer(evicted, p)
+	}
 }
 
 // DMAWrite models a device write: every cached copy is invalidated and

@@ -263,3 +263,20 @@ func TestReleasedHierarchyTagStorage(t *testing.T) {
 	}
 	t.Logf("L2: %d of %d sets, %d bytes", l2.sets, l2.numSets, l2.bytes)
 }
+
+// A hierarchy with a zero-cycle latency is refused: CoreTiming's reap
+// relies on every access completing after the cycle it issues in.
+func TestZeroLatencyRefused(t *testing.T) {
+	for i := 0; i < 3; i++ {
+		cfg := msCfg(2)
+		*[]*uint64{&cfg.L1Lat, &cfg.L2Lat, &cfg.MemLat}[i] = 0
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("latencies %d/%d/%d: AcquireMemSys did not panic", cfg.L1Lat, cfg.L2Lat, cfg.MemLat)
+				}
+			}()
+			AcquireMemSys(&cfg)
+		}()
+	}
+}

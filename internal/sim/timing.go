@@ -31,6 +31,8 @@ type CoreTiming struct {
 	// regReady[r] is when register r's value becomes available (loads
 	// write their destination at completion).
 	regReady [16]uint64
+	// reapedAt is the Clock of the last reap (see reap).
+	reapedAt uint64
 
 	// StallCycles accumulates cycles the core spent waiting (ROB full,
 	// store buffer full, drains). Used for Table 6 style reporting.
@@ -144,8 +146,22 @@ func (c *CoreTiming) ChargeALU(n int) {
 	c.Clock += (uint64(n) + w - 1) / w
 }
 
-// reap drops completed entries from the ROB and MSHR lists.
+// reap drops completed entries from the ROB, MSHR and store lists.
+//
+// A reap at an unchanged clock has nothing to drop, so it returns at
+// once. After a reap, the first pend and store entries and every MSHR
+// entry complete after the clock. Every entry pushed since completes
+// after the clock too, because every latency is at least one cycle
+// (checkLatencies): a hit completes at Clock+lat, and a miss at its
+// MSHR start, never before Clock, plus lat. An entry popped off the
+// front without a reap (robAdmit, StoreRC, StoreTSO) is waited for
+// first, which moves the clock. So while the clock stands still, every
+// entry a reap would look at completes after it.
 func (c *CoreTiming) reap() {
+	if c.Clock == c.reapedAt {
+		return
+	}
+	c.reapedAt = c.Clock
 	for c.pend.len() > 0 && c.pend.front().done <= c.Clock {
 		c.pend.pop()
 	}

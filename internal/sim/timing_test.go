@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"delorean/internal/rng"
+)
 
 func tcfg() Config {
 	c := Default8()
@@ -268,5 +273,97 @@ func TestFIFOWrapAndGrow(t *testing.T) {
 	q.clear()
 	if q.len() != 0 {
 		t.Fatalf("len after clear = %d", q.len())
+	}
+}
+
+// reapWouldDrop reports whether a full reap of tm would drop an entry:
+// a completed ROB or store-buffer front, or a completed miss.
+func reapWouldDrop(tm *CoreTiming) bool {
+	if tm.pend.len() > 0 && tm.pend.front().done <= tm.Clock ||
+		tm.stores.len() > 0 && tm.stores.front() <= tm.Clock {
+		return true
+	}
+	for _, d := range tm.mshr {
+		if d <= tm.Clock {
+			return true
+		}
+	}
+	return false
+}
+
+// TestReapSkipIsExact checks the invariant that lets reap return at
+// once at an unchanged clock: with every latency at least one cycle,
+// every completion CoreTiming queues is later than its clock, so while
+// the clock has not moved since the last reap, a reap has nothing to
+// drop. Random operation sequences, at random geometries and positive
+// latencies down to one cycle, check it after every operation, and a
+// twin that reaps in full at the start of every operation (its last
+// reap's clock forgotten) must end each one in the same state.
+func TestReapSkipIsExact(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := rng.New(seed)
+		cfg := tcfg()
+		cfg.ROB, cfg.StoreBuf, cfg.MSHRs = r.Range(1, 12), r.Range(1, 6), r.Range(1, 4)
+		cfg.L1Lat = uint64(r.Range(1, 3))
+		cfg.L2Lat = cfg.L1Lat + uint64(r.Range(0, 20))
+		cfg.MemLat = cfg.L2Lat + uint64(r.Range(0, 300))
+		lats := []uint64{cfg.L1Lat, cfg.L2Lat, cfg.MemLat}
+		tm, twin := NewCoreTiming(&cfg), NewCoreTiming(&cfg)
+		skipped := 0
+		for step := 0; step < 4000; step++ {
+			lat := lats[r.Intn(len(lats))]
+			hit := lat == cfg.L1Lat
+			op, arg := r.Intn(12), r.Intn(16)
+			twin.reapedAt = tm.Clock + 1 // never equal: twin's first reap is full
+			if tm.Clock == tm.reapedAt {
+				skipped++
+			}
+			for _, c := range []*CoreTiming{tm, twin} {
+				switch op {
+				case 0, 1:
+					c.LoadOp(lat, hit, arg%3 == 0, uint8(arg))
+				case 2:
+					c.StoreRC(lat, hit)
+				case 3:
+					c.StoreTSO(lat, hit)
+				case 4:
+					c.StoreSC(lat, hit)
+				case 5:
+					c.ChargeALU(arg)
+				case 6:
+					c.WaitReg(uint8(arg))
+				case 7:
+					c.AdvanceTo(c.Clock + uint64(arg*arg))
+				case 8:
+					c.PendingStores()
+					c.Outstanding()
+				case 9:
+					if arg == 0 {
+						c.Drain()
+					} else if arg == 1 {
+						c.DrainStores()
+					}
+				case 10:
+					if arg == 0 {
+						c.Reset() // a squash: the in-flight operations die
+					}
+				case 11:
+					c.Clock += uint64(arg % 3) // an I/O access or squash penalty
+				}
+			}
+			if tm.Clock == tm.reapedAt && reapWouldDrop(tm) {
+				t.Fatalf("seed %d, step %d: clock %d unchanged since the last reap, but a reap would drop an entry",
+					seed, step, tm.Clock)
+			}
+			a, b := *tm, *twin
+			a.reapedAt, b.reapedAt = 0, 0
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("seed %d, step %d (op %d): a timing that skips reaps differs from one that reaps\n skip %+v\n full %+v",
+					seed, step, op, a, b)
+			}
+		}
+		if skipped == 0 {
+			t.Fatalf("seed %d: no operation started at the clock of the last reap", seed)
+		}
 	}
 }
